@@ -52,6 +52,74 @@ func TestCanonicalJSONGolden(t *testing.T) {
 				`"net":{"straggler_nodes":[1,3],"straggler_factor":4,"drop_pct":1},` +
 				`"drop_pcts":[0,1],"straggle_factors":[1,4]}`,
 		},
+		{
+			// Floats whose shortest 'g' form and encoding/json's default
+			// form differ (1e-05 vs 0.00005, 1.25e+09 vs 1250000000), a
+			// link override, and an explicit retransmit policy.
+			name: "net-floats",
+			spec: Spec{
+				App:   Jacobi2D,
+				Cores: []int{16},
+				Net: xnet.Config{
+					InterNodeLatency:   1e-5,
+					InterNodeBandwidth: 1.25e9,
+					Links: []xnet.Link{
+						{Src: 1, Dst: 0, Latency: 2.5e-4},
+						{Src: 0, Dst: 1, Bandwidth: 5e7},
+					},
+					DropPct:           0.5,
+					Seed:              42,
+					RetransmitTimeout: 3e-4,
+					MaxAttempts:       7,
+				},
+			},
+			want: `{"v":1,"app":"Jacobi2D","cores":[16],` +
+				`"net":{"inter_node_latency":1e-05,"inter_node_bandwidth":1.25e+09,` +
+				`"links":[{"src":1,"dst":0,"latency":0.00025},{"src":0,"dst":1,"bandwidth":5e+07}],` +
+				`"drop_pct":0.5,"seed":42,"retransmit_timeout":0.0003,"max_attempts":7}}`,
+		},
+		{
+			name: "faults-warning-replacement",
+			spec: Spec{
+				App:        Wave2D,
+				Cores:      []int{8},
+				Strategies: []StrategyKind{NoLB, Refine, RefineSwap},
+				Seeds:      []int64{3},
+				Faults: elastic.Schedule{
+					{PE: 5, At: 1.5, Warning: 0.25, Restore: 4, ReplacementCore: 9},
+					{PE: 2, At: 1.5, Warning: 1e-5},
+				},
+			},
+			want: `{"v":1,"app":"Wave2D","cores":[8],` +
+				`"strategies":["noLB","RefineLB","RefineSwapLB"],"seeds":[3],` +
+				`"faults":[{"pe":2,"at":1.5,"warning":1e-05},` +
+				`{"pe":5,"at":1.5,"warning":0.25,"restore":4,"replacement_core":9}]}`,
+		},
+		{
+			name: "knobs-and-sweep-axes",
+			spec: Spec{
+				App:                Wave2D,
+				Cores:              []int{4},
+				Scale:              0.05,
+				BG:                 BGCloudChurn,
+				BGIters:            1200,
+				SyncEvery:          5,
+				CharesPerCore:      98,
+				StencilBlock:       4,
+				DiffRounds:         8,
+				DiffTol:            0.1,
+				InteractivityBonus: 0.75,
+				Hierarchical:       true,
+				MaxVirtualTime:     2.5e4,
+				Net:                xnet.Config{StragglerNodes: []int{2}, StragglerFactor: 1},
+				EpsFracs:           []float64{0.01, 5e-5},
+				Periods:            []int{5, 40},
+			},
+			want: `{"v":1,"app":"Wave2D","cores":[4],"scale":0.05,"bg":"churn",` +
+				`"bg_iters":1200,"sync_every":5,"chares_per_core":98,"stencil_block":4,` +
+				`"diff_rounds":8,"diff_tol":0.1,"interactivity_bonus":0.75,"hierarchical":true,` +
+				`"max_virtual_time":25000,"eps_fracs":[0.01,5e-05],"periods":[5,40]}`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,6 +190,25 @@ func TestHashShardsExcluded(t *testing.T) {
 	b := Spec{App: Wave2D, Cores: []int{8}, Shards: 8}
 	if a.Hash() != b.Hash() {
 		t.Fatal("Shards must be excluded from the canonical hash")
+	}
+}
+
+// TestParseSpecShardsHashedAway: a submitted document may still carry the
+// "shards" execution knob; it parses into Spec.Shards and leaves the
+// canonical encoding, and so the hash, untouched.
+func TestParseSpecShardsHashedAway(t *testing.T) {
+	sp, err := ParseSpec([]byte(`{"app":"Wave2D","cores":[8],"shards":4}`))
+	if err != nil {
+		t.Fatalf("ParseSpec with shards: %v", err)
+	}
+	if sp.Shards != 4 {
+		t.Fatalf("Shards = %d, want 4", sp.Shards)
+	}
+	if got, want := string(sp.CanonicalJSON()), `{"v":1,"app":"Wave2D","cores":[8]}`; got != want {
+		t.Fatalf("shards leaked into the canonical form\n got: %s\nwant: %s", got, want)
+	}
+	if bare := (Spec{App: Wave2D, Cores: []int{8}}); sp.Hash() != bare.Hash() {
+		t.Fatal("a parsed shards key changed the hash")
 	}
 }
 
