@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check bench benchjson determinism verify-results figures metrics-smoke serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke
+.PHONY: build test vet lint race check bench determinism verify-results figures metrics-smoke serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -43,13 +43,10 @@ check: build lint test race bench serve-smoke service-smoke net-smoke diffusion-
 
 # Benchmark smoke: every benchmark runs exactly one iteration. Catches
 # bench bodies that rot (they only compile under -bench) without paying
-# full measurement time; real numbers come from `make benchjson`.
+# full measurement time; measured numbers come from the bench/ module
+# (`bash bench/run.sh`, see bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
-
-# Refresh the committed benchmark record (ns/op, allocs/op, events/sec).
-benchjson:
-	$(GO) run ./cmd/figures -benchjson BENCH_results.json
 
 # Sharded-scheduler determinism gate, named so `make check` runs it even
 # when the cached `race` target is skipped: the same scenario at shards
@@ -152,9 +149,13 @@ serve-smoke:
 # -store), submit the same Spec twice through -submit, and assert the
 # acceptance contract of the content-addressed cache: the second run says
 # "cache hit", lists byte-identical artifact hashes, and adds zero new
-# simulation events to the live sim_events_total series.
+# simulation events to the live sim_events_total series. Then a small
+# `figures -submit -fig all` must complete: timelines 1 and 3 render
+# locally, the eight table figures run as server jobs, and each Figure 4
+# panel reuses its Figure 2 panel's evaluate job from the cache.
 service-smoke:
 	@$(GO) build -o /tmp/lbsim-service-smoke ./cmd/lbsim; \
+	$(GO) build -o /tmp/figures-service-smoke ./cmd/figures; \
 	log=$$(mktemp); storedir=$$(mktemp -d); \
 	/tmp/lbsim-service-smoke -app jacobi2d -cores 4 -scale 0.05 \
 		-serve 127.0.0.1:0 -store "$$storedir" -serve-wait 60s >/dev/null 2>"$$log" & \
@@ -180,9 +181,16 @@ service-smoke:
 		echo "service-smoke: cache hit simulated: sim_events_total $$events1 -> $$events2"; fail=1; }; \
 	arts1=$$(echo "$$first" | grep '^artifact:'); arts2=$$(echo "$$second" | grep '^artifact:'); \
 	[ -n "$$arts1" ] && [ "$$arts1" = "$$arts2" ] || { echo "service-smoke: artifact listings differ between submissions"; fail=1; }; \
-	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf "$$log" "$$storedir"; \
+	figs=$$(/tmp/figures-service-smoke -fig all -cores 4,8 -seeds 1 -scale 0.05 \
+		-submit "http://$$addr" 2>"$$log.figs") || { echo "service-smoke: figures -submit -fig all failed"; cat "$$log.figs"; fail=1; }; \
+	echo "$$figs" | grep -q '^Figure 3:' || { echo "service-smoke: figure 3 did not render locally"; fail=1; }; \
+	jobs=$$(grep -c '^figures: job ' "$$log.figs"); \
+	[ "$$jobs" = "8" ] || { echo "service-smoke: figures -submit ran $$jobs server jobs, want 8"; fail=1; }; \
+	[ "$$(grep -c '(cache hit): energy.csv' "$$log.figs")" = "3" ] || { \
+		echo "service-smoke: Figure 4 panels did not reuse the Figure 2 evaluate jobs"; fail=1; }; \
+	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf "$$log" "$$log.figs" "$$storedir"; \
 	[ $$fail -eq 0 ] || exit 1; \
-	echo "service-smoke: cached resubmission OK on $$addr ($$(echo "$$arts1" | wc -l) artifacts, $$events1 events)"
+	echo "service-smoke: cached resubmission OK on $$addr ($$(echo "$$arts1" | wc -l) artifacts, $$events1 events); figures -submit -fig all OK ($$jobs jobs)"
 
 # Observability smoke: boot lbsim as an evaluation server with JSON
 # logging on, submit a Spec, and assert the tracing contract end to end:

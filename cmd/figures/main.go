@@ -1,7 +1,12 @@
 // Command figures regenerates the data behind every figure of the paper
 // "Cloud Friendly Load Balancing for HPC Applications: Preliminary Work"
 // (ICPP 2012): ASCII timelines for Figures 1 and 3, and penalty /
-// power / energy tables for Figures 2 and 4.
+// power / energy tables for Figures 2 and 4, plus the cloud extensions
+// (Figures 5-7) and the strategy comparison and parameter sweep.
+//
+// Every table figure is a (method, Spec) pair evaluated through
+// experiment.Spec.RunMethod, the same entry point POST /api/v1/jobs uses;
+// -submit posts that pair to a scenario service instead.
 //
 // Usage:
 //
@@ -31,6 +36,100 @@ import (
 	"cloudlb/internal/sim"
 	"cloudlb/internal/xnet"
 )
+
+// tableFigure is one table figure as data: the header printed above it,
+// the (method, Spec) pair that computes it, which of the method's tables
+// it prints, and the file name its CSV (and bar chart) take under -csv
+// (-plots).
+type tableFigure struct {
+	header string
+	method string
+	spec   experiment.Spec
+	table  string
+	file   string // "" writes no files
+	chart  func(experiment.AppKind, []experiment.Eval) plot.BarChart
+}
+
+// tableFigures lists the table figures by -fig name. base carries the
+// flags every figure shares (scale, network, shards); cores and seeds
+// are the Figure 2/4 axes (seeds also drive Figures 5 and 6).
+func tableFigures(base experiment.Spec, cores []int, seeds []int64) map[string][]tableFigure {
+	spec := func(app experiment.AppKind, cores []int, seeds []int64) experiment.Spec {
+		sp := base
+		sp.App, sp.Cores, sp.Seeds = app, cores, seeds
+		return sp
+	}
+	figs := map[string][]tableFigure{}
+	for _, p := range []struct {
+		panel string
+		app   experiment.AppKind
+	}{{"a", experiment.Jacobi2D}, {"b", experiment.Wave2D}, {"c", experiment.Mol3D}} {
+		sp := spec(p.app, cores, seeds)
+		name := strings.ToLower(p.app.String())
+		fig2 := tableFigure{
+			header: fmt.Sprintf("Figure 2 (%s): timing penalty vs cores\n", p.app),
+			method: "evaluate", spec: sp, table: "table.csv", file: "fig2_" + name, chart: fig2Chart,
+		}
+		fig4 := tableFigure{
+			header: fmt.Sprintf("Figure 4 (%s): power and normalized energy overhead\n", p.app),
+			method: "evaluate", spec: sp, table: "energy.csv", file: "fig4_" + name, chart: fig4Chart,
+		}
+		figs["2"+p.panel] = []tableFigure{fig2}
+		figs["4"+p.panel] = []tableFigure{fig4}
+		figs["2"] = append(figs["2"], fig2)
+		figs["4"] = append(figs["4"], fig4)
+	}
+
+	compare := spec(experiment.Wave2D, []int{8}, []int64{1})
+	compare.Strategies = []experiment.StrategyKind{experiment.NoLB, experiment.Refine, experiment.RefineInternal,
+		experiment.RefineSwap, experiment.Greedy, experiment.Threshold, experiment.CostAware}
+	figs["compare"] = []tableFigure{{
+		header: "Strategy comparison (Wave2D, 8 cores, interfered):\n",
+		method: "compare", spec: compare, table: "table.csv",
+	}}
+
+	sweep := spec(experiment.Wave2D, []int{8}, []int64{1})
+	sweep.EpsFracs, sweep.Periods = []float64{0.01, 0.02, 0.05, 0.1}, []int{5, 10, 20, 40}
+	figs["sweep"] = []tableFigure{{
+		header: "Sensitivity of RefineLB's design parameters (Wave2D, 8 cores):\n",
+		method: "sweep", spec: sweep, table: "table.csv",
+	}}
+
+	// Extension beyond the paper: cloud elasticity. One spot revocation
+	// with a short warning takes a core away mid-run and a replacement
+	// arrives later; each strategy's penalty is measured against its own
+	// fault-free baseline.
+	const elasticCores = 8
+	elastic := spec(experiment.Wave2D, []int{elasticCores}, seeds)
+	elastic.Strategies = []experiment.StrategyKind{experiment.NoLB, experiment.Refine, experiment.RefineSwap}
+	elastic.Faults = experiment.Fig5Schedule(elasticCores, base.Scale)
+	r := elastic.Faults[0]
+	figs["5"] = []tableFigure{{
+		header: fmt.Sprintf("Figure 5: timing penalty of a spot revocation (Wave2D, %d cores)\n", elasticCores) +
+			fmt.Sprintf("PE %d warned at t=%.3fs, core offline %.3f-%.3fs, replacement core %d\n",
+				r.PE, float64(r.At-r.Warning), float64(r.At), float64(r.Restore), r.ReplacementCore),
+		method: "elasticity", spec: elastic, table: "table.csv", file: "fig5_wave2d",
+	}}
+
+	// Extension beyond the paper: network interference, the cloud
+	// counterpart of Figure 2's CPU interference. The interfered Fig. 2
+	// workload runs a drop% x straggler sweep per strategy; penalties are
+	// against the same strategy's run on the reliable uniform network, so
+	// the added cost of the degraded network — including the balancer's
+	// own migration traffic crossing it — is isolated from the
+	// CPU-interference cost.
+	const netCores = 8
+	net := spec(experiment.Wave2D, []int{netCores}, seeds)
+	net.Strategies = []experiment.StrategyKind{experiment.NoLB, experiment.Refine}
+	net.DropPcts, net.StraggleFactors = []float64{0, 2, 10}, []float64{1, 16}
+	figs["6"] = []tableFigure{{
+		header: fmt.Sprintf("Figure 6: timing penalty of network interference (Wave2D, %d cores, interfered)\n", netCores) +
+			"drop % x straggler sweep; the straggler is the allocation's last node, its links get latency x factor and bandwidth / factor\n",
+		method: "net", spec: net, table: "table.csv", file: "fig6_wave2d",
+	}}
+	figs["net"] = figs["6"]
+	return figs
+}
 
 // fig2Chart builds the grouped-bar version of a Figure 2 panel.
 func fig2Chart(kind experiment.AppKind, evals []experiment.Eval) plot.BarChart {
@@ -92,53 +191,36 @@ func main() {
 	dropPct := flag.Float64("droppct", 0, "percentage of inter-node transmissions lost and retransmitted in every scenario (0 = reliable; figure 6 sweeps its own drop axis)")
 	straggle := flag.String("straggle", "", "straggler nodes and slowdown factor, NODES:FACTOR (e.g. \"1,3:4\"), applied to every scenario")
 	netSeed := flag.Int64("netseed", 0, "seed of the packet-drop lottery")
-	benchJSON := flag.String("benchjson", "", "run the engine and figure benchmarks, write JSON results to this path, and exit")
-	submit := flag.String("submit", "", `evaluate table figures (2, 4, 5, 6, compare, sweep) on a running scenario service instead of in-process (server base URL; start one with -serve and -store)`)
+	submit := flag.String("submit", "", `evaluate the table figures on a running scenario service instead of in-process (server base URL; start one with -serve and -store); figures 1, 3 and 7 still render locally`)
 	prof := profiling.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	stopProfiles, err := prof.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		die(err)
 	}
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	cores, err := parseCores(*coresFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	shards, err := experiment.ParseShards(*shardsFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	stragNodes, stragFactor, err := experiment.ParseStraggle(*straggle)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
+		usage(err)
 	}
-	netCfg := xnet.Config{DropPct: *dropPct, Seed: *netSeed}
+	base := experiment.Spec{Scale: *scale, Shards: shards, Net: xnet.Config{DropPct: *dropPct, Seed: *netSeed}}
 	if len(stragNodes) > 0 {
-		netCfg.StragglerNodes = stragNodes
-		netCfg.StragglerFactor = stragFactor
+		base.Net.StragglerNodes = stragNodes
+		base.Net.StragglerFactor = stragFactor
 	}
 	seeds := make([]int64, *seedN)
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
+	tables := tableFigures(base, cores, seeds)
 
 	// All scenario batches fan out over one pool; Ctrl-C cancels the batch
 	// in flight. The figure text on stdout is byte-identical at any worker
@@ -153,8 +235,7 @@ func main() {
 	// record their spans (and WARN-level anomalies) against one trace ID.
 	log, err := prof.Logger()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	if log != nil {
 		tr := obs.NewTrace("figures", log)
@@ -162,305 +243,44 @@ func main() {
 		log.Info("figures run starting", "trace_id", tr.ID(), "fig", *fig, "seeds", *seedN)
 	}
 	pool := &runner.Pool{Workers: *parallel, Metrics: prof.Registry(), Progress: prof.Tracker()}
-	opts := experiment.Options{Executor: pool.Executor(), Metrics: prof.Registry(), LBTimeline: prof.Timeline(), Shards: shards, Net: netCfg}
-	start := time.Now()
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+	run := &figureRun{
+		ctx:     ctx,
+		opts:    experiment.Options{Executor: pool.Executor(), Metrics: prof.Registry(), LBTimeline: prof.Timeline()},
+		csvDir:  *csvDir,
+		plotDir: *plotDir,
 	}
-
-	var client *service.Client
 	if *submit != "" {
 		if *csvDir != "" || *plotDir != "" || *svgPath != "" {
-			fmt.Fprintln(os.Stderr, "figures: -submit prints the server's CSV artifact to stdout; -csv/-plots/-svg need local evaluation")
-			os.Exit(2)
+			usage(fmt.Errorf("-submit prints the server's CSV artifact to stdout; -csv/-plots/-svg need local evaluation"))
 		}
-		client = &service.Client{BaseURL: *submit}
+		run.client = &service.Client{BaseURL: *submit}
 	}
-	// remote evaluates one table figure through the scenario service: the
-	// locally assembled Spec is posted, the job awaited (a repeat of the
-	// same Spec is a cache hit served without simulating) and the named
-	// CSV artifact printed in place of the local ASCII table.
-	remote := func(method string, spec experiment.Spec, artifact string) {
-		spec.Net = netCfg
-		view, err := client.Run(ctx, service.Request{Method: method, Spec: spec})
-		if err != nil {
-			fail(err)
-		}
-		if view.State == service.StateFailed {
-			fail(fmt.Errorf("remote job %s failed: %s", view.ID, view.Error))
-		}
-		source := "computed"
-		if view.Cached {
-			source = "cache hit"
-		}
-		art, ok := view.Artifacts[artifact]
-		if !ok {
-			fail(fmt.Errorf("remote job %s has no %s artifact", view.ID, artifact))
-		}
-		b, err := client.Artifact(ctx, art)
-		if err != nil {
-			fail(err)
-		}
-		os.Stdout.Write(b)
-		fmt.Fprintf(os.Stderr, "figures: job %s (%s): %s is %s%s\n",
-			view.ID, source, artifact, strings.TrimRight(*submit, "/"), art.URL)
-		fmt.Println()
-	}
+	start := time.Now()
 
-	apps := map[string]experiment.AppKind{
-		"a": experiment.Jacobi2D,
-		"b": experiment.Wave2D,
-		"c": experiment.Mol3D,
-	}
-
-	run := func(f string) {
-		if client != nil {
-			switch f {
-			case "1", "3", "7", "diffusion":
-				fail(fmt.Errorf("figure %q renders locally (timelines / host-time measurements); run it without -submit", f))
-			}
-		}
-		switch {
-		case f == "1":
+	render := func(f string) {
+		switch f {
+		case "1":
 			fig1(*scale, *width, *svgPath)
-		case f == "3":
+		case "3":
 			fig3(*scale, *width, *svgPath)
-		case f == "compare":
-			fmt.Println("Strategy comparison (Wave2D, 8 cores, interfered):")
-			spec := experiment.Spec{
-				App: experiment.Wave2D, Cores: []int{8}, Seeds: []int64{1}, Scale: *scale,
-				Strategies: []experiment.StrategyKind{experiment.NoLB, experiment.Refine, experiment.RefineInternal,
-					experiment.RefineSwap, experiment.Greedy, experiment.Threshold, experiment.CostAware},
-			}
-			if client != nil {
-				remote("compare", spec, "table.csv")
-				break
-			}
-			results, err := spec.CompareStrategies(ctx, opts)
-			if err != nil {
-				fail(err)
-			}
-			experiment.CompareTable(results).Write(os.Stdout)
-			fmt.Println()
-		case f == "5":
-			// Extension beyond the paper: cloud elasticity. One spot
-			// revocation with a short warning takes a core away mid-run and
-			// a replacement arrives later; each strategy's penalty is
-			// measured against its own fault-free baseline.
-			const elasticCores = 8
-			sched := experiment.Fig5Schedule(elasticCores, *scale)
-			r := sched[0]
-			fmt.Printf("Figure 5: timing penalty of a spot revocation (Wave2D, %d cores)\n", elasticCores)
-			fmt.Printf("PE %d warned at t=%.3fs, core offline %.3f-%.3fs, replacement core %d\n",
-				r.PE, float64(r.At-r.Warning), float64(r.At), float64(r.Restore), r.ReplacementCore)
-			spec := experiment.Spec{
-				App: experiment.Wave2D, Cores: []int{elasticCores}, Seeds: seeds, Scale: *scale,
-				Strategies: []experiment.StrategyKind{experiment.NoLB, experiment.Refine, experiment.RefineSwap},
-				Faults:     sched,
-			}
-			if client != nil {
-				remote("elasticity", spec, "table.csv")
-				break
-			}
-			evals, err := spec.Elasticity(ctx, opts)
-			if err != nil {
-				fail(err)
-			}
-			tab := experiment.Fig5Table(evals)
-			tab.Write(os.Stdout)
-			if *csvDir != "" {
-				path := filepath.Join(*csvDir, "fig5_wave2d.csv")
-				out, err := os.Create(path)
-				if err != nil {
-					fail(err)
-				}
-				if err := tab.WriteCSV(out); err != nil {
-					fail(err)
-				}
-				out.Close()
-				fmt.Printf("wrote %s\n", path)
-			}
-			fmt.Println()
-		case f == "6" || f == "net":
-			// Extension beyond the paper: network interference, the cloud
-			// counterpart of Figure 2's CPU interference. The interfered
-			// Fig. 2 workload runs a drop% x straggler sweep per strategy;
-			// penalties are against the same strategy's run on the reliable
-			// uniform network, so the added cost of the degraded network —
-			// including the balancer's own migration traffic crossing it —
-			// is isolated from the CPU-interference cost.
-			const netCores = 8
-			fmt.Printf("Figure 6: timing penalty of network interference (Wave2D, %d cores, interfered)\n", netCores)
-			fmt.Printf("drop %% x straggler sweep; the straggler is the allocation's last node, its links get latency x factor and bandwidth / factor\n")
-			spec := experiment.Spec{
-				App: experiment.Wave2D, Cores: []int{netCores}, Seeds: seeds, Scale: *scale,
-				Strategies:      []experiment.StrategyKind{experiment.NoLB, experiment.Refine},
-				DropPcts:        []float64{0, 2, 10},
-				StraggleFactors: []float64{1, 16},
-				Net:             netCfg,
-			}
-			if client != nil {
-				remote("net", spec, "table.csv")
-				break
-			}
-			evals, err := spec.NetworkInterference(ctx, opts)
-			if err != nil {
-				fail(err)
-			}
-			tab := experiment.Fig6Table(evals)
-			tab.Write(os.Stdout)
-			if *csvDir != "" {
-				path := filepath.Join(*csvDir, "fig6_wave2d.csv")
-				out, err := os.Create(path)
-				if err != nil {
-					fail(err)
-				}
-				if err := tab.WriteCSV(out); err != nil {
-					fail(err)
-				}
-				out.Close()
-				fmt.Printf("wrote %s\n", path)
-			}
-			fmt.Println()
-		case f == "7" || f == "diffusion":
-			// Extension beyond the paper: load balancing at cloud scale.
-			// The interfered Wave2D workload at 1024 cores / ~100k chares,
-			// DiffusionLB's distributed neighbor-exchange protocol against
-			// the centralized refiners (flat and tree gather). The table is
-			// fully deterministic; the host-time planning cost — the number
-			// the distributed protocol exists to shrink — is machine-
-			// dependent and goes to stderr.
-			fmt.Println("Figure 7: load balancing at cloud scale (Wave2D, 1024 cores, ~100k chares, interfered)")
-			fmt.Println("distributed diffusion vs centralized refinement; peak state B is the largest per-PE LB planning state")
-			evals, err := experiment.Fig7(ctx, opts, *scale)
-			if err != nil {
-				fail(err)
-			}
-			tab := experiment.Fig7Table(evals)
-			tab.Write(os.Stdout)
-			if *csvDir != "" {
-				path := filepath.Join(*csvDir, "fig7_wave2d.csv")
-				out, err := os.Create(path)
-				if err != nil {
-					fail(err)
-				}
-				if err := tab.WriteCSV(out); err != nil {
-					fail(err)
-				}
-				out.Close()
-				fmt.Printf("wrote %s\n", path)
-			}
-			for _, e := range evals {
-				fmt.Fprintf(os.Stderr, "figures: fig7 %-14s Strategy.Plan host time %.3fs\n", e.Label, e.PlanHostSeconds)
-			}
-			fmt.Println()
-		case f == "sweep":
-			fmt.Println("Sensitivity of RefineLB's design parameters (Wave2D, 8 cores):")
-			spec := experiment.Spec{
-				App: experiment.Wave2D, Cores: []int{8}, Seeds: []int64{1}, Scale: *scale,
-				EpsFracs: []float64{0.01, 0.02, 0.05, 0.1}, Periods: []int{5, 10, 20, 40},
-			}
-			if client != nil {
-				remote("sweep", spec, "table.csv")
-				break
-			}
-			points, err := spec.SweepRefineParams(ctx, opts)
-			if err != nil {
-				fail(err)
-			}
-			experiment.SweepTable(points).Write(os.Stdout)
-			fmt.Println()
-		case strings.HasPrefix(f, "2") || strings.HasPrefix(f, "4"):
-			suffix := strings.TrimLeft(f, "24")
-			var kinds []experiment.AppKind
-			if suffix == "" {
-				kinds = []experiment.AppKind{experiment.Jacobi2D, experiment.Wave2D, experiment.Mol3D}
-			} else if k, ok := apps[suffix]; ok {
-				kinds = []experiment.AppKind{k}
-			} else {
-				fmt.Fprintf(os.Stderr, "figures: unknown figure %q\n", f)
-				os.Exit(2)
-			}
-			for _, kind := range kinds {
-				spec := experiment.Spec{App: kind, Cores: cores, Seeds: seeds, Scale: *scale}
-				if client != nil {
-					// The evaluate method stores Figure 2 as table.csv and
-					// Figure 4 as energy.csv under one cache entry.
-					art := "table.csv"
-					if strings.HasPrefix(f, "4") {
-						art = "energy.csv"
-					}
-					fmt.Printf("Figure %c (%s)\n", f[0], kind)
-					remote("evaluate", spec, art)
-					continue
-				}
-				evals, err := spec.Evaluate(ctx, opts)
-				if err != nil {
-					fail(err)
-				}
-				var tab interface {
-					Write(io.Writer)
-					WriteCSV(io.Writer) error
-				}
-				if strings.HasPrefix(f, "2") {
-					fmt.Printf("Figure 2 (%s): timing penalty vs cores\n", kind)
-					tab = experiment.Fig2Table(kind, evals)
-				} else {
-					fmt.Printf("Figure 4 (%s): power and normalized energy overhead\n", kind)
-					tab = experiment.Fig4Table(kind, evals)
-				}
-				tab.Write(os.Stdout)
-				if *plotDir != "" {
-					name := fmt.Sprintf("fig%c_%s.svg", f[0], strings.ToLower(kind.String()))
-					path := filepath.Join(*plotDir, name)
-					out, err := os.Create(path)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "figures:", err)
-						os.Exit(1)
-					}
-					var chart plot.BarChart
-					if strings.HasPrefix(f, "2") {
-						chart = fig2Chart(kind, evals)
-					} else {
-						chart = fig4Chart(kind, evals)
-					}
-					if err := chart.Render(out); err != nil {
-						fmt.Fprintln(os.Stderr, "figures:", err)
-						os.Exit(1)
-					}
-					out.Close()
-					fmt.Printf("wrote %s\n", path)
-				}
-				if *csvDir != "" {
-					name := fmt.Sprintf("fig%c_%s.csv", f[0], strings.ToLower(kind.String()))
-					path := filepath.Join(*csvDir, name)
-					out, err := os.Create(path)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "figures:", err)
-						os.Exit(1)
-					}
-					if err := tab.WriteCSV(out); err != nil {
-						fmt.Fprintln(os.Stderr, "figures:", err)
-						os.Exit(1)
-					}
-					out.Close()
-					fmt.Printf("wrote %s\n", path)
-				}
-				fmt.Println()
-			}
+		case "7", "diffusion":
+			run.fig7(base)
 		default:
-			fmt.Fprintf(os.Stderr, "figures: unknown figure %q\n", f)
-			os.Exit(2)
+			figs, ok := tables[f]
+			if !ok {
+				usage(fmt.Errorf("unknown figure %q", f))
+			}
+			for _, tf := range figs {
+				run.table(tf)
+			}
 		}
 	}
-
 	if *fig == "all" {
 		for _, f := range []string{"1", "2a", "2b", "2c", "3", "4a", "4b", "4c", "sweep", "compare"} {
-			run(f)
+			render(f)
 		}
 	} else {
-		run(*fig)
+		render(*fig)
 	}
 
 	// Perf summary on stderr: stdout is the byte-exact figure oracle and
@@ -472,9 +292,107 @@ func main() {
 	}
 
 	if err := stopProfiles(); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		die(err)
 	}
+}
+
+// die reports a runtime failure and exits 1.
+func die(err error) {
+	fmt.Fprintln(os.Stderr, "figures:", err)
+	os.Exit(1)
+}
+
+// usage reports a bad invocation and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "figures:", err)
+	os.Exit(2)
+}
+
+// figureRun renders figures against one evaluation context: in-process
+// through the pool-backed Options, or on a scenario service when client
+// is set.
+type figureRun struct {
+	ctx             context.Context
+	opts            experiment.Options
+	client          *service.Client
+	csvDir, plotDir string
+}
+
+// table prints one table figure. Locally it runs the figure's method and
+// writes the chart and CSV files; with -submit it posts the same
+// (method, Spec) pair, awaits the job (a repeat is a cache hit served
+// without simulating) and prints the named CSV artifact instead.
+func (r *figureRun) table(f tableFigure) {
+	fmt.Print(f.header)
+	if r.client != nil {
+		r.remote(f)
+		fmt.Println()
+		return
+	}
+	out, err := f.spec.RunMethod(r.ctx, f.method, r.opts)
+	if err != nil {
+		die(err)
+	}
+	tab := out.Tables[f.table]
+	tab.Write(os.Stdout)
+	if f.chart != nil && r.plotDir != "" {
+		chart := f.chart(f.spec.App, out.Rows.([]experiment.Eval))
+		writeFile(filepath.Join(r.plotDir, f.file+".svg"), chart.Render)
+	}
+	if f.file != "" && r.csvDir != "" {
+		writeFile(filepath.Join(r.csvDir, f.file+".csv"), tab.WriteCSV)
+	}
+	fmt.Println()
+}
+
+func (r *figureRun) remote(f tableFigure) {
+	view, err := r.client.Run(r.ctx, service.Request{Method: f.method, Spec: f.spec})
+	if err != nil {
+		die(err)
+	}
+	if view.State == service.StateFailed {
+		die(fmt.Errorf("remote job %s failed: %s", view.ID, view.Error))
+	}
+	source := "computed"
+	if view.Cached {
+		source = "cache hit"
+	}
+	art, ok := view.Artifacts[f.table]
+	if !ok {
+		die(fmt.Errorf("remote job %s has no %s artifact", view.ID, f.table))
+	}
+	b, err := r.client.Artifact(r.ctx, art)
+	if err != nil {
+		die(err)
+	}
+	os.Stdout.Write(b)
+	fmt.Fprintf(os.Stderr, "figures: job %s (%s): %s is %s%s\n",
+		view.ID, source, f.table, strings.TrimRight(r.client.BaseURL, "/"), art.URL)
+}
+
+// fig7 renders the cloud-scale comparison, an extension beyond the
+// paper: the interfered Wave2D workload at 1024 cores / ~100k chares,
+// DiffusionLB's distributed neighbor-exchange protocol against the
+// centralized refiners (flat and tree gather). It always runs locally:
+// the table is deterministic, but the host-time planning cost — the
+// number the distributed protocol exists to shrink — is machine-dependent
+// and goes to stderr.
+func (r *figureRun) fig7(sp experiment.Spec) {
+	fmt.Println("Figure 7: load balancing at cloud scale (Wave2D, 1024 cores, ~100k chares, interfered)")
+	fmt.Println("distributed diffusion vs centralized refinement; peak state B is the largest per-PE LB planning state")
+	evals, err := experiment.Fig7(r.ctx, r.opts, sp)
+	if err != nil {
+		die(err)
+	}
+	tab := experiment.Fig7Table(evals)
+	tab.Write(os.Stdout)
+	if r.csvDir != "" {
+		writeFile(filepath.Join(r.csvDir, "fig7_wave2d.csv"), tab.WriteCSV)
+	}
+	for _, e := range evals {
+		fmt.Fprintf(os.Stderr, "figures: fig7 %-14s Strategy.Plan host time %.3fs\n", e.Label, e.PlanHostSeconds)
+	}
+	fmt.Println()
 }
 
 func parseCores(s string) ([]int, error) {
@@ -500,9 +418,12 @@ func fig1(scale float64, width int, svgPath string) {
 	res.Trace.RenderASCII(os.Stdout, res.Cores, res.HogStart-span, res.HogStart, width)
 	fmt.Println("\n(b) core 3 overloaded:")
 	res.Trace.RenderASCII(os.Stdout, res.Cores, res.HogStart, res.HogStart+span, width)
-	writeSVG(svgPath, func(f *os.File) {
-		res.Trace.RenderSVG(f, res.Cores, 0, res.AppFinish, 1000)
-	})
+	if svgPath != "" {
+		writeFile(svgPath, func(w io.Writer) error {
+			res.Trace.RenderSVG(w, res.Cores, 0, res.AppFinish, 1000)
+			return nil
+		})
+	}
 	fmt.Println()
 }
 
@@ -527,22 +448,26 @@ func fig3(scale float64, width int, svgPath string) {
 		fmt.Println("\n" + p.label + ":")
 		res.Trace.RenderASCII(os.Stdout, res.Cores, p.from, p.to, width)
 	}
-	writeSVG(svgPath, func(f *os.File) {
-		res.Trace.RenderSVG(f, res.Cores, 0, res.AppFinish, 1200)
-	})
+	if svgPath != "" {
+		writeFile(svgPath, func(w io.Writer) error {
+			res.Trace.RenderSVG(w, res.Cores, 0, res.AppFinish, 1200)
+			return nil
+		})
+	}
 	fmt.Println()
 }
 
-func writeSVG(path string, render func(*os.File)) {
-	if path == "" {
-		return
-	}
+// writeFile creates path, fills it with write and reports it on stdout.
+func writeFile(path string, write func(io.Writer) error) {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		die(err)
 	}
-	defer f.Close()
-	render(f)
+	if err := write(f); err != nil {
+		die(err)
+	}
+	if err := f.Close(); err != nil {
+		die(err)
+	}
 	fmt.Printf("wrote %s\n", path)
 }

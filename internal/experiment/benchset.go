@@ -1,24 +1,19 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"cloudlb/internal/apps"
 	"cloudlb/internal/charm"
 	"cloudlb/internal/core"
 	"cloudlb/internal/interfere"
-	"cloudlb/internal/lb"
 	"cloudlb/internal/machine"
 	"cloudlb/internal/sim"
 	"cloudlb/internal/xnet"
 )
 
-// This file holds the reduced-scale benchmark workloads shared between
-// the repository's root `go test -bench` suite and `cmd/figures
-// -benchjson`: both time the same operations, so the committed
-// BENCH_results.json records ns/op and allocs/op for every figure and
-// ablation artifact, not just the engine microbenches.
+// This file holds the reduced-scale benchmark workloads the repository's
+// root `go test -bench` suite and the bench/ module's layer ladder share.
 
 // BenchScale is the reduced iteration scale the benchmark suite runs at:
 // small enough to keep one op around a second, large enough to leave the
@@ -29,61 +24,6 @@ const BenchScale = 0.15
 type NamedBench struct {
 	Name string
 	Run  func()
-}
-
-// mustRun discards a Spec method's error: the sequential zero-Options
-// dispatch under a background context cannot fail.
-func mustRun[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// FigureBenchmarks mirrors the root benchmark suite — one entry per
-// paper artifact (figures 1-4) plus the DESIGN.md ablations — as plain
-// closures a non-test binary can time with testing.Benchmark.
-func FigureBenchmarks() []NamedBench {
-	ctx := context.Background()
-	seeds := []int64{1}
-	return []NamedBench{
-		{"Fig2Jacobi2D", func() {
-			mustRun(Spec{App: Jacobi2D, Cores: []int{4, 8}, Seeds: seeds, Scale: BenchScale}.Evaluate(ctx, Options{}))
-		}},
-		{"Fig2Wave2D", func() {
-			mustRun(Spec{App: Wave2D, Cores: []int{4, 8}, Seeds: seeds, Scale: BenchScale}.Evaluate(ctx, Options{}))
-		}},
-		// Mol3D needs a few more LB periods than the stencils to converge
-		// under the 4x-preferred background job.
-		{"Fig2Mol3D", func() {
-			mustRun(Spec{App: Mol3D, Cores: []int{4, 8}, Seeds: seeds, Scale: 0.4}.Evaluate(ctx, Options{}))
-		}},
-		{"Fig4Energy", func() {
-			mustRun(Spec{App: Wave2D, Cores: []int{8}, Seeds: seeds, Scale: BenchScale}.Evaluate(ctx, Options{}))
-		}},
-		{"Fig1Timeline", func() { Fig1(BenchScale) }},
-		{"Fig3Adaptation", func() { Fig3(0.5) }},
-		{"AblationBackgroundTerm", func() {
-			AblationRun(&core.RefineLB{EpsilonFrac: 0.02})
-			AblationRun(&lb.RefineInternalLB{Inner: core.RefineLB{EpsilonFrac: 0.02}})
-		}},
-		{"AblationRefineVsGreedy", func() {
-			Run(Scenario{App: Wave2D, Cores: 4, Strategy: Refine, BG: BGWave2D, Seed: 1, Scale: BenchScale})
-			Run(Scenario{App: Wave2D, Cores: 4, Strategy: Greedy, BG: BGWave2D, Seed: 1, Scale: BenchScale})
-		}},
-		{"SweepRefineParams", func() {
-			mustRun(Spec{App: Wave2D, Cores: []int{4}, Seeds: seeds, Scale: BenchScale,
-				EpsFracs: []float64{0.02, 0.1}, Periods: []int{10, 40}}.SweepRefineParams(ctx, Options{}))
-		}},
-		{"ExtensionCloudChurn", func() {
-			Run(Scenario{App: Wave2D, Cores: 8, Strategy: NoLB, BG: BGCloudChurn, Seed: 1, Scale: 0.5})
-			Run(Scenario{App: Wave2D, Cores: 8, Strategy: Refine, BG: BGCloudChurn, Seed: 1, Scale: 0.5})
-		}},
-		{"AblationMigrationCost", func() {
-			Run(Scenario{App: Wave2D, Cores: 4, Strategy: Refine, BG: BGWave2D, Seed: 1, Scale: BenchScale})
-			Run(Scenario{App: Wave2D, Cores: 4, Strategy: CostAware, BG: BGWave2D, Seed: 1, Scale: BenchScale})
-		}},
-	}
 }
 
 // ShardedBench is the workload the sharded scheduler targets: the

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -175,107 +177,97 @@ const (
 	defaultMaxVirtualTime = 10000
 )
 
-// canon is a tiny deterministic JSON writer: fields appear exactly in
-// emit order, with no reflection and no map iteration anywhere near the
-// hash input.
-type canon struct {
-	buf   bytes.Buffer
-	first bool
-}
+// canonFloat is a float64 that marshals in its shortest round-trip 'g'
+// form (5e-05, 1.25e+09), the number shape canonical documents have used
+// since SpecSchemaVersion 1. encoding/json's own float form (0.00005,
+// 1250000000) would move every hash with such a value. Non-finite values,
+// which Validate rejects, marshal as strings so the encoding stays total.
+type canonFloat float64
 
-func (c *canon) open()  { c.buf.WriteByte('{'); c.first = true }
-func (c *canon) close() { c.buf.WriteByte('}') }
-
-func (c *canon) key(name string) {
-	if !c.first {
-		c.buf.WriteByte(',')
+func (f canonFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return json.Marshal(strconv.FormatFloat(v, 'g', -1, 64))
 	}
-	c.first = false
-	c.buf.WriteByte('"')
-	c.buf.WriteString(name) // keys are fixed identifiers, never escaped
-	c.buf.WriteString(`":`)
+	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
 }
 
-func (c *canon) str(name, v string) {
-	c.key(name)
-	b, _ := json.Marshal(v)
-	c.buf.Write(b)
-}
-
-func (c *canon) int(name string, v int64) {
-	c.key(name)
-	c.buf.WriteString(strconv.FormatInt(v, 10))
-}
-
-func (c *canon) float(name string, v float64) {
-	c.key(name)
-	c.writeFloat(v)
-}
-
-// writeFloat emits the shortest round-trip decimal form, the same 'g'
-// shape encoding/json uses, so canonical documents re-parse to the exact
-// Spec that produced them.
-func (c *canon) writeFloat(v float64) {
-	c.buf.Write(strconv.AppendFloat(nil, v, 'g', -1, 64))
-}
-
-func (c *canon) bool(name string, v bool) {
-	c.key(name)
-	c.buf.WriteString(strconv.FormatBool(v))
-}
-
-func (c *canon) ints(name string, vs []int) {
-	c.key(name)
-	c.buf.WriteByte('[')
+func canonFloats(vs []float64) []canonFloat {
+	if len(vs) == 0 {
+		return nil
+	}
+	out := make([]canonFloat, len(vs))
 	for i, v := range vs {
-		if i > 0 {
-			c.buf.WriteByte(',')
-		}
-		c.buf.WriteString(strconv.Itoa(v))
+		out[i] = canonFloat(v)
 	}
-	c.buf.WriteByte(']')
+	return out
 }
 
-func (c *canon) int64s(name string, vs []int64) {
-	c.key(name)
-	c.buf.WriteByte('[')
-	for i, v := range vs {
-		if i > 0 {
-			c.buf.WriteByte(',')
-		}
-		c.buf.WriteString(strconv.FormatInt(v, 10))
-	}
-	c.buf.WriteByte(']')
+// canonSpec is the canonical wire form of a Spec. Field order is encoding
+// order, and a zero field is a default: normalize zeroes every knob that
+// equals its effective default, so the omitempty tags elide it.
+type canonSpec struct {
+	V                  int            `json:"v"`
+	App                AppKind        `json:"app"`
+	Cores              []int          `json:"cores"`
+	Strategies         []StrategyKind `json:"strategies,omitempty"`
+	Seeds              []int64        `json:"seeds,omitempty"`
+	Scale              canonFloat     `json:"scale,omitempty"`
+	BG                 BGKind         `json:"bg,omitempty"`
+	BGWeight           canonFloat     `json:"bg_weight,omitempty"`
+	BGIters            int            `json:"bg_iters,omitempty"`
+	SyncEvery          int            `json:"sync_every,omitempty"`
+	CharesPerCore      int            `json:"chares_per_core,omitempty"`
+	StencilBlock       int            `json:"stencil_block,omitempty"`
+	EpsilonFrac        canonFloat     `json:"epsilon_frac,omitempty"`
+	DiffRounds         int            `json:"diff_rounds,omitempty"`
+	DiffTol            canonFloat     `json:"diff_tol,omitempty"`
+	InteractivityBonus canonFloat     `json:"interactivity_bonus,omitempty"`
+	Hierarchical       bool           `json:"hierarchical,omitempty"`
+	Faults             []canonFault   `json:"faults,omitempty"`
+	MaxVirtualTime     canonFloat     `json:"max_virtual_time,omitempty"`
+	Net                *canonNet      `json:"net,omitempty"`
+	EpsFracs           []canonFloat   `json:"eps_fracs,omitempty"`
+	Periods            []int          `json:"periods,omitempty"`
+	DropPcts           []canonFloat   `json:"drop_pcts,omitempty"`
+	StraggleFactors    []canonFloat   `json:"straggle_factors,omitempty"`
 }
 
-func (c *canon) floats(name string, vs []float64) {
-	c.key(name)
-	c.buf.WriteByte('[')
-	for i, v := range vs {
-		if i > 0 {
-			c.buf.WriteByte(',')
-		}
-		c.writeFloat(v)
-	}
-	c.buf.WriteByte(']')
+type canonFault struct {
+	PE              int        `json:"pe"`
+	At              canonFloat `json:"at"`
+	Warning         canonFloat `json:"warning,omitempty"`
+	Restore         canonFloat `json:"restore,omitempty"`
+	ReplacementCore int        `json:"replacement_core,omitempty"`
 }
 
-func (c *canon) strs(name string, vs []string) {
-	c.key(name)
-	c.buf.WriteByte('[')
-	for i, v := range vs {
-		if i > 0 {
-			c.buf.WriteByte(',')
-		}
-		b, _ := json.Marshal(v)
-		c.buf.Write(b)
-	}
-	c.buf.WriteByte(']')
+// canonNet is a resolved network config with every field that equals the
+// resolved zero config's zeroed.
+type canonNet struct {
+	IntraNodeLatency   canonFloat  `json:"intra_node_latency,omitempty"`
+	IntraNodeBandwidth canonFloat  `json:"intra_node_bandwidth,omitempty"`
+	InterNodeLatency   canonFloat  `json:"inter_node_latency,omitempty"`
+	InterNodeBandwidth canonFloat  `json:"inter_node_bandwidth,omitempty"`
+	Links              []canonLink `json:"links,omitempty"`
+	StragglerNodes     []int       `json:"straggler_nodes,omitempty"`
+	StragglerFactor    canonFloat  `json:"straggler_factor,omitempty"`
+	DropPct            canonFloat  `json:"drop_pct,omitempty"`
+	Seed               int64       `json:"seed,omitempty"`
+	RetransmitTimeout  canonFloat  `json:"retransmit_timeout,omitempty"`
+	MaxAttempts        int         `json:"max_attempts,omitempty"`
+}
+
+type canonLink struct {
+	Src       int        `json:"src"`
+	Dst       int        `json:"dst"`
+	Latency   canonFloat `json:"latency,omitempty"`
+	Bandwidth canonFloat `json:"bandwidth,omitempty"`
 }
 
 // CanonicalJSON is the versioned, deterministic encoding of the Spec —
 // the input of Hash and the cache key of the scenario-evaluation service.
-// Rules (see DESIGN.md §13):
+// It is normalize followed by json.Marshal of the wire form. Rules (see
+// DESIGN.md §13):
 //
 //   - Fields appear in a fixed order, starting with the schema version
 //     ("v": SpecSchemaVersion).
@@ -290,111 +282,12 @@ func (c *canon) strs(name string, vs []string) {
 //     classic engine at every shard count (make determinism), so the same
 //     scenario at -shards 1 and -shards 8 shares one cache entry.
 func (sp Spec) CanonicalJSON() []byte {
-	c := &canon{}
-	c.open()
-	c.int("v", SpecSchemaVersion)
-	c.str("app", sp.App.String())
-	c.ints("cores", sp.Cores)
-
-	strategies := sp.Strategies
-	if len(strategies) == 0 {
-		strategies = []StrategyKind{NoLB}
+	b, err := json.Marshal(sp.normalize())
+	if err != nil {
+		// Every wire field is a plain value or a total marshaller.
+		panic(fmt.Sprintf("experiment: canonical encoding failed: %v", err))
 	}
-	if !(len(strategies) == 1 && strategies[0] == NoLB) {
-		names := make([]string, len(strategies))
-		for i, k := range strategies {
-			names[i] = k.String()
-		}
-		c.strs("strategies", names)
-	}
-
-	seeds := sp.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
-	if !(len(seeds) == 1 && seeds[0] == 1) {
-		c.int64s("seeds", seeds)
-	}
-
-	if s := sp.scale(); s != 1 {
-		c.float("scale", s)
-	}
-	if sp.BG != BGNone {
-		c.str("bg", sp.BG.String())
-	}
-	if w := sp.BGWeight; w > 0 && w != 1 {
-		c.float("bg_weight", w)
-	}
-	if v := normInt(sp.BGIters, defaultBGIters); v != defaultBGIters {
-		c.int("bg_iters", int64(v))
-	}
-	if v := normInt(sp.SyncEvery, defaultSyncEvery); v != defaultSyncEvery {
-		c.int("sync_every", int64(v))
-	}
-	if v := normInt(sp.CharesPerCore, defaultCharesPerCore); v != defaultCharesPerCore {
-		c.int("chares_per_core", int64(v))
-	}
-	if v := normInt(sp.StencilBlock, defaultStencilBlock); v != defaultStencilBlock {
-		c.int("stencil_block", int64(v))
-	}
-	if v := normFloat(sp.EpsilonFrac, defaultEpsilonFrac); v != defaultEpsilonFrac {
-		c.float("epsilon_frac", v)
-	}
-	if v := normInt(sp.DiffRounds, defaultDiffRounds); v != defaultDiffRounds {
-		c.int("diff_rounds", int64(v))
-	}
-	if v := normFloat(sp.DiffTol, defaultDiffTol); v != defaultDiffTol {
-		c.float("diff_tol", v)
-	}
-	if sp.InteractivityBonus != 0 {
-		c.float("interactivity_bonus", sp.InteractivityBonus)
-	}
-	if sp.Hierarchical {
-		c.bool("hierarchical", true)
-	}
-	if len(sp.Faults) > 0 {
-		c.key("faults")
-		c.buf.WriteByte('[')
-		for i, r := range sortedSchedule(sp.Faults) {
-			if i > 0 {
-				c.buf.WriteByte(',')
-			}
-			rc := &canon{buf: c.buf}
-			rc.open()
-			rc.int("pe", int64(r.PE))
-			rc.float("at", float64(r.At))
-			if r.Warning != 0 {
-				rc.float("warning", float64(r.Warning))
-			}
-			if r.Restore != 0 {
-				rc.float("restore", float64(r.Restore))
-			}
-			if r.ReplacementCore != 0 {
-				rc.int("replacement_core", int64(r.ReplacementCore))
-			}
-			rc.close()
-			c.buf = rc.buf
-		}
-		c.buf.WriteByte(']')
-	}
-	if v := normFloat(float64(sp.MaxVirtualTime), defaultMaxVirtualTime); v != defaultMaxVirtualTime {
-		c.float("max_virtual_time", v)
-	}
-	writeCanonicalNet(c, sp.Net)
-	if len(sp.EpsFracs) > 0 {
-		c.floats("eps_fracs", sp.EpsFracs)
-	}
-	if len(sp.Periods) > 0 {
-		c.ints("periods", sp.Periods)
-	}
-	if len(sp.DropPcts) > 0 {
-		c.floats("drop_pcts", sp.DropPcts)
-	}
-	if len(sp.StraggleFactors) > 0 {
-		c.floats("straggle_factors", sp.StraggleFactors)
-	}
-	c.close()
-	return c.buf.Bytes()
+	return b
 }
 
 // Hash is the canonical scenario hash: the hex SHA-256 of CanonicalJSON.
@@ -404,6 +297,52 @@ func (sp Spec) CanonicalJSON() []byte {
 func (sp Spec) Hash() string {
 	sum := sha256.Sum256(sp.CanonicalJSON())
 	return hex.EncodeToString(sum[:])
+}
+
+// normalize maps the Spec onto its canonical wire form: each knob resolved
+// to its effective value and zeroed when that is the default, the fault
+// schedule sorted, the network resolved with its default fields zeroed,
+// and Shards dropped.
+func (sp Spec) normalize() canonSpec {
+	c := canonSpec{
+		V: SpecSchemaVersion, App: sp.App, Cores: sp.Cores,
+		BG:                 sp.BG,
+		BGIters:            nonDefault(normInt(sp.BGIters, defaultBGIters), defaultBGIters),
+		SyncEvery:          nonDefault(normInt(sp.SyncEvery, defaultSyncEvery), defaultSyncEvery),
+		CharesPerCore:      nonDefault(normInt(sp.CharesPerCore, defaultCharesPerCore), defaultCharesPerCore),
+		StencilBlock:       nonDefault(normInt(sp.StencilBlock, defaultStencilBlock), defaultStencilBlock),
+		EpsilonFrac:        canonFloat(nonDefault(normFloat(sp.EpsilonFrac, defaultEpsilonFrac), defaultEpsilonFrac)),
+		DiffRounds:         nonDefault(normInt(sp.DiffRounds, defaultDiffRounds), defaultDiffRounds),
+		DiffTol:            canonFloat(nonDefault(normFloat(sp.DiffTol, defaultDiffTol), defaultDiffTol)),
+		InteractivityBonus: canonFloat(sp.InteractivityBonus),
+		Hierarchical:       sp.Hierarchical,
+		MaxVirtualTime:     canonFloat(nonDefault(normFloat(float64(sp.MaxVirtualTime), defaultMaxVirtualTime), defaultMaxVirtualTime)),
+		Net:                normNet(sp.Net),
+		EpsFracs:           canonFloats(sp.EpsFracs),
+		Periods:            sp.Periods,
+		DropPcts:           canonFloats(sp.DropPcts),
+		StraggleFactors:    canonFloats(sp.StraggleFactors),
+	}
+	if c.Cores == nil {
+		c.Cores = []int{}
+	}
+	if len(sp.Strategies) > 1 || len(sp.Strategies) == 1 && sp.Strategies[0] != NoLB {
+		c.Strategies = sp.Strategies
+	}
+	if len(sp.Seeds) > 1 || len(sp.Seeds) == 1 && sp.Seeds[0] != 1 {
+		c.Seeds = sp.Seeds
+	}
+	c.Scale = canonFloat(nonDefault(sp.scale(), 1))
+	if w := sp.BGWeight; w > 0 {
+		c.BGWeight = canonFloat(nonDefault(w, 1))
+	}
+	for _, r := range sortedSchedule(sp.Faults) {
+		c.Faults = append(c.Faults, canonFault{
+			PE: r.PE, At: canonFloat(r.At), Warning: canonFloat(r.Warning),
+			Restore: canonFloat(r.Restore), ReplacementCore: r.ReplacementCore,
+		})
+	}
+	return c
 }
 
 func normInt(v, def int) int {
@@ -416,6 +355,15 @@ func normInt(v, def int) int {
 func normFloat(v, def float64) float64 {
 	if v <= 0 {
 		return def
+	}
+	return v
+}
+
+// nonDefault zeroes a normalized value equal to its default, marking it
+// for elision.
+func nonDefault[T int | float64](v, def T) T {
+	if v == def {
+		return 0
 	}
 	return v
 }
@@ -437,108 +385,38 @@ func sortedSchedule(s elastic.Schedule) elastic.Schedule {
 	return out
 }
 
-// writeCanonicalNet emits the resolved network config when it differs
-// from the resolved zero config (the uniform reliable default). Emitting
-// the resolved form — not the sparse input — keeps the documented
-// invariant that a zero Config and an explicit DefaultConfig() are the
-// same scenario.
-func writeCanonicalNet(c *canon, cfg xnet.Config) {
+// normNet resolves the config and zeroes every field equal to the
+// resolved zero config's; nil, elided from the encoding, is the uniform
+// reliable default. Normalizing the resolved form — not the sparse input
+// — keeps the documented invariant that a zero Config and an explicit
+// DefaultConfig() are the same scenario. Link order is semantic (last
+// match wins) and is kept; the straggler node set is sorted and
+// deduplicated, and dropped with its factor when it slows nothing.
+func normNet(cfg xnet.Config) *canonNet {
 	r := cfg.Resolved()
 	d := xnet.Config{}.Resolved()
-	if equalNet(r, d) {
-		return
+	n := canonNet{
+		IntraNodeLatency:   canonFloat(nonDefault(r.IntraNodeLatency, d.IntraNodeLatency)),
+		IntraNodeBandwidth: canonFloat(nonDefault(r.IntraNodeBandwidth, d.IntraNodeBandwidth)),
+		InterNodeLatency:   canonFloat(nonDefault(r.InterNodeLatency, d.InterNodeLatency)),
+		InterNodeBandwidth: canonFloat(nonDefault(r.InterNodeBandwidth, d.InterNodeBandwidth)),
+		DropPct:            canonFloat(r.DropPct),
+		Seed:               r.Seed,
+		RetransmitTimeout:  canonFloat(nonDefault(r.RetransmitTimeout, d.RetransmitTimeout)),
+		MaxAttempts:        nonDefault(r.MaxAttempts, d.MaxAttempts),
 	}
-	c.key("net")
-	nc := &canon{buf: c.buf}
-	nc.open()
-	if r.IntraNodeLatency != d.IntraNodeLatency {
-		nc.float("intra_node_latency", r.IntraNodeLatency)
+	for _, l := range r.Links {
+		n.Links = append(n.Links, canonLink{Src: l.Src, Dst: l.Dst,
+			Latency: canonFloat(l.Latency), Bandwidth: canonFloat(l.Bandwidth)})
 	}
-	if r.IntraNodeBandwidth != d.IntraNodeBandwidth {
-		nc.float("intra_node_bandwidth", r.IntraNodeBandwidth)
+	if len(r.StragglerNodes) > 0 && r.StragglerFactor != 1 {
+		nodes := append([]int(nil), r.StragglerNodes...)
+		slices.Sort(nodes)
+		n.StragglerNodes = slices.Compact(nodes)
+		n.StragglerFactor = canonFloat(r.StragglerFactor)
 	}
-	if r.InterNodeLatency != d.InterNodeLatency {
-		nc.float("inter_node_latency", r.InterNodeLatency)
-	}
-	if r.InterNodeBandwidth != d.InterNodeBandwidth {
-		nc.float("inter_node_bandwidth", r.InterNodeBandwidth)
-	}
-	if len(r.Links) > 0 {
-		// Link order is semantic (last match wins), so it is preserved.
-		nc.key("links")
-		nc.buf.WriteByte('[')
-		for i, l := range r.Links {
-			if i > 0 {
-				nc.buf.WriteByte(',')
-			}
-			lc := &canon{buf: nc.buf}
-			lc.open()
-			lc.int("src", int64(l.Src))
-			lc.int("dst", int64(l.Dst))
-			if l.Latency != 0 {
-				lc.float("latency", l.Latency)
-			}
-			if l.Bandwidth != 0 {
-				lc.float("bandwidth", l.Bandwidth)
-			}
-			lc.close()
-			nc.buf = lc.buf
-		}
-		nc.buf.WriteByte(']')
-	}
-	if nodes := canonicalStragglers(r); len(nodes) > 0 && r.StragglerFactor != 1 {
-		nc.ints("straggler_nodes", nodes)
-		nc.float("straggler_factor", r.StragglerFactor)
-	}
-	if r.DropPct != 0 {
-		nc.float("drop_pct", r.DropPct)
-	}
-	if r.Seed != 0 {
-		nc.int("seed", r.Seed)
-	}
-	if r.RetransmitTimeout != d.RetransmitTimeout {
-		nc.float("retransmit_timeout", r.RetransmitTimeout)
-	}
-	if r.MaxAttempts != d.MaxAttempts {
-		nc.int("max_attempts", int64(r.MaxAttempts))
-	}
-	nc.close()
-	c.buf = nc.buf
-}
-
-// canonicalStragglers sorts and deduplicates the straggler node set — it
-// is a set, so {1,3} and {3,1,1} are the same network.
-func canonicalStragglers(cfg xnet.Config) []int {
-	if len(cfg.StragglerNodes) == 0 {
+	if reflect.ValueOf(n).IsZero() {
 		return nil
 	}
-	nodes := append([]int(nil), cfg.StragglerNodes...)
-	slices.Sort(nodes)
-	return slices.Compact(nodes)
-}
-
-// equalNet compares two resolved configs field by field (slices included).
-func equalNet(a, b xnet.Config) bool {
-	if a.IntraNodeLatency != b.IntraNodeLatency ||
-		a.IntraNodeBandwidth != b.IntraNodeBandwidth ||
-		a.InterNodeLatency != b.InterNodeLatency ||
-		a.InterNodeBandwidth != b.InterNodeBandwidth ||
-		a.DropPct != b.DropPct || a.Seed != b.Seed ||
-		a.RetransmitTimeout != b.RetransmitTimeout ||
-		a.MaxAttempts != b.MaxAttempts {
-		return false
-	}
-	if !slices.Equal(a.Links, b.Links) {
-		return false
-	}
-	aStraggles := a.StragglerFactor != 1 && len(a.StragglerNodes) > 0
-	bStraggles := b.StragglerFactor != 1 && len(b.StragglerNodes) > 0
-	if aStraggles != bStraggles {
-		return false
-	}
-	if !aStraggles {
-		return true
-	}
-	return a.StragglerFactor == b.StragglerFactor &&
-		slices.Equal(canonicalStragglers(a), canonicalStragglers(b))
+	return &n
 }

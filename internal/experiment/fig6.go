@@ -46,7 +46,7 @@ func netCell(base xnet.Config, cores int, dropPct, straggle float64) xnet.Config
 // Spec.NetworkInterference and its Executor.
 func NetworkScenarios(app AppKind, cores int, strategies []StrategyKind, seeds []int64, scale float64, drops, straggles []float64, base xnet.Config) []Scenario {
 	// Resolve the base up front so every cell — the reliable baseline
-	// included — carries a fully-specified config that Options.Net can
+	// included — carries a fully-specified config that the Spec's Net can
 	// never mistake for "no choice" and overwrite.
 	base = base.Resolved()
 	batch := make([]Scenario, 0, len(drops)*len(straggles)*len(strategies)*len(seeds))
@@ -87,7 +87,7 @@ func (sp Spec) NetworkInterference(ctx context.Context, opts Options) ([]NetEval
 	if len(straggles) == 0 || straggles[0] != 1 {
 		return nil, fmt.Errorf("experiment: Spec.NetworkInterference needs StraggleFactors starting at 1 (the baseline cell), got %v", straggles)
 	}
-	results, err := opts.run(ctx, NetworkScenarios(sp.App, cores, sp.Strategies, sp.Seeds, sp.scale(), drops, straggles, sp.Net))
+	results, err := sp.run(ctx, opts, NetworkScenarios(sp.App, cores, sp.Strategies, sp.Seeds, sp.scale(), drops, straggles, sp.Net))
 	if err != nil {
 		return nil, err
 	}

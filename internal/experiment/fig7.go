@@ -93,10 +93,11 @@ func Fig7Scenarios(scale float64) (batch []Scenario, regs []*metrics.Registry) {
 }
 
 // Fig7 runs the cloud-scale comparison and assembles one row per
-// strategy.
-func Fig7(ctx context.Context, opts Options, scale float64) ([]DiffEval, error) {
-	batch, regs := Fig7Scenarios(scale)
-	results, err := opts.run(ctx, batch)
+// strategy. The figure fixes its own application, allocation and
+// strategies; it reads only the Spec's Scale, Net and Shards.
+func Fig7(ctx context.Context, opts Options, sp Spec) ([]DiffEval, error) {
+	batch, regs := Fig7Scenarios(sp.scale())
+	results, err := sp.run(ctx, opts, batch)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -78,6 +79,53 @@ func TestLossyNetResultCounters(t *testing.T) {
 	})
 	if reliable.NetDrops != 0 || reliable.NetRetransmits != 0 {
 		t.Fatalf("reliable run reported drops: %+v", reliable)
+	}
+}
+
+// TestSpecNetReachesEveryMethod: a Spec's Net is part of the scenario
+// for every method, not only Scenarios and NetworkInterference. A lossy
+// straggler network must move each method's rows away from the reliable
+// Spec's — otherwise the service would cache and serve reliable-network
+// rows under the lossy Spec's hash.
+func TestSpecNetReachesEveryMethod(t *testing.T) {
+	ctx := context.Background()
+	lossy := xnet.Config{DropPct: 10, Seed: 7, StragglerNodes: []int{1}, StragglerFactor: 8}
+	two := []StrategyKind{NoLB, Refine}
+	methods := []struct {
+		name string
+		spec Spec
+		run  func(Spec) (any, error)
+	}{
+		{"evaluate", Spec{App: Wave2D, Cores: []int{8}, Seeds: []int64{1}, Scale: 0.05},
+			func(sp Spec) (any, error) { return sp.Evaluate(ctx, Options{}) }},
+		{"compare", Spec{App: Wave2D, Cores: []int{8}, Seeds: []int64{1}, Scale: 0.05, Strategies: two},
+			func(sp Spec) (any, error) { return sp.CompareStrategies(ctx, Options{}) }},
+		{"sweep", Spec{App: Wave2D, Cores: []int{8}, Seeds: []int64{1}, Scale: 0.05,
+			EpsFracs: []float64{0.02}, Periods: []int{10}},
+			func(sp Spec) (any, error) { return sp.SweepRefineParams(ctx, Options{}) }},
+		{"elasticity", Spec{App: Wave2D, Cores: []int{8}, Seeds: []int64{1}, Scale: 0.05, Strategies: two,
+			Faults: Fig5Schedule(8, 0.05)},
+			func(sp Spec) (any, error) { return sp.Elasticity(ctx, Options{}) }},
+		{"net", Spec{App: Wave2D, Cores: []int{8}, Seeds: []int64{1}, Scale: 0.05, Strategies: two,
+			DropPcts: []float64{0}, StraggleFactors: []float64{1}},
+			func(sp Spec) (any, error) { return sp.NetworkInterference(ctx, Options{}) }},
+	}
+	for _, m := range methods {
+		t.Run(m.name, func(t *testing.T) {
+			reliable, err := m.run(m.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := m.spec
+			sp.Net = lossy
+			got, err := m.run(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprintf("%+v", got) == fmt.Sprintf("%+v", reliable) {
+				t.Fatalf("lossy Spec.Net left the rows unchanged: %+v", got)
+			}
+		})
 	}
 }
 

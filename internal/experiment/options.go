@@ -8,7 +8,6 @@ import (
 
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/obs"
-	"cloudlb/internal/xnet"
 )
 
 // Options configures how a Spec evaluation dispatches its scenario batch
@@ -37,31 +36,17 @@ type Options struct {
 	// notifies through its own Progress field — so a batch is never
 	// double-counted.
 	Progress Progress
-	// Shards, when non-zero, selects the event scheduler for every
-	// scenario in the batch that doesn't choose its own (see
-	// Scenario.Shards: N>1 sharded, -1 auto). Results are identical at
-	// any value; only wall-clock time changes.
-	Shards int
-	// Net, when non-zero, is the cluster interconnect for every scenario
-	// in the batch that doesn't carry its own (see Scenario.Net).
-	Net xnet.Config
 }
 
 // run instruments the batch per the options and dispatches it.
 func (o Options) run(ctx context.Context, batch []Scenario) ([]Result, error) {
-	if o.Metrics != nil || o.LBTimeline != nil || o.Shards != 0 || !o.Net.IsZero() {
+	if o.Metrics != nil || o.LBTimeline != nil {
 		for i := range batch {
 			if o.Metrics != nil && batch[i].Metrics == nil {
 				batch[i].Metrics = o.Metrics
 			}
 			if o.LBTimeline != nil && batch[i].LBTimeline == nil {
 				batch[i].LBTimeline = o.LBTimeline
-			}
-			if o.Shards != 0 && batch[i].Shards == 0 {
-				batch[i].Shards = o.Shards
-			}
-			if !o.Net.IsZero() && batch[i].Net.IsZero() {
-				batch[i].Net = o.Net
 			}
 		}
 	}

@@ -13,9 +13,8 @@ import (
 // centralized planners sort or heapify every task record in the gathered
 // snapshot, while DiffusionLB's per-PE planners only ever look at their
 // own tasks and their mesh neighbors' O(1) summaries. The root test
-// suite (BenchmarkStrategyPlan) and `cmd/figures -benchjson` both time
-// exactly this set, so the committed BENCH_results.json records the
-// planning-cost scaling alongside the end-to-end figures.
+// suite (BenchmarkStrategyPlan) and the bench/ module's lb.plan_ms rungs
+// both time exactly this set.
 
 // PlanBenchSizes are the snapshot sizes, matching the evaluation's
 // allocation ladder: the paper testbed, a mid-size cluster and the

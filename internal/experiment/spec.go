@@ -11,11 +11,12 @@ import (
 )
 
 // Spec is the single scenario description behind every evaluation entry
-// point: cmd/lbsim, cmd/figures and the benchmark set all build one Spec
-// and call the method matching their experiment, instead of threading
-// ad-hoc parameter bundles through per-figure function signatures. The
-// axis fields (Cores, Strategies, Seeds, EpsFracs, Periods) enumerate a
-// matrix; each method documents which axes it consumes.
+// point: cmd/lbsim, cmd/figures, the scenario service and the benchmark
+// set all build one Spec and run the method matching their experiment
+// (see RunMethod), instead of threading ad-hoc parameter bundles through
+// per-figure function signatures. The axis fields (Cores, Strategies,
+// Seeds, EpsFracs, Periods) enumerate a matrix; each method documents
+// which axes it consumes. Net and Shards apply to every method.
 type Spec struct {
 	// App is the measured application (required for every method).
 	App AppKind `json:"app"`
@@ -49,14 +50,16 @@ type Spec struct {
 	Faults             elastic.Schedule `json:"faults,omitempty"`
 	MaxVirtualTime     sim.Time         `json:"max_virtual_time,omitempty"`
 
-	// Net is the cluster interconnect every expanded scenario runs over
-	// (see Scenario.Net; the zero value is the uniform reliable default).
+	// Net is the cluster interconnect every scenario of every method runs
+	// over (see Scenario.Net; the zero value is the uniform reliable
+	// default). NetworkInterference overlays its sweep cells on it.
 	Net xnet.Config `json:"net,omitzero"`
 
-	// Shards selects the event scheduler for every expanded scenario
-	// (see Scenario.Shards: 0/1 classic, N>1 sharded, -1 auto). It is an
-	// execution knob, not part of the scenario description: results are
-	// byte-identical at every value, so CanonicalJSON and Hash exclude it.
+	// Shards selects the event scheduler for every scenario of every
+	// method (see Scenario.Shards: 0/1 classic, N>1 sharded, -1 auto).
+	// It is an execution knob, not part of the scenario description:
+	// results are byte-identical at every value, so CanonicalJSON and
+	// Hash exclude it.
 	Shards int `json:"shards,omitempty"`
 
 	// Sweep axes for SweepRefineParams.
@@ -89,6 +92,21 @@ func (sp Spec) oneSeed(method string) (int64, error) {
 		return 0, fmt.Errorf("experiment: Spec.%s needs exactly one seed, got %v", method, sp.Seeds)
 	}
 	return sp.Seeds[0], nil
+}
+
+// run dispatches one of the Spec's method batches. Every scenario that
+// does not choose its own network or scheduler gets the Spec's Net and
+// Shards, so the Spec alone describes what a method simulates.
+func (sp Spec) run(ctx context.Context, opts Options, batch []Scenario) ([]Result, error) {
+	for i := range batch {
+		if batch[i].Net.IsZero() {
+			batch[i].Net = sp.Net
+		}
+		if batch[i].Shards == 0 {
+			batch[i].Shards = sp.Shards
+		}
+	}
+	return opts.run(ctx, batch)
 }
 
 // Scenarios expands the Spec's cross product — Cores × Strategies ×
@@ -138,7 +156,7 @@ func (sp Spec) Scenarios() []Scenario {
 // sequential run.
 func (sp Spec) Evaluate(ctx context.Context, opts Options) ([]Eval, error) {
 	coreCounts, seeds := sp.Cores, sp.Seeds
-	results, err := opts.run(ctx, EvaluateScenarios(sp.App, coreCounts, seeds, sp.scale()))
+	results, err := sp.run(ctx, opts, EvaluateScenarios(sp.App, coreCounts, seeds, sp.scale()))
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +228,7 @@ func (sp Spec) CompareStrategies(ctx context.Context, opts Options) ([]StrategyR
 	if err != nil {
 		return nil, err
 	}
-	results, err := opts.run(ctx, CompareScenarios(sp.App, cores, sp.Strategies, seed, sp.scale()))
+	results, err := sp.run(ctx, opts, CompareScenarios(sp.App, cores, sp.Strategies, seed, sp.scale()))
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +262,7 @@ func (sp Spec) SweepRefineParams(ctx context.Context, opts Options) ([]SweepPoin
 	if err != nil {
 		return nil, err
 	}
-	results, err := opts.run(ctx, SweepScenarios(sp.App, cores, sp.EpsFracs, sp.Periods, seed, sp.scale()))
+	results, err := sp.run(ctx, opts, SweepScenarios(sp.App, cores, sp.EpsFracs, sp.Periods, seed, sp.scale()))
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +292,7 @@ func (sp Spec) Elasticity(ctx context.Context, opts Options) ([]ElasticEval, err
 	if err != nil {
 		return nil, err
 	}
-	results, err := opts.run(ctx, ElasticityScenarios(sp.App, cores, sp.Strategies, sp.Seeds, sp.scale(), sp.Faults))
+	results, err := sp.run(ctx, opts, ElasticityScenarios(sp.App, cores, sp.Strategies, sp.Seeds, sp.scale(), sp.Faults))
 	if err != nil {
 		return nil, err
 	}

@@ -5,15 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
+	"slices"
 
 	"cloudlb/internal/experiment"
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/runner"
-	"cloudlb/internal/stats"
-	"cloudlb/internal/trace"
 )
 
 // RequestSchemaVersion versions the submit document ("v"). It moves with
@@ -21,14 +17,7 @@ import (
 const RequestSchemaVersion = 1
 
 // Request is the POST /api/v1/jobs body: which evaluation to run and the
-// Spec describing it. Method names match the Spec methods:
-//
-//	scenarios    raw Cores × Strategies × Seeds batch ([]Result rows)
-//	evaluate     Figure 2/4 interference matrix ([]Eval rows)
-//	compare      strategy comparison ([]StrategyResult rows)
-//	sweep        RefineLB parameter sweep ([]SweepPoint rows)
-//	elasticity   revocation/replacement penalties ([]ElasticEval rows)
-//	net          network interference matrix ([]NetEval rows)
+// Spec describing it. Method is one of experiment.Methods().
 type Request struct {
 	V      int             `json:"v,omitempty"`
 	Method string          `json:"method"`
@@ -36,7 +25,7 @@ type Request struct {
 }
 
 // Methods lists the accepted Request.Method values.
-var Methods = []string{"scenarios", "evaluate", "compare", "sweep", "elasticity", "net"}
+var Methods = experiment.Methods()
 
 // ParseRequest decodes and fully validates a submit document, returning
 // typed field errors the HTTP layer renders as a 400 body.
@@ -63,7 +52,7 @@ func (r Request) Validate() error {
 			Field: "v", Msg: fmt.Sprintf("schema version %d not supported (this build speaks v%d)", r.V, RequestSchemaVersion),
 		})
 	}
-	if !validMethod(r.Method) {
+	if !slices.Contains(Methods, r.Method) {
 		fields = append(fields, experiment.FieldError{
 			Field: "method", Msg: fmt.Sprintf("unknown method %q (want one of %v)", r.Method, Methods),
 		})
@@ -83,15 +72,6 @@ func (r Request) Validate() error {
 	return nil
 }
 
-func validMethod(m string) bool {
-	for _, v := range Methods {
-		if m == v {
-			return true
-		}
-	}
-	return false
-}
-
 // CacheKey is the store index name this request's results live under:
 // the method tag plus the Spec's canonical hash. Everything that changes
 // the computed artifacts is in one of the two.
@@ -99,15 +79,12 @@ func (r Request) CacheKey() string { return r.Method + "-" + r.Spec.Hash() }
 
 // canonicalJSON is the request's deterministic encoding — the stored
 // request.json artifact, reproducible byte for byte from the Spec alone.
-func (r Request) canonicalJSON() []byte {
-	var buf bytes.Buffer
-	buf.WriteString(`{"v":` + strconv.Itoa(RequestSchemaVersion) + `,"method":`)
-	m, _ := json.Marshal(r.Method)
-	buf.Write(m)
-	buf.WriteString(`,"spec":`)
-	buf.Write(r.Spec.CanonicalJSON())
-	buf.WriteString("}")
-	return buf.Bytes()
+func (r Request) canonicalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		V      int             `json:"v"`
+		Method string          `json:"method"`
+		Spec   json.RawMessage `json:"spec"`
+	}{RequestSchemaVersion, r.Method, r.Spec.CanonicalJSON()})
 }
 
 // manifest is the stored object a cache key resolves to: the artifact
@@ -125,149 +102,16 @@ type manifest struct {
 	Artifacts map[string]string `json:"artifacts"`
 }
 
-// nanFloat is a float64 that encodes NaN as JSON null. Result.AppWall is
-// NaN for background-only runs and Result.BGWall is NaN without a
-// background job; encoding/json rejects NaN outright.
-type nanFloat float64
-
-func (f nanFloat) MarshalJSON() ([]byte, error) {
-	if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(float64(f))
-}
-
-// resultRow mirrors experiment.Result for the scenarios method's
-// rows.json, NaN-safe and snake_cased.
-type resultRow struct {
-	AppWall        nanFloat `json:"app_wall"`
-	BGWall         nanFloat `json:"bg_wall"`
-	AvgPowerW      float64  `json:"avg_power_w"`
-	EnergyJ        float64  `json:"energy_j"`
-	Migrations     int      `json:"migrations"`
-	LBSteps        int      `json:"lb_steps"`
-	Evacuations    int      `json:"evacuations"`
-	Events         uint64   `json:"events"`
-	NetDrops       uint64   `json:"net_drops"`
-	NetRetransmits uint64   `json:"net_retransmits"`
-}
-
-// computed is the in-memory output of one executed request, ready to be
-// stored as artifacts.
-type computed struct {
-	rows   any // method-specific row slice for rows.json
-	tables map[string]*stats.Table
-	trace  []byte // Chrome trace JSON, single-scenario batches only
-}
-
-// execute runs the request's evaluation. The scenario batch carries the
-// per-job registry (its snapshot becomes the metrics.json artifact) and
-// fans out over a per-job pool so per-scenario progress lands on prog
-// without mixing jobs.
-func execute(ctx context.Context, req Request, reg *metrics.Registry, workers int, prog experiment.Progress) (*computed, error) {
+// execute runs the request's evaluation through the same method dispatch
+// cmd/figures uses. The scenario batch carries the per-job registry (its
+// snapshot becomes the metrics.json artifact) and fans out over a per-job
+// pool so per-scenario progress lands on prog without mixing jobs.
+func execute(ctx context.Context, req Request, reg *metrics.Registry, workers int, prog experiment.Progress) (*experiment.Output, error) {
 	pool := &runner.Pool{Workers: workers, Progress: prog}
-	opts := experiment.Options{Executor: pool.Executor(), Metrics: reg}
 	sp := req.Spec
 	// Shards is an execution knob excluded from the cache key; the
 	// service always runs the classic engine so the sharded scheduler's
 	// host-time barrier series never leak into the metrics artifact.
 	sp.Shards = 0
-	out := &computed{tables: map[string]*stats.Table{}}
-	switch req.Method {
-	case "scenarios":
-		batch := sp.Scenarios()
-		var rec *trace.Recorder
-		if len(batch) == 1 {
-			rec = trace.NewRecorder()
-			batch[0].Trace = rec
-		}
-		for i := range batch {
-			batch[i].Metrics = reg
-		}
-		results, _, err := pool.RunBatch(ctx, batch)
-		if err != nil {
-			return nil, err
-		}
-		rows := make([]resultRow, len(results))
-		t := stats.NewTable("cores", "strategy", "seed", "app wall s", "bg wall s", "migrations", "lb steps", "evacuations", "events")
-		for i, r := range results {
-			rows[i] = resultRow{
-				AppWall: nanFloat(r.AppWall), BGWall: nanFloat(r.BGWall),
-				AvgPowerW: r.AvgPowerW, EnergyJ: r.EnergyJ,
-				Migrations: r.Migrations, LBSteps: r.LBSteps,
-				Evacuations: r.Evacuations, Events: r.Events,
-				NetDrops: r.NetDrops, NetRetransmits: r.NetRetransmits,
-			}
-			s := batch[i]
-			t.AddRow(s.Cores, s.Strategy.String(), s.Seed,
-				finiteOr(r.AppWall, 0), finiteOr(r.BGWall, 0),
-				r.Migrations, r.LBSteps, r.Evacuations, r.Events)
-		}
-		out.rows = rows
-		out.tables["table.csv"] = t
-		if rec != nil {
-			if b, err := rec.ChromeTraceJSON(); err == nil {
-				out.trace = b
-			}
-		}
-	case "evaluate":
-		evals, err := sp.Evaluate(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.rows = evals
-		out.tables["table.csv"] = experiment.Fig2Table(sp.App, evals)
-		out.tables["energy.csv"] = experiment.Fig4Table(sp.App, evals)
-	case "compare":
-		results, err := sp.CompareStrategies(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.rows = results
-		out.tables["table.csv"] = experiment.CompareTable(results)
-	case "sweep":
-		points, err := sp.SweepRefineParams(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.rows = points
-		out.tables["table.csv"] = experiment.SweepTable(points)
-	case "elasticity":
-		evals, err := sp.Elasticity(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.rows = evals
-		out.tables["table.csv"] = experiment.Fig5Table(evals)
-	case "net":
-		evals, err := sp.NetworkInterference(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.rows = evals
-		out.tables["table.csv"] = experiment.Fig6Table(evals)
-	default:
-		return nil, fmt.Errorf("service: unknown method %q", req.Method)
-	}
-	return out, nil
-}
-
-func finiteOr(v, def float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return def
-	}
-	return v
-}
-
-// artifactNames returns a computed job's artifact set in sorted order.
-func (c *computed) artifactNames() []string {
-	names := []string{"request.json", "rows.json", "metrics.json"}
-	for n := range c.tables {
-		names = append(names, n)
-	}
-	if c.trace != nil {
-		names = append(names, "trace.json")
-	}
-	sort.Strings(names)
-	return names
+	return sp.RunMethod(ctx, req.Method, experiment.Options{Executor: pool.Executor(), Metrics: reg})
 }

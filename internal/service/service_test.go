@@ -13,6 +13,7 @@ import (
 	"cloudlb/internal/experiment"
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/service/store"
+	"cloudlb/internal/xnet"
 )
 
 func newTestService(t *testing.T, live *metrics.Registry) (*Service, *httptest.Server) {
@@ -155,6 +156,47 @@ func TestMethodsProduceTables(t *testing.T) {
 		if lines := strings.Count(string(csv), "\n"); lines < 2 {
 			t.Fatalf("%s: table.csv has %d lines:\n%s", req.Method, lines, csv)
 		}
+	}
+}
+
+// TestEvaluateJobHonoursNet: an evaluate job whose Spec carries a lossy
+// straggler network stores the rows a local Spec.Evaluate computes, not
+// reliable-network rows under the lossy Spec's hash.
+func TestEvaluateJobHonoursNet(t *testing.T) {
+	_, ts := newTestService(t, nil)
+	client := &Client{BaseURL: ts.URL}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	sp := experiment.Spec{App: experiment.Wave2D, Cores: []int{8}, Seeds: []int64{1}, Scale: 0.05,
+		Net: xnet.Config{DropPct: 10, Seed: 7, StragglerNodes: []int{1}, StragglerFactor: 8}}
+	view, err := client.Run(ctx, Request{Method: "evaluate", Spec: sp})
+	if err != nil || view.State != StateDone {
+		t.Fatalf("evaluate job: %v %+v", err, view)
+	}
+	got, err := client.Artifact(ctx, view.Artifacts["rows.json"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals, err := sp.Evaluate(ctx, experiment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(evals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("rows.json differs from local Spec.Evaluate\n got: %s\nwant: %s", got, want)
+	}
+	reliable := sp
+	reliable.Net = xnet.Config{}
+	evals, err = reliable.Evaluate(ctx, experiment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same, _ := json.Marshal(evals); bytes.Equal(got, same) {
+		t.Fatal("the lossy evaluate job stored the reliable network's rows")
 	}
 }
 
