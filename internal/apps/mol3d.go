@@ -235,15 +235,20 @@ type mdChare struct {
 	// counted exactly once. See computeStep.
 	departed   []Particle
 	fx, fy, fz []float64 // force scratch
+	nbrs       []int     // cached neighbors(); the decomposition never changes
 }
 
 // PackSize implements charm.Chare.
 func (c *mdChare) PackSize() int { return 48*len(c.own) + 512 }
 
 // neighbors returns the cell indices of the up-to-26 adjacent cells, in
-// ascending order for determinism.
+// ascending order for determinism. The list is computed once per chare;
+// it is consulted on every message and every send.
 func (c *mdChare) neighbors() []int {
-	var ns []int
+	if c.nbrs != nil {
+		return c.nbrs
+	}
+	ns := make([]int, 0, 26)
 	for dz := -1; dz <= 1; dz++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
@@ -261,6 +266,7 @@ func (c *mdChare) neighbors() []int {
 		}
 	}
 	slices.Sort(ns)
+	c.nbrs = ns
 	return ns
 }
 

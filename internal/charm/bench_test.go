@@ -64,6 +64,24 @@ func BenchmarkMessageRoundtrip(b *testing.B) {
 	}
 }
 
+// BenchmarkDeepQueue measures one delivery through a PE whose application
+// queue holds about a thousand others (1024 chares on one PE passing
+// tokens round a ring); with an O(1) dequeue it costs what a shallow one
+// does.
+func BenchmarkDeepQueue(b *testing.B) {
+	eng, _, fifo := ringWorld(1024)
+	for fifo.sent < 8192 {
+		eng.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for start := fifo.sent; fifo.sent-start < b.N; {
+		if !eng.Step() {
+			b.Fatal("engine drained")
+		}
+	}
+}
+
 // BenchmarkLBStep measures the cost of one full AtSync load balancing
 // step (gather, plan, migrate, resume) with 256 chares on 8 PEs.
 func BenchmarkLBStep(b *testing.B) {

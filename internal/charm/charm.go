@@ -186,25 +186,21 @@ type RTS struct {
 	pes  []*pe
 	name string
 
-	arrays map[string]*arrayMeta
-	// location maps every chare to its current PE index. Migrations only
-	// happen while the whole runtime is quiesced inside an LB step, so a
-	// single table read at send time is equivalent to the per-PE tables
-	// of a real distributed location manager; the cost of propagating
-	// updates is still paid by the resume broadcast.
-	location map[ChareID]int
+	// arrays holds each chare array's record table, in creation order.
+	// The records are the runtime's only per-chare state (see chareRec).
+	arrays []*chareArray
 
-	started bool
-	total   int // total chares
-	done    int
-	// doneChares marks chares that called Done; they no longer take part
-	// in AtSync accounting (they will never sync again) but remain
-	// migratable objects. Kept on the RTS, not the PE, so the mark
-	// survives migration and evacuation.
-	doneChares map[ChareID]bool
-	finished   bool
-	finishAt   sim.Time
-	onDone     func()
+	started  bool
+	total    int // total chares
+	done     int // Done calls so far
+	finished bool
+	finishAt sim.Time
+	onDone   func()
+
+	// onLBStep, when set, runs as each LB step completes — every migrant
+	// installed, the resume wave not yet started. Tests hang invariant
+	// checks on it.
+	onLBStep func()
 
 	lb lbState
 
@@ -247,9 +243,10 @@ type RTS struct {
 	msgFree []msgPool
 
 	// shardDone is the per-shard Done accounting under a sharded scheduler
-	// (nil otherwise): chares mark completion shard-locally mid-window and
-	// the coordinator's barrier hook consolidates the marks into
-	// doneChares/done, firing onDone with the exact virtual finish time.
+	// (nil otherwise): a chare marks its own record (its host's shard owns
+	// it) and counts the call shard-locally mid-window; the coordinator's
+	// barrier hook folds the counts into done, firing onDone with the
+	// exact virtual finish time.
 	shardDone []shardDoneState
 
 	// outsScratch/insScratch are the per-PE migration-order buffers
@@ -266,10 +263,45 @@ type RTS struct {
 	met rtsMetrics
 }
 
-type arrayMeta struct {
-	name string
-	size int
+// chareRec is the runtime's one record per chare. It lives in its array's
+// dense table for the runtime's lifetime, so a *chareRec stays valid
+// across migrations: the message path resolves a ChareID once at send and
+// carries the record from there on, hashing nothing.
+type chareRec struct {
+	id  ChareID
+	obj Chare
+	// loc is the location table entry: the PE messages are routed to.
+	// Migrations only change it while the whole runtime is quiesced inside
+	// an LB step (or pinned sequential by an evacuation), so a read at send
+	// time is equivalent to the per-PE tables of a real distributed
+	// location manager; the cost of propagating updates is still paid by
+	// the resume broadcast.
+	loc int
+	// host is the PE whose roster holds the object, -1 while it travels
+	// between PEs. It trails loc during a move.
+	host int
+	// wall is the load database entry: the chare's entry wall time in the
+	// current LB interval.
+	wall float64
+	// synced marks a chare that called AtSync and has not resumed. done
+	// marks one that called Done: it no longer takes part in AtSync (it
+	// will never sync again) but remains a migratable object.
+	synced, done bool
+	// comm is the distributed planner's affinity input: the bytes this
+	// chare sent to each topology neighbor of its host over the interval,
+	// empty until it sends one.
+	comm []float64
 }
+
+// chareArray is one chare array: its name and its record table, indexed
+// by element index.
+type chareArray struct {
+	name string
+	recs []chareRec
+}
+
+// byID orders records by chare ID, the roster order.
+func byID(a, b *chareRec) int { return a.id.Compare(b.id) }
 
 // inflightCount is one shard's in-flight message counter. The pad keeps
 // adjacent shards' slots off each other's cache lines: both the send and
@@ -286,9 +318,8 @@ type msgPool struct {
 	_    [40]byte
 }
 
-// shardDoneState holds one shard's not-yet-consolidated Done marks.
+// shardDoneState holds one shard's not-yet-consolidated Done calls.
 type shardDoneState struct {
-	local  map[ChareID]bool
 	count  int
 	lastAt sim.Time
 }
@@ -320,13 +351,10 @@ func NewRTS(cfg Config) *RTS {
 		cfg.Name = "rts"
 	}
 	r := &RTS{
-		cfg:        cfg,
-		eng:        cfg.Machine.Engine(),
-		sh:         cfg.Machine.Shards(),
-		name:       cfg.Name,
-		arrays:     make(map[string]*arrayMeta),
-		location:   make(map[ChareID]int),
-		doneChares: make(map[ChareID]bool),
+		cfg:  cfg,
+		eng:  cfg.Machine.Engine(),
+		sh:   cfg.Machine.Shards(),
+		name: cfg.Name,
 	}
 	for i, c := range cfg.Cores {
 		r.pes = append(r.pes, newPE(r, i, cfg.Machine.Core(c)))
@@ -339,9 +367,6 @@ func NewRTS(cfg Config) *RTS {
 	r.netInflight = make([]inflightCount, shards)
 	if r.sh != nil {
 		r.shardDone = make([]shardDoneState, shards)
-		for i := range r.shardDone {
-			r.shardDone[i].local = make(map[ChareID]bool)
-		}
 		r.sh.OnBarrier(r.consolidate)
 	}
 	r.outsScratch = make([][]core.Move, len(r.pes))
@@ -382,19 +407,20 @@ func (r *RTS) NewArray(name string, n int, factory func(idx int) Chare) {
 	if r.started {
 		panic("charm: NewArray after Start")
 	}
-	if _, dup := r.arrays[name]; dup {
+	if r.array(name) != nil {
 		panic(fmt.Sprintf("charm: duplicate array %q", name))
 	}
 	if n <= 0 {
 		panic("charm: array size must be positive")
 	}
-	r.arrays[name] = &arrayMeta{name: name, size: n}
+	a := &chareArray{name: name, recs: make([]chareRec, n)}
+	r.arrays = append(r.arrays, a)
 	p := len(r.pes)
 	var hashed []int
 	if r.cfg.Placement == PlaceHash {
 		hashed = hashPlace(n, p)
 	}
-	for i := 0; i < n; i++ {
+	for i := range a.recs {
 		var peIdx int
 		switch r.cfg.Placement {
 		case PlaceRoundRobin:
@@ -404,20 +430,40 @@ func (r *RTS) NewArray(name string, n int, factory func(idx int) Chare) {
 		default:
 			peIdx = i * p / n
 		}
-		id := ChareID{Array: name, Index: i}
-		r.location[id] = peIdx
-		r.pes[peIdx].install(id, factory(i))
+		rec := &a.recs[i]
+		*rec = chareRec{id: ChareID{Array: name, Index: i}, obj: factory(i), loc: peIdx, host: -1}
+		r.pes[peIdx].install(rec)
 	}
 	r.total += n
 }
 
 // ArraySize returns the number of elements in an array.
 func (r *RTS) ArraySize(name string) int {
-	a, ok := r.arrays[name]
-	if !ok {
+	a := r.array(name)
+	if a == nil {
 		panic(fmt.Sprintf("charm: unknown array %q", name))
 	}
-	return a.size
+	return len(a.recs)
+}
+
+// array returns the named chare array, nil if there is none.
+func (r *RTS) array(name string) *chareArray {
+	for _, a := range r.arrays {
+		if a.name == name {
+			return a
+		}
+	}
+	return nil
+}
+
+// record resolves a chare ID to its record — a scan over the (one or two)
+// arrays plus an index, no hashing — or nil if there is no such chare.
+func (r *RTS) record(id ChareID) *chareRec {
+	a := r.array(id.Array)
+	if a == nil || id.Index < 0 || id.Index >= len(a.recs) {
+		return nil
+	}
+	return &a.recs[id.Index]
 }
 
 // Start delivers the built-in Start message to every chare at the current
@@ -430,8 +476,8 @@ func (r *RTS) Start() {
 	r.primeMemos()
 	for _, p := range r.pes {
 		p.beginInterval()
-		for _, id := range p.roster {
-			p.enqueueApp(id, Start{})
+		for _, rec := range p.roster {
+			p.enqueueApp(rec, Start{})
 		}
 		p.pump()
 	}
@@ -452,15 +498,15 @@ func (r *RTS) primeMemos() {
 	}
 	for _, p := range r.pes {
 		r.treeChildren(p.index)
-		for name := range r.arrays {
-			p.subtreeExpected(name)
+		for _, a := range r.arrays {
+			p.subtreeExpected(a.name)
 		}
 		p.subtreeChareTotal()
 	}
 }
 
 // consolidate runs on the shard coordinator at every window barrier,
-// merging each shard's Done marks into the global table. The finish time
+// folding each shard's Done count into the global one. The finish time
 // is exact despite the deferred bookkeeping: Done timestamps only grow
 // within and across barriers, so the maximum over the final batch is the
 // virtual time of the very last Done call — the same instant the
@@ -474,10 +520,6 @@ func (r *RTS) consolidate() {
 			continue
 		}
 		pending = true
-		for id := range sd.local {
-			r.doneChares[id] = true
-		}
-		clear(sd.local)
 		r.done += sd.count
 		sd.count = 0
 		if sd.lastAt > last {
@@ -495,16 +537,20 @@ func (r *RTS) consolidate() {
 
 // Location reports the PE index currently hosting a chare.
 func (r *RTS) Location(id ChareID) int {
-	pe, ok := r.location[id]
-	if !ok {
+	rec := r.record(id)
+	if rec == nil {
 		panic(fmt.Sprintf("charm: unknown chare %v", id))
 	}
-	return pe
+	return rec.loc
 }
 
 // Chare returns the live object for a chare ID (for tests and probes).
 func (r *RTS) Chare(id ChareID) Chare {
-	return r.pes[r.Location(id)].local[id]
+	rec := r.record(id)
+	if rec == nil {
+		panic(fmt.Sprintf("charm: unknown chare %v", id))
+	}
+	return rec.obj
 }
 
 // Finished reports whether every chare has called Done.
@@ -534,17 +580,19 @@ func (r *RTS) LBWallTime() sim.Time {
 	return r.lbWall / sim.Time(len(r.pes))
 }
 
-func (r *RTS) chareDone(p *pe, id ChareID) {
+func (r *RTS) chareDone(p *pe, rec *chareRec) {
+	if !rec.done {
+		rec.done = true
+		p.active--
+	}
 	if r.shardDone != nil {
-		// Sharded: record locally and let the barrier hook consolidate.
-		// Writing the global table from a window would race other shards.
+		// Sharded: count locally and let the barrier hook consolidate.
+		// Writing the global count from a window would race other shards.
 		sd := &r.shardDone[p.shard]
-		sd.local[id] = true
 		sd.count++
 		sd.lastAt = p.eng.Now()
 		return
 	}
-	r.doneChares[id] = true
 	r.done++
 	if r.done == r.total && !r.finished {
 		r.finished = true
@@ -555,18 +603,6 @@ func (r *RTS) chareDone(p *pe, id ChareID) {
 	}
 }
 
-// isDone reports whether a chare has called Done, combining the
-// consolidated marks with the asking PE's own shard-local ones. PEs only
-// ever ask about chares they host, and a hosted chare's Done ran either
-// before the last barrier (consolidated) or on this same shard, so the
-// answer never depends on another shard's in-window state.
-func (r *RTS) isDone(p *pe, id ChareID) bool {
-	if r.doneChares[id] {
-		return true
-	}
-	return r.shardDone != nil && r.shardDone[p.shard].local[id]
-}
-
 // appMsg is a pooled application message envelope. Each envelope owns a
 // delivery closure bound once at creation (fn), so the per-message send
 // path — the hottest path in the runtime — schedules its network hop and
@@ -574,7 +610,7 @@ func (r *RTS) isDone(p *pe, id ChareID) bool {
 // list, mirroring the engine's event free list one layer down.
 type appMsg struct {
 	rts   *RTS
-	to    ChareID
+	to    *chareRec
 	data  interface{}
 	bytes int
 	dstPE int
@@ -610,7 +646,7 @@ func (m *appMsg) deliver() {
 	// Re-check location at delivery: the chare may have migrated
 	// while the message was in flight (only possible for messages
 	// crossing an LB step); forward if so, as Charm++ does.
-	if cur := r.location[to]; cur != dstPE {
+	if to.loc != dstPE {
 		r.send(dstPE, to, data, bytes)
 		return
 	}
@@ -618,16 +654,13 @@ func (m *appMsg) deliver() {
 	dst.pump()
 }
 
-// send routes a message between chares, via the interconnect when the
-// destination lives on another PE, or via the intra-node path for local
-// delivery (a real RTS enqueues locally; the intra-node latency stands in
-// for that queueing cost). It runs in the sending PE's shard context and
-// touches only that shard's pool and in-flight slot.
-func (r *RTS) send(fromPE int, to ChareID, data interface{}, bytes int) {
-	dstPE, ok := r.location[to]
-	if !ok {
-		panic(fmt.Sprintf("charm: send to unknown chare %v", to))
-	}
+// send routes a message to a chare's current location, via the
+// interconnect when it lives on another PE, or via the intra-node path for
+// local delivery (a real RTS enqueues locally; the intra-node latency
+// stands in for that queueing cost). It runs in the sending PE's shard
+// context and touches only that shard's pool and in-flight slot.
+func (r *RTS) send(fromPE int, to *chareRec, data interface{}, bytes int) {
+	dstPE := to.loc
 	src := r.pes[fromPE]
 	m := r.newAppMsg(src.shard)
 	m.to, m.data, m.bytes, m.dstPE = to, data, bytes, dstPE

@@ -531,14 +531,21 @@ func TestLBWallTimeAccrues(t *testing.T) {
 }
 
 func TestUnknownChareSendPanics(t *testing.T) {
-	_, m, n := testWorld(1, 1)
+	eng, m, n := testWorld(1, 1)
 	r := NewRTS(Config{Machine: m, Net: n, Cores: allCores(m)})
+	r.NewArray("w", 1, func(int) Chare {
+		return &logChare{log: new([]string), start: func(ctx *Ctx) float64 {
+			ctx.Send(ChareID{Array: "ghost", Index: 0}, tick{}, 8)
+			return 0
+		}}
+	})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("send to unknown chare did not panic")
 		}
 	}()
-	r.send(0, ChareID{Array: "ghost", Index: 0}, tick{}, 8)
+	r.Start()
+	_ = eng.Run()
 }
 
 func TestRTSOnSubsetOfCores(t *testing.T) {

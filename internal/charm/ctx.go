@@ -11,7 +11,7 @@ import (
 type Ctx struct {
 	rts  *RTS
 	pe   *pe
-	self ChareID
+	self *chareRec
 
 	sends    []outMsg
 	contribs []contribution
@@ -30,7 +30,7 @@ type outMsg struct {
 func (c *Ctx) Now() sim.Time { return c.pe.eng.Now() }
 
 // Self returns the executing chare's ID.
-func (c *Ctx) Self() ChareID { return c.self }
+func (c *Ctx) Self() ChareID { return c.self.id }
 
 // PE returns the index of the PE executing this entry.
 func (c *Ctx) PE() int { return c.pe.index }

@@ -61,11 +61,6 @@ type diffState struct {
 	annQ  [][][]core.TransferTask
 	termQ [][]core.TermSample
 
-	// comm accumulates each local chare's bytes sent to every neighbor
-	// PE over the LB interval — the planner's communication-affinity
-	// input. Reset every interval.
-	comm map[ChareID][]float64
-
 	// Scratch reused across steps/rounds.
 	taskScratch  []core.TransferTask
 	affScratch   [][]float64
@@ -105,9 +100,16 @@ func (p *pe) distEnterSync() {
 	}
 	d.taskScratch = d.taskScratch[:0]
 	d.affScratch = d.affScratch[:0]
-	for _, tk := range st.tasks {
+	// st.tasks follows the roster. A chare that sent nothing to a neighbor
+	// PE has no affinity row (nil), which the planner's state accounting
+	// tells apart from a zero row.
+	for i, tk := range st.tasks {
 		d.taskScratch = append(d.taskScratch, core.TransferTask{ID: tk.ID, Load: tk.Load, Bytes: tk.Bytes})
-		d.affScratch = append(d.affScratch, d.comm[tk.ID])
+		var row []float64
+		if c := p.roster[i].comm; len(c) > 0 {
+			row = c
+		}
+		d.affScratch = append(d.affScratch, row)
 	}
 	d.planner = r.dist.NewPlanner(core.LocalPE{
 		PE: p.index, Background: st.bg, Speed: st.speed, Offline: st.offline,
@@ -143,7 +145,7 @@ func (r *RTS) distMasterReady(peIdx int, load, bg float64) {
 	if !d.probed && d.readyCount == r.nonEmptyPEs() {
 		d.probed = true
 		for _, p := range r.pes {
-			if active, _ := p.activeSync(); active == 0 && !p.sentStats {
+			if p.active == 0 && !p.sentStats {
 				r.probeEmpty(p)
 			}
 		}
@@ -271,14 +273,15 @@ func (p *pe) diffSendTransfers(transfers []core.Transfer) {
 	p.shipScratch = p.shipScratch[:0]
 	for slot, ni := range nbr {
 		for _, tk := range byslot[slot] {
-			if _, ok := p.local[tk.ID]; !ok {
+			rec := r.record(tk.ID)
+			if rec == nil || rec.host != p.index {
 				panic(fmt.Sprintf("charm: PE %d planned to move absent chare %v", p.index, tk.ID))
 			}
-			obj := p.uninstall(tk.ID)
-			b := obj.PackSize()
+			p.uninstall(rec)
+			b := rec.obj.PackSize()
 			packCPU += float64(b) * r.cfg.PackCPUPerByte
-			p.shipScratch = append(p.shipScratch, shipment{id: tk.ID, obj: obj, bytes: b, to: ni})
-			r.location[tk.ID] = ni
+			p.shipScratch = append(p.shipScratch, shipment{rec: rec, bytes: b, to: ni})
+			rec.loc = ni
 			r.migrations++
 			r.distInstr.moveApplied(tk.Load, p.index, ni)
 		}
@@ -293,7 +296,7 @@ func (p *pe) diffSendTransfers(transfers []core.Transfer) {
 			s := s
 			dst := r.pes[s.to]
 			r.netSend(p.core.ID, dst.core.ID, s.bytes+migrateHeader, func() {
-				dst.enqueueSys(func() { dst.diffReceiveMigrant(s.id, s.obj, s.bytes) })
+				dst.enqueueSys(func() { dst.diffReceiveMigrant(s.rec, s.bytes) })
 			})
 		}
 		d.shipped = true
@@ -339,12 +342,12 @@ func (p *pe) diffMaybeApply() {
 
 // diffReceiveMigrant installs one inbound object (unpack burst), exactly
 // like receiveMigrant but counting toward the round, not the flat step.
-func (p *pe) diffReceiveMigrant(id ChareID, obj Chare, bytes int) {
+func (p *pe) diffReceiveMigrant(rec *chareRec, bytes int) {
 	p.runBurst(float64(bytes)*p.rts.cfg.PackCPUPerByte, func() {
-		p.install(id, obj)
+		p.install(rec)
 		// The migrant synced on its source PE; the uniform resume rule
 		// (Resume goes exactly to synced chares) applies here too.
-		p.synced[id] = true
+		rec.synced = true
 		p.diff.gotObjs++
 		p.diffMaybeFinishRound()
 	})
@@ -401,8 +404,7 @@ func (p *pe) diffOnChildSample(slot int, s core.TermSample) {
 // distFinish closes the step at the root and starts the resume wave.
 func (r *RTS) distFinish() {
 	r.lb.active = false
-	r.lbSteps++
-	r.met.lbSteps.Inc()
+	r.stepDone()
 	r.met.lbRounds.Add(uint64(r.distLB.rounds))
 	r.distInstr.finish(r.distLB.rounds, r.pes[0].eng.Now()-r.lb.startAt)
 	r.distInstr = nil
@@ -413,9 +415,9 @@ func (r *RTS) distFinish() {
 // sender chare's per-neighbor communication row — the planner's
 // affinity input. Only inter-PE traffic to topology neighbors counts;
 // everything else cannot influence a diffusion hand-off anyway.
-func (p *pe) diffTrackComm(self, to ChareID, bytes int) {
-	dst, ok := p.rts.location[to]
-	if !ok || dst == p.index {
+func (p *pe) diffTrackComm(self, to *chareRec, bytes int) {
+	dst := to.loc
+	if dst == p.index {
 		return
 	}
 	nbr := p.rts.distNbr[p.index]
@@ -423,14 +425,16 @@ func (p *pe) diffTrackComm(self, to ChareID, bytes int) {
 	if slot < 0 {
 		return
 	}
-	d := &p.diff
-	if d.comm == nil {
-		d.comm = make(map[ChareID][]float64)
-	}
-	row := d.comm[self]
-	if row == nil {
-		row = make([]float64, len(nbr))
-		d.comm[self] = row
+	row := self.comm
+	if len(row) == 0 {
+		// The first bytes this interval: reuse the record's buffer.
+		if cap(row) < len(nbr) {
+			row = make([]float64, len(nbr))
+		} else {
+			row = row[:len(nbr)]
+			clear(row)
+		}
+		self.comm = row
 	}
 	row[slot] += float64(bytes)
 }
@@ -455,7 +459,6 @@ func (p *pe) diffReset() {
 	for i := range d.termQ {
 		d.termQ[i] = d.termQ[i][:0]
 	}
-	clear(d.comm)
 }
 
 // syncReport is the probe/evacuation entry into the sync protocol,

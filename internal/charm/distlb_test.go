@@ -21,6 +21,7 @@ func diffRun(t *testing.T, nodes, coresPer, chares int, hog bool) (*RTS, sim.Tim
 		Strategy: &lb.DiffusionLB{},
 	})
 	r.NewArray("w", chares, func(int) Chare { return &iterChare{iters: 40, cost: 0.005, syncEvery: 10} })
+	watchInvariants(t, r)
 	r.Start()
 	runToFinish(t, eng, r, 300)
 	return r, r.FinishTime()

@@ -199,28 +199,25 @@ func (r *RTS) evacuatePE(p *pe) {
 	pending := make(map[int]int)
 	// The roster is already in (Array, Index) order; draining from the
 	// front via uninstall preserves exactly the sorted evacuation order.
+	// Each record carries its load-database entry and sync mark along.
 	for len(p.roster) > 0 {
-		id := p.roster[0]
-		obj := p.uninstall(id)
-		wall := p.taskWall[id]
-		delete(p.taskWall, id)
-		wasSynced := p.synced[id]
-		delete(p.synced, id)
+		rec := p.roster[0]
+		p.uninstall(rec)
 		dst := r.pickEvacDest(p.index, pending)
 		pending[dst]++
-		r.location[id] = dst
+		rec.loc = dst
 		r.evacuations++
 		r.met.evacuations.Inc()
 		d := r.pes[dst]
-		bytes := obj.PackSize()
+		bytes := rec.obj.PackSize()
 		r.netSend(p.core.ID, d.core.ID, bytes+migrateHeader, func() {
-			d.enqueueSys(func() { d.receiveEvacuee(id, obj, bytes, wall, wasSynced) })
+			d.enqueueSys(func() { d.receiveEvacuee(rec, bytes) })
 		})
 	}
 	// The queued deliveries all address chares that just left; route them
 	// to the new homes. Later messages find the updated location directly.
-	q := p.appQ
-	p.appQ = nil
+	q := p.appQ[p.appHead:]
+	p.appQ, p.appHead = nil, 0
 	for _, dlv := range q {
 		r.send(p.index, dlv.to, dlv.data, 64)
 	}
@@ -242,7 +239,7 @@ func (r *RTS) pickEvacDest(srcIdx int, pending map[int]int) int {
 		if i == srcIdx || q.retired {
 			continue
 		}
-		n := len(q.local) + pending[i]
+		n := len(q.roster) + pending[i]
 		if best < 0 || n < bestN {
 			best, bestN = i, n
 		}
@@ -254,32 +251,29 @@ func (r *RTS) pickEvacDest(srcIdx int, pending map[int]int) int {
 }
 
 // receiveEvacuee installs an emergency-evacuated chare: unpack burst, then
-// adopt the chare together with its load-database record and sync state.
-// Unlike receiveMigrant it touches no LB-step counters — evacuation is not
-// part of any step. If this PE was itself revoked while the evacuee was in
-// flight, the object is bounced to another live PE.
-func (p *pe) receiveEvacuee(id ChareID, obj Chare, bytes int, wall float64, wasSynced bool) {
+// adopt the chare, whose record still holds its load-database entry and
+// sync mark. Unlike receiveMigrant it touches no LB-step counters —
+// evacuation is not part of any step. If this PE was itself revoked while
+// the evacuee was in flight, the object is bounced to another live PE.
+func (p *pe) receiveEvacuee(rec *chareRec, bytes int) {
 	r := p.rts
 	if p.retired {
 		pending := make(map[int]int)
 		dst := r.pickEvacDest(p.index, pending)
-		r.location[id] = dst
+		rec.loc = dst
 		d := r.pes[dst]
 		r.netSend(p.core.ID, d.core.ID, bytes+migrateHeader, func() {
-			d.enqueueSys(func() { d.receiveEvacuee(id, obj, bytes, wall, wasSynced) })
+			d.enqueueSys(func() { d.receiveEvacuee(rec, bytes) })
 		})
 		return
 	}
 	p.runBurst(float64(bytes)*r.cfg.PackCPUPerByte, func() {
-		p.install(id, obj)
-		p.taskWall[id] += wall
-		if wasSynced {
-			// The chare is past its sync point; hold its messages until
-			// Resume, and complete this PE's sync if it was the last one.
-			p.synced[id] = true
-			if r.cfg.Strategy != nil {
-				p.maybeEnterSync(id)
-			}
+		p.install(rec)
+		if rec.synced && r.cfg.Strategy != nil {
+			// The chare is past its sync point: its messages stay held
+			// until Resume, and this PE's sync completes if it was the
+			// last one.
+			p.maybeEnterSync(rec)
 		}
 	})
 }

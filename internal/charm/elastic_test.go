@@ -21,6 +21,7 @@ func elasticWorkload(t *testing.T, strat core.Strategy, iters, syncEvery int) (*
 	r.NewArray("w", 8, func(int) Chare {
 		return &iterChare{iters: iters, cost: 0.01, syncEvery: syncEvery}
 	})
+	watchInvariants(t, r)
 	return eng, r
 }
 

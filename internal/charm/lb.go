@@ -65,15 +65,14 @@ type peStats struct {
 // manifest itself lives in per-PE scratch (pe.shipScratch) reused across
 // LB steps.
 type shipment struct {
-	id    ChareID
-	obj   Chare
+	rec   *chareRec
 	bytes int
 	to    int
 }
 
 // maybeEnterSync fires when a chare syncs: once every local chare has, the
 // PE measures and reports.
-func (p *pe) maybeEnterSync(self ChareID) {
+func (p *pe) maybeEnterSync(self *chareRec) {
 	if p.rts.cfg.Strategy == nil {
 		// noLB short-circuit: resume just this chare immediately. The
 		// chare stays marked synced until the Resume is delivered, so
@@ -90,8 +89,7 @@ func (p *pe) maybeEnterSync(self ChareID) {
 	// Chares that called Done will never sync again; only the remaining
 	// active ones have to agree. (Without faults the chares run in
 	// lockstep and this is the plain all-local-chares-synced condition.)
-	active, syncedActive := p.activeSync()
-	if active == 0 || syncedActive != active {
+	if !p.allSynced() {
 		return
 	}
 	if p.rts.cfg.HierarchicalLB {
@@ -124,11 +122,10 @@ func (p *pe) measureStats() peStats {
 	// task records are built into a per-PE scratch reused across steps
 	// (the master copies them into its gather before the next step).
 	p.tasksScratch = p.tasksScratch[:0]
-	for _, id := range p.roster {
-		w := p.taskWall[id]
-		sumTasks += w
+	for _, rec := range p.roster {
+		sumTasks += rec.wall
 		p.tasksScratch = append(p.tasksScratch, core.Task{
-			ID: id, PE: p.index, Load: w, Bytes: p.local[id].PackSize(),
+			ID: rec.id, PE: p.index, Load: rec.wall, Bytes: rec.obj.PackSize(),
 		})
 	}
 	st.tasks = p.tasksScratch
@@ -184,26 +181,25 @@ func (r *RTS) masterStats(st peStats) {
 	if !lb.probed && lb.statsCount == r.nonEmptyPEs() {
 		lb.probed = true
 		for _, p := range r.pes {
-			if active, _ := p.activeSync(); active == 0 && !p.sentStats {
+			if p.active == 0 && !p.sentStats {
 				r.probeEmpty(p)
 			}
 		}
 	}
 }
 
-// activeSync counts this PE's chares still participating in AtSync (not
-// Done) and how many of those have synced.
-func (p *pe) activeSync() (active, syncedActive int) {
-	for id := range p.local {
-		if p.rts.isDone(p, id) {
-			continue
-		}
-		active++
-		if p.synced[id] {
-			syncedActive++
+// allSynced reports whether this PE hosts chares still participating in
+// AtSync (not Done) and every one of them has synced.
+func (p *pe) allSynced() bool {
+	if p.active == 0 {
+		return false
+	}
+	for _, rec := range p.roster {
+		if !rec.done && !rec.synced {
+			return false
 		}
 	}
-	return active, syncedActive
+	return true
 }
 
 // nonEmptyPEs counts PEs that can still observe a sync point themselves —
@@ -211,7 +207,7 @@ func (p *pe) activeSync() (active, syncedActive int) {
 func (r *RTS) nonEmptyPEs() int {
 	n := 0
 	for _, p := range r.pes {
-		if active, _ := p.activeSync(); active > 0 {
+		if p.active > 0 {
 			n++
 		}
 	}
@@ -266,10 +262,11 @@ func (r *RTS) planMoves(stats *core.Stats, wallSince sim.Time) (outs [][]core.Mo
 		ins[i] = 0
 	}
 	for _, m := range moves {
-		from, ok := r.location[m.Task]
-		if !ok {
+		rec := r.record(m.Task)
+		if rec == nil {
 			panic(fmt.Sprintf("charm: strategy moved unknown task %v", m.Task))
 		}
+		from := rec.loc
 		if m.To < 0 || m.To >= len(r.pes) {
 			panic(fmt.Sprintf("charm: strategy moved %v to invalid PE %d", m.Task, m.To))
 		}
@@ -284,7 +281,7 @@ func (r *RTS) planMoves(stats *core.Stats, wallSince sim.Time) (outs [][]core.Mo
 		}
 		outs[from] = append(outs[from], m)
 		ins[m.To]++
-		r.location[m.Task] = m.To
+		rec.loc = m.To
 		r.migrations++
 		instr.moveApplied(m.Task, from, m.To)
 	}
@@ -322,20 +319,21 @@ func (p *pe) onOrder(order []core.Move, expect int) {
 	packCPU := 0.0
 	p.shipScratch = p.shipScratch[:0]
 	for _, m := range order {
-		if _, ok := p.local[m.Task]; !ok {
+		rec := p.rts.record(m.Task)
+		if rec == nil || rec.host != p.index {
 			panic(fmt.Sprintf("charm: PE %d ordered to move absent chare %v", p.index, m.Task))
 		}
-		obj := p.uninstall(m.Task)
-		b := obj.PackSize()
+		p.uninstall(rec)
+		b := rec.obj.PackSize()
 		packCPU += float64(b) * p.rts.cfg.PackCPUPerByte
-		p.shipScratch = append(p.shipScratch, shipment{id: m.Task, obj: obj, bytes: b, to: m.To})
+		p.shipScratch = append(p.shipScratch, shipment{rec: rec, bytes: b, to: m.To})
 	}
 	p.runBurst(packCPU, func() {
 		for _, s := range p.shipScratch {
 			s := s
 			dst := p.rts.pes[s.to]
 			p.rts.netSend(p.core.ID, dst.core.ID, s.bytes+migrateHeader, func() {
-				dst.enqueueSys(func() { dst.receiveMigrant(s.id, s.obj, s.bytes) })
+				dst.enqueueSys(func() { dst.receiveMigrant(s.rec, s.bytes) })
 			})
 		}
 		p.maybeSyncDone()
@@ -343,13 +341,13 @@ func (p *pe) onOrder(order []core.Move, expect int) {
 }
 
 // receiveMigrant deserializes an inbound object (CPU burst) and installs it.
-func (p *pe) receiveMigrant(id ChareID, obj Chare, bytes int) {
+func (p *pe) receiveMigrant(rec *chareRec, bytes int) {
 	p.runBurst(float64(bytes)*p.rts.cfg.PackCPUPerByte, func() {
-		p.install(id, obj)
+		p.install(rec)
 		// A migrant synced on its source PE — it would not have moved
 		// otherwise. Marking it here keeps the resume rule uniform:
 		// Resume goes exactly to the synced chares.
-		p.synced[id] = true
+		rec.synced = true
 		p.arrivedIn++
 		p.maybeSyncDone()
 	})
@@ -385,8 +383,7 @@ func (r *RTS) masterSyncDone() {
 		return
 	}
 	lb.active = false
-	r.lbSteps++
-	r.met.lbSteps.Inc()
+	r.stepDone()
 	master := r.pes[0]
 	bytes := resumeMsgBase + perMoveBytes*len(lb.moves)
 	for _, p := range r.pes {
@@ -394,6 +391,16 @@ func (r *RTS) masterSyncDone() {
 		r.netSend(master.core.ID, p.core.ID, bytes, func() {
 			p.enqueueSys(func() { p.onResume() })
 		})
+	}
+}
+
+// stepDone counts a completed LB step. Every protocol calls it once, when
+// the step's last migrant is installed and before the resume wave.
+func (r *RTS) stepDone() {
+	r.lbSteps++
+	r.met.lbSteps.Inc()
+	if r.onLBStep != nil {
+		r.onLBStep()
 	}
 }
 
@@ -410,16 +417,16 @@ func (p *pe) onResume() {
 	// them, in the absence of faults). A chare evacuated here mid-iteration
 	// never reached its sync point and must not be pushed past it; its own
 	// pending messages drive it on. The recipients are collected in roster
-	// order before beginInterval clears the synced set in place.
+	// order before beginInterval clears the sync marks.
 	p.resumeScratch = p.resumeScratch[:0]
-	for _, id := range p.roster {
-		if p.synced[id] {
-			p.resumeScratch = append(p.resumeScratch, id)
+	for _, rec := range p.roster {
+		if rec.synced {
+			p.resumeScratch = append(p.resumeScratch, rec)
 		}
 	}
 	p.beginInterval()
-	for _, id := range p.resumeScratch {
-		p.enqueueApp(id, Resume{})
+	for _, rec := range p.resumeScratch {
+		p.enqueueApp(rec, Resume{})
 	}
 	// The last PE to resume applies any revocation/restore that arrived
 	// mid-step, before application work restarts.

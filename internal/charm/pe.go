@@ -25,24 +25,29 @@ type pe struct {
 	shard  int
 	thread *machine.Thread
 
-	local map[ChareID]Chare
-	// roster caches p.local's keys in (Array, Index) order, maintained
-	// incrementally on install/uninstall. Every deterministic iteration
-	// over a PE's chares (Start, stats gather, resume, evacuation,
-	// reduction delivery) walks this slice instead of rebuilding and
-	// sorting the key set — the committed figures depend on exactly this
-	// order, so the cache must never drift from the map.
-	roster []ChareID
+	// roster holds the records of the chares resident here in (Array,
+	// Index) order, maintained incrementally on install/uninstall. Every
+	// deterministic iteration over a PE's chares (Start, stats gather,
+	// resume, evacuation, reduction delivery) walks this slice — the
+	// committed figures depend on exactly this order.
+	roster []*chareRec
+	// active counts the resident chares that have not called Done: the
+	// ones still taking part in AtSync.
+	active int
 
-	appQ []appDelivery
-	sysQ []func()
+	// appQ[appHead:] is the application queue. A pop advances appHead, so
+	// dequeueing is O(1) at any depth; enqueueApp slides the live entries
+	// back to the front only when the backing array is full.
+	appQ    []appDelivery
+	appHead int
+	sysQ    []func()
 
 	running bool // an entry method (or pack/unpack burst) is in flight
 
 	// In-flight entry state, valid while running. Kept on the PE (entries
 	// are strictly sequential per PE) so completion needs no per-entry
 	// closure; entryDone is the method value bound once at construction.
-	curTo     ChareID
+	cur       *chareRec
 	curStart  sim.Time
 	ctx       Ctx
 	entryDone func()
@@ -53,13 +58,12 @@ type pe struct {
 	wentOffline bool
 	offlineAt   sim.Time
 
-	// Load database for the current LB interval.
-	taskWall   map[ChareID]float64
+	// Load database for the current LB interval; the per-chare wall times
+	// live in the resident chares' records.
 	intervalAt sim.Time // start of the interval (last resume)
 	idleAtLB   sim.Time // core idle reading at interval start
 
 	// AtSync state.
-	synced    map[ChareID]bool
 	inSync    bool
 	syncAt    sim.Time
 	orderSeen bool
@@ -73,7 +77,7 @@ type pe struct {
 	// the outbound shipment manifest, and the resume recipient list.
 	tasksScratch  []core.Task
 	shipScratch   []shipment
-	resumeScratch []ChareID
+	resumeScratch []*chareRec
 
 	// PE-local reduction accumulators and subtree-size memos (valid
 	// between LB steps; placements only change inside them).
@@ -90,20 +94,17 @@ type pe struct {
 }
 
 type appDelivery struct {
-	to   ChareID
+	to   *chareRec
 	data interface{}
 }
 
 func newPE(r *RTS, index int, c *machine.Core) *pe {
 	p := &pe{
-		rts:      r,
-		index:    index,
-		core:     c,
-		eng:      r.cfg.Machine.EngineFor(c.ID),
-		shard:    r.cfg.Machine.ShardOf(c.ID),
-		local:    make(map[ChareID]Chare),
-		taskWall: make(map[ChareID]float64),
-		synced:   make(map[ChareID]bool),
+		rts:   r,
+		index: index,
+		core:  c,
+		eng:   r.cfg.Machine.EngineFor(c.ID),
+		shard: r.cfg.Machine.ShardOf(c.ID),
 	}
 	p.thread = r.cfg.Machine.NewThread(fmt.Sprintf("%s/pe%d", r.name, index), c, r.cfg.ThreadWeight)
 	p.entryDone = p.onEntryDone
@@ -112,37 +113,47 @@ func newPE(r *RTS, index int, c *machine.Core) *pe {
 	return p
 }
 
-func (p *pe) install(id ChareID, c Chare) {
-	if _, dup := p.local[id]; dup {
-		panic(fmt.Sprintf("charm: chare %v already on PE %d", id, p.index))
+// install makes this PE the chare's host and adds it to the roster.
+func (p *pe) install(rec *chareRec) {
+	if rec.host >= 0 {
+		panic(fmt.Sprintf("charm: chare %v already on PE %d", rec.id, rec.host))
 	}
-	p.local[id] = c
-	at, _ := slices.BinarySearchFunc(p.roster, id, ChareID.Compare)
-	p.roster = slices.Insert(p.roster, at, id)
+	rec.host = p.index
+	// The communication row counts bytes sent from the current host, so an
+	// arrival starts without one.
+	rec.comm = rec.comm[:0]
+	if !rec.done {
+		p.active++
+	}
+	at, _ := slices.BinarySearchFunc(p.roster, rec, byID)
+	p.roster = slices.Insert(p.roster, at, rec)
 }
 
-// uninstall removes a chare from the PE's map and roster, returning the
-// object. It panics if the chare is not here — callers own that check when
-// they want a more specific message.
-func (p *pe) uninstall(id ChareID) Chare {
-	obj, ok := p.local[id]
-	if !ok {
-		panic(fmt.Sprintf("charm: chare %v not on PE %d", id, p.index))
+// uninstall removes a chare from the roster, leaving it in transit (host
+// -1) until a PE installs it again. It panics if the chare is not here —
+// callers own that check when they want a more specific message.
+func (p *pe) uninstall(rec *chareRec) {
+	if rec.host != p.index {
+		panic(fmt.Sprintf("charm: chare %v not on PE %d", rec.id, p.index))
 	}
-	delete(p.local, id)
-	at, found := slices.BinarySearchFunc(p.roster, id, ChareID.Compare)
+	at, found := slices.BinarySearchFunc(p.roster, rec, byID)
 	if !found {
-		panic(fmt.Sprintf("charm: roster out of sync with chare map on PE %d", p.index))
+		panic(fmt.Sprintf("charm: roster out of sync with chare records on PE %d", p.index))
 	}
 	p.roster = slices.Delete(p.roster, at, at+1)
-	return obj
+	rec.host = -1
+	if !rec.done {
+		p.active--
+	}
 }
 
 // resetLoadDB restarts load measurement from the current instant. Split
 // from beginInterval so RestorePE can reset measurement on the new core
 // without touching in-flight LB protocol flags.
 func (p *pe) resetLoadDB() {
-	clear(p.taskWall)
+	for _, rec := range p.roster {
+		rec.wall = 0
+	}
 	p.intervalAt = p.eng.Now()
 	_, idle := p.core.ProcStat()
 	p.idleAtLB = idle
@@ -180,10 +191,14 @@ func (p *pe) exitSync() {
 	}
 }
 
-// beginInterval resets the load database at the start of an LB interval.
+// beginInterval resets the load database, the resident chares' sync marks
+// and communication rows at the start of an LB interval.
 func (p *pe) beginInterval() {
 	p.resetLoadDB()
-	clear(p.synced)
+	for _, rec := range p.roster {
+		rec.synced = false
+		rec.comm = rec.comm[:0]
+	}
 	p.exitSync()
 	p.orderSeen = false
 	p.expectIn = 0
@@ -196,7 +211,17 @@ func (p *pe) beginInterval() {
 	p.diffReset()
 }
 
-func (p *pe) enqueueApp(to ChareID, data interface{}) {
+// appQueued reports how many application deliveries wait in the queue.
+func (p *pe) appQueued() int { return len(p.appQ) - p.appHead }
+
+func (p *pe) enqueueApp(to *chareRec, data interface{}) {
+	if n := len(p.appQ); n == cap(p.appQ) && p.appHead > 0 && 2*p.appHead >= n {
+		// Full with at least half of it consumed: compact in place rather
+		// than grow. Compacting only then keeps both amortized O(1).
+		live := copy(p.appQ, p.appQ[p.appHead:])
+		clear(p.appQ[live:])
+		p.appQ, p.appHead = p.appQ[:live], 0
+	}
 	p.appQ = append(p.appQ, appDelivery{to: to, data: data})
 }
 
@@ -204,6 +229,11 @@ func (p *pe) enqueueSys(fn func()) {
 	p.sysQ = append(p.sysQ, fn)
 	p.pump()
 }
+
+// holds reports whether deliveries to a chare must wait for its Resume:
+// it is resident on this PE and has called AtSync. The host test comes
+// first, so a PE never reads the sync mark of a chare another PE owns.
+func (p *pe) holds(rec *chareRec) bool { return rec.host == p.index && rec.synced }
 
 // pump drives the PE scheduler: system work first (it only exists during
 // LB phases, when application traffic is quiesced), then one application
@@ -220,13 +250,14 @@ func (p *pe) pump() {
 		p.sysQ = p.sysQ[1:]
 		fn()
 	}
-	if p.running || p.inSync || p.retired || len(p.appQ) == 0 {
+	if p.running || p.inSync || p.retired || p.appQueued() == 0 {
 		p.rts.maybeQuiesce()
 		return
 	}
+	q := p.appQ[p.appHead:]
 	idx := -1
-	for i, d := range p.appQ {
-		if _, isResume := d.data.(Resume); isResume || !p.synced[d.to] {
+	for i := range q {
+		if _, isResume := q[i].data.(Resume); isResume || !p.holds(q[i].to) {
 			idx = i
 			break
 		}
@@ -235,10 +266,17 @@ func (p *pe) pump() {
 		p.rts.maybeQuiesce()
 		return
 	}
-	d := p.appQ[idx]
-	p.appQ = append(p.appQ[:idx], p.appQ[idx+1:]...)
-	if _, isResume := d.data.(Resume); isResume {
-		delete(p.synced, d.to)
+	d := q[idx]
+	// Slide the held deliveries ahead of idx (usually none) one slot back
+	// and drop the vacated front slot, keeping their order.
+	copy(q[1:idx+1], q[:idx])
+	q[0] = appDelivery{}
+	p.appHead++
+	if p.appHead == len(p.appQ) {
+		p.appQ, p.appHead = p.appQ[:0], 0
+	}
+	if _, isResume := d.data.(Resume); isResume && d.to.host == p.index {
+		d.to.synced = false
 	}
 	p.execute(d)
 }
@@ -249,25 +287,25 @@ func (p *pe) pump() {
 // completion callback are both reused across entries (one entry per PE at
 // a time), so steady-state execution allocates nothing.
 func (p *pe) execute(d appDelivery) {
-	chare, ok := p.local[d.to]
-	if !ok {
-		// The chare moved while this delivery sat in the queue (possible
-		// only across an LB step); forward it.
-		p.rts.send(p.index, d.to, d.data, 64)
+	rec := d.to
+	if rec.host != p.index {
+		// The chare moved while this delivery sat in the queue (across an
+		// LB step or an evacuation); forward it.
+		p.rts.send(p.index, rec, d.data, 64)
 		p.pump()
 		return
 	}
 	p.running = true
-	p.curTo = d.to
+	p.cur = rec
 	p.curStart = p.eng.Now()
 	ctx := &p.ctx
-	ctx.rts, ctx.pe, ctx.self = p.rts, p, d.to
+	ctx.rts, ctx.pe, ctx.self = p.rts, p, rec
 	ctx.sends = ctx.sends[:0]
 	ctx.contribs = ctx.contribs[:0]
 	ctx.atSync, ctx.done = false, false
-	cost := chare.Recv(ctx, d.data)
+	cost := rec.obj.Recv(ctx, d.data)
 	if cost < 0 {
-		panic(fmt.Sprintf("charm: chare %v returned negative cost %v", d.to, cost))
+		panic(fmt.Sprintf("charm: chare %v returned negative cost %v", rec.id, cost))
 	}
 	cost += p.rts.cfg.MsgOverheadCPU
 	p.thread.Run(cost, p.entryDone)
@@ -277,7 +315,7 @@ func (p *pe) execute(d appDelivery) {
 func (p *pe) onEntryDone() {
 	now := p.eng.Now()
 	p.running = false
-	p.taskWall[p.curTo] += float64(now - p.curStart)
+	p.cur.wall += float64(now - p.curStart)
 	if rec := p.rts.cfg.Trace; rec != nil {
 		kind := trace.KindTask
 		if p.rts.cfg.TraceAsBackground {
@@ -285,7 +323,7 @@ func (p *pe) onEntryDone() {
 		}
 		rec.Add(trace.Segment{
 			Core: p.core.ID, Start: p.curStart, End: now,
-			Kind: kind, Label: p.curTo.String(),
+			Kind: kind, Label: p.cur.id.String(),
 		})
 	}
 	p.afterEntry(&p.ctx)
@@ -293,26 +331,34 @@ func (p *pe) onEntryDone() {
 }
 
 // afterEntry applies the effects an entry method produced: outgoing
-// messages, reduction contributions, completion, and AtSync.
+// messages, reduction contributions, completion, and AtSync. Each send
+// resolves its destination's record once; the envelope carries it from
+// there on.
 func (p *pe) afterEntry(ctx *Ctx) {
+	r := p.rts
 	for _, m := range ctx.sends {
-		if p.rts.dist != nil {
-			p.diffTrackComm(ctx.self, m.to, m.bytes)
+		to := r.record(m.to)
+		if to == nil {
+			panic(fmt.Sprintf("charm: send to unknown chare %v", m.to))
 		}
-		p.rts.send(p.index, m.to, m.data, m.bytes)
+		if r.dist != nil {
+			p.diffTrackComm(ctx.self, to, m.bytes)
+		}
+		r.send(p.index, to, m.data, m.bytes)
 	}
 	for _, c := range ctx.contribs {
-		p.contribute(ctx.self, c)
+		p.contribute(ctx.self.id, c)
 	}
 	if ctx.done {
-		p.rts.chareDone(p, ctx.self)
+		r.chareDone(p, ctx.self)
 	}
 	if ctx.atSync {
-		if p.synced[ctx.self] {
-			panic(fmt.Sprintf("charm: chare %v called AtSync twice in one interval", ctx.self))
+		self := ctx.self
+		if self.synced {
+			panic(fmt.Sprintf("charm: chare %v called AtSync twice in one interval", self.id))
 		}
-		p.synced[ctx.self] = true
-		p.maybeEnterSync(ctx.self)
+		self.synced = true
+		p.maybeEnterSync(self)
 	}
 }
 

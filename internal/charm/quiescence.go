@@ -56,7 +56,7 @@ func (r *RTS) quiescent() bool {
 		return false
 	}
 	for _, p := range r.pes {
-		if p.running || p.inSync || len(p.appQ) > 0 || len(p.sysQ) > 0 {
+		if p.running || p.inSync || p.appQueued() > 0 || len(p.sysQ) > 0 {
 			return false
 		}
 	}

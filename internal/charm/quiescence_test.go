@@ -153,7 +153,7 @@ func TestQDCallbackCanRestartWork(t *testing.T) {
 	r.StartQD(func() {
 		// Kick a second phase, then wait for quiet again.
 		c.iters += 5
-		r.send(0, ChareID{Array: "s", Index: 0}, tick{}, 16)
+		r.send(0, r.record(ChareID{Array: "s", Index: 0}), tick{}, 16)
 		r.StartQD(func() { phase2 = true })
 	})
 	r.Start()

@@ -125,8 +125,8 @@ func (p *pe) subtreeExpected(array string) int {
 
 func (p *pe) countLocal(array string) int {
 	n := 0
-	for id := range p.local {
-		if id.Array == array {
+	for _, rec := range p.roster {
+		if rec.id.Array == array {
 			n++
 		}
 	}
@@ -194,9 +194,9 @@ func (p *pe) deliverReduction(k redKey, res ReductionResult) {
 	}
 	// The roster is sorted by (Array, Index), so filtering it by array
 	// yields exactly the Index order the delivery loop always used.
-	for _, id := range p.roster {
-		if id.Array == k.array {
-			p.enqueueApp(id, res)
+	for _, rec := range p.roster {
+		if rec.id.Array == k.array {
+			p.enqueueApp(rec, res)
 		}
 	}
 	p.pump()

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +26,9 @@ type Options struct {
 	// index, so assembled figures are identical at any width.
 	Parallel int
 	// Metrics, when non-nil, is attached to every scenario in the batch
-	// (see Scenario.Metrics); the runs accumulate into shared series.
+	// (see Scenario.Metrics) as a view labeling the scenario's series
+	// scenario=<batch index>. No series has two writers, so the registry's
+	// contents do not depend on how the batch was scheduled.
 	Metrics *metrics.Registry
 	// LBTimeline, when non-nil, is attached to every scenario in the
 	// batch (see Scenario.LBTimeline).
@@ -43,7 +46,7 @@ func (o Options) run(ctx context.Context, batch []Scenario) ([]Result, error) {
 	if o.Metrics != nil || o.LBTimeline != nil {
 		for i := range batch {
 			if o.Metrics != nil && batch[i].Metrics == nil {
-				batch[i].Metrics = o.Metrics
+				batch[i].Metrics = o.Metrics.With(metrics.L("scenario", strconv.Itoa(i)))
 			}
 			if o.LBTimeline != nil && batch[i].LBTimeline == nil {
 				batch[i].LBTimeline = o.LBTimeline

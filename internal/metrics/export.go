@@ -158,6 +158,9 @@ func (r *Registry) Gather() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
+	if r.parent != nil {
+		return r.parent.Gather()
+	}
 	r.mu.Lock()
 	collectors := append([]func(){}, r.collectors...)
 	r.mu.Unlock()

@@ -29,6 +29,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -275,11 +276,32 @@ type Registry struct {
 	byKey      map[string]*metric
 	ordered    []*metric // registration order; sorted at snapshot time
 	collectors []func()
+
+	// parent and labels make a labeled view (see With): every series
+	// registered through the view lives on parent, with labels appended.
+	parent *Registry
+	labels []Label
 }
 
 // NewRegistry returns an empty, enabled registry.
 func NewRegistry() *Registry {
 	return &Registry{byKey: make(map[string]*metric)}
+}
+
+// With returns a view of r that adds labels to every series registered
+// through it. The view shares r's series, collectors and snapshot. Runs
+// feeding one registry concurrently each take their own view, so no
+// series has two writers: a gauge would be last-writer-wins, and a float
+// sum would depend on the order the writers add in. A nil registry
+// returns nil.
+func (r *Registry) With(labels ...Label) *Registry {
+	if r == nil {
+		return nil
+	}
+	if r.parent != nil {
+		return r.parent.With(slices.Concat(r.labels, labels)...)
+	}
+	return &Registry{parent: r, labels: slices.Clone(labels)}
 }
 
 // key builds the series identity. Labels must already be sorted.
@@ -311,6 +333,9 @@ func sortedLabels(labels []Label) []Label {
 // registration. Re-registering with a different kind panics: two
 // subsystems disagreeing about a series' type is a programming error.
 func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *metric {
+	if r.parent != nil {
+		return r.parent.lookup(name, help, kind, slices.Concat(labels, r.labels))
+	}
 	ls := sortedLabels(labels)
 	k := key(name, ls)
 	r.mu.Lock()
@@ -367,6 +392,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if r == nil {
 		return nil
 	}
+	if r.parent != nil {
+		return r.parent.Histogram(name, help, bounds, slices.Concat(labels, r.labels)...)
+	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic(fmt.Sprintf("metrics: histogram %q bounds not ascending", name))
@@ -402,6 +430,10 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // ignores the hook.
 func (r *Registry) RegisterCollector(fn func()) {
 	if r == nil {
+		return
+	}
+	if r.parent != nil {
+		r.parent.RegisterCollector(fn)
 		return
 	}
 	r.mu.Lock()

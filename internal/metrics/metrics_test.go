@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -121,6 +122,32 @@ func TestNilSafety(t *testing.T) {
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Errorf("WritePrometheus on nil registry: %v", err)
+	}
+	if r.With(L("a", "b")) != nil {
+		t.Error("view of a nil registry is not nil")
+	}
+}
+
+// TestWithView: series registered through a view carry its labels and
+// land in the parent's snapshot, views of views add their labels up, and
+// two views never share a series.
+func TestWithView(t *testing.T) {
+	r := NewRegistry()
+	a, b := r.With(L("scenario", "0")), r.With(L("scenario", "1"))
+	a.Gauge("g", "", L("core", "0")).Set(1)
+	b.Gauge("g", "", L("core", "0")).Set(2)
+	a.With(L("x", "y")).Histogram("h", "", []float64{1}).Observe(0.5)
+	var got []string
+	for _, s := range a.Gather().Series {
+		got = append(got, fmt.Sprintf("%s%v=%v/%d", s.Name, s.Labels, s.Value, s.Count))
+	}
+	want := []string{
+		"g[{core 0} {scenario 0}]=1/0",
+		"g[{core 0} {scenario 1}]=2/0",
+		"h[{scenario 0} {x y}]=0/1",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("snapshot through a view:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
