@@ -196,8 +196,9 @@ service-smoke:
 # logging on, submit a Spec, and assert the tracing contract end to end:
 # server stderr carries JSON log lines tagged with the job's trace ID,
 # the job exports a well-formed Chrome trace_spans.json artifact with
-# the expected spans, /healthz and /readyz answer 200, and resubmitting
-# the same Spec logs a cache hit instead of recomputing.
+# the expected spans and every event of its trace.json unchanged,
+# /healthz and /readyz answer 200, and resubmitting the same Spec logs a
+# cache hit instead of recomputing.
 obs-smoke:
 	@$(GO) build -o /tmp/lbsim-obs-smoke ./cmd/lbsim; \
 	log=$$(mktemp); storedir=$$(mktemp -d); \
@@ -224,13 +225,19 @@ obs-smoke:
 		echo "obs-smoke: no JSON log line carrying a job trace ID"; fail=1; }; \
 	spanurl=$$(echo "$$first" | sed -n 's/^artifact: *trace_spans\.json *\([^ ]*\).*/\1/p'); \
 	[ -n "$$spanurl" ] || { echo "obs-smoke: no trace_spans.json artifact in submit output"; fail=1; }; \
-	curl -sf "$$spanurl" | jq -e 'type == "array" and length > 0 and ([.[] | select(.ph == "X" and .name == "execute")] | length) >= 1 and ([.[] | select(.ph == "X" and .name == "cache-lookup")] | length) >= 1 and all(.[]; has("ph"))' >/dev/null || { \
+	traceurl=$$(echo "$$first" | sed -n 's/^artifact: *trace\.json *\([^ ]*\).*/\1/p'); \
+	[ -n "$$traceurl" ] || { echo "obs-smoke: no trace.json artifact in submit output"; fail=1; }; \
+	curl -sf "$$spanurl" -o "$$log.spans" && curl -sf "$$traceurl" -o "$$log.trace" || { \
+		echo "obs-smoke: trace artifact download failed"; fail=1; }; \
+	jq -e 'type == "array" and length > 0 and ([.[] | select(.ph == "X" and .name == "execute")] | length) >= 1 and ([.[] | select(.ph == "X" and .name == "cache-lookup")] | length) >= 1 and all(.[]; has("ph"))' "$$log.spans" >/dev/null || { \
 		echo "obs-smoke: trace_spans.json is not a well-formed Chrome span array"; fail=1; }; \
+	jq -n -e --slurpfile s "$$log.spans" --slurpfile t "$$log.trace" '($$s[0] | map(select(.pid == 0 and .ph != "M"))) == $$t[0]' >/dev/null || { \
+		echo "obs-smoke: trace_spans.json does not carry trace.json's sim events unchanged"; fail=1; }; \
 	second=$$(/tmp/lbsim-obs-smoke -app wave2d -cores 8 -strategy refine -bg -scale 0.05 \
 		-submit "http://$$addr") || { echo "obs-smoke: second submit failed"; fail=1; }; \
 	echo "$$second" | grep -q "(cache hit, spec" || { echo "obs-smoke: second submit missed the cache"; fail=1; }; \
 	grep -q '"msg":"cache hit"' "$$log" || { echo "obs-smoke: cache hit was not logged"; fail=1; }; \
-	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf "$$log" "$$storedir"; \
+	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf "$$log" "$$log.spans" "$$log.trace" "$$storedir"; \
 	[ $$fail -eq 0 ] || exit 1; \
 	echo "obs-smoke: logs, spans and health endpoints OK on $$addr"
 

@@ -30,6 +30,7 @@ import (
 
 	"cloudlb/internal/elastic"
 	"cloudlb/internal/experiment"
+	"cloudlb/internal/metrics"
 	"cloudlb/internal/obs"
 	"cloudlb/internal/profiling"
 	"cloudlb/internal/runner"
@@ -209,8 +210,14 @@ func main() {
 
 	var rec *trace.Recorder
 	batch := spec.Scenarios()
+	// A multi-seed batch registers each scenario through a
+	// scenario=<batch index> view, as experiment.Options does, so no
+	// series has two writers; a single run's export stays unlabeled.
 	for i := range batch {
 		batch[i].Metrics = prof.Registry()
+		if len(batch) > 1 {
+			batch[i].Metrics = batch[i].Metrics.With(metrics.L("scenario", strconv.Itoa(i)))
+		}
 		batch[i].LBTimeline = prof.Timeline()
 	}
 	if *chromePath != "" {
@@ -277,13 +284,14 @@ func main() {
 	fmt.Fprintf(os.Stderr, "lbsim: %d simulated events in %.3fs wall-clock (%.3gM events/s, %d workers)\n",
 		batchStats.Events, batchStats.Wall.Seconds(), batchStats.EventsPerSec()/1e6, pool.WorkerCount())
 
+	simEvents := rec.ChromeEvents()
 	if *chromePath != "" {
 		f, err := os.Create(*chromePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lbsim:", err)
 			os.Exit(1)
 		}
-		if err := rec.WriteChromeTrace(f); err != nil {
+		if err := obs.WriteChrome(f, simEvents); err != nil {
 			fmt.Fprintln(os.Stderr, "lbsim:", err)
 			os.Exit(1)
 		}
@@ -292,15 +300,7 @@ func main() {
 	}
 
 	if *spanPath != "" {
-		var simTrace []byte
-		if rec != nil {
-			simTrace, err = rec.ChromeTraceJSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "lbsim:", err)
-				os.Exit(1)
-			}
-		}
-		spans, err := tr.ChromeJSON(simTrace)
+		spans, err := tr.ChromeJSON(simEvents)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lbsim:", err)
 			os.Exit(1)

@@ -21,6 +21,7 @@ import (
 	"cloudlb/internal/interfere"
 	"cloudlb/internal/machine"
 	"cloudlb/internal/metrics"
+	"cloudlb/internal/obs"
 	"cloudlb/internal/profiling"
 	"cloudlb/internal/projections"
 	"cloudlb/internal/sim"
@@ -152,7 +153,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "timeline:", err)
 			os.Exit(1)
 		}
-		if err := rec.WriteChromeTrace(f); err != nil {
+		if err := obs.WriteChrome(f, rec.ChromeEvents()); err != nil {
 			fmt.Fprintln(os.Stderr, "timeline:", err)
 			os.Exit(1)
 		}

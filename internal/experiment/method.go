@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"cloudlb/internal/obs"
 	"cloudlb/internal/stats"
 	"cloudlb/internal/trace"
 )
@@ -16,9 +17,9 @@ import (
 type Output struct {
 	Rows   any
 	Tables map[string]*stats.Table
-	// Trace is the Chrome trace JSON of a single-scenario "scenarios"
-	// batch, nil otherwise.
-	Trace []byte
+	// Trace is the Chrome trace of a single-scenario "scenarios" batch
+	// (encode it with obs.WriteChrome), nil otherwise.
+	Trace []obs.ChromeEvent
 }
 
 type methodFunc func(Spec, context.Context, Options) (*Output, error)
@@ -141,11 +142,5 @@ func (sp Spec) runScenarios(ctx context.Context, opts Options) (*Output, error) 
 			finiteOrZero(r.AppWall), finiteOrZero(r.BGWall),
 			r.Migrations, r.LBSteps, r.Evacuations, r.Events)
 	}
-	out := &Output{Rows: rows, Tables: map[string]*stats.Table{"table.csv": t}}
-	if rec != nil {
-		if b, err := rec.ChromeTraceJSON(); err == nil {
-			out.Trace = b
-		}
-	}
-	return out, nil
+	return &Output{Rows: rows, Tables: map[string]*stats.Table{"table.csv": t}, Trace: rec.ChromeEvents()}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/xnet"
@@ -134,18 +133,16 @@ func cancelSpec() Spec {
 	return Spec{App: Jacobi2D, Cores: []int{4}, Seeds: []int64{1, 2}, Scale: 0.1}
 }
 
-// TestOptionsCancellation drives a pre-cancelled context through every
-// Options.run dispatch path — default sequential (RunAll), sequential
-// with Progress, the Parallel fan-out, and an Executor — and requires
-// each to stop before running a scenario and surface the context error.
+// TestOptionsCancellation drives a pre-cancelled context through both
+// Options.run dispatch paths — default sequential (RunAll) and an
+// Executor — and requires each to stop before running a scenario and
+// surface the context error.
 func TestOptionsCancellation(t *testing.T) {
 	paths := []struct {
 		name string
 		opts Options
 	}{
 		{"sequential", Options{}},
-		{"sequential-progress", Options{Progress: &fakeProgress{}}},
-		{"parallel", Options{Parallel: 2}},
 		{"executor", Options{Executor: RunAll}},
 	}
 	for _, p := range paths {
@@ -160,33 +157,5 @@ func TestOptionsCancellation(t *testing.T) {
 				t.Fatalf("results returned despite cancellation: %v", out)
 			}
 		})
-	}
-}
-
-// cancellingProgress wraps fakeProgress and cancels its context after
-// the first scenario completes.
-type cancellingProgress struct {
-	fakeProgress
-	cancel context.CancelFunc
-}
-
-func (c *cancellingProgress) ScenarioDone(i int, wall time.Duration, events uint64) {
-	c.fakeProgress.ScenarioDone(i, wall, events)
-	c.cancel()
-}
-
-// TestOptionsMidBatchCancellation cancels from inside the batch, via a
-// Progress hook that fires on the first completion: the sequential
-// dispatch loop must observe the cancellation at the next scenario
-// boundary and stop, leaving the remainder unrun.
-func TestOptionsMidBatchCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	prog := &cancellingProgress{cancel: cancel}
-	if _, err := cancelSpec().Evaluate(ctx, Options{Progress: prog}); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, _, done, _ := prog.counts(); done != 1 {
-		t.Fatalf("ran %d scenarios, want 1 (cancellation after the first)", done)
 	}
 }

@@ -7,11 +7,11 @@ import "time"
 // must be safe for concurrent use: under a parallel executor the
 // Scenario callbacks arrive from many worker goroutines at once.
 //
-// Exactly one layer notifies per batch: Options.run when it dispatches
-// in-package (sequential or Parallel), or the Executor when one is set
-// (runner.Pool notifies through its own Progress field). Telemetry
-// trackers accumulate across batches, so a multi-batch run (cmd/figures)
-// reports fleet-wide totals.
+// The executor that runs a batch notifies: runner.Pool through its own
+// Progress field. A batch dispatched without an Executor runs
+// sequentially and reports nothing. Telemetry trackers accumulate
+// across batches, so a multi-batch run (cmd/figures) reports fleet-wide
+// totals.
 type Progress interface {
 	// BatchQueued announces n scenarios entering the queue.
 	BatchQueued(n int)

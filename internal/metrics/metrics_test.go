@@ -342,13 +342,6 @@ func TestLBTimeline(t *testing.T) {
 	if !strings.Contains(out, "planned") || len(strings.Split(strings.TrimSpace(out), "\n")) != 3 {
 		t.Errorf("table output unexpected:\n%s", out)
 	}
-	b.Reset()
-	if err := tl.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `"moves_planned": 3`) {
-		t.Errorf("JSON output missing moves_planned:\n%s", b.String())
-	}
 }
 
 func TestExpBuckets(t *testing.T) {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -137,17 +136,6 @@ func (t *LBTimeline) WriteTable(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the timeline as an indented JSON array of steps.
-func (t *LBTimeline) WriteJSON(w io.Writer) error {
-	steps := t.Steps()
-	if steps == nil {
-		steps = []LBStep{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(steps)
 }
 
 func minMax(v []float64) (lo, hi float64) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -51,7 +52,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil trace recorded something")
 	}
 	b, err := tr.ChromeJSON(nil)
-	if err != nil || string(b) != "[]" {
+	if err != nil || string(b) != "[]\n" {
 		t.Fatalf("nil trace ChromeJSON = %q, %v", b, err)
 	}
 	if FromContext(nil) != nil {
@@ -211,8 +212,10 @@ func TestChromeJSONMerge(t *testing.T) {
 	tr.NameTID(1, "cores=8 refine seed=1")
 	tr.Add(CatJob, "queue-wait", 0, 0, time.Millisecond)
 	tr.Instant(CatNet, "retransmit-burst", 1, "retransmits", 4)
-	sim := []byte(`[{"name":"chare-0","cat":"task","ph":"X","ts":0,"dur":5,"pid":0,"tid":0},` +
-		`{"name":"chare-0","cat":"migration","ph":"s","ts":5,"pid":0,"tid":0,"id":1}]`)
+	sim := []ChromeEvent{
+		{Name: "chare-0", Category: "task", Phase: "X", Dur: 5},
+		{Name: "chare-0", Category: "migration", Phase: "s", TS: 5, ID: 1},
+	}
 	b, err := tr.ChromeJSON(sim)
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +240,18 @@ func TestChromeJSONMerge(t *testing.T) {
 	// Span IDs survive into args for cross-referencing WARN lines.
 	if events[2]["args"].(map[string]any)["span_id"].(float64) != 1 {
 		t.Fatalf("span_id missing: %v", events[2])
+	}
+	// The sim events close the array exactly as WriteChrome encodes them.
+	var simOnly bytes.Buffer
+	if err := WriteChrome(&simOnly, sim); err != nil {
+		t.Fatal(err)
+	}
+	var wantSim []map[string]any
+	if err := json.Unmarshal(simOnly.Bytes(), &wantSim); err != nil {
+		t.Fatal(err)
+	}
+	if got := events[len(events)-len(sim):]; !reflect.DeepEqual(got, wantSim) {
+		t.Fatalf("sim events changed in the merge:\n got: %v\nwant: %v", got, wantSim)
 	}
 }
 

@@ -71,3 +71,35 @@ func TestPoolProgress(t *testing.T) {
 		t.Fatalf("events %d, want %d", f.events, want)
 	}
 }
+
+// cancellingProgress wraps fakeProgress and cancels its context after
+// the first scenario completes.
+type cancellingProgress struct {
+	fakeProgress
+	cancel context.CancelFunc
+}
+
+func (c *cancellingProgress) ScenarioDone(i int, wall time.Duration, events uint64) {
+	c.fakeProgress.ScenarioDone(i, wall, events)
+	c.cancel()
+}
+
+// TestPoolMidBatchCancellation cancels from inside the batch, via a
+// Progress hook that fires on the first completion: a one-worker pool
+// must observe the cancellation at the next scenario boundary and stop,
+// leaving the remainder unrun, and Spec.Evaluate must surface the error.
+func TestPoolMidBatchCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	prog := &cancellingProgress{cancel: cancel}
+	pool := &Pool{Workers: 1, Progress: prog}
+	spec := experiment.Spec{App: experiment.Jacobi2D, Cores: []int{4}, Seeds: []int64{1, 2}, Scale: 0.1}
+	if _, err := spec.Evaluate(ctx, experiment.Options{Executor: pool.Executor()}); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	prog.mu.Lock()
+	defer prog.mu.Unlock()
+	if len(prog.done) != 1 {
+		t.Fatalf("ran %d scenarios, want 1 (cancellation after the first)", len(prog.done))
+	}
+}

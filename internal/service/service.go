@@ -488,7 +488,11 @@ func (s *Service) storeArtifacts(req Request, out *experiment.Output, reg *metri
 		return nil, err
 	}
 	if out.Trace != nil {
-		if err := put("trace.json", out.Trace); err != nil {
+		var buf bytes.Buffer
+		if err := obs.WriteChrome(&buf, out.Trace); err != nil {
+			return nil, fmt.Errorf("artifact trace.json: %w", err)
+		}
+		if err := put("trace.json", buf.Bytes()); err != nil {
 			return nil, err
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"cloudlb/internal/experiment"
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/obs"
+	"cloudlb/internal/runner"
 	"cloudlb/internal/telemetry"
 )
 
@@ -307,7 +308,8 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 	spec := experiment.Spec{App: experiment.Jacobi2D, Cores: []int{4}, Seeds: []int64{1, 2}, Scale: 0.1}
 	_, err := spec.Evaluate(context.Background(), experiment.Options{
-		Metrics: reg, LBTimeline: tl, Progress: tracker, Parallel: 2,
+		Executor: (&runner.Pool{Workers: 2, Progress: tracker}).Executor(),
+		Metrics:  reg, LBTimeline: tl,
 	})
 	close(stop)
 	wg.Wait()

@@ -1,50 +1,34 @@
 package trace
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/json"
-	"io"
 	"slices"
+
+	"cloudlb/internal/obs"
 )
 
-// chromeEvent is one entry of the Chrome trace-event format ("X" =
-// complete event, "s"/"f" = flow start/finish), loadable in
-// chrome://tracing and Perfetto. The flow-only fields carry omitempty so
-// traces without migrations serialize exactly as before they existed.
-type chromeEvent struct {
-	Name     string            `json:"name"`
-	Category string            `json:"cat"`
-	Phase    string            `json:"ph"`
-	TS       float64           `json:"ts"`  // microseconds
-	Dur      float64           `json:"dur"` // microseconds
-	PID      int               `json:"pid"`
-	TID      int               `json:"tid"`
-	Args     map[string]string `json:"args,omitempty"`
-	// ID ties a flow's "s" event to its "f" event.
-	ID int `json:"id,omitempty"`
-	// BP "e" binds the flow arrival to the enclosing slice.
-	BP string `json:"bp,omitempty"`
-}
-
-// WriteChromeTrace exports the recorded segments as a Chrome trace-event
-// JSON array: each core becomes a thread row, task/background/LB segments
-// become complete events, markers become instant events, and each chare
-// migration becomes a flow arrow from the chare's last segment on the old
-// core to its first segment on the new one. The output loads directly
-// into chrome://tracing or ui.perfetto.dev.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+// ChromeEvents renders the recorded segments as Chrome trace events
+// (encode them with obs.WriteChrome): each core becomes a thread row,
+// task/background/LB segments become complete events, markers become
+// instant events, and each chare migration becomes a flow arrow from the
+// chare's last segment on the old core to its first segment on the new
+// one. The output loads directly into chrome://tracing or
+// ui.perfetto.dev. A non-nil recorder yields a non-nil slice.
+func (r *Recorder) ChromeEvents() []obs.ChromeEvent {
+	if r == nil {
+		return nil
+	}
 	segs := r.Segments()
-	var events []chromeEvent
+	events := make([]obs.ChromeEvent, 0, len(segs))
 	for _, s := range segs {
 		if s.Kind == KindMarker {
-			events = append(events, chromeEvent{
+			events = append(events, obs.ChromeEvent{
 				Name: s.Label, Category: "marker", Phase: "i",
 				TS: float64(s.Start) * 1e6, PID: 0, TID: s.Core,
 			})
 			continue
 		}
-		events = append(events, chromeEvent{
+		events = append(events, obs.ChromeEvent{
 			Name:     s.Label,
 			Category: s.Kind.String(),
 			Phase:    "X",
@@ -52,23 +36,10 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			Dur:      float64(s.End-s.Start) * 1e6,
 			PID:      0,
 			TID:      s.Core,
-			Args:     map[string]string{"kind": s.Kind.String()},
+			Args:     map[string]any{"kind": s.Kind.String()},
 		})
 	}
-	events = append(events, flowEvents(segs)...)
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
-}
-
-// ChromeTraceJSON returns WriteChromeTrace's output as a byte slice —
-// the same bytes, convenient for callers that merge or store the trace
-// rather than stream it.
-func (r *Recorder) ChromeTraceJSON() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return append(events, flowEvents(segs)...)
 }
 
 // flowEvents renders chare migrations as flow-event pairs: for every pair
@@ -78,7 +49,7 @@ func (r *Recorder) ChromeTraceJSON() ([]byte, error) {
 // lands at the start of the new core's segment, sharing an id. Labels
 // are processed in sorted order and ids count up from 1, so output is
 // deterministic; a trace with no migrations yields no events at all.
-func flowEvents(segs []Segment) []chromeEvent {
+func flowEvents(segs []Segment) []obs.ChromeEvent {
 	byLabel := make(map[string][]Segment)
 	var labels []string
 	for _, s := range segs {
@@ -91,7 +62,7 @@ func flowEvents(segs []Segment) []chromeEvent {
 		byLabel[s.Label] = append(byLabel[s.Label], s)
 	}
 	slices.Sort(labels)
-	var out []chromeEvent
+	var out []obs.ChromeEvent
 	id := 0
 	for _, label := range labels {
 		ss := byLabel[label]
@@ -103,11 +74,11 @@ func flowEvents(segs []Segment) []chromeEvent {
 			}
 			id++
 			out = append(out,
-				chromeEvent{
+				obs.ChromeEvent{
 					Name: label, Category: "migration", Phase: "s",
 					TS: float64(a.End) * 1e6, PID: 0, TID: a.Core, ID: id,
 				},
-				chromeEvent{
+				obs.ChromeEvent{
 					Name: label, Category: "migration", Phase: "f", BP: "e",
 					TS: float64(b.Start) * 1e6, PID: 0, TID: b.Core, ID: id,
 				})

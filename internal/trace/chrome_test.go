@@ -1,9 +1,10 @@
 package trace
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
+
+	"cloudlb/internal/obs"
 )
 
 // TestChromeTraceFlowEvents checks that a chare migration produces a
@@ -21,57 +22,49 @@ func TestChromeTraceFlowEvents(t *testing.T) {
 	r.Add(Segment{Core: 0, Start: 4, End: 5, Kind: KindBackground, Label: "hog"})
 	r.Add(Segment{Core: 1, Start: 6, End: 7, Kind: KindBackground, Label: "hog"})
 
-	var sb strings.Builder
-	if err := r.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &events); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, sb.String())
-	}
-
-	var flows []map[string]any
-	for _, e := range events {
-		if e["cat"] == "migration" {
+	var flows []obs.ChromeEvent
+	for _, e := range r.ChromeEvents() {
+		if e.Category == "migration" {
 			flows = append(flows, e)
 		}
 	}
 	if len(flows) != 2 {
-		t.Fatalf("%d flow events, want 2 (one s/f pair):\n%s", len(flows), sb.String())
+		t.Fatalf("%d flow events, want 2 (one s/f pair): %+v", len(flows), flows)
 	}
 	s, f := flows[0], flows[1]
-	if s["ph"] != "s" || f["ph"] != "f" {
-		t.Fatalf("phases wrong: %v %v", s["ph"], f["ph"])
+	if s.Phase != "s" || f.Phase != "f" {
+		t.Fatalf("phases wrong: %v %v", s.Phase, f.Phase)
 	}
-	if s["name"] != "w[1]" || f["name"] != "w[1]" {
-		t.Fatalf("flow names wrong: %v %v", s["name"], f["name"])
+	if s.Name != "w[1]" || f.Name != "w[1]" {
+		t.Fatalf("flow names wrong: %v %v", s.Name, f.Name)
 	}
-	if s["id"] != f["id"] || s["id"].(float64) == 0 {
-		t.Fatalf("flow ids don't match: %v %v", s["id"], f["id"])
+	if s.ID != f.ID || s.ID == 0 {
+		t.Fatalf("flow ids don't match: %v %v", s.ID, f.ID)
 	}
-	if f["bp"] != "e" {
-		t.Fatalf("flow finish missing bp=e: %v", f)
+	if f.BP != "e" {
+		t.Fatalf("flow finish missing bp=e: %+v", f)
 	}
 	// Departure from the old core's segment end, arrival at the new one's
 	// start.
-	if s["tid"].(float64) != 0 || s["ts"].(float64) != 1e6 {
-		t.Fatalf("flow start wrong: %v", s)
+	if s.TID != 0 || s.TS != 1e6 {
+		t.Fatalf("flow start wrong: %+v", s)
 	}
-	if f["tid"].(float64) != 2 || f["ts"].(float64) != 2e6 {
-		t.Fatalf("flow finish wrong: %v", f)
+	if f.TID != 2 || f.TS != 2e6 {
+		t.Fatalf("flow finish wrong: %+v", f)
 	}
 }
 
-// TestChromeTraceNoMigrationByteStable pins the no-migration output: the
-// flow-only fields must not appear at all, so existing committed traces
-// regenerate byte-identically.
+// TestChromeTraceNoMigrationByteStable pins the no-migration output
+// byte for byte: events sorted by (core, start), task and background
+// segments as complete events, markers as instant events, and no
+// flow-only fields, so existing traces regenerate byte-identically.
 func TestChromeTraceNoMigrationByteStable(t *testing.T) {
 	r := NewRecorder()
 	r.Add(Segment{Core: 1, Start: 0.5, End: 1.5, Kind: KindTask, Label: "w[3]"})
 	r.Add(Segment{Core: 0, Start: 2, End: 2.5, Kind: KindBackground, Label: "hog"})
 	r.Mark(1, 3, "bg starts")
 	var sb strings.Builder
-	if err := r.WriteChromeTrace(&sb); err != nil {
+	if err := obs.WriteChrome(&sb, r.ChromeEvents()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -4,8 +4,8 @@
 // The runtime records a segment for every entry-method execution, the
 // interference generators record segments for background bursts, and the
 // load balancer records its synchronization phases. Renderers turn the
-// segments into ASCII timelines (for terminals and tests) or SVG (for
-// figure output).
+// segments into ASCII timelines (for terminals and tests), SVG (for
+// figure output) or Chrome trace events (for Perfetto).
 package trace
 
 import (
@@ -162,24 +162,6 @@ func (r *Recorder) CoreSegments(coreID int) []Segment {
 		}
 	}
 	slices.SortStableFunc(out, func(a, b Segment) int { return cmp.Compare(a.Start, b.Start) })
-	return out
-}
-
-// Window returns segments overlapping [from, to], clipped to the window.
-func (r *Recorder) Window(from, to sim.Time) []Segment {
-	var out []Segment
-	for _, s := range r.Segments() {
-		if s.End < from || s.Start > to {
-			continue
-		}
-		if s.Start < from {
-			s.Start = from
-		}
-		if s.End > to {
-			s.End = to
-		}
-		out = append(out, s)
-	}
 	return out
 }
 

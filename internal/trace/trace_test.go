@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"cloudlb/internal/obs"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
@@ -38,19 +40,6 @@ func TestAddNormalizesReversedInterval(t *testing.T) {
 	s := r.Segments()[0]
 	if s.Start != 2 || s.End != 5 {
 		t.Fatalf("interval not normalized: %+v", s)
-	}
-}
-
-func TestWindowClipping(t *testing.T) {
-	r := NewRecorder()
-	r.Add(Segment{Core: 0, Start: 0, End: 10, Kind: KindTask})
-	r.Add(Segment{Core: 0, Start: 20, End: 30, Kind: KindTask})
-	w := r.Window(5, 15)
-	if len(w) != 1 {
-		t.Fatalf("window has %d segments, want 1", len(w))
-	}
-	if w[0].Start != 5 || w[0].End != 10 {
-		t.Fatalf("not clipped: %+v", w[0])
 	}
 }
 
@@ -142,13 +131,17 @@ func TestRenderSVG(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTrace encodes a recorder's events through the shared
+// Chrome writer and checks the decoded array: sorted by (core, start),
+// segments as complete events with times in microseconds, markers as
+// instant events.
 func TestWriteChromeTrace(t *testing.T) {
 	r := NewRecorder()
 	r.Add(Segment{Core: 1, Start: 0.5, End: 1.5, Kind: KindTask, Label: "w[3]"})
 	r.Add(Segment{Core: 0, Start: 2, End: 2.5, Kind: KindBackground, Label: "hog"})
 	r.Mark(1, 3, "bg starts")
 	var sb strings.Builder
-	if err := r.WriteChromeTrace(&sb); err != nil {
+	if err := obs.WriteChrome(&sb, r.ChromeEvents()); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]interface{}
