@@ -52,12 +52,13 @@ bench:
 # when the cached `race` target is skipped: the same scenario at shards
 # {1,2,4,8} x GOMAXPROCS {1,4} under the race detector must produce an
 # identical Result, metric snapshot and trace hash, and the classic
-# -shards 1 path must stay allocation-free in steady state. The alloc
-# gate runs without -race (instrumentation perturbs allocation counts);
+# -shards 1 path must stay allocation-free in steady state, the runtime
+# stack alone and under the stencil and Mol3D applications. The alloc
+# gates run without -race (instrumentation perturbs allocation counts);
 # -count=1 defeats the test cache so the gates always execute.
 determinism:
 	$(GO) test -race -count=1 -run 'TestShardedDeterminism|TestDiffusionShardedDeterminism|TestShardsAutoResolve' ./internal/experiment
-	$(GO) test -count=1 -run TestClassicScenarioSteadyStateAllocFree ./internal/experiment
+	$(GO) test -count=1 -run 'TestClassicScenarioSteadyStateAllocFree|TestStencilSteadyStateAllocFree|TestMol3DSteadyStateAllocFree' ./internal/experiment
 
 # Metrics smoke: one small Wave2D scenario with the Prometheus export on
 # stderr, asserting the acceptance-critical series are present and

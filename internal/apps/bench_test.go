@@ -9,22 +9,37 @@ import (
 	"cloudlb/internal/xnet"
 )
 
-func BenchmarkJacobiKernelStep(b *testing.B) {
-	k := NewJacobiKernel(64, 64)(0, 0, 0, 0, 64, 64).(*JacobiKernel)
-	edges := map[int][]float64{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step(edges)
-	}
-}
+func BenchmarkJacobiKernelStep(b *testing.B) { benchKernelStep(b, NewJacobiKernel(192, 192)) }
 
-func BenchmarkWaveKernelStep(b *testing.B) {
-	k := NewWaveKernel(64, 64, 0.4)(0, 0, 0, 0, 64, 64).(*WaveKernel)
-	edges := map[int][]float64{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step(edges)
-	}
+func BenchmarkWaveKernelStep(b *testing.B) { benchKernelStep(b, NewWaveKernel(192, 192, 0.4)) }
+
+// benchKernelStep times one step of a 64x64 block of a 192x192 grid: the
+// top-left block, all of whose sides are physical boundaries, through
+// the map form; and the center block with all four ghost edges, the case
+// every interior chare runs.
+func benchKernelStep(b *testing.B, newKernel func(bx, by, x0, y0, w, h int) Kernel) {
+	b.Run("boundary", func(b *testing.B) {
+		k := newKernel(0, 0, 0, 0, 64, 64)
+		edges := map[int][]float64{}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.Step(edges)
+		}
+	})
+	b.Run("interior", func(b *testing.B) {
+		k := newKernel(1, 1, 64, 64, 64, 64)
+		var g Ghosts
+		for d := range g {
+			g[d] = make([]float64, 64)
+			for i := range g[d] {
+				g[d][i] = 0.5
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.StepGhosts(g)
+		}
+	})
 }
 
 func BenchmarkStencilSimulation(b *testing.B) {

@@ -5,11 +5,9 @@ package apps
 // Dirichlet: the top edge of the domain is held at 1.0, the other three
 // edges at 0.0, so the solution converges to the harmonic interpolation.
 type JacobiKernel struct {
-	w, h   int // block size
-	x0, y0 int // global offset of this block
-	gw, gh int // global grid size
-	cur    []float64
-	next   []float64
+	block
+	cur  []float64
+	next []float64
 	// lastDelta is the max absolute update of the latest Step, for
 	// convergence monitoring.
 	lastDelta float64
@@ -18,100 +16,63 @@ type JacobiKernel struct {
 // NewJacobiKernel builds the block covering [x0,x0+w) x [y0,y0+h) of a
 // gw x gh grid, initialized to zero.
 func NewJacobiKernel(gw, gh int) func(bx, by, x0, y0, w, h int) Kernel {
+	// Physical-boundary rows, shared read-only by the factory's blocks.
+	zero, hot := make([]float64, gw), make([]float64, gw)
+	for x := range hot {
+		hot[x] = 1.0
+	}
 	return func(bx, by, x0, y0, w, h int) Kernel {
-		return &JacobiKernel{
-			w: w, h: h, x0: x0, y0: y0, gw: gw, gh: gh,
-			cur:  make([]float64, w*h),
-			next: make([]float64, w*h),
+		k := &JacobiKernel{
+			block: block{w: w, h: h, boundN: zero[:w], boundS: zero[:w]},
+			cur:   make([]float64, w*h),
+			next:  make([]float64, w*h),
 		}
+		if y0 == 0 {
+			// The row above the block is global row -1: the hot edge.
+			k.boundN = hot[:w]
+		}
+		return k
 	}
 }
 
-func (k *JacobiKernel) at(x, y int) float64 { return k.cur[y*k.w+x] }
+// Step implements Kernel.
+func (k *JacobiKernel) Step(edges map[int][]float64) { k.StepGhosts(ghostsOf(edges)) }
 
-// boundary returns the Dirichlet value just outside the global grid.
-func (k *JacobiKernel) boundary(gx, gy int) float64 {
-	if gy < 0 {
-		return 1.0 // top edge held hot
-	}
-	return 0.0
-}
-
-// neighborValue resolves the stencil neighbor at block-local (x, y),
-// which may fall in a ghost edge or on the physical boundary.
-func (k *JacobiKernel) neighborValue(x, y int, edges map[int][]float64) float64 {
-	switch {
-	case y < 0:
-		if e, ok := edges[dirN]; ok {
-			return e[x]
-		}
-		return k.boundary(k.x0+x, k.y0+y)
-	case y >= k.h:
-		if e, ok := edges[dirS]; ok {
-			return e[x]
-		}
-		return k.boundary(k.x0+x, k.y0+y)
-	case x < 0:
-		if e, ok := edges[dirW]; ok {
-			return e[y]
-		}
-		return k.boundary(k.x0+x, k.y0+y)
-	case x >= k.w:
-		if e, ok := edges[dirE]; ok {
-			return e[y]
-		}
-		return k.boundary(k.x0+x, k.y0+y)
-	}
-	return k.at(x, y)
-}
-
-// Step implements Kernel: next = average of the four neighbors.
-func (k *JacobiKernel) Step(edges map[int][]float64) {
+// StepGhosts implements Kernel: next = average of the four neighbors.
+func (k *JacobiKernel) StepGhosts(g Ghosts) {
+	w := k.w
 	maxDelta := 0.0
 	for y := 0; y < k.h; y++ {
-		for x := 0; x < k.w; x++ {
-			v := 0.25 * (k.neighborValue(x, y-1, edges) +
-				k.neighborValue(x, y+1, edges) +
-				k.neighborValue(x-1, y, edges) +
-				k.neighborValue(x+1, y, edges))
-			k.next[y*k.w+x] = v
-			d := v - k.at(x, y)
+		north, south, west, east := k.around(k.cur, y, &g)
+		row := k.cur[y*w : (y+1)*w]
+		next := k.next[y*w : (y+1)*w]
+		// The west neighbor carries over from the previous cell; only
+		// the last cell's east neighbor lies beyond the row.
+		wv := west
+		for x, u := range row {
+			ev := east
+			if x < w-1 {
+				ev = row[x+1]
+			}
+			v := 0.25 * (north[x] + south[x] + wv + ev)
+			next[x] = v
+			d := v - u
 			if d < 0 {
 				d = -d
 			}
 			if d > maxDelta {
 				maxDelta = d
 			}
+			wv = u
 		}
 	}
 	k.cur, k.next = k.next, k.cur
 	k.lastDelta = maxDelta
 }
 
-// Edge implements Kernel, returning a copy of the block's boundary row or
-// column facing d. (A copy is required: the stencil chare may advance the
-// kernel again before the message leaves the PE.)
-func (k *JacobiKernel) Edge(d int) []float64 {
-	switch d {
-	case dirN:
-		return append([]float64(nil), k.cur[:k.w]...)
-	case dirS:
-		return append([]float64(nil), k.cur[(k.h-1)*k.w:]...)
-	case dirW:
-		e := make([]float64, k.h)
-		for y := 0; y < k.h; y++ {
-			e[y] = k.at(0, y)
-		}
-		return e
-	case dirE:
-		e := make([]float64, k.h)
-		for y := 0; y < k.h; y++ {
-			e[y] = k.at(k.w-1, y)
-		}
-		return e
-	}
-	panic("apps: bad edge direction")
-}
+// Edge implements Kernel. The stencil chare sends dst while it steps the
+// kernel on, so dst never aliases kernel state.
+func (k *JacobiKernel) Edge(d int, dst []float64) { k.edge(k.cur, d, dst) }
 
 // Bytes implements Kernel.
 func (k *JacobiKernel) Bytes() int { return 8 * k.w * k.h }
@@ -124,4 +85,4 @@ func (k *JacobiKernel) LastDelta() float64 { return k.lastDelta }
 func (k *JacobiKernel) Residual() float64 { return k.lastDelta }
 
 // Value returns the current value at block-local (x, y), for tests.
-func (k *JacobiKernel) Value(x, y int) float64 { return k.at(x, y) }
+func (k *JacobiKernel) Value(x, y int) float64 { return k.cur[y*k.w+x] }

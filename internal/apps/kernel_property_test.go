@@ -87,67 +87,73 @@ func TestQuickWaveSuperposition(t *testing.T) {
 }
 
 // Property: the pair force is antisymmetric — what a exerts on b is the
-// negation of what b exerts on a (Newton's third law, which the MD code
-// relies on for own-own pairs).
+// negation of what b exerts on a — and the own-own loop's single
+// evaluation per pair (Newton's third law) matches the one-sided loop
+// evaluated from each side, as the ghost exchange's pair coverage needs.
 func TestQuickLJForceAntisymmetric(t *testing.T) {
 	cfg := Mol3DConfig{Epsilon: 1, Sigma: 0.25, CellSize: 1, Cutoff: 1}
-	app := &Mol3DApp{cfg: cfg.withDefaults()}
-	cell := &mdChare{app: app}
+	lj := newLJParams(cfg.withDefaults())
 	f := func(ax, ay, az, bx, by, bz int16) bool {
 		a := Particle{X: float64(ax) / 8192, Y: float64(ay) / 8192, Z: float64(az) / 8192}
 		b := Particle{X: float64(bx) / 8192, Y: float64(by) / 8192, Z: float64(bz) / 8192}
-		fx1, fy1, fz1, ok1 := cell.ljForce(a, b, 1)
-		fx2, fy2, fz2, ok2 := cell.ljForce(b, a, 1)
-		if ok1 != ok2 {
-			return false
+		var onA, onB, pair [3][2]float64
+		lj.addForces(onA[0][:1], onA[1][:1], onA[2][:1], []Particle{a}, &b)
+		lj.addForces(onB[0][:1], onB[1][:1], onB[2][:1], []Particle{b}, &a)
+		lj.addPairForces(pair[0][:], pair[1][:], pair[2][:], []Particle{a, b})
+		for d := 0; d < 3; d++ {
+			if onA[d][0] != -onB[d][0] || pair[d][0] != onA[d][0] || pair[d][1] != onB[d][0] {
+				return false
+			}
 		}
-		if !ok1 {
-			return true
-		}
-		return fx1 == -fx2 && fy1 == -fy2 && fz1 == -fz2
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: the pair force is zero at or beyond the cutoff.
+// Property: the pair force is zero at or beyond the cutoff, in both pair
+// loops.
 func TestQuickLJForceCutoff(t *testing.T) {
 	cfg := Mol3DConfig{Epsilon: 1, Sigma: 0.25, CellSize: 1, Cutoff: 0.5}
-	app := &Mol3DApp{cfg: cfg.withDefaults()}
-	cell := &mdChare{app: app}
-	rc2 := 0.25
+	lj := newLJParams(cfg.withDefaults())
 	f := func(d uint16) bool {
 		dist := 0.5 + float64(d)/65536 // >= cutoff
 		a := Particle{}
 		b := Particle{X: dist}
-		_, _, _, ok := cell.ljForce(a, b, rc2)
-		return !ok
+		var one, pair [3][2]float64
+		lj.addForces(one[0][:1], one[1][:1], one[2][:1], []Particle{a}, &b)
+		lj.addPairForces(pair[0][:], pair[1][:], pair[2][:], []Particle{a, b})
+		return one == [3][2]float64{} && pair == [3][2]float64{}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: Edge returns copies — mutating the returned slice must not
-// alter kernel state (the stencil chare relies on this to send edges
-// while continuing to step).
+// Property: Edge copies into the caller's buffer — mutating dst must not
+// alter kernel state (the stencil chare sends its buffers while the
+// kernel steps on), and a fresh dst reads the same values.
 func TestQuickEdgeIsCopy(t *testing.T) {
+	const w, h = 8, 6
 	for _, mkKernel := range []func() Kernel{
-		func() Kernel { return NewJacobiKernel(8, 8)(0, 0, 0, 0, 8, 8) },
-		func() Kernel { return NewWaveKernel(8, 8, 0.4)(0, 0, 0, 0, 8, 8) },
+		func() Kernel { return NewJacobiKernel(w, h)(0, 0, 0, 0, w, h) },
+		func() Kernel { return NewWaveKernel(w, h, 0.4)(0, 0, 0, 0, w, h) },
 	} {
 		k := mkKernel()
+		k.StepGhosts(Ghosts{}) // leave the all-zero start, so the edges differ
 		for d := 0; d < numDirs; d++ {
-			e := k.Edge(d)
-			before := append([]float64(nil), k.Edge(d)...)
-			for i := range e {
-				e[i] = 1e9
+			dst := make([]float64, edgeLen(d, w, h))
+			k.Edge(d, dst)
+			before := append([]float64(nil), dst...)
+			for i := range dst {
+				dst[i] = 1e9
 			}
-			after := k.Edge(d)
-			for i := range after {
-				if after[i] != before[i] {
-					t.Fatalf("dir %d: mutating the returned edge changed kernel state", d)
+			fresh := make([]float64, len(dst))
+			k.Edge(d, fresh)
+			for i := range fresh {
+				if fresh[i] != before[i] {
+					t.Fatalf("dir %d: mutating the filled edge changed kernel state", d)
 				}
 			}
 		}

@@ -85,6 +85,7 @@ func (c *Mol3DConfig) withDefaults() Mol3DConfig {
 // Mol3DApp wires the MD application into a runtime.
 type Mol3DApp struct {
 	cfg    Mol3DConfig
+	lj     ljParams
 	rts    *charm.RTS
 	chares []*mdChare
 }
@@ -99,7 +100,7 @@ func NewMol3DApp(rts *charm.RTS, cfg Mol3DConfig) *Mol3DApp {
 	if c.Iters <= 0 {
 		panic("apps: iterations must be positive")
 	}
-	app := &Mol3DApp{cfg: c}
+	app := &Mol3DApp{cfg: c, lj: newLJParams(c)}
 	app.rts = rts
 	n := c.CellsX * c.CellsY * c.CellsZ
 	app.chares = make([]*mdChare, n)
@@ -133,13 +134,9 @@ func NewMol3DApp(rts *charm.RTS, cfg Mol3DConfig) *Mol3DApp {
 	}
 
 	rts.NewArray(c.Array, n, func(i int) charm.Chare {
-		ch := &mdChare{
-			app: app, index: i,
-			own:    perCell[i],
-			buf:    make(map[int]map[int]posMsg),
-			outbox: make(map[int][]Particle),
-		}
+		ch := &mdChare{app: app, index: i, own: perCell[i]}
 		ch.cx, ch.cy, ch.cz = app.cellCoords(i)
+		ch.initExchange()
 		app.chares[i] = ch
 		return ch
 	})
@@ -219,15 +216,32 @@ type posMsg struct {
 	Movers []Particle
 }
 
+// mdChare runs one cell. Its position exchange allocates nothing once the
+// buffers have grown to the run's largest cell, by the same
+// one-iteration window as the stencil's edge exchange (see stencilChare):
+// received messages sit in a slot per iteration parity until their step,
+// and each parity's outgoing messages and ghost export are rewritten two
+// iterations after they were sent. Per-neighbor state is indexed by the
+// neighbor's position in neighbors().
 type mdChare struct {
 	app        *Mol3DApp
 	index      int
 	cx, cy, cz int
 	own        []Particle
 	iter       int
-	atSync     bool                   // between AtSync and Resume; no stepping
-	buf        map[int]map[int]posMsg // iter -> from -> msg
-	outbox     map[int][]Particle     // neighbor index -> particles departing there
+	atSync     bool // between AtSync and Resume; no stepping
+	// in holds the messages received for iterations of each parity;
+	// inN counts each slot's messages.
+	in  [2][]*posMsg
+	inN [2]int
+	// out and export are each parity's outgoing messages and the ghost
+	// export they share.
+	out    [2][]posMsg
+	export [2][]Particle
+	// outbox holds the particles departing to each neighbor. Sending
+	// swaps a neighbor's outbox with the Movers buffer of the message
+	// being rewritten, so the two trade places every other iteration.
+	outbox [][]Particle
 	// departed holds last integration's leavers for one more iteration:
 	// while the destination cell cannot yet export them (its position
 	// messages left before the handover arrived), this cell computes the
@@ -236,6 +250,27 @@ type mdChare struct {
 	departed   []Particle
 	fx, fy, fz []float64 // force scratch
 	nbrs       []int     // cached neighbors(); the decomposition never changes
+}
+
+// initExchange sizes the per-neighbor exchange state.
+func (c *mdChare) initExchange() {
+	n := len(c.neighbors())
+	in := make([]*posMsg, 2*n)
+	out := make([]posMsg, 2*n)
+	for p := range c.in {
+		c.in[p] = in[p*n : (p+1)*n : (p+1)*n]
+		c.out[p] = out[p*n : (p+1)*n : (p+1)*n]
+	}
+	c.outbox = make([][]Particle, n)
+}
+
+// nbrPos returns the position of cell in neighbors().
+func (c *mdChare) nbrPos(cell int) int {
+	j, ok := slices.BinarySearch(c.neighbors(), cell)
+	if !ok {
+		panic(fmt.Sprintf("apps: cell %d is not a neighbor of cell %d", cell, c.index))
+	}
+	return j
 }
 
 // PackSize implements charm.Chare.
@@ -277,16 +312,14 @@ func (c *mdChare) Recv(ctx *charm.Ctx, data interface{}) float64 {
 		c.atSync = false
 		c.sendPositions(ctx)
 		return c.drainReady(ctx)
-	case posMsg:
-		bucket, ok := c.buf[m.Iter]
-		if !ok {
-			bucket = make(map[int]posMsg)
-			c.buf[m.Iter] = bucket
-		}
-		if _, dup := bucket[m.From]; dup {
+	case *posMsg:
+		p := windowSlot("posMsg", c.index, c.iter, m.Iter)
+		j := c.nbrPos(m.From)
+		if c.in[p][j] != nil {
 			panic(fmt.Sprintf("apps: duplicate posMsg iter=%d from=%d at cell %d", m.Iter, m.From, c.index))
 		}
-		bucket[m.From] = m
+		c.in[p][j] = m
+		c.inN[p]++
 		return c.drainReady(ctx)
 	case charm.ReductionResult:
 		return 0
@@ -300,13 +333,13 @@ func (c *mdChare) drainReady(ctx *charm.Ctx) float64 {
 		if c.atSync || c.iter >= c.app.cfg.Iters {
 			return cost
 		}
-		bucket := c.buf[c.iter]
-		neighbors := c.neighbors()
-		if len(bucket) != len(neighbors) {
+		p := c.iter & 1
+		if c.inN[p] != len(c.neighbors()) {
 			return cost
 		}
-		delete(c.buf, c.iter)
-		cost += c.computeStep(neighbors, bucket)
+		cost += c.computeStep(c.in[p])
+		clear(c.in[p])
+		c.inN[p] = 0
 		c.iter++
 
 		switch {
@@ -325,7 +358,8 @@ func (c *mdChare) drainReady(ctx *charm.Ctx) float64 {
 
 // computeStep adopts inbound movers, evaluates forces against own, ghost
 // and recently-departed particles, integrates, and sorts departures into
-// the outbox. It returns the CPU cost of the work performed.
+// the outbox. in holds this iteration's message from each neighbor, in
+// neighbors() order. It returns the CPU cost of the work performed.
 //
 // Pair coverage invariant: every particle pair within the cutoff is
 // evaluated exactly once per side per iteration. Adopted movers also
@@ -336,81 +370,42 @@ func (c *mdChare) drainReady(ctx *charm.Ctx) float64 {
 // because the destination's exports for this iteration predate the
 // handover. This requires a skin: particles may penetrate at most
 // CellSize - Cutoff into the next cell per step, which is asserted below.
-func (c *mdChare) computeStep(neighbors []int, bucket map[int]posMsg) float64 {
+func (c *mdChare) computeStep(in []*posMsg) float64 {
 	cfg := &c.app.cfg
-	// Adopt movers in deterministic neighbor order, remembering their IDs
-	// so the same particles in the sender's ghost list are skipped.
-	adopted := make(map[int]map[int]bool)
-	for _, from := range neighbors {
-		mv := bucket[from].Movers
-		if len(mv) == 0 {
-			continue
-		}
-		ids := make(map[int]bool, len(mv))
-		for _, p := range mv {
-			ids[p.ID] = true
-		}
-		adopted[from] = ids
-		c.own = append(c.own, mv...)
+	lj := &c.app.lj
+	// Adopt movers in deterministic neighbor order; the own-ghost loop
+	// below skips the same particles in each sender's ghost list.
+	for _, m := range in {
+		c.own = append(c.own, m.Movers...)
 	}
-	n := len(c.own)
+	own := c.own
+	n := len(own)
 	c.fx = resize(c.fx, n)
 	c.fy = resize(c.fy, n)
 	c.fz = resize(c.fz, n)
 
-	rc2 := cfg.Cutoff * cfg.Cutoff
-	pairs := 0
 	// Own-own pairs, Newton's third law applied.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs++
-			fx, fy, fz, ok := c.ljForce(c.own[i], c.own[j], rc2)
-			if !ok {
-				continue
-			}
-			c.fx[i] += fx
-			c.fy[i] += fy
-			c.fz[i] += fz
-			c.fx[j] -= fx
-			c.fy[j] -= fy
-			c.fz[j] -= fz
-		}
-	}
+	lj.addPairForces(c.fx, c.fy, c.fz, own)
+	pairs := n * (n - 1) / 2
 	// Own-ghost pairs, one-sided (the neighbor computes its own side).
-	for _, from := range neighbors {
-		skip := adopted[from]
-		for _, g := range bucket[from].Ghost {
-			if skip[g.ID] {
+	for _, m := range in {
+		for k := range m.Ghost {
+			g := &m.Ghost[k]
+			if moved(m.Movers, g.ID) {
 				continue
 			}
-			for i := 0; i < n; i++ {
-				pairs++
-				fx, fy, fz, ok := c.ljForce(c.own[i], g, rc2)
-				if !ok {
-					continue
-				}
-				c.fx[i] += fx
-				c.fy[i] += fy
-				c.fz[i] += fz
-			}
+			pairs += n
+			lj.addForces(c.fx, c.fy, c.fz, own, g)
 		}
 	}
 	// Recently-departed particles: their new owner cannot export them yet,
 	// so this cell supplies the force they exert on its remaining
 	// particles (the owner computes the mirror side from our ghost).
-	for _, d := range c.departed {
-		for i := 0; i < n; i++ {
-			pairs++
-			fx, fy, fz, ok := c.ljForce(c.own[i], d, rc2)
-			if !ok {
-				continue
-			}
-			c.fx[i] += fx
-			c.fy[i] += fy
-			c.fz[i] += fz
-		}
+	for k := range c.departed {
+		pairs += n
+		lj.addForces(c.fx, c.fy, c.fz, own, &c.departed[k])
 	}
-	c.departed = nil
+	c.departed = c.departed[:0]
 
 	// Leapfrog with reflecting walls.
 	lx := float64(cfg.CellsX) * cfg.CellSize
@@ -445,12 +440,23 @@ func (c *mdChare) computeStep(neighbors []int, bucket map[int]posMsg) float64 {
 		if d := c.penetration(p); d > skin+1e-12 {
 			panic(fmt.Sprintf("apps: particle %d penetrated %.4g past its cell, beyond the %.4g skin (reduce dt or cutoff)", p.ID, d, skin))
 		}
-		c.outbox[dest] = append(c.outbox[dest], p)
+		j := c.nbrPos(dest)
+		c.outbox[j] = append(c.outbox[j], p)
 		c.departed = append(c.departed, p)
 	}
 	c.own = kept
 
 	return float64(pairs)*cfg.CostPerPair + float64(n)*cfg.CostPerParticle
+}
+
+// moved reports whether particle id is among a sender's movers.
+func moved(movers []Particle, id int) bool {
+	for k := range movers {
+		if movers[k].ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // penetration reports how far a particle sits outside this cell's box.
@@ -506,45 +512,108 @@ func reflect(x, v *float64, l float64) {
 	}
 }
 
-// ljForce returns the Lennard-Jones force of b on a, truncated at rc2 and
-// softened at very short range to keep random initial conditions stable.
-func (c *mdChare) ljForce(a, b Particle, rc2 float64) (fx, fy, fz float64, ok bool) {
-	dx := a.X - b.X
-	dy := a.Y - b.Y
-	dz := a.Z - b.Z
-	r2 := dx*dx + dy*dy + dz*dz
-	if r2 >= rc2 || r2 == 0 {
-		return 0, 0, 0, false
+// ljParams are a run's Lennard-Jones constants, truncated at the cutoff
+// and softened at very short range to keep random initial conditions
+// stable.
+type ljParams struct {
+	rc2    float64 // cutoff radius squared
+	sigma2 float64 // σ²
+	minR2  float64 // softening radius squared, (0.8σ)²
+	eps24  float64 // 24ε
+}
+
+func newLJParams(c Mol3DConfig) ljParams {
+	sigma := c.Sigma
+	return ljParams{
+		rc2:    c.Cutoff * c.Cutoff,
+		sigma2: sigma * sigma,
+		minR2:  0.64 * sigma * sigma,
+		eps24:  24 * c.Epsilon,
 	}
-	sigma := c.app.cfg.Sigma
-	minR2 := 0.64 * sigma * sigma // softening radius 0.8σ
-	if r2 < minR2 {
-		r2 = minR2
+}
+
+// The pair loops below read particles in place and test the cutoff
+// before any force arithmetic: most pairs a cell examines lie beyond it.
+
+// addPairForces adds to fx, fy, fz the Lennard-Jones forces the particles
+// of own exert on each other, evaluating each pair once and applying
+// Newton's third law.
+func (lj *ljParams) addPairForces(fx, fy, fz []float64, own []Particle) {
+	n := len(own)
+	fx, fy, fz = fx[:n], fy[:n], fz[:n]
+	for i := range own {
+		a := &own[i]
+		for j := i + 1; j < n; j++ {
+			b := &own[j]
+			dx := a.X - b.X
+			dy := a.Y - b.Y
+			dz := a.Z - b.Z
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 >= lj.rc2 || r2 == 0 {
+				continue
+			}
+			f := lj.scale(r2)
+			gx, gy, gz := f*dx, f*dy, f*dz
+			fx[i] += gx
+			fy[i] += gy
+			fz[i] += gz
+			fx[j] -= gx
+			fy[j] -= gy
+			fz[j] -= gz
+		}
 	}
-	s2 := sigma * sigma / r2
+}
+
+// addForces adds to fx, fy, fz the Lennard-Jones force b exerts on each
+// particle of own.
+func (lj *ljParams) addForces(fx, fy, fz []float64, own []Particle, b *Particle) {
+	n := len(own)
+	fx, fy, fz = fx[:n], fy[:n], fz[:n]
+	for i := range own {
+		a := &own[i]
+		dx := a.X - b.X
+		dy := a.Y - b.Y
+		dz := a.Z - b.Z
+		r2 := dx*dx + dy*dy + dz*dz
+		if r2 >= lj.rc2 || r2 == 0 {
+			continue
+		}
+		f := lj.scale(r2)
+		fx[i] += f * dx
+		fy[i] += f * dy
+		fz[i] += f * dz
+	}
+}
+
+// scale is the force of a pair at squared distance r2 inside the cutoff,
+// divided by their distance: softened to the force at 0.8σ below that.
+func (lj *ljParams) scale(r2 float64) float64 {
+	if r2 < lj.minR2 {
+		r2 = lj.minR2
+	}
+	s2 := lj.sigma2 / r2
 	s6 := s2 * s2 * s2
-	f := 24 * c.app.cfg.Epsilon * (2*s6*s6 - s6) / r2
-	return f * dx, f * dy, f * dz, true
+	return lj.eps24 * (2*s6*s6 - s6) / r2
 }
 
 // sendPositions ships ghost positions and departing particles for the
-// current iteration to every neighbor. The ghost export includes the
-// outbox (see computeStep's pair coverage invariant): a departing particle
-// remains visible to every neighbor via its origin for one iteration.
+// current iteration to every neighbor, in the outgoing messages of its
+// parity. The ghost export includes the outbox (see computeStep's pair
+// coverage invariant): a departing particle remains visible to every
+// neighbor via its origin for one iteration.
 func (c *mdChare) sendPositions(ctx *charm.Ctx) {
-	export := append([]Particle(nil), c.own...)
+	p := c.iter & 1
+	export := append(c.export[p][:0], c.own...)
 	for _, out := range c.outbox {
 		export = append(export, out...)
 	}
 	slices.SortFunc(export, func(a, b Particle) int { return a.ID - b.ID })
-	for _, ni := range c.neighbors() {
-		movers := c.outbox[ni]
-		delete(c.outbox, ni)
-		bytes := 24*len(export) + 48*len(movers) + 32
-		ctx.Send(charm.ChareID{Array: c.app.cfg.Array, Index: ni},
-			posMsg{Iter: c.iter, From: c.index, Ghost: export, Movers: movers}, bytes)
-	}
-	if len(c.outbox) != 0 {
-		panic(fmt.Sprintf("apps: cell %d has stranded movers", c.index))
+	c.export[p] = export
+	for j, ni := range c.neighbors() {
+		m := &c.out[p][j]
+		m.Iter, m.From, m.Ghost = c.iter, c.index, export
+		m.Movers, c.outbox[j] = c.outbox[j], m.Movers[:0]
+		bytes := 24*len(export) + 48*len(m.Movers) + 32
+		ctx.Send(charm.ChareID{Array: c.app.cfg.Array, Index: ni}, m, bytes)
 	}
 }

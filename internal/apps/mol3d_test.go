@@ -83,34 +83,34 @@ func TestMol3DMatchesSerialReference(t *testing.T) {
 		Seed: 42, Dt: 2e-3, Iters: 25,
 		CostPerPair: 1e-8, CostPerParticle: 1e-8,
 	}
-	// Reference starts from the same deterministic initial state.
-	init := md(t, Mol3DConfig{CellsX: cfg.CellsX, CellsY: cfg.CellsY, CellsZ: cfg.CellsZ,
-		CellSize: cfg.CellSize, Particles: cfg.Particles, ClusterFrac: cfg.ClusterFrac,
-		Seed: cfg.Seed, Dt: cfg.Dt, Iters: 1, CostPerPair: 1e-8}, 1, 1)
-	_ = init
-
-	app := md(t, cfg, 1, 4)
-	got := app.Particles()
-	if len(got) != cfg.Particles {
-		t.Fatalf("lost particles: %d of %d", len(got), cfg.Particles)
-	}
-
-	// Build the same initial state by constructing (not running) an app.
-	eng, rts := testRTS(t, 1, 1)
-	ref := NewMol3DApp(rts, Mol3DConfig{CellsX: cfg.CellsX, CellsY: cfg.CellsY, CellsZ: cfg.CellsZ,
-		CellSize: cfg.CellSize, Particles: cfg.Particles, ClusterFrac: cfg.ClusterFrac,
-		Seed: cfg.Seed, Dt: cfg.Dt, Iters: 1})
-	_ = eng
-	_ = rts
+	// The reference starts from the same deterministic initial state,
+	// taken from a constructed (not run) app.
+	_, rts := testRTS(t, 1, 1)
+	ref := NewMol3DApp(rts, cfg)
 	want := serialMD(ref.Particles(), cfg.Iters, cfg)
 
-	for i := range want {
-		if got[i].ID != want[i].ID {
-			t.Fatalf("particle order mismatch at %d", i)
+	for _, r := range exchangeRuntimes {
+		eng, rts := r.build(t)
+		app := NewMol3DApp(rts, cfg)
+		rts.Start()
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
 		}
-		dev := math.Abs(got[i].X-want[i].X) + math.Abs(got[i].Y-want[i].Y) + math.Abs(got[i].Z-want[i].Z)
-		if dev > 1e-9 {
-			t.Fatalf("particle %d drifted %.3g from serial reference", got[i].ID, dev)
+		if !rts.Finished() {
+			t.Fatalf("%s: md run did not finish", r.name)
+		}
+		got := app.Particles()
+		if len(got) != cfg.Particles {
+			t.Fatalf("%s: lost particles: %d of %d", r.name, len(got), cfg.Particles)
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID {
+				t.Fatalf("%s: particle order mismatch at %d", r.name, i)
+			}
+			dev := math.Abs(got[i].X-want[i].X) + math.Abs(got[i].Y-want[i].Y) + math.Abs(got[i].Z-want[i].Z)
+			if dev > 1e-9 {
+				t.Fatalf("%s: particle %d drifted %.3g from serial reference", r.name, got[i].ID, dev)
+			}
 		}
 	}
 }

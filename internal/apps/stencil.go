@@ -54,17 +54,102 @@ type ResidualKernel interface {
 	Residual() float64
 }
 
+// Ghosts holds one iteration's ghost edges indexed by direction (north,
+// south, west, east); a nil entry marks a physical boundary.
+type Ghosts [numDirs][]float64
+
 // Kernel is the numerical core of a 2D stencil application, owning one
 // chare's block of the global grid.
 type Kernel interface {
-	// Step advances one iteration given the available ghost edges
-	// (indexed by direction; absent directions are physical boundaries).
+	// StepGhosts advances one iteration given the ghost edges.
+	StepGhosts(g Ghosts)
+	// Step is StepGhosts with the edges indexed by direction in a map;
+	// absent directions are physical boundaries. It remains for
+	// bench/ladder.go's kernel rungs.
 	Step(edges map[int][]float64)
-	// Edge returns the block's current boundary values facing direction
-	// d, to be sent to the neighbor there.
-	Edge(d int) []float64
+	// Edge copies the block's current boundary values facing direction
+	// d, to be sent to the neighbor there, into dst. dst is as long as
+	// that side: the block width for north and south, the height for
+	// west and east.
+	Edge(d int, dst []float64)
 	// Bytes returns the serialized size of the kernel state.
 	Bytes() int
+}
+
+// ghostsOf is the map form of Kernel.Step converted to Ghosts.
+func ghostsOf(edges map[int][]float64) Ghosts {
+	return Ghosts{edges[dirN], edges[dirS], edges[dirW], edges[dirE]}
+}
+
+// block is the geometry both stencil kernels share: a w x h tile of the
+// global grid, stored row-major, and the rows standing in for absent
+// north and south ghost edges on the physical boundary.
+type block struct {
+	w, h           int
+	boundN, boundS []float64
+}
+
+// around resolves the stencil neighbors of row y of u: the rows north and
+// south of it (a row of u, a ghost edge or a physical-boundary row) and
+// the values west and east of its ends (a ghost cell, or 0 on the
+// physical boundary).
+func (b *block) around(u []float64, y int, g *Ghosts) (north, south []float64, west, east float64) {
+	w := b.w
+	switch {
+	case y > 0:
+		north = u[(y-1)*w : y*w]
+	case g[dirN] != nil:
+		north = g[dirN]
+	default:
+		north = b.boundN
+	}
+	switch {
+	case y < b.h-1:
+		south = u[(y+1)*w : (y+2)*w]
+	case g[dirS] != nil:
+		south = g[dirS]
+	default:
+		south = b.boundS
+	}
+	if e := g[dirW]; e != nil {
+		west = e[y]
+	}
+	if e := g[dirE]; e != nil {
+		east = e[y]
+	}
+	return north[:w], south[:w], west, east
+}
+
+// edge copies the boundary values of u facing d into dst.
+func (b *block) edge(u []float64, d int, dst []float64) {
+	w, h := b.w, b.h
+	if n := edgeLen(d, w, h); len(dst) != n {
+		panic(fmt.Sprintf("apps: %d-cell buffer for a %d-cell edge", len(dst), n))
+	}
+	switch d {
+	case dirN:
+		copy(dst, u[:w])
+	case dirS:
+		copy(dst, u[(h-1)*w:])
+	case dirW, dirE:
+		col := 0
+		if d == dirE {
+			col = w - 1
+		}
+		for y := range dst {
+			dst[y] = u[y*w+col]
+		}
+	default:
+		panic("apps: bad edge direction")
+	}
+}
+
+// edgeLen is the length of a w x h block's edge facing d.
+func edgeLen(d, w, h int) int {
+	if d == dirN || d == dirS {
+		return w
+	}
+	return h
 }
 
 // StencilConfig describes a 2D stencil run.
@@ -131,9 +216,9 @@ func NewStencilApp(rts *charm.RTS, cfg StencilConfig) *StencilApp {
 		bx, by := i%cfg.CharesX, i/cfg.CharesX
 		c := &stencilChare{
 			app: app, index: i, bx: bx, by: by,
-			kernel:      cfg.NewKernel(bx, by, bx*bw, by*bh, bw, bh),
-			futureEdges: make(map[int]map[int][]float64),
+			kernel: cfg.NewKernel(bx, by, bx*bw, by*bh, bw, bh),
 		}
+		c.initOut(bw, bh)
 		app.chares[i] = c
 		return c
 	})
@@ -158,18 +243,62 @@ type edgeMsg struct {
 }
 
 // stencilChare runs one block of the stencil.
+//
+// Its edge exchange allocates nothing: neighbors are never more than one
+// iteration apart. A chare computes iteration i+1 only after it holds
+// every neighbor's edge for i+1, and a neighbor sends that edge only
+// after computing i, which needed this chare's edge for i. So every edge
+// that arrives is for the receiver's current iteration or the next one,
+// and an edge sent for iteration i has been consumed before its sender
+// can compute i+1 and send for i+2. Both sides therefore keep two slots
+// indexed by iteration parity: received edges are held by pointer until
+// their step, and each outgoing message with its buffer is rewritten two
+// iterations after it was sent. windowSlot panics on any message outside
+// the window.
 type stencilChare struct {
 	app    *StencilApp
 	index  int
 	bx, by int
 	kernel Kernel
 
-	iter        int
-	atSync      bool                      // between AtSync and Resume; no stepping
-	stopAt      int                       // converged: finish before computing this iteration (0 = run to Iters)
-	finished    bool                      // Done has been signaled
-	futureEdges map[int]map[int][]float64 // iter -> recvDir -> edge
-	nbrs        []int                     // cached neighbors(); the decomposition never changes
+	iter     int
+	atSync   bool // between AtSync and Resume; no stepping
+	stopAt   int  // converged: finish before computing this iteration (0 = run to Iters)
+	finished bool // Done has been signaled
+	// in holds the edges received for iterations of each parity, indexed
+	// by the direction they arrive from; inN counts each slot's edges.
+	in  [2][numDirs]*edgeMsg
+	inN [2]int
+	// out holds the outgoing edges of each parity, indexed by direction.
+	out  [2][numDirs]edgeMsg
+	nbrs []int // cached neighbors(); the decomposition never changes
+}
+
+// initOut carves the outgoing edge buffers of both parities for a
+// bw x bh block from one allocation.
+func (c *stencilChare) initOut(bw, bh int) {
+	n := 0
+	for _, d := range c.neighbors() {
+		n += edgeLen(d, bw, bh)
+	}
+	buf := make([]float64, 2*n)
+	for p := range c.out {
+		for _, d := range c.neighbors() {
+			l := edgeLen(d, bw, bh)
+			c.out[p][d] = edgeMsg{Dir: d, Data: buf[:l:l]}
+			buf = buf[l:]
+		}
+	}
+}
+
+// windowSlot returns the parity slot of a message for iteration msgIter
+// arriving at a chare on iteration iter, and panics unless msgIter is
+// iter or iter+1 (see stencilChare).
+func windowSlot(kind string, index, iter, msgIter int) int {
+	if msgIter != iter && msgIter != iter+1 {
+		panic(fmt.Sprintf("apps: %s for iteration %d at chare %d on iteration %d", kind, msgIter, index, iter))
+	}
+	return msgIter & 1
 }
 
 // PackSize implements charm.Chare.
@@ -224,17 +353,14 @@ func (c *stencilChare) Recv(ctx *charm.Ctx, data interface{}) float64 {
 		c.atSync = false
 		c.sendEdges(ctx)
 		return c.drainReady(ctx)
-	case edgeMsg:
-		bucket, ok := c.futureEdges[m.Iter]
-		if !ok {
-			bucket = make(map[int][]float64, numDirs)
-			c.futureEdges[m.Iter] = bucket
-		}
+	case *edgeMsg:
+		p := windowSlot("edge", c.index, c.iter, m.Iter)
 		recvDir := opposite(m.Dir)
-		if _, dup := bucket[recvDir]; dup {
+		if c.in[p][recvDir] != nil {
 			panic(fmt.Sprintf("apps: duplicate edge iter=%d dir=%d at chare %d", m.Iter, recvDir, c.index))
 		}
-		bucket[recvDir] = m.Data
+		c.in[p][recvDir] = m
+		c.inN[p]++
 		return c.drainReady(ctx)
 	case charm.ReductionResult:
 		if c.app.cfg.ConvergeEps > 0 && strings.HasPrefix(m.Tag, residualTagPrefix) &&
@@ -285,12 +411,18 @@ func (c *stencilChare) drainReady(ctx *charm.Ctx) float64 {
 			ctx.Done()
 			return cost
 		}
-		bucket := c.futureEdges[c.iter]
-		if len(bucket) != len(c.neighbors()) {
+		p := c.iter & 1
+		if c.inN[p] != len(c.neighbors()) {
 			return cost
 		}
-		delete(c.futureEdges, c.iter)
-		c.kernel.Step(bucket)
+		var g Ghosts
+		for d, m := range c.in[p] {
+			if m != nil {
+				g[d] = m.Data
+			}
+		}
+		c.in[p], c.inN[p] = [numDirs]*edgeMsg{}, 0
+		c.kernel.StepGhosts(g)
 		bw := c.app.cfg.GridW / c.app.cfg.CharesX
 		bh := c.app.cfg.GridH / c.app.cfg.CharesY
 		step := float64(bw*bh) * c.app.cfg.CostPerCell
@@ -320,10 +452,14 @@ func (c *stencilChare) drainReady(ctx *charm.Ctx) float64 {
 	}
 }
 
-// sendEdges ships this block's boundary values for the current iteration.
+// sendEdges ships this block's boundary values for the current iteration
+// in the outgoing messages of its parity.
 func (c *stencilChare) sendEdges(ctx *charm.Ctx) {
+	out := &c.out[c.iter&1]
 	for _, d := range c.neighbors() {
-		edge := c.kernel.Edge(d)
-		ctx.Send(c.neighborID(d), edgeMsg{Iter: c.iter, Dir: d, Data: edge}, 8*len(edge)+24)
+		m := &out[d]
+		c.kernel.Edge(d, m.Data)
+		m.Iter = c.iter
+		ctx.Send(c.neighborID(d), m, 8*len(m.Data)+24)
 	}
 }

@@ -23,6 +23,31 @@ func testRTS(t *testing.T, nodes, coresPer int) (*sim.Engine, *charm.RTS) {
 	return eng, charm.NewRTS(charm.Config{Machine: m, Net: n, Cores: cores})
 }
 
+// skewedRTS builds a 2-node x 2-core runtime whose timing pulls neighbors
+// apart: core 0 runs at a quarter speed, node 1's links are 4x slow, and
+// 10% of inter-node transmissions are lost and retransmitted. Neighbors
+// then run an iteration apart and messages arrive late and out of order,
+// which the exchanges' two-slot iteration window must absorb.
+func skewedRTS(t *testing.T) (*sim.Engine, *charm.RTS) {
+	t.Helper()
+	eng := sim.NewEngine()
+	m := machine.New(eng, machine.Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
+	m.Core(0).SetSpeed(0.25)
+	n := xnet.New(m, xnet.Config{
+		DropPct: 10, Seed: 1, StragglerNodes: []int{1}, StragglerFactor: 4,
+	}.Resolved())
+	return eng, charm.NewRTS(charm.Config{Machine: m, Net: n, Cores: []int{0, 1, 2, 3}})
+}
+
+// exchangeRuntimes are the runtimes the serial-reference tests run on.
+var exchangeRuntimes = []struct {
+	name  string
+	build func(t *testing.T) (*sim.Engine, *charm.RTS)
+}{
+	{"uniform 1x4", func(t *testing.T) (*sim.Engine, *charm.RTS) { return testRTS(t, 1, 4) }},
+	{"skewed 2x2", skewedRTS},
+}
+
 // serialJacobi runs the reference implementation: gw x gh grid, zero
 // initial interior, top boundary 1.0, others 0.
 func serialJacobi(gw, gh, iters int) []float64 {
@@ -90,25 +115,31 @@ func TestJacobiMatchesSerialReference(t *testing.T) {
 }
 
 func TestJacobiMatchesSerialUnderUnevenDecomposition(t *testing.T) {
-	// 4x1 and 1x4 decompositions must agree with the serial result too.
+	// 4x1 and 1x4 decompositions must agree with the serial result too,
+	// also when skewed timing keeps neighbors an iteration apart.
 	const gw, gh, iters = 16, 16, 9
 	want := serialJacobi(gw, gh, iters)
-	for _, shape := range [][2]int{{4, 1}, {1, 4}, {4, 4}} {
-		cx, cy := shape[0], shape[1]
-		eng, rts := testRTS(t, 1, 4)
-		app := NewStencilApp(rts, StencilConfig{
-			Array: "jacobi", GridW: gw, GridH: gh, CharesX: cx, CharesY: cy,
-			Iters: iters, CostPerCell: 1e-6,
-			NewKernel: NewJacobiKernel(gw, gh),
-		})
-		rts.Start()
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		got := gatherJacobi(app, gw, gh, cx, cy)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("decomp %dx%d cell %d: got %v, want %v", cx, cy, i, got[i], want[i])
+	for _, r := range exchangeRuntimes {
+		for _, shape := range [][2]int{{4, 1}, {1, 4}, {4, 4}} {
+			cx, cy := shape[0], shape[1]
+			eng, rts := r.build(t)
+			app := NewStencilApp(rts, StencilConfig{
+				Array: "jacobi", GridW: gw, GridH: gh, CharesX: cx, CharesY: cy,
+				Iters: iters, CostPerCell: 1e-6,
+				NewKernel: NewJacobiKernel(gw, gh),
+			})
+			rts.Start()
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !rts.Finished() {
+				t.Fatalf("%s decomp %dx%d did not finish", r.name, cx, cy)
+			}
+			got := gatherJacobi(app, gw, gh, cx, cy)
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-12 {
+					t.Fatalf("%s decomp %dx%d cell %d: got %v, want %v", r.name, cx, cy, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -210,27 +241,32 @@ func serialWave(gw, gh, iters int, courant float64) []float64 {
 
 func TestWaveMatchesSerialReference(t *testing.T) {
 	const gw, gh, cx, cy, iters = 16, 16, 4, 2, 15
-	eng, rts := testRTS(t, 1, 4)
-	app := NewStencilApp(rts, StencilConfig{
-		Array: "wave", GridW: gw, GridH: gh, CharesX: cx, CharesY: cy,
-		Iters: iters, CostPerCell: 1e-6,
-		NewKernel: NewWaveKernel(gw, gh, 0.4),
-	})
-	rts.Start()
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
 	want := serialWave(gw, gh, iters, 0.4)
 	bw, bh := gw/cx, gh/cy
-	for by := 0; by < cy; by++ {
-		for bx := 0; bx < cx; bx++ {
-			k := app.Kernel(bx, by).(*WaveKernel)
-			for y := 0; y < bh; y++ {
-				for x := 0; x < bw; x++ {
-					got := k.Value(x, y)
-					w := want[(by*bh+y)*gw+(bx*bw+x)]
-					if math.Abs(got-w) > 1e-12 {
-						t.Fatalf("block (%d,%d) cell (%d,%d): got %v, want %v", bx, by, x, y, got, w)
+	for _, r := range exchangeRuntimes {
+		eng, rts := r.build(t)
+		app := NewStencilApp(rts, StencilConfig{
+			Array: "wave", GridW: gw, GridH: gh, CharesX: cx, CharesY: cy,
+			Iters: iters, CostPerCell: 1e-6,
+			NewKernel: NewWaveKernel(gw, gh, 0.4),
+		})
+		rts.Start()
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !rts.Finished() {
+			t.Fatalf("%s: wave run did not finish", r.name)
+		}
+		for by := 0; by < cy; by++ {
+			for bx := 0; bx < cx; bx++ {
+				k := app.Kernel(bx, by).(*WaveKernel)
+				for y := 0; y < bh; y++ {
+					for x := 0; x < bw; x++ {
+						got := k.Value(x, y)
+						w := want[(by*bh+y)*gw+(bx*bw+x)]
+						if math.Abs(got-w) > 1e-12 {
+							t.Fatalf("%s block (%d,%d) cell (%d,%d): got %v, want %v", r.name, bx, by, x, y, got, w)
+						}
 					}
 				}
 			}

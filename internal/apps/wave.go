@@ -13,9 +13,7 @@ import "math"
 // regardless of decomposition. This is the paper's Wave2D, used both as a
 // measured application and as the 2-core interfering background job.
 type WaveKernel struct {
-	w, h    int
-	x0, y0  int
-	gw, gh  int
+	block
 	courant float64
 	u       []float64
 	uPrev   []float64
@@ -28,12 +26,15 @@ func NewWaveKernel(gw, gh int, courant float64) func(bx, by, x0, y0, w, h int) K
 	if courant <= 0 {
 		courant = 0.4
 	}
+	// The physical-boundary row, shared read-only by the factory's blocks.
+	zero := make([]float64, gw)
 	return func(bx, by, x0, y0, w, h int) Kernel {
 		k := &WaveKernel{
-			w: w, h: h, x0: x0, y0: y0, gw: gw, gh: gh, courant: courant,
-			u:     make([]float64, w*h),
-			uPrev: make([]float64, w*h),
-			uNext: make([]float64, w*h),
+			block:   block{w: w, h: h, boundN: zero[:w], boundS: zero[:w]},
+			courant: courant,
+			u:       make([]float64, w*h),
+			uPrev:   make([]float64, w*h),
+			uNext:   make([]float64, w*h),
 		}
 		// Gaussian pulse at the domain center, at rest (uPrev = u).
 		cx, cy := float64(gw)/2, float64(gh)/2
@@ -53,69 +54,35 @@ func NewWaveKernel(gw, gh int, courant float64) func(bx, by, x0, y0, w, h int) K
 
 func (k *WaveKernel) at(x, y int) float64 { return k.u[y*k.w+x] }
 
-func (k *WaveKernel) neighborValue(x, y int, edges map[int][]float64) float64 {
-	switch {
-	case y < 0:
-		if e, ok := edges[dirN]; ok {
-			return e[x]
-		}
-		return 0 // fixed boundary
-	case y >= k.h:
-		if e, ok := edges[dirS]; ok {
-			return e[x]
-		}
-		return 0
-	case x < 0:
-		if e, ok := edges[dirW]; ok {
-			return e[y]
-		}
-		return 0
-	case x >= k.w:
-		if e, ok := edges[dirE]; ok {
-			return e[y]
-		}
-		return 0
-	}
-	return k.at(x, y)
-}
-
 // Step implements Kernel.
-func (k *WaveKernel) Step(edges map[int][]float64) {
+func (k *WaveKernel) Step(edges map[int][]float64) { k.StepGhosts(ghostsOf(edges)) }
+
+// StepGhosts implements Kernel.
+func (k *WaveKernel) StepGhosts(g Ghosts) {
+	w, c := k.w, k.courant
 	for y := 0; y < k.h; y++ {
-		for x := 0; x < k.w; x++ {
-			lap := k.neighborValue(x, y-1, edges) +
-				k.neighborValue(x, y+1, edges) +
-				k.neighborValue(x-1, y, edges) +
-				k.neighborValue(x+1, y, edges) -
-				4*k.at(x, y)
-			k.uNext[y*k.w+x] = 2*k.at(x, y) - k.uPrev[y*k.w+x] + k.courant*lap
+		north, south, west, east := k.around(k.u, y, &g)
+		row := k.u[y*w : (y+1)*w]
+		prev := k.uPrev[y*w : (y+1)*w]
+		next := k.uNext[y*w : (y+1)*w]
+		// The west neighbor carries over from the previous cell; only
+		// the last cell's east neighbor lies beyond the row.
+		wv := west
+		for x, u := range row {
+			ev := east
+			if x < w-1 {
+				ev = row[x+1]
+			}
+			lap := north[x] + south[x] + wv + ev - 4*u
+			next[x] = 2*u - prev[x] + c*lap
+			wv = u
 		}
 	}
 	k.uPrev, k.u, k.uNext = k.u, k.uNext, k.uPrev
 }
 
-// Edge implements Kernel (returns a copy; see JacobiKernel.Edge).
-func (k *WaveKernel) Edge(d int) []float64 {
-	switch d {
-	case dirN:
-		return append([]float64(nil), k.u[:k.w]...)
-	case dirS:
-		return append([]float64(nil), k.u[(k.h-1)*k.w:]...)
-	case dirW:
-		e := make([]float64, k.h)
-		for y := 0; y < k.h; y++ {
-			e[y] = k.at(0, y)
-		}
-		return e
-	case dirE:
-		e := make([]float64, k.h)
-		for y := 0; y < k.h; y++ {
-			e[y] = k.at(k.w-1, y)
-		}
-		return e
-	}
-	panic("apps: bad edge direction")
-}
+// Edge implements Kernel (see JacobiKernel.Edge).
+func (k *WaveKernel) Edge(d int, dst []float64) { k.edge(k.u, d, dst) }
 
 // Bytes implements Kernel (two live time levels).
 func (k *WaveKernel) Bytes() int { return 16 * k.w * k.h }

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"cloudlb/internal/apps"
 	"cloudlb/internal/charm"
+	"cloudlb/internal/machine"
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/sim"
 	"cloudlb/internal/trace"
@@ -231,5 +233,57 @@ func TestClassicScenarioSteadyStateAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state runtime stack: %.2f allocs per 10ms window, want 0", avg)
+	}
+}
+
+// TestStencilSteadyStateAllocFree is the allocation gate for the stencil
+// applications over the runtime stack: a steady-state Wave2D superstep —
+// edge exchange, kernel steps, messaging and scheduling — must not
+// allocate.
+func TestStencilSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	s := NewSteadyIterBench()
+	if avg := testing.AllocsPerRun(50, s.StepOnce); avg != 0 {
+		t.Errorf("steady-state Wave2D superstep: %.2f allocs, want 0", avg)
+	}
+}
+
+// TestMol3DSteadyStateAllocFree is the same gate for Mol3D: once its
+// exchange buffers have grown to the largest cell, a superstep — ghost
+// and mover exchange, pair forces, integration and departures — must not
+// allocate.
+func TestMol3DSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	eng := sim.NewEngine()
+	mach := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+	net := xnet.New(mach, xnet.DefaultConfig())
+	rts := charm.NewRTS(charm.Config{Machine: mach, Net: net, Cores: []int{0, 1, 2, 3}})
+	app := apps.NewMol3DApp(rts, apps.Mol3DConfig{
+		CellsX: 4, CellsY: 4, CellsZ: 1,
+		CellSize: 1.0, Particles: 200, ClusterFrac: 0.4,
+		Seed: 1, Dt: 1e-3, Iters: 1 << 30,
+		CostPerPair: 1e-8,
+	})
+	rts.Start()
+	iter := 0
+	superstep := func() {
+		iter++
+		for i := 0; i < app.NumCells(); i++ {
+			for app.Iterations(i) < iter {
+				if !eng.Step() {
+					t.Fatal("Mol3D world ran out of events")
+				}
+			}
+		}
+	}
+	for i := 0; i < 200; i++ {
+		superstep()
+	}
+	if avg := testing.AllocsPerRun(100, superstep); avg != 0 {
+		t.Errorf("steady-state Mol3D superstep: %.2f allocs, want 0", avg)
 	}
 }

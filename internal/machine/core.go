@@ -243,10 +243,21 @@ func (c *Core) onCompletion() {
 	// on other cores, re-entering add/remove safely. The survivors are
 	// compacted in place (order preserved) and the completed threads go
 	// into a scratch list reused across firings.
+	//
+	// A thread is also done when its remainder is too small to advance
+	// the clock at its current rate (arm's dt): arm would schedule its
+	// completion at this same instant, where settle serves nothing,
+	// forever. Late in a long run the clock's resolution outgrows the
+	// workEpsilon slack: past t = 64 s a 2 µs burst can be left 5e-15 s
+	// short, above its 3e-15 s slack but below half the clock's 1.4e-14 s
+	// step.
+	now := c.eng.Now()
+	total := c.totalWeight()
 	done := c.doneScratch[:0]
 	keep := c.active[:0]
 	for _, th := range c.active {
-		if th.remaining <= th.demand*workEpsilon+1e-15 {
+		if th.remaining <= th.demand*workEpsilon+1e-15 ||
+			now+sim.Time(th.remaining/(c.speed*th.effWeight/total)) == now {
 			done = append(done, th)
 		} else {
 			keep = append(keep, th)

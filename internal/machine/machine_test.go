@@ -73,6 +73,25 @@ func TestSoloBurstTiming(t *testing.T) {
 	}
 }
 
+// TestSubResolutionRemainderCompletes: a 2 µs burst started at t = 64 s
+// is served to within about 5e-15 s at its first completion event. That
+// remainder is above the served slack, yet adding it to the clock leaves
+// the clock unchanged, so the burst must complete there instead of
+// re-arming at the same instant forever.
+func TestSubResolutionRemainderCompletes(t *testing.T) {
+	eng, m := newTestMachine(1, 1)
+	th := m.NewThread("a", m.Core(0), 1)
+	var done sim.Time = -1
+	eng.At(64, func() { th.Run(2e-6, func() { done = eng.Now() }) })
+	eng.SetEventLimit(100)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !approx(done, 64+2e-6) {
+		t.Fatalf("2 µs burst from t=64 finished at %v", done)
+	}
+}
+
 func TestEqualSharing(t *testing.T) {
 	eng, m := newTestMachine(1, 1)
 	a := m.NewThread("a", m.Core(0), 1)
