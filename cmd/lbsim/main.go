@@ -2,9 +2,13 @@
 // and prints their measurements: wall time, background-job wall time,
 // power, energy, migrations and LB steps.
 //
-// A single run prints the full measurement block; -runs N fans N seeds
-// out over the scenario worker pool and prints one row per seed plus the
-// mean, which is how the paper's 3-run averages are produced.
+// The flags describe one experiment.Spec, run as the "scenarios" method
+// of Spec.RunMethod: in-process, or with -submit as a job on a scenario
+// service. A single run prints the full measurement block; -runs N fans
+// N seeds out over the scenario worker pool and prints one row per seed
+// plus the mean, which is how the paper's 3-run averages are produced.
+// -submit prints the same lines from the job's rows.json, then the job
+// and its artifact URLs.
 //
 // Usage:
 //
@@ -18,6 +22,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,14 +35,12 @@ import (
 
 	"cloudlb/internal/elastic"
 	"cloudlb/internal/experiment"
-	"cloudlb/internal/metrics"
 	"cloudlb/internal/obs"
 	"cloudlb/internal/profiling"
 	"cloudlb/internal/runner"
 	"cloudlb/internal/service"
 	"cloudlb/internal/sim"
 	"cloudlb/internal/stats"
-	"cloudlb/internal/trace"
 	"cloudlb/internal/xnet"
 )
 
@@ -208,23 +211,6 @@ func main() {
 		return
 	}
 
-	var rec *trace.Recorder
-	batch := spec.Scenarios()
-	// A multi-seed batch registers each scenario through a
-	// scenario=<batch index> view, as experiment.Options does, so no
-	// series has two writers; a single run's export stays unlabeled.
-	for i := range batch {
-		batch[i].Metrics = prof.Registry()
-		if len(batch) > 1 {
-			batch[i].Metrics = batch[i].Metrics.With(metrics.L("scenario", strconv.Itoa(i)))
-		}
-		batch[i].LBTimeline = prof.Timeline()
-	}
-	if *chromePath != "" {
-		rec = trace.NewRecorder()
-		batch[0].Trace = rec
-	}
-
 	// -trace-spans (or -log) attaches a job trace to the in-process run:
 	// the pool, scheduler, runtime and network record their host-time spans
 	// on it exactly as they would for a service job.
@@ -241,57 +227,41 @@ func main() {
 	log.Info("run starting", "trace_id", tr.ID(), "app", appKind.String(),
 		"cores", *cores, "strategy", stratKind.String(), "runs", *runs, "shards", nShards)
 
+	// The local run is the service's scenarios job, run in-process.
 	pool := &runner.Pool{Workers: *parallel, Metrics: prof.Registry(), Progress: prof.Tracker()}
-	results, batchStats, err := pool.RunBatch(ctx, batch)
+	exec := pool.Executor()
+	if *chromePath == "" {
+		// The method records a single run's timeline for trace.json.
+		// Nothing reads it without -chrome, and on a large allocation
+		// recording it costs more than the simulation.
+		exec = func(ctx context.Context, batch []experiment.Scenario) ([]experiment.Result, error) {
+			for i := range batch {
+				batch[i].Trace = nil
+			}
+			return pool.Executor()(ctx, batch)
+		}
+	}
+	out, err := spec.RunMethod(ctx, "scenarios", experiment.Options{
+		Executor: exec, Metrics: prof.Registry(), LBTimeline: prof.Timeline()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbsim:", err)
 		os.Exit(1)
 	}
+	wall, events, _ := pool.Totals()
 	log.Info("run complete", "trace_id", tr.ID(),
-		"events", batchStats.Events, "wall_s", batchStats.Wall.Seconds(),
-		"spans", len(tr.Spans()))
+		"events", events, "wall_s", wall.Seconds(), "spans", len(tr.Spans()))
 
-	if *runs == 1 {
-		res := results[0]
-		fmt.Printf("app:            %v on %d cores, strategy %v, seed %d\n", appKind, *cores, stratKind, *seed)
-		fmt.Printf("wall time:      %.3f s\n", res.AppWall)
-		if !math.IsNaN(res.BGWall) {
-			fmt.Printf("bg wall time:   %.3f s (weight %.1f)\n", res.BGWall, *bgWeight)
-		}
-		fmt.Printf("avg power:      %.1f W over the application's nodes\n", res.AvgPowerW)
-		fmt.Printf("energy:         %.1f J\n", res.EnergyJ)
-		fmt.Printf("LB steps:       %d\n", res.LBSteps)
-		fmt.Printf("migrations:     %d\n", res.Migrations)
-		if !netCfg.IsZero() {
-			fmt.Printf("net drops:      %d (%d retransmits, drop %.3g%%, seed %d)\n",
-				res.NetDrops, res.NetRetransmits, *dropPct, *netSeed)
-		}
-		if len(faults) > 0 {
-			fmt.Printf("evacuations:    %d (schedule of %d revocations)\n", res.Evacuations, len(faults))
-		}
-	} else {
-		fmt.Printf("app: %v on %d cores, strategy %v, seeds %d..%d\n",
-			appKind, *cores, stratKind, *seed, *seed+int64(*runs)-1)
-		tab := stats.NewTable("seed", "wall s", "bg wall s", "power W", "energy J", "migrations")
-		var walls []float64
-		for i, r := range results {
-			tab.AddRow(*seed+int64(i), r.AppWall, r.BGWall, r.AvgPowerW, r.EnergyJ, r.Migrations)
-			walls = append(walls, r.AppWall)
-		}
-		tab.Write(os.Stdout)
-		fmt.Printf("mean wall time: %.3f s over %d seeds\n", stats.Mean(walls), *runs)
-	}
+	printRows(spec, out.Rows.([]experiment.ScenarioRow))
 	fmt.Fprintf(os.Stderr, "lbsim: %d simulated events in %.3fs wall-clock (%.3gM events/s, %d workers)\n",
-		batchStats.Events, batchStats.Wall.Seconds(), batchStats.EventsPerSec()/1e6, pool.WorkerCount())
+		events, wall.Seconds(), float64(events)/wall.Seconds()/1e6, pool.WorkerCount())
 
-	simEvents := rec.ChromeEvents()
 	if *chromePath != "" {
 		f, err := os.Create(*chromePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lbsim:", err)
 			os.Exit(1)
 		}
-		if err := obs.WriteChrome(f, simEvents); err != nil {
+		if err := obs.WriteChrome(f, out.Trace); err != nil {
 			fmt.Fprintln(os.Stderr, "lbsim:", err)
 			os.Exit(1)
 		}
@@ -300,7 +270,7 @@ func main() {
 	}
 
 	if *spanPath != "" {
-		spans, err := tr.ChromeJSON(simEvents)
+		spans, err := tr.ChromeJSON(out.Trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lbsim:", err)
 			os.Exit(1)
@@ -318,9 +288,48 @@ func main() {
 	}
 }
 
-// submitRemote sends the assembled Spec to a scenario service and prints
-// the resulting artifact table. A repeat submission of the same Spec is
-// served from the server's content-addressed cache without simulating.
+// printRows renders the scenarios method's rows for the Spec lbsim
+// assembled from its flags: the measurement block of a single run, or a
+// row per seed and the mean wall time for -runs N. A local run and a
+// -submit job print the same lines from the same rows.
+func printRows(sp experiment.Spec, rows []experiment.ScenarioRow) {
+	seed := sp.Seeds[0]
+	if len(rows) == 1 {
+		r := rows[0]
+		fmt.Printf("app:            %v on %d cores, strategy %v, seed %d\n", sp.App, sp.Cores[0], sp.Strategies[0], seed)
+		fmt.Printf("wall time:      %.3f s\n", r.AppWall)
+		if !math.IsNaN(float64(r.BGWall)) {
+			fmt.Printf("bg wall time:   %.3f s (weight %.1f)\n", r.BGWall, sp.BGWeight)
+		}
+		fmt.Printf("avg power:      %.1f W over the application's nodes\n", r.AvgPowerW)
+		fmt.Printf("energy:         %.1f J\n", r.EnergyJ)
+		fmt.Printf("LB steps:       %d\n", r.LBSteps)
+		fmt.Printf("migrations:     %d\n", r.Migrations)
+		if !sp.Net.IsZero() {
+			fmt.Printf("net drops:      %d (%d retransmits, drop %.3g%%, seed %d)\n",
+				r.NetDrops, r.NetRetransmits, sp.Net.DropPct, sp.Net.Seed)
+		}
+		if len(sp.Faults) > 0 {
+			fmt.Printf("evacuations:    %d (schedule of %d revocations)\n", r.Evacuations, len(sp.Faults))
+		}
+		return
+	}
+	fmt.Printf("app: %v on %d cores, strategy %v, seeds %d..%d\n",
+		sp.App, sp.Cores[0], sp.Strategies[0], seed, seed+int64(len(rows))-1)
+	tab := stats.NewTable("seed", "wall s", "bg wall s", "power W", "energy J", "migrations")
+	var walls []float64
+	for i, r := range rows {
+		tab.AddRow(seed+int64(i), float64(r.AppWall), float64(r.BGWall), r.AvgPowerW, r.EnergyJ, r.Migrations)
+		walls = append(walls, float64(r.AppWall))
+	}
+	tab.Write(os.Stdout)
+	fmt.Printf("mean wall time: %.3f s over %d seeds\n", stats.Mean(walls), len(rows))
+}
+
+// submitRemote sends the assembled Spec to a scenario service as a
+// scenarios job, prints its rows as a local run would, then the job and
+// its artifacts. A repeat submission of the same Spec is served from the
+// server's content-addressed cache without simulating.
 func submitRemote(ctx context.Context, base string, spec experiment.Spec, chromePath string) error {
 	client := &service.Client{BaseURL: base}
 	view, err := client.Run(ctx, service.Request{Method: "scenarios", Spec: spec})
@@ -330,18 +339,24 @@ func submitRemote(ctx context.Context, base string, spec experiment.Spec, chrome
 	if view.State == service.StateFailed {
 		return fmt.Errorf("remote job %s failed: %s", view.ID, view.Error)
 	}
+	art, ok := view.Artifacts["rows.json"]
+	if !ok {
+		return fmt.Errorf("remote job %s has no rows.json", view.ID)
+	}
+	b, err := client.Artifact(ctx, art)
+	if err != nil {
+		return err
+	}
+	var rows []experiment.ScenarioRow
+	if err := json.Unmarshal(b, &rows); err != nil {
+		return fmt.Errorf("remote job %s rows.json: %w", view.ID, err)
+	}
+	printRows(spec, rows)
 	source := "computed"
 	if view.Cached {
 		source = "cache hit"
 	}
 	fmt.Printf("job:            %s on %s (%s, spec %s)\n", view.ID, base, source, view.SpecHash[:12])
-	if art, ok := view.Artifacts["table.csv"]; ok {
-		b, err := client.Artifact(ctx, art)
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(b)
-	}
 	names := make([]string, 0, len(view.Artifacts))
 	for name := range view.Artifacts {
 		names = append(names, name)

@@ -276,6 +276,17 @@ func testbed(eng *sim.Engine, sh *sim.Shards, nodes int, interactivityBonus floa
 // testbedNodes is the testbed's node count — the upper bound on shards.
 const testbedNodes = 8
 
+// clusterNodes is the node count of the cluster a cores-core scenario
+// runs on. Up to the paper's 32 cores it is the fixed 8-node testbed (a
+// small allocation occupies its first nodes); past it the cluster grows
+// with the allocation, one node per 4 cores.
+func clusterNodes(cores int) int {
+	if cores > testbedCores {
+		return cores / 4
+	}
+	return testbedNodes
+}
+
 // ParseShards parses a -shards command-line value: "auto" (one shard per
 // node, capped at GOMAXPROCS) maps to -1, otherwise a non-negative count
 // (0 and 1 both select the classic single-engine scheduler).
@@ -340,13 +351,7 @@ func Run(s Scenario) Result {
 	if s.Cores <= 0 || s.Cores%4 != 0 {
 		panic(fmt.Sprintf("experiment: cores must be a positive multiple of 4, got %d", s.Cores))
 	}
-	// Up to the paper's 32 cores the run uses the fixed 8-node testbed (a
-	// small allocation occupies its first nodes); past it the cluster grows
-	// with the allocation, one node per 4 cores.
-	nodes := testbedNodes
-	if s.Cores > testbedCores {
-		nodes = s.Cores / 4
-	}
+	nodes := clusterNodes(s.Cores)
 	if s.Scale <= 0 {
 		s.Scale = 1
 	}

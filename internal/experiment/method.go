@@ -87,11 +87,11 @@ func (sp Spec) RunMethod(ctx context.Context, method string, opts Options) (*Out
 	return nil, fmt.Errorf("experiment: unknown method %q (want one of %v)", method, Methods())
 }
 
-// resultRow is one scenario of the scenarios method's rows: Result,
-// NaN-safe and snake_cased.
-type resultRow struct {
-	AppWall        nanFloat `json:"app_wall"`
-	BGWall         nanFloat `json:"bg_wall"`
+// ScenarioRow is one scenario of the scenarios method's rows (rows.json
+// holds a []ScenarioRow): Result, NaN-safe and snake_cased.
+type ScenarioRow struct {
+	AppWall        NaNFloat `json:"app_wall"`
+	BGWall         NaNFloat `json:"bg_wall"`
 	AvgPowerW      float64  `json:"avg_power_w"`
 	EnergyJ        float64  `json:"energy_j"`
 	Migrations     int      `json:"migrations"`
@@ -102,16 +102,25 @@ type resultRow struct {
 	NetRetransmits uint64   `json:"net_retransmits"`
 }
 
-// nanFloat is a float64 that encodes NaN as JSON null. Result.AppWall is
-// NaN for background-only runs and Result.BGWall is NaN without a
-// background job; encoding/json rejects NaN outright.
-type nanFloat float64
+// NaNFloat is a float64 that encodes NaN as JSON null and decodes null
+// as NaN. Result.AppWall is NaN for background-only runs and
+// Result.BGWall is NaN without a background job; encoding/json rejects
+// NaN outright.
+type NaNFloat float64
 
-func (f nanFloat) MarshalJSON() ([]byte, error) {
+func (f NaNFloat) MarshalJSON() ([]byte, error) {
 	if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
 		return []byte("null"), nil
 	}
 	return json.Marshal(float64(f))
+}
+
+func (f *NaNFloat) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*f = NaNFloat(math.NaN())
+		return nil
+	}
+	return json.Unmarshal(data, (*float64)(f))
 }
 
 // runScenarios runs the Spec's raw Scenarios batch. A single-scenario
@@ -127,11 +136,11 @@ func (sp Spec) runScenarios(ctx context.Context, opts Options) (*Output, error) 
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]resultRow, len(results))
+	rows := make([]ScenarioRow, len(results))
 	t := stats.NewTable("cores", "strategy", "seed", "app wall s", "bg wall s", "migrations", "lb steps", "evacuations", "events")
 	for i, r := range results {
-		rows[i] = resultRow{
-			AppWall: nanFloat(r.AppWall), BGWall: nanFloat(r.BGWall),
+		rows[i] = ScenarioRow{
+			AppWall: NaNFloat(r.AppWall), BGWall: NaNFloat(r.BGWall),
 			AvgPowerW: r.AvgPowerW, EnergyJ: r.EnergyJ,
 			Migrations: r.Migrations, LBSteps: r.LBSteps,
 			Evacuations: r.Evacuations, Events: r.Events,

@@ -5,6 +5,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"math"
 	"testing"
 
 	"cloudlb/internal/obs"
@@ -47,5 +49,31 @@ func TestScenariosTraceBytesPinned(t *testing.T) {
 	if buf.Len() != wantLen || hex.EncodeToString(sum[:]) != wantSum {
 		t.Fatalf("trace.json is %d bytes with SHA-256 %x, want %d bytes with %s",
 			buf.Len(), sum, wantLen, wantSum)
+	}
+}
+
+// TestScenarioRowJSONRoundTrip: rows.json decodes back into the rows
+// that encoded it, NaN walls included (encoded as null), and re-encodes
+// to the same bytes, so a -submit client renders exactly what a local
+// run prints.
+func TestScenarioRowJSONRoundTrip(t *testing.T) {
+	rows := []ScenarioRow{
+		{AppWall: 1.25, BGWall: NaNFloat(math.NaN()), AvgPowerW: 140.5, EnergyJ: 175.625, Migrations: 3, Events: 9},
+		{AppWall: NaNFloat(math.NaN()), BGWall: 2.5, NetDrops: 4, NetRetransmits: 4},
+	}
+	b, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []ScenarioRow
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(float64(back[0].BGWall)) || !math.IsNaN(float64(back[1].AppWall)) || back[0].AppWall != 1.25 {
+		t.Fatalf("decoded rows %+v lost a value", back)
+	}
+	again, err := json.Marshal(back)
+	if err != nil || !bytes.Equal(again, b) {
+		t.Fatalf("re-encoded rows differ: %v\n%s\n%s", err, again, b)
 	}
 }

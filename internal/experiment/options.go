@@ -18,9 +18,11 @@ type Options struct {
 	// notifications); nil runs the batch sequentially through RunAll.
 	Executor Executor
 	// Metrics, when non-nil, is attached to every scenario in the batch
-	// (see Scenario.Metrics) as a view labeling the scenario's series
-	// scenario=<batch index>. No series has two writers, so the registry's
-	// contents do not depend on how the batch was scheduled.
+	// (see Scenario.Metrics). In a batch of more than one scenario each
+	// scenario writes through a view labeling its series
+	// scenario=<batch index>: no series has two writers, so the registry's
+	// contents do not depend on how the batch was scheduled. A single
+	// scenario's series stay unlabeled.
 	Metrics *metrics.Registry
 	// LBTimeline, when non-nil, is attached to every scenario in the
 	// batch (see Scenario.LBTimeline).
@@ -32,7 +34,10 @@ func (o Options) run(ctx context.Context, batch []Scenario) ([]Result, error) {
 	if o.Metrics != nil || o.LBTimeline != nil {
 		for i := range batch {
 			if o.Metrics != nil && batch[i].Metrics == nil {
-				batch[i].Metrics = o.Metrics.With(metrics.L("scenario", strconv.Itoa(i)))
+				batch[i].Metrics = o.Metrics
+				if len(batch) > 1 {
+					batch[i].Metrics = o.Metrics.With(metrics.L("scenario", strconv.Itoa(i)))
+				}
 			}
 			if o.LBTimeline != nil && batch[i].LBTimeline == nil {
 				batch[i].LBTimeline = o.LBTimeline

@@ -111,7 +111,7 @@ func (sp Spec) run(ctx context.Context, opts Options, batch []Scenario) ([]Resul
 
 // Scenarios expands the Spec's cross product — Cores × Strategies ×
 // Seeds, in that nesting order — into a flat batch carrying every
-// workload knob. This is the batch cmd/lbsim runs directly.
+// workload knob: the batch of the scenarios method.
 func (sp Spec) Scenarios() []Scenario {
 	strategies := sp.Strategies
 	if len(strategies) == 0 {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"cloudlb/internal/xnet"
@@ -70,8 +71,8 @@ func (sp Spec) Validate() error {
 	if sp.App == AppNone && sp.App.String() != "unknown" && sp.BG != BGWave2D {
 		add("app", `"none" requires bg "wave2d" (the background job is the thing being measured)`)
 	}
-	if sp.Scale < 0 {
-		add("scale", "must be >= 0 (0 = default 1), got %v", sp.Scale)
+	if !finite(sp.Scale) || sp.Scale < 0 {
+		add("scale", "must be finite and >= 0 (0 = default 1), got %v", sp.Scale)
 	}
 	nonNegative := []struct {
 		field string
@@ -89,8 +90,14 @@ func (sp Spec) Validate() error {
 		{"max_virtual_time", float64(sp.MaxVirtualTime)},
 	}
 	for _, n := range nonNegative {
-		if n.v < 0 {
-			add(n.field, "must be >= 0 (0 = default), got %v", n.v)
+		if !finite(n.v) || n.v < 0 {
+			add(n.field, "must be finite and >= 0 (0 = default), got %v", n.v)
+		}
+	}
+	for i, r := range sp.Faults {
+		if !finite(float64(r.At)) || !finite(float64(r.Warning)) || !finite(float64(r.Restore)) {
+			add(fmt.Sprintf("faults[%d]", i), "times must be finite, got at %v, warning %v, restore %v",
+				r.At, r.Warning, r.Restore)
 		}
 	}
 	if len(sp.Faults) > 0 {
@@ -109,10 +116,17 @@ func (sp Spec) Validate() error {
 			}
 		}
 	}
-	errs = append(errs, validateNet(sp.Net)...)
+	// Node indices must exist on the smallest allocation's cluster.
+	nodes := 0
+	for _, c := range sp.Cores {
+		if c > 0 && c%4 == 0 && (nodes == 0 || clusterNodes(c) < nodes) {
+			nodes = clusterNodes(c)
+		}
+	}
+	errs = append(errs, validateNet(sp.Net, nodes)...)
 	for i, e := range sp.EpsFracs {
-		if e <= 0 {
-			add(fmt.Sprintf("eps_fracs[%d]", i), "must be > 0, got %v", e)
+		if !finite(e) || e <= 0 {
+			add(fmt.Sprintf("eps_fracs[%d]", i), "must be finite and > 0, got %v", e)
 		}
 	}
 	for i, p := range sp.Periods {
@@ -121,13 +135,13 @@ func (sp Spec) Validate() error {
 		}
 	}
 	for i, d := range sp.DropPcts {
-		if d < 0 || d >= 100 {
+		if !(d >= 0 && d < 100) {
 			add(fmt.Sprintf("drop_pcts[%d]", i), "must be in [0,100), got %v", d)
 		}
 	}
 	for i, f := range sp.StraggleFactors {
-		if f <= 0 {
-			add(fmt.Sprintf("straggle_factors[%d]", i), "must be > 0, got %v", f)
+		if !finite(f) || f <= 0 {
+			add(fmt.Sprintf("straggle_factors[%d]", i), "must be finite and > 0, got %v", f)
 		}
 	}
 
@@ -137,56 +151,72 @@ func (sp Spec) Validate() error {
 	return &ValidationError{Fields: errs}
 }
 
+// finite reports whether v is neither NaN nor ±Inf. A float flag
+// accepts "NaN" and "Inf", and NaN fails every comparison, so a range
+// check written as v < 0 lets it through.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // validateNet mirrors xnet's own panic-on-Build checks as field errors,
 // so a bad network config is a 400 at submit time instead of a crashed
-// job at run time.
-func validateNet(cfg xnet.Config) []FieldError {
+// job at run time. Node indices are checked against a cluster of nodes
+// nodes (0 skips the upper bound).
+func validateNet(cfg xnet.Config, nodes int) []FieldError {
 	var errs []FieldError
 	add := func(field, format string, args ...any) {
 		errs = append(errs, FieldError{Field: "net." + field, Msg: fmt.Sprintf(format, args...)})
 	}
-	if cfg.IntraNodeLatency < 0 {
-		add("intra_node_latency", "must be >= 0, got %v", cfg.IntraNodeLatency)
+	nonNegative := []struct {
+		field string
+		v     float64
+	}{
+		{"intra_node_latency", cfg.IntraNodeLatency},
+		{"intra_node_bandwidth", cfg.IntraNodeBandwidth},
+		{"inter_node_latency", cfg.InterNodeLatency},
+		{"inter_node_bandwidth", cfg.InterNodeBandwidth},
+		{"straggler_factor", cfg.StragglerFactor},
+		{"retransmit_timeout", cfg.RetransmitTimeout},
 	}
-	if cfg.IntraNodeBandwidth < 0 {
-		add("intra_node_bandwidth", "must be >= 0, got %v", cfg.IntraNodeBandwidth)
+	for _, n := range nonNegative {
+		if !finite(n.v) || n.v < 0 {
+			add(n.field, "must be finite and >= 0 (0 = default), got %v", n.v)
+		}
 	}
-	if cfg.InterNodeLatency < 0 {
-		add("inter_node_latency", "must be >= 0, got %v", cfg.InterNodeLatency)
-	}
-	if cfg.InterNodeBandwidth < 0 {
-		add("inter_node_bandwidth", "must be >= 0, got %v", cfg.InterNodeBandwidth)
+	outside := func(n int) bool { return n < 0 || nodes > 0 && n >= nodes }
+	span := func() string {
+		if nodes > 0 {
+			return fmt.Sprintf("in [0,%d), the smallest allocation's cluster", nodes)
+		}
+		return ">= 0"
 	}
 	for i, l := range cfg.Links {
-		if l.Src < 0 || l.Dst < 0 {
+		if outside(l.Src) || outside(l.Dst) {
 			errs = append(errs, FieldError{
 				Field: fmt.Sprintf("net.links[%d]", i),
-				Msg:   fmt.Sprintf("node indices must be >= 0, got (%d,%d)", l.Src, l.Dst),
+				Msg:   fmt.Sprintf("node indices must be %s, got (%d,%d)", span(), l.Src, l.Dst),
+			})
+		} else if l.Src == l.Dst {
+			errs = append(errs, FieldError{
+				Field: fmt.Sprintf("net.links[%d]", i),
+				Msg:   fmt.Sprintf("src and dst must differ (a link joins two nodes), got (%d,%d)", l.Src, l.Dst),
 			})
 		}
-		if l.Latency < 0 || l.Bandwidth < 0 {
+		if !finite(l.Latency) || !finite(l.Bandwidth) || l.Latency < 0 || l.Bandwidth < 0 {
 			errs = append(errs, FieldError{
 				Field: fmt.Sprintf("net.links[%d]", i),
-				Msg:   "latency and bandwidth must be >= 0",
+				Msg:   fmt.Sprintf("latency and bandwidth must be finite and >= 0, got %v and %v", l.Latency, l.Bandwidth),
 			})
 		}
 	}
 	for i, n := range cfg.StragglerNodes {
-		if n < 0 {
+		if outside(n) {
 			errs = append(errs, FieldError{
 				Field: fmt.Sprintf("net.straggler_nodes[%d]", i),
-				Msg:   fmt.Sprintf("must be >= 0, got %d", n),
+				Msg:   fmt.Sprintf("must be a node index %s, got %d", span(), n),
 			})
 		}
 	}
-	if cfg.StragglerFactor < 0 {
-		add("straggler_factor", "must be >= 0 (0 = default 1), got %v", cfg.StragglerFactor)
-	}
-	if cfg.DropPct < 0 || cfg.DropPct >= 100 {
+	if !(cfg.DropPct >= 0 && cfg.DropPct < 100) {
 		add("drop_pct", "must be in [0,100), got %v", cfg.DropPct)
-	}
-	if cfg.RetransmitTimeout < 0 {
-		add("retransmit_timeout", "must be >= 0 (0 = default), got %v", cfg.RetransmitTimeout)
 	}
 	if cfg.MaxAttempts < 0 {
 		add("max_attempts", "must be >= 0 (0 = default), got %d", cfg.MaxAttempts)

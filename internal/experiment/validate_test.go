@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"cloudlb/internal/elastic"
+	"cloudlb/internal/sim"
 	"cloudlb/internal/xnet"
 )
 
@@ -29,6 +31,10 @@ func TestValidateOK(t *testing.T) {
 			Seeds: []int64{1, 2}, BG: BGCloudChurn, Scale: 2,
 			Faults: elastic.Schedule{{PE: 1, At: 2}},
 			Net:    xnet.Config{DropPct: 5, Seed: 3}},
+		// Past 32 cores the cluster grows one node per 4 cores: node 15
+		// exists at 64 cores.
+		{App: Wave2D, Cores: []int{64}, Net: xnet.Config{StragglerNodes: []int{15}, StragglerFactor: 4,
+			Links: []xnet.Link{{Src: 0, Dst: 15, Latency: 1e-4}}}},
 	}
 	for i, sp := range specs {
 		if err := sp.Validate(); err != nil {
@@ -91,5 +97,51 @@ func TestValidateEmptyCores(t *testing.T) {
 	fields := fieldsOf(t, Spec{App: Wave2D}.Validate())
 	if _, ok := fields["cores"]; !ok {
 		t.Fatalf("empty cores must flag cores, got %v", fields)
+	}
+}
+
+// TestValidateRejectsRunTimePanics: each Spec would otherwise panic
+// inside Run (or, for NaN, run a nonsense network or never finish), so
+// Validate must reject it at its wire path.
+func TestValidateRejectsRunTimePanics(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		spec  Spec
+		field string
+		msg   string
+	}{
+		{"straggler outside 8-node testbed", Spec{Cores: []int{8},
+			Net: xnet.Config{StragglerNodes: []int{99}, StragglerFactor: 4}}, "net.straggler_nodes[0]", "[0,8)"},
+		{"straggler outside smallest allocation", Spec{Cores: []int{64, 8},
+			Net: xnet.Config{StragglerNodes: []int{1, 8}, StragglerFactor: 4}}, "net.straggler_nodes[1]", "[0,8)"},
+		{"link endpoint outside cluster", Spec{Cores: []int{32},
+			Net: xnet.Config{Links: []xnet.Link{{Src: 0, Dst: 9}}}}, "net.links[0]", "[0,8)"},
+		{"link within one node", Spec{Cores: []int{8},
+			Net: xnet.Config{Links: []xnet.Link{{Src: 0, Dst: 1}, {Src: 2, Dst: 2}}}}, "net.links[1]", "differ"},
+		{"NaN bg weight", Spec{Cores: []int{8}, BG: BGWave2D, BGWeight: nan}, "bg_weight", "finite"},
+		{"NaN drop pct", Spec{Cores: []int{8}, Net: xnet.Config{DropPct: nan}}, "net.drop_pct", "[0,100)"},
+		{"Inf straggler factor", Spec{Cores: []int{8},
+			Net: xnet.Config{StragglerNodes: []int{1}, StragglerFactor: inf}}, "net.straggler_factor", "finite"},
+		{"Inf scale", Spec{Cores: []int{8}, Scale: inf}, "scale", "finite"},
+		{"NaN max virtual time", Spec{Cores: []int{8}, MaxVirtualTime: sim.Time(nan)}, "max_virtual_time", "finite"},
+		{"NaN fault time", Spec{Cores: []int{8}, Faults: elastic.Schedule{{PE: 1, At: sim.Time(nan)}}}, "faults[0]", "finite"},
+		{"-Inf link latency", Spec{Cores: []int{8},
+			Net: xnet.Config{Links: []xnet.Link{{Src: 0, Dst: 1, Latency: -inf}}}}, "net.links[0]", "finite"},
+		{"NaN sweep axis", Spec{Cores: []int{8}, EpsFracs: []float64{0.02, nan}}, "eps_fracs[1]", "finite"},
+		{"NaN drop axis", Spec{Cores: []int{8}, DropPcts: []float64{0, nan}}, "drop_pcts[1]", "[0,100)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.spec.App = Wave2D
+			err := tc.spec.Validate()
+			if err == nil {
+				t.Fatal("Validate accepted the Spec")
+			}
+			fields := fieldsOf(t, err)
+			msg, ok := fields[tc.field]
+			if !ok || !strings.Contains(msg, tc.msg) {
+				t.Fatalf("want %s error mentioning %q, got %v", tc.field, tc.msg, fields)
+			}
+		})
 	}
 }

@@ -11,6 +11,7 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,10 @@ import (
 // items run to completion, and that error is returned. Cancelling ctx
 // likewise stops the batch and returns the context's error. On any error
 // the partial results are discarded (a batch is only meaningful whole).
+//
+// A panic in fn is that item's error, a *PanicError: the caller cannot
+// recover a panic on a worker goroutine, so without this one bad item
+// would end the process instead of failing its batch.
 func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, index int, item T) (R, error)) ([]R, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -67,7 +72,7 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx cont
 				if i >= len(items) {
 					return
 				}
-				r, err := fn(wctx, i, items[i])
+				r, err := call(wctx, fn, i, items[i])
 				if err != nil {
 					fail(err)
 					return
@@ -84,4 +89,24 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx cont
 		return nil, err
 	}
 	return results, nil
+}
+
+// PanicError is the error Map returns for an item whose fn panicked.
+type PanicError struct {
+	Index int // the item's position in items
+	Value any // the value passed to panic
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("runner: item %d panicked: %v", e.Index, e.Value)
+}
+
+// call runs fn on one item, recovering a panic as the item's error.
+func call[T, R any](ctx context.Context, fn func(context.Context, int, T) (R, error), i int, item T) (r R, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PanicError{Index: i, Value: p}
+		}
+	}()
+	return fn(ctx, i, item)
 }

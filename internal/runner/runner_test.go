@@ -72,6 +72,24 @@ func TestMapFirstErrorStopsBatch(t *testing.T) {
 	}
 }
 
+// TestMapPanicIsItemError: a panicking item fails the batch with an
+// error naming the item and the panic value; the process survives.
+func TestMapPanicIsItemError(t *testing.T) {
+	got, err := Map(context.Background(), 2, make([]int, 8), func(_ context.Context, i, _ int) (int, error) {
+		if i == 5 {
+			panic("boom at 5")
+		}
+		return i, nil
+	})
+	var perr *PanicError
+	if !errors.As(err, &perr) || perr.Index != 5 || perr.Value != "boom at 5" {
+		t.Fatalf("err = %#v, want a PanicError for item 5 carrying the panic value", err)
+	}
+	if got != nil {
+		t.Fatal("panicked batch returned partial results")
+	}
+}
+
 func TestMapCancellationStopsBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64

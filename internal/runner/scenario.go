@@ -21,14 +21,6 @@ type ScenarioStats struct {
 	Events uint64
 }
 
-// EventsPerSec is the scenario's simulated-event throughput.
-func (s ScenarioStats) EventsPerSec() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	return float64(s.Events) / s.Wall.Seconds()
-}
-
 // BatchStats aggregates one batch.
 type BatchStats struct {
 	// Wall is the real elapsed time of the whole batch (not the sum of
@@ -38,15 +30,6 @@ type BatchStats struct {
 	Events uint64
 	// Scenarios holds the per-scenario records in batch order.
 	Scenarios []ScenarioStats
-}
-
-// EventsPerSec is the batch's aggregate simulated-event throughput:
-// total events over real elapsed time, so it scales with the worker count.
-func (b *BatchStats) EventsPerSec() float64 {
-	if b.Wall <= 0 {
-		return 0
-	}
-	return float64(b.Events) / b.Wall.Seconds()
 }
 
 // Pool runs experiment scenario batches on a bounded worker pool and

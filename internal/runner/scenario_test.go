@@ -120,9 +120,6 @@ func TestRunBatchSlotsResultsByIndex(t *testing.T) {
 	if sum != stats.Events {
 		t.Fatalf("per-scenario events sum %d != batch total %d", sum, stats.Events)
 	}
-	if stats.EventsPerSec() <= 0 {
-		t.Fatal("batch throughput not positive")
-	}
 	wall, events, n := pool.Totals()
 	if wall <= 0 || events != stats.Events || n != len(batch) {
 		t.Fatalf("pool totals wall=%v events=%d scenarios=%d", wall, events, n)

@@ -28,20 +28,36 @@ type Request struct {
 var Methods = experiment.Methods()
 
 // ParseRequest decodes and fully validates a submit document, returning
-// typed field errors the HTTP layer renders as a 400 body.
+// typed field errors the HTTP layer renders as a 400 body. The Spec goes
+// through experiment.ParseSpec, so a stored request.json — whose Spec
+// carries its own "v" — is itself a valid submission.
 func ParseRequest(data []byte) (Request, error) {
-	var req Request
+	var doc struct {
+		V      int             `json:"v,omitempty"`
+		Method string          `json:"method"`
+		Spec   json.RawMessage `json:"spec"`
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return Request{}, &experiment.ValidationError{Fields: []experiment.FieldError{
-			{Field: "(body)", Msg: err.Error()},
-		}}
+	if err := dec.Decode(&doc); err != nil {
+		return Request{}, fieldError("(body)", err.Error())
 	}
+	if doc.Spec == nil {
+		return Request{}, fieldError("spec", "required")
+	}
+	sp, err := experiment.ParseSpec(doc.Spec)
+	if err != nil {
+		return Request{}, fieldError("spec", err.Error())
+	}
+	req := Request{V: doc.V, Method: doc.Method, Spec: sp}
 	if err := req.Validate(); err != nil {
 		return Request{}, err
 	}
 	return req, nil
+}
+
+func fieldError(field, msg string) error {
+	return &experiment.ValidationError{Fields: []experiment.FieldError{{Field: field, Msg: msg}}}
 }
 
 // Validate checks the request envelope and the Spec inside it.

@@ -4,25 +4,35 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"cloudlb/internal/experiment"
 	"cloudlb/internal/metrics"
+	"cloudlb/internal/obs"
 	"cloudlb/internal/service/store"
 	"cloudlb/internal/xnet"
 )
 
 func newTestService(t *testing.T, live *metrics.Registry) (*Service, *httptest.Server) {
 	t.Helper()
+	return newTestServiceConfig(t, Config{Metrics: live})
+}
+
+// newTestServiceConfig serves cfg, over a fresh store, behind httptest.
+func newTestServiceConfig(t *testing.T, cfg Config) (*Service, *httptest.Server) {
+	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{Store: st, Metrics: live})
+	cfg.Store = st
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +133,105 @@ func TestSubmitComputeAndCacheHit(t *testing.T) {
 	}
 	if rows[0]["bg_wall"] != nil {
 		t.Fatalf("bg_wall should be null without a background job, got %v", rows[0]["bg_wall"])
+	}
+}
+
+// TestPanickingScenarioFailsOnlyItsJob: a Spec that passes Validate but
+// cannot finish by its max_virtual_time panics inside the run, on a pool
+// worker goroutine. The job must fail with that message, and the service
+// must go on to complete the next job.
+func TestPanickingScenarioFailsOnlyItsJob(t *testing.T) {
+	_, ts := newTestService(t, nil)
+	client := &Client{BaseURL: ts.URL}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	req, err := ParseRequest([]byte(`{"method":"scenarios","spec":{"app":"jacobi2d","cores":[4],"scale":1,"max_virtual_time":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := client.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.State != StateFailed || !strings.Contains(view.Error, "did not finish") {
+		t.Fatalf("want a failed job naming the unfinished scenario, got %s %q", view.State, view.Error)
+	}
+	view, err = client.Run(ctx, Request{Method: "scenarios", Spec: quickSpec()})
+	if err != nil || view.State != StateDone {
+		t.Fatalf("job after the failed one: %v %s %q", err, view.State, view.Error)
+	}
+}
+
+// TestJobLogAndTraceArtifacts follows one job through its log lines and
+// trace artifacts: a JSON log line carries the job's trace ID, the
+// trace_spans.json artifact holds the job's execute and cache-lookup
+// spans and, as pid 0, every event of its trace.json unchanged, and a
+// resubmission is logged as a cache hit.
+func TestJobLogAndTraceArtifacts(t *testing.T) {
+	log := obs.New(nil, slog.LevelInfo, "json")
+	_, ts := newTestServiceConfig(t, Config{Log: log})
+	client := &Client{BaseURL: ts.URL}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	req := Request{Method: "scenarios", Spec: quickSpec()}
+	view, err := client.Run(ctx, req)
+	if err != nil || view.State != StateDone || view.TraceID == "" {
+		t.Fatalf("job: %v %+v", err, view)
+	}
+	logged := func(match func(rec map[string]any) bool) bool {
+		for _, line := range log.Recent() {
+			var rec map[string]any
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("log line is not JSON: %s", line)
+			}
+			if match(rec) {
+				return true
+			}
+		}
+		return false
+	}
+	if !logged(func(rec map[string]any) bool { return rec["trace_id"] == view.TraceID && rec["msg"] != nil }) {
+		t.Errorf("no JSON log line carries trace_id %s", view.TraceID)
+	}
+
+	decode := func(name string) []map[string]any {
+		t.Helper()
+		b, err := client.Artifact(ctx, view.Artifacts[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []map[string]any
+		if err := json.Unmarshal(b, &events); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return events
+	}
+	spans, sim := decode("trace_spans.json"), decode("trace.json")
+	complete := map[string]bool{}
+	var pid0 []map[string]any
+	for _, ev := range spans {
+		if ev["ph"] == "X" {
+			complete[ev["name"].(string)] = true
+		}
+		if ev["pid"] == 0.0 && ev["ph"] != "M" {
+			pid0 = append(pid0, ev)
+		}
+	}
+	if !complete["execute"] || !complete["cache-lookup"] {
+		t.Errorf("trace_spans.json lacks execute or cache-lookup spans: %v", complete)
+	}
+	if len(sim) == 0 || !reflect.DeepEqual(pid0, sim) {
+		t.Errorf("trace_spans.json pid 0 holds %d events, want trace.json's %d unchanged", len(pid0), len(sim))
+	}
+
+	again, err := client.Run(ctx, req)
+	if err != nil || !again.Cached {
+		t.Fatalf("resubmission: %v %+v", err, again)
+	}
+	if !logged(func(rec map[string]any) bool { return rec["msg"] == "cache hit" && rec["trace_id"] == again.TraceID }) {
+		t.Error("the cache hit was not logged")
 	}
 }
 
