@@ -2,7 +2,7 @@
 # full test suite, the same suite under the race detector — the scenario
 # runner is the repo's first production concurrency, so every change runs
 # race-clean before it lands — a one-iteration benchmark smoke so the
-# bench bodies compile and run on every verify, the sharded-determinism
+# bench bodies compile and run on every verify, the shard-count determinism
 # gate, and vet plus tests of the separate bench/ module, which builds
 # against the internal packages. Every end-to-end contract (flags to
 # metrics export, the job service, -submit, the figures) is a `go test`.
@@ -58,17 +58,18 @@ bench:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Sharded-scheduler determinism gate, named so `make check` runs it even
-# when the cached `race` target is skipped: the same scenario at shards
-# {1,2,4,8} x GOMAXPROCS {1,4} under the race detector must produce an
-# identical Result, metric snapshot and trace hash, and the classic
-# -shards 1 path must stay allocation-free in steady state, the runtime
-# stack alone and under the stencil and Mol3D applications. The alloc
-# gates run without -race (instrumentation perturbs allocation counts);
-# -count=1 defeats the test cache so the gates always execute.
+# Shard-count determinism gate, named so `make check` runs it even when
+# the cached `race` target is skipped: the same scenario at shards
+# {1,2,4,8} x GOMAXPROCS {1,4}, and seeded random Specs at shards {1,2,4},
+# must produce an identical Result, metric snapshot and trace hash under
+# the race detector. The scheduler must stay allocation-free in steady
+# state at one shard (the runtime stack alone and under the stencil and
+# Mol3D applications) and at 2 and 8 shards. The alloc gates run without
+# -race (instrumentation perturbs allocation counts); -count=1 defeats the
+# test cache so the gates always execute.
 determinism:
-	$(GO) test -race -count=1 -run 'TestShardedDeterminism|TestDiffusionShardedDeterminism|TestShardsAutoResolve' ./internal/experiment
-	$(GO) test -count=1 -run 'TestClassicScenarioSteadyStateAllocFree|TestStencilSteadyStateAllocFree|TestMol3DSteadyStateAllocFree' ./internal/experiment
+	$(GO) test -race -count=1 -run 'TestShardedDeterminism|TestDiffusionShardedDeterminism|TestShardsAutoResolve|TestShardCountInvariantOnRandomSpecs' ./internal/experiment
+	$(GO) test -count=1 -run 'TestClassicScenarioSteadyStateAllocFree|TestShardedScenarioSteadyStateAllocFree|TestStencilSteadyStateAllocFree|TestMol3DSteadyStateAllocFree' ./internal/experiment
 
 # Regenerate the committed results/ tree (byte-identical at any -parallel).
 # Figures 5 (elasticity) and 6 (network interference) are the cloud
@@ -85,8 +86,8 @@ figures:
 		-csv results -parallel 0 > results/fig7.txt
 
 # Regenerate the full results/ tree into a temp dir and diff it against
-# the committed files, twice: once on the classic single engine and once
-# with the sharded scheduler (-shards 8, one shard per testbed node).
+# the committed files, twice: once on one shard (a single engine) and once
+# on eight (-shards 8, one shard per testbed node).
 # The committed figures are a byte-exact oracle for the simulation's
 # determinism; any divergence — including between shard counts — is a
 # regression, not noise. The "wrote <path>" status lines in the .txt

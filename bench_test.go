@@ -225,10 +225,10 @@ func BenchmarkExtensionCloudChurn(b *testing.B) {
 	b.ReportMetric(float64(migs), "migrations")
 }
 
-// BenchmarkShardedScheduler times the conservative sharded scheduler
-// against the classic single engine on the heaviest scenario of the
-// evaluation (Mol3D, full 32-core testbed, interfered, RefineLB). The
-// shards=1 case is the classic engine; shards=8 runs one shard per node.
+// BenchmarkShardedScheduler times the conservative sharded scheduler at
+// one shard and at eight on the heaviest scenario of the evaluation
+// (Mol3D, full 32-core testbed, interfered, RefineLB). One shard is a
+// single event engine; shards=8 runs one shard per node.
 // Their results are byte-identical — the difference is wall clock, and
 // on a multi-core host with GOMAXPROCS >= 8 the sharded run should win.
 func BenchmarkShardedScheduler(b *testing.B) {

@@ -187,7 +187,7 @@ func main() {
 	plotDir := flag.String("plots", "", "also write per-panel SVG bar charts (figures 2 and 4) into this directory")
 	width := flag.Int("width", 100, "ASCII timeline width")
 	parallel := flag.Int("parallel", 0, "concurrent scenario workers (0 = GOMAXPROCS); any value produces identical output")
-	shardsFlag := flag.String("shards", "1", "event-scheduler shards per scenario: 1 = classic single engine, N = parallel node shards, auto = one per node up to GOMAXPROCS; any value produces identical output")
+	shardsFlag := flag.String("shards", "1", "event-scheduler shards per scenario: 1 = one shard, a single event engine; N = parallel node shards; auto = one per node up to GOMAXPROCS; any value produces identical output")
 	dropPct := flag.Float64("droppct", 0, "percentage of inter-node transmissions lost and retransmitted in every scenario (0 = reliable; figure 6 sweeps its own drop axis)")
 	straggle := flag.String("straggle", "", "straggler nodes and slowdown factor, NODES:FACTOR (e.g. \"1,3:4\"), applied to every scenario")
 	netSeed := flag.Int64("netseed", 0, "seed of the packet-drop lottery")

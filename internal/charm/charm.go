@@ -175,8 +175,7 @@ type Config struct {
 type RTS struct {
 	cfg Config
 	eng *sim.Engine
-	// sh is the sharded scheduler driving the machine, nil in the classic
-	// single-engine configuration. When non-nil, every PE's events run on
+	// sh is the scheduler driving the machine. Every PE's events run on
 	// its core's shard engine, and the runtime splits its hot-path mutable
 	// state (message pools, in-flight counters, Done marks) per shard so
 	// parallel windows never contend; the AtSync/LB protocol and quiescence
@@ -214,13 +213,12 @@ type RTS struct {
 	distInstr *distStepInstr
 
 	// Quiescence detection state. netInflight counts in-flight runtime
-	// messages in one slot per shard (a single slot when unsharded): the
-	// send side increments the source shard's slot and the delivery side
-	// decrements the destination's, so each slot is only ever touched by
-	// code executing on its own shard and a slot can go transiently
-	// negative — only the sum is meaningful, and it is only read in
-	// sequential context (StartQD pins the run merged until its waiters
-	// fire).
+	// messages in one slot per shard: the send side increments the source
+	// shard's slot and the delivery side decrements the destination's, so
+	// each slot is only ever touched by code executing on its own shard
+	// and a slot can go transiently negative — only the sum is
+	// meaningful, and it is only read in sequential context (StartQD pins
+	// the run merged until its waiters fire).
 	netInflight []inflightCount
 	qdWaiters   []func()
 
@@ -235,18 +233,18 @@ type RTS struct {
 	evacuations    int
 
 	// msgFree recycles application message envelopes (see appMsg), one
-	// pool per shard (a single pool when unsharded): each envelope carries
-	// its delivery closure with it, so the steady-state send path schedules
-	// network and engine events without allocating. Envelopes are taken
-	// from the sending shard's pool and released into the delivering
-	// shard's, keeping every pool single-writer within a window.
+	// pool per shard: each envelope carries its delivery closure with it,
+	// so the steady-state send path schedules network and engine events
+	// without allocating. Envelopes are taken from the sending shard's
+	// pool and released into the delivering shard's, keeping every pool
+	// single-writer within a window.
 	msgFree []msgPool
 
-	// shardDone is the per-shard Done accounting under a sharded scheduler
-	// (nil otherwise): a chare marks its own record (its host's shard owns
-	// it) and counts the call shard-locally mid-window; the coordinator's
-	// barrier hook folds the counts into done, firing onDone with the
-	// exact virtual finish time.
+	// shardDone is the per-shard Done accounting: a chare marks its own
+	// record (its host's shard owns it) and counts the call shard-locally
+	// mid-window; the coordinator's barrier hook folds the counts into
+	// done, firing onDone with the exact virtual finish time. With one
+	// shard its count is the global one and folds at once.
 	shardDone []shardDoneState
 
 	// outsScratch/insScratch are the per-PE migration-order buffers
@@ -359,16 +357,11 @@ func NewRTS(cfg Config) *RTS {
 	for i, c := range cfg.Cores {
 		r.pes = append(r.pes, newPE(r, i, cfg.Machine.Core(c)))
 	}
-	shards := 1
-	if r.sh != nil {
-		shards = r.sh.NumShards()
-	}
+	shards := r.sh.NumShards()
 	r.msgFree = make([]msgPool, shards)
 	r.netInflight = make([]inflightCount, shards)
-	if r.sh != nil {
-		r.shardDone = make([]shardDoneState, shards)
-		r.sh.OnBarrier(r.consolidate)
-	}
+	r.shardDone = make([]shardDoneState, shards)
+	r.sh.OnBarrier(r.consolidate)
 	r.outsScratch = make([][]core.Move, len(r.pes))
 	r.insScratch = make([]int, len(r.pes))
 	r.childrenMemo = make([][]int, len(r.pes))
@@ -490,12 +483,8 @@ func (r *RTS) Start() {
 // shards recursing through the same entries. Called from coordinator
 // context whenever placements may have changed and parallel windows are
 // about to resume: at Start and when the last sequential-demand holder
-// (LB resume, quiescence waiter) releases. No-op when unsharded — the
-// lazy fills are safe single-threaded.
+// (LB resume, quiescence waiter) releases.
 func (r *RTS) primeMemos() {
-	if r.sh == nil {
-		return
-	}
 	for _, p := range r.pes {
 		r.treeChildren(p.index)
 		for _, a := range r.arrays {
@@ -505,12 +494,12 @@ func (r *RTS) primeMemos() {
 	}
 }
 
-// consolidate runs on the shard coordinator at every window barrier,
-// folding each shard's Done count into the global one. The finish time
-// is exact despite the deferred bookkeeping: Done timestamps only grow
-// within and across barriers, so the maximum over the final batch is the
-// virtual time of the very last Done call — the same instant the
-// single-engine path records synchronously.
+// consolidate folds each shard's Done count into the global one. It runs
+// on the shard coordinator at every window barrier, and with one shard
+// straight from chareDone. The finish time is exact despite the deferred
+// bookkeeping: Done timestamps only grow within and across barriers, so
+// the maximum over the final batch is the virtual time of the very last
+// Done call.
 func (r *RTS) consolidate() {
 	var last sim.Time
 	pending := false
@@ -585,21 +574,15 @@ func (r *RTS) chareDone(p *pe, rec *chareRec) {
 		rec.done = true
 		p.active--
 	}
-	if r.shardDone != nil {
-		// Sharded: count locally and let the barrier hook consolidate.
-		// Writing the global count from a window would race other shards.
-		sd := &r.shardDone[p.shard]
-		sd.count++
-		sd.lastAt = p.eng.Now()
-		return
-	}
-	r.done++
-	if r.done == r.total && !r.finished {
-		r.finished = true
-		r.finishAt = r.eng.Now()
-		if r.onDone != nil {
-			r.onDone()
-		}
+	// Count shard-locally: writing the global count from a window would
+	// race other shards. With one shard the local count is the global one,
+	// so it folds now and onDone fires at the finish instant; otherwise the
+	// barrier hook folds it.
+	sd := &r.shardDone[p.shard]
+	sd.count++
+	sd.lastAt = p.eng.Now()
+	if len(r.shardDone) == 1 {
+		r.consolidate()
 	}
 }
 

@@ -54,20 +54,20 @@ func (r *RTS) RevokePE(peIdx int, warning sim.Duration) {
 		panic("charm: negative revocation warning")
 	}
 	// Evacuation reaches across every shard (it ships objects to arbitrary
-	// live PEs outside any synchronized protocol), so elasticity pins a
-	// sharded run to merged-sequential execution for good. The scenario
-	// layer already forces this for fault scenarios; this is the backstop
-	// for direct API users.
-	if r.sh != nil {
-		r.sh.ForceSequential()
+	// live PEs outside any synchronized protocol), so elasticity pins the
+	// run to merged-sequential execution for good. The scenario layer
+	// already forces this for fault scenarios; this is the backstop for
+	// direct API users.
+	r.sh.ForceSequential()
+	// Deferred operations queue in arrival order and are checked when they
+	// apply: a restore of this PE may itself still be waiting.
+	if r.lbBusy() {
+		r.pendingElastic = append(r.pendingElastic, func() { r.RevokePE(peIdx, warning) })
+		return
 	}
 	p := r.pes[peIdx]
 	if p.retired {
 		panic(fmt.Sprintf("charm: PE %d already revoked", peIdx))
-	}
-	if r.lbBusy() {
-		r.pendingElastic = append(r.pendingElastic, func() { r.RevokePE(peIdx, warning) })
-		return
 	}
 	p.retired = true
 	r.cfg.Trace.Mark(p.core.ID, r.eng.Now(), "revoked")
@@ -97,16 +97,16 @@ func (r *RTS) RestorePE(peIdx int, newCoreID int) {
 	if peIdx < 0 || peIdx >= len(r.pes) {
 		panic(fmt.Sprintf("charm: restoring invalid PE %d", peIdx))
 	}
-	if r.sh != nil {
-		r.sh.ForceSequential()
+	r.sh.ForceSequential()
+	// Checked when applied, like RevokePE: the revocation this restore
+	// undoes may still be queued behind the LB step in progress.
+	if r.lbBusy() {
+		r.pendingElastic = append(r.pendingElastic, func() { r.RestorePE(peIdx, newCoreID) })
+		return
 	}
 	p := r.pes[peIdx]
 	if !p.retired {
 		panic(fmt.Sprintf("charm: PE %d is not revoked", peIdx))
-	}
-	if r.lbBusy() {
-		r.pendingElastic = append(r.pendingElastic, func() { r.RestorePE(peIdx, newCoreID) })
-		return
 	}
 	old := p.core
 	if p.wentOffline {

@@ -395,8 +395,16 @@ func (r *RTS) masterSyncDone() {
 }
 
 // stepDone counts a completed LB step. Every protocol calls it once, when
-// the step's last migrant is installed and before the resume wave.
+// the step's last migrant is installed and before the resume wave. The
+// placements are final here, so every PE's subtree memos are dropped at
+// once: a PE that resumes later must not leave a stale memo for
+// primeMemos (run by the last sequential-demand holder to resume) or a
+// sibling's lazy fill to fold into its parents' counts.
 func (r *RTS) stepDone() {
+	for _, p := range r.pes {
+		clear(p.subtreeMemo)
+		p.subtreeTotalMemo = -1
+	}
 	r.lbSteps++
 	r.met.lbSteps.Inc()
 	if r.onLBStep != nil {

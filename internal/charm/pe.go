@@ -159,17 +159,15 @@ func (p *pe) resetLoadDB() {
 	p.idleAtLB = idle
 }
 
-// markInSync flips this PE into the synchronized state. Under a sharded
-// scheduler it also raises one unit of sequential demand: from the next
-// event on this shard (and the next barrier globally) until the matching
-// resume, the coordinator executes everything in global timestamp order,
-// because the LB step's master-side handlers read state on every shard.
+// markInSync flips this PE into the synchronized state. It also raises one
+// unit of sequential demand: from the next event on this shard (and the
+// next barrier globally) until the matching resume, the coordinator
+// executes everything in global timestamp order, because the LB step's
+// master-side handlers read state on every shard.
 func (p *pe) markInSync() {
 	p.inSync = true
 	p.syncAt = p.eng.Now()
-	if sh := p.rts.sh; sh != nil {
-		sh.RequireSequential()
-	}
+	p.rts.sh.RequireSequential()
 }
 
 // exitSync leaves the synchronized state, releasing the demand markInSync
@@ -182,9 +180,6 @@ func (p *pe) exitSync() {
 	}
 	p.inSync = false
 	sh := p.rts.sh
-	if sh == nil {
-		return
-	}
 	sh.ReleaseSequential()
 	if !sh.Sequential() {
 		p.rts.primeMemos()
@@ -205,8 +200,6 @@ func (p *pe) beginInterval() {
 	p.arrivedIn = 0
 	p.sentStats = false
 	p.doneSent = false
-	clear(p.subtreeMemo)
-	p.subtreeTotalMemo = -1
 	p.hierReset()
 	p.diffReset()
 }

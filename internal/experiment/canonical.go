@@ -278,9 +278,9 @@ type canonLink struct {
 //   - The revocation schedule is sorted by (At, PE) and straggler node
 //     sets are sorted and deduplicated — order-insensitive inputs are
 //     order-insensitive in the hash.
-//   - Shards is excluded: the sharded scheduler is byte-identical to the
-//     classic engine at every shard count (make determinism), so the same
-//     scenario at -shards 1 and -shards 8 shares one cache entry.
+//   - Shards is excluded: a run is byte-identical at every shard count
+//     (make determinism), so the same scenario at -shards 1 and
+//     -shards 8 shares one cache entry.
 func (sp Spec) CanonicalJSON() []byte {
 	b, err := json.Marshal(sp.normalize())
 	if err != nil {

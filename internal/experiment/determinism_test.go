@@ -22,19 +22,50 @@ import (
 // interfering background job — LB steps exercise the window-aligned
 // sequential sections, the background job the cross-shard traffic.
 
-// detRun executes the reference scenario at the given shard count and
-// returns its Result, a comparable metric snapshot, and a hash of the
-// trace timeline.
-func detRun(t *testing.T, shards int) (Result, map[string]float64, uint64) {
-	t.Helper()
+// outcome is everything of a run the shard count must not change: its
+// Result, a comparable metric snapshot and a hash of the trace timeline.
+type outcome struct {
+	res  Result
+	vals map[string]float64
+	hash uint64
+}
+
+// runOutcome runs s with a fresh trace recorder and metrics registry.
+func runOutcome(s Scenario) outcome {
 	rec := trace.NewRecorder()
 	reg := metrics.NewRegistry()
-	res := Run(Scenario{
+	s.Trace, s.Metrics = rec, reg
+	res := Run(s)
+	return outcome{res: res, vals: metricValues(reg), hash: traceHash(rec)}
+}
+
+// diffOutcomes reports every way got differs from want.
+func diffOutcomes(t *testing.T, name string, got, want outcome) {
+	t.Helper()
+	if !resultsEqual(got.res, want.res) {
+		t.Errorf("%s: Result diverged:\n got %+v\nwant %+v", name, got.res, want.res)
+	}
+	if got.hash != want.hash {
+		t.Errorf("%s: trace hash %x, want %x", name, got.hash, want.hash)
+	}
+	for k, w := range want.vals {
+		if g, ok := got.vals[k]; !ok || g != w {
+			t.Errorf("%s: metric %s = %v, want %v", name, k, got.vals[k], w)
+		}
+	}
+	for k := range got.vals {
+		if _, ok := want.vals[k]; !ok {
+			t.Errorf("%s: unexpected extra metric %s", name, k)
+		}
+	}
+}
+
+// detScenario is the reference scenario of the determinism tests.
+func detScenario(shards int) Scenario {
+	return Scenario{
 		App: Wave2D, Cores: 32, Strategy: Refine, BG: BGWave2D,
 		Seed: 7, Scale: 0.1, Shards: shards,
-		Trace: rec, Metrics: reg,
-	})
-	return res, metricValues(reg), traceHash(rec)
+	}
 }
 
 // metricValues flattens a registry into name|labels -> value, dropping
@@ -89,31 +120,14 @@ func traceHash(rec *trace.Recorder) uint64 {
 }
 
 // TestShardedDeterminism asserts that every shard count, at every
-// parallelism level, reproduces the single-engine run bit for bit:
-// identical Result, identical comparable metrics, identical trace.
+// parallelism level, reproduces the one-shard run bit for bit: identical
+// Result, identical comparable metrics, identical trace.
 func TestShardedDeterminism(t *testing.T) {
-	base, baseVals, baseHash := detRun(t, 1)
+	base := runOutcome(detScenario(1))
 	for _, gmp := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(gmp)
 		for _, n := range []int{2, 4, 8} {
-			res, vals, hash := detRun(t, n)
-			name := fmt.Sprintf("shards=%d/GOMAXPROCS=%d", n, gmp)
-			if res != base {
-				t.Errorf("%s: Result diverged:\n got %+v\nwant %+v", name, res, base)
-			}
-			if hash != baseHash {
-				t.Errorf("%s: trace hash %x, want %x", name, hash, baseHash)
-			}
-			for k, want := range baseVals {
-				if got, ok := vals[k]; !ok || got != want {
-					t.Errorf("%s: metric %s = %v, want %v", name, k, vals[k], want)
-				}
-			}
-			for k := range vals {
-				if _, ok := baseVals[k]; !ok {
-					t.Errorf("%s: unexpected extra metric %s", name, k)
-				}
-			}
+			diffOutcomes(t, fmt.Sprintf("shards=%d/GOMAXPROCS=%d", n, gmp), runOutcome(detScenario(n)), base)
 		}
 		runtime.GOMAXPROCS(prev)
 	}
@@ -126,43 +140,20 @@ func TestShardedDeterminism(t *testing.T) {
 // partition nor goroutine interleaving can change which transmissions
 // are lost.
 func TestShardedDeterminismLossyNet(t *testing.T) {
-	lossy := func(shards int) (Result, map[string]float64, uint64) {
-		rec := trace.NewRecorder()
-		reg := metrics.NewRegistry()
-		res := Run(Scenario{
-			App: Wave2D, Cores: 32, Strategy: Refine, BG: BGWave2D,
-			Seed: 7, Scale: 0.1, Shards: shards,
-			Net: xnet.Config{
-				DropPct: 2, Seed: 9,
-				StragglerNodes: []int{1}, StragglerFactor: 4,
-			},
-			Trace: rec, Metrics: reg,
-		})
-		return res, metricValues(reg), traceHash(rec)
+	lossy := func(shards int) Scenario {
+		s := detScenario(shards)
+		s.Net = xnet.Config{
+			DropPct: 2, Seed: 9,
+			StragglerNodes: []int{1}, StragglerFactor: 4,
+		}
+		return s
 	}
-	base, baseVals, baseHash := lossy(1)
-	if base.NetDrops == 0 {
+	base := runOutcome(lossy(1))
+	if base.res.NetDrops == 0 {
 		t.Fatal("lossy reference run lost nothing; the matrix would prove nothing")
 	}
 	for _, n := range []int{2, 4, 8} {
-		res, vals, hash := lossy(n)
-		name := fmt.Sprintf("shards=%d", n)
-		if res != base {
-			t.Errorf("%s: Result diverged:\n got %+v\nwant %+v", name, res, base)
-		}
-		if hash != baseHash {
-			t.Errorf("%s: trace hash %x, want %x", name, hash, baseHash)
-		}
-		for k, want := range baseVals {
-			if got, ok := vals[k]; !ok || got != want {
-				t.Errorf("%s: metric %s = %v, want %v", name, k, vals[k], want)
-			}
-		}
-		for k := range vals {
-			if _, ok := baseVals[k]; !ok {
-				t.Errorf("%s: unexpected extra metric %s", name, k)
-			}
-		}
+		diffOutcomes(t, fmt.Sprintf("shards=%d", n), runOutcome(lossy(n)), base)
 	}
 }
 
@@ -197,19 +188,16 @@ func (c *ringChare) Recv(ctx *charm.Ctx, data interface{}) float64 {
 	return 2e-6
 }
 
-// TestClassicScenarioSteadyStateAllocFree is the allocation gate for the
-// default single-engine path (-shards 1): once the pools are primed,
-// driving the runtime stack forward over the full testbed — cross-node
-// messages, NIC serialization, per-shard message pools and in-flight
-// accounting included — must not allocate. Application kernels own their
-// payload allocations and are deliberately outside the gate.
-func TestClassicScenarioSteadyStateAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation perturbs allocation counts")
-	}
-	eng := sim.NewEngine()
-	mach := testbed(eng, nil, testbedNodes, 0, nil)
-	net := xnet.New(mach, xnet.DefaultConfig())
+// ringSteadyAllocs builds the full 32-core testbed over n shards with a
+// ring of messages circulating forever, warms it 0.5 s past the startup
+// transient, and reports the allocations of one 10 ms RunUntil.
+func ringSteadyAllocs(t *testing.T, n int) float64 {
+	t.Helper()
+	netCfg := xnet.DefaultConfig()
+	sh := sim.NewShards(n, sim.Time(netCfg.MinInterNodeLatency(testbedNodes)))
+	defer sh.Close()
+	mach := testbed(sh, testbedNodes, 0, nil)
+	net := xnet.New(mach, netCfg)
 	cores := make([]int, testbedCores)
 	for i := range cores {
 		cores[i] = i
@@ -218,21 +206,47 @@ func TestClassicScenarioSteadyStateAllocFree(t *testing.T) {
 		Machine: mach, Net: net, Cores: cores,
 		Placement: charm.PlaceBlock,
 	})
-	n := 2 * testbedCores
-	rts.NewArray("ring", n, func(i int) charm.Chare {
-		return &ringChare{next: charm.ChareID{Array: "ring", Index: (i + 1) % n}}
+	chares := 2 * testbedCores
+	rts.NewArray("ring", chares, func(i int) charm.Chare {
+		return &ringChare{next: charm.ChareID{Array: "ring", Index: (i + 1) % chares}}
 	})
 	rts.Start()
-	if err := eng.RunUntil(0.5); err != nil {
+	if err := sh.RunUntil(0.5); err != nil {
 		t.Fatal(err)
 	}
-	avg := testing.AllocsPerRun(50, func() {
-		if err := eng.RunUntil(eng.Now() + 0.01); err != nil {
+	return testing.AllocsPerRun(50, func() {
+		if err := sh.RunUntil(sh.Now() + 0.01); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if avg != 0 {
+}
+
+// TestClassicScenarioSteadyStateAllocFree is the allocation gate for the
+// default one-shard scheduler (-shards 1): once the pools are primed,
+// driving the runtime stack forward over the full testbed — cross-node
+// messages, NIC serialization, per-shard message pools and in-flight
+// accounting included — must not allocate. Application kernels own their
+// payload allocations and are deliberately outside the gate.
+func TestClassicScenarioSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	if avg := ringSteadyAllocs(t, 1); avg != 0 {
 		t.Errorf("steady-state runtime stack: %.2f allocs per 10ms window, want 0", avg)
+	}
+}
+
+// TestShardedScenarioSteadyStateAllocFree is the same gate across shards:
+// conservative windows, mailbox drains in canonical order, barrier hooks
+// and worker hand-offs must not allocate either.
+func TestShardedScenarioSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	for _, n := range []int{2, 8} {
+		if avg := ringSteadyAllocs(t, n); avg != 0 {
+			t.Errorf("%d shards: %.2f allocs per 10ms of steady state, want 0", n, avg)
+		}
 	}
 }
 

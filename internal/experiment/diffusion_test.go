@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"cloudlb/internal/metrics"
-	"cloudlb/internal/trace"
 	"cloudlb/internal/xnet"
 )
 
@@ -23,40 +21,18 @@ import (
 // criss-crossing shard boundaries, so any window-interleaving leak in
 // the round or termination logic shows up here.
 func TestDiffusionShardedDeterminism(t *testing.T) {
-	run := func(shards int) (Result, map[string]float64, uint64) {
-		rec := trace.NewRecorder()
-		reg := metrics.NewRegistry()
-		res := Run(Scenario{
-			App: Wave2D, Cores: 32, Strategy: Diffusion, BG: BGWave2D,
-			Seed: 7, Scale: 0.1, Shards: shards,
-			Trace: rec, Metrics: reg,
-		})
-		return res, metricValues(reg), traceHash(rec)
+	diffusion := func(shards int) Scenario {
+		s := detScenario(shards)
+		s.Strategy = Diffusion
+		return s
 	}
-	base, baseVals, baseHash := run(1)
-	if base.LBSteps == 0 || base.Migrations == 0 {
+	base := runOutcome(diffusion(1))
+	if base.res.LBSteps == 0 || base.res.Migrations == 0 {
 		t.Fatalf("reference diffusion run did no balancing (steps=%d migrations=%d); the matrix would prove nothing",
-			base.LBSteps, base.Migrations)
+			base.res.LBSteps, base.res.Migrations)
 	}
 	for _, n := range []int{2, 4, 8} {
-		res, vals, hash := run(n)
-		name := fmt.Sprintf("shards=%d", n)
-		if res != base {
-			t.Errorf("%s: Result diverged:\n got %+v\nwant %+v", name, res, base)
-		}
-		if hash != baseHash {
-			t.Errorf("%s: trace hash %x, want %x", name, hash, baseHash)
-		}
-		for k, want := range baseVals {
-			if got, ok := vals[k]; !ok || got != want {
-				t.Errorf("%s: metric %s = %v, want %v", name, k, vals[k], want)
-			}
-		}
-		for k := range vals {
-			if _, ok := baseVals[k]; !ok {
-				t.Errorf("%s: unexpected extra metric %s", name, k)
-			}
-		}
+		diffOutcomes(t, fmt.Sprintf("shards=%d", n), runOutcome(diffusion(n)), base)
 	}
 }
 

@@ -135,7 +135,7 @@ func Fig1(scale float64) Fig1Result {
 	hogStart := sim.Time(perIter * float64(iters) / 3)
 
 	eng := sim.NewEngine()
-	mach := testbed(eng, nil, testbedNodes, 0, nil)
+	mach := testbed(sim.Single(eng), testbedNodes, 0, nil)
 	net := newNet(mach)
 	cores := []int{0, 1, 2, 3}
 	rts := newAppRTS(mach, net, cores, NoLB, rec)
@@ -181,7 +181,7 @@ func Fig3(scale float64) Fig3Result {
 		Cores:     []int{0, 1, 2, 3},
 	}
 	eng := sim.NewEngine()
-	mach := testbed(eng, nil, testbedNodes, 0, nil)
+	mach := testbed(sim.Single(eng), testbedNodes, 0, nil)
 	net := newNet(mach)
 	rts := newAppRTS(mach, net, res.Cores, Refine, rec)
 	buildApp(rts, s, newRNG(s.Seed))

@@ -55,8 +55,8 @@ type Spec struct {
 	// default). NetworkInterference overlays its sweep cells on it.
 	Net xnet.Config `json:"net,omitzero"`
 
-	// Shards selects the event scheduler for every scenario of every
-	// method (see Scenario.Shards: 0/1 classic, N>1 sharded, -1 auto).
+	// Shards sets the scheduler's shard count for every scenario of every
+	// method (see Scenario.Shards: 0/1 one shard, N>1 sharded, -1 auto).
 	// It is an execution knob, not part of the scenario description:
 	// results are byte-identical at every value, so CanonicalJSON and
 	// Hash exclude it.

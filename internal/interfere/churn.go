@@ -80,12 +80,12 @@ func StartChurn(m *machine.Machine, cfg ChurnConfig) *Churn {
 
 func (c *Churn) scheduleNext() {
 	// Arrivals pick a random core, so the chain runs in coordinator
-	// context (global events under a sharded scheduler): the rng draws and
-	// placements happen in one deterministic sequence however many shards
-	// execute the resulting hogs.
+	// context (global events): the rng draws and placements happen in one
+	// deterministic sequence however many shards execute the resulting
+	// hogs.
 	gap := sim.Time(c.rng.ExpFloat64() / c.cfg.ArrivalsPerSecond)
-	c.mach.GlobalAfter(gap, func() {
-		now := c.mach.Now()
+	c.mach.Shards().GlobalAfter(gap, func() {
+		now := c.mach.Shards().Now()
 		if c.cfg.Until > 0 && now > c.cfg.Until {
 			return
 		}
@@ -116,7 +116,7 @@ func (c *Churn) arrive(now sim.Time) {
 		Trace:    c.cfg.Trace,
 		Name:     fmt.Sprintf("tenant-%d@%d", c.nextID, core),
 	})
-	c.mach.GlobalAt(now+dur, func() { c.live-- })
+	c.mach.Shards().GlobalAt(now+dur, func() { c.live-- })
 }
 
 // Arrivals reports how many tenants were admitted so far.

@@ -17,10 +17,9 @@ type Core struct {
 	ID   int
 	node *Node
 	m    *Machine
-	// eng is the engine this core's events live on: the machine's single
-	// engine, or the node's shard engine under a sharded scheduler. All
-	// scheduling and time reads in the core go through it, so a shard can
-	// run its cores without touching any other shard's clock.
+	// eng is the engine this core's events live on: its node's shard
+	// engine. All scheduling and time reads in the core go through it, so a
+	// shard can run its cores without touching any other shard's clock.
 	eng   *sim.Engine
 	shard int
 	speed float64
@@ -44,9 +43,9 @@ type Core struct {
 
 	// logPoints, when enabled, records (time, cumulative busy, runnable)
 	// after every settlement so BusyAt can reconstruct the exact busy
-	// counter at an instant the shard has already run past. Off by default:
-	// the single-engine configuration reads ProcStat at the instant it
-	// needs and pays only the branch.
+	// counter at an instant the shard has already run past. Off by default
+	// and always off with one shard, whose readings are never late: the
+	// hot path then pays only the branch.
 	logPoints bool
 	busyLog   []busyPoint
 }
@@ -170,13 +169,21 @@ func (c *Core) logPoint() {
 	c.busyLog = append(c.busyLog, p)
 }
 
-// BusyAt reconstructs the exact cumulative busy counter at time t from the
-// busy log: the value ProcStat would have returned had it been called at t.
-// It requires logging enabled and t no earlier than the last TrimBusyLogs
-// baseline. The reconstruction reproduces settle's arithmetic — one
-// addition onto the counter as of the preceding settlement — so the result
-// is bit-identical to an in-place reading.
+// BusyAt reconstructs the exact cumulative busy counter at time t: the
+// value ProcStat would have returned had it been called at t, without
+// settling the core. For t at or after the last settlement it answers from
+// the core's current state, which is exactly what the last busy-log entry
+// holds; earlier times need logging enabled and t no earlier than the last
+// TrimBusyLogs baseline. Either way the reconstruction reproduces settle's
+// arithmetic — one addition onto the counter as of the preceding
+// settlement — so the result is bit-identical to an in-place reading.
 func (c *Core) BusyAt(t sim.Time) sim.Time {
+	if t >= c.lastSettle {
+		if len(c.active) > 0 && t > c.lastSettle {
+			return c.busy + (t - c.lastSettle)
+		}
+		return c.busy
+	}
 	log := c.busyLog
 	lo, hi := 0, len(log)
 	for lo < hi {

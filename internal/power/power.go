@@ -101,20 +101,18 @@ func (m *Meter) Start() {
 		panic("power: meter already started")
 	}
 	m.running = true
-	m.lastAt = m.mach.Now()
+	m.lastAt = m.mach.Shards().Now()
 	m.startAt = m.lastAt
-	if m.mach.Shards() != nil {
-		// Under a sharded scheduler the final reading may be taken for an
-		// instant the shards have already run past (StopAsOf), so the
-		// metered cores keep busy logs for exact reconstruction.
-		var ids []int
-		for _, n := range m.nodes {
-			for _, c := range m.mach.Node(n).Cores() {
-				ids = append(ids, c.ID)
-			}
+	// The final reading may be taken for an instant the shards have
+	// already run past (StopAsOf), so the metered cores keep busy logs for
+	// exact reconstruction (none with one shard; see EnableBusyLog).
+	var ids []int
+	for _, n := range m.nodes {
+		for _, c := range m.mach.Node(n).Cores() {
+			ids = append(ids, c.ID)
 		}
-		m.mach.EnableBusyLog(ids)
 	}
+	m.mach.EnableBusyLog(ids)
 	m.lastBusy = make([][]sim.Time, m.mach.NumNodes())
 	for _, n := range m.nodes {
 		node := m.mach.Node(n)
@@ -128,10 +126,10 @@ func (m *Meter) Start() {
 }
 
 func (m *Meter) scheduleNext() {
-	// Samples touch cores on every metered node, so under a sharded
-	// scheduler they run as coordinator global events with all shards
-	// parked at the sample instant; unsharded this is a plain engine event.
-	m.mach.GlobalAfter(m.interval, func() {
+	// Samples touch cores on every metered node, so they run as
+	// coordinator global events with all shards parked at the sample
+	// instant (a plain engine event with one shard).
+	m.mach.Shards().GlobalAfter(m.interval, func() {
 		if !m.running {
 			return
 		}
@@ -142,7 +140,7 @@ func (m *Meter) scheduleNext() {
 
 // sample reads utilization since the previous sample and appends a reading.
 func (m *Meter) sample() {
-	m.sampleAt(m.mach.Now(), func(c *machine.Core) sim.Time {
+	m.sampleAt(m.mach.Shards().Now(), func(c *machine.Core) sim.Time {
 		busy, _ := c.ProcStat()
 		return busy
 	})
@@ -172,21 +170,16 @@ func (m *Meter) sampleAt(now sim.Time, busyOf func(*machine.Core) sim.Time) {
 	m.lastAt = now
 }
 
-// Stop takes a final partial-interval sample and stops the meter.
-func (m *Meter) Stop() {
-	if !m.running {
-		return
-	}
-	m.sample()
-	m.running = false
-	m.stopped = true
-}
+// Stop takes a final partial-interval sample now and stops the meter.
+func (m *Meter) Stop() { m.StopAsOf(m.mach.Shards().Now()) }
 
-// StopAsOf stops the meter with its final sample taken for the instant t,
-// which may lie before the shards' current clocks: the busy counters are
-// reconstructed from the logs Start enabled, yielding bit-identical values
-// to a Stop executed exactly at t. The sharded scenario runner uses it
-// when it consolidates an application finish at a window barrier.
+// StopAsOf stops the meter with its final sample taken for the instant t.
+// The busy counters are read with Core.BusyAt, so no core is settled: the
+// reading matches one taken in place at t without splitting any core's
+// later busy/idle accumulation in two. With more than one shard t may lie
+// before the shards' current clocks — the scenario runner consolidates an
+// application finish at a window barrier — and the logs Start enabled
+// reconstruct the counters bit for bit.
 func (m *Meter) StopAsOf(t sim.Time) {
 	if !m.running {
 		return

@@ -1,10 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // All of the cluster, network, runtime and application models in this
-// repository are driven by a single Engine: virtual time only advances when
-// the engine dequeues the next scheduled event. Events scheduled for the
-// same instant fire in scheduling order (a monotone sequence number breaks
-// ties), so a simulation is exactly reproducible for identical inputs.
+// repository are driven by a Shards scheduler over one or more Engines; a
+// one-shard scheduler is exactly its single Engine. Virtual time only
+// advances when an engine dequeues the next scheduled event. Events
+// scheduled for the same instant fire in scheduling order (a monotone
+// sequence number breaks ties), so a simulation is exactly reproducible
+// for identical inputs.
 package sim
 
 import (
@@ -192,7 +194,15 @@ func (e *Engine) Run() error {
 // peek-then-Step structure walked dead events out of the root in peek and
 // then re-ran the same dead-check loop inside Step, costing a second pass
 // over the root for every fired event.
-func (e *Engine) RunUntil(deadline Time) error {
+func (e *Engine) RunUntil(deadline Time) error { return e.runUntil(deadline, nil) }
+
+// runUntil is the event loop behind RunUntil with an optional stop poll.
+// A non-nil stop is consulted before every due event; when it reports
+// true the loop returns at once, leaving the clock at the last fired event
+// rather than the deadline. Shard workers poll the coordinator's
+// sequential demand this way (see Shards.window); the plain path passes
+// nil and pays one branch.
+func (e *Engine) runUntil(deadline Time, stop func() bool) error {
 	for e.pending.len() > 0 {
 		ev := e.pending.ev[0]
 		if ev.dead {
@@ -202,6 +212,9 @@ func (e *Engine) RunUntil(deadline Time) error {
 		}
 		if ev.at > deadline {
 			break
+		}
+		if stop != nil && stop() {
+			return nil
 		}
 		if e.limit > 0 && e.executed >= e.limit {
 			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.limit, e.now)

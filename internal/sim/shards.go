@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -12,7 +13,11 @@ import (
 
 // Shards runs one Engine per shard and synchronizes them in conservative
 // time windows, in the classic CMB/LBTS style of parallel discrete-event
-// simulation.
+// simulation. Every simulation runs on a Shards; one shard is simply its
+// engine (see Single): global events are plain engine events, Now is the
+// engine clock and RunUntil is Engine.RunUntil followed by the barrier
+// hooks, so a one-shard run fires exactly the events, in exactly the
+// order, of a bare Engine.
 //
 // The contract with the model layers is:
 //
@@ -69,6 +74,10 @@ type Shards struct {
 	// inside them (ordered by the dispatch/join channels), so Cross can
 	// tell mailbox context from coordinator context without atomics.
 	parallel bool
+
+	// seqPoll is the Sequential method value, bound once so the per-event
+	// stop poll of a window (Engine.runUntil) never allocates.
+	seqPoll func() bool
 
 	hooks []func()
 
@@ -202,8 +211,14 @@ func NewShards(n int, lookahead Time) *Shards {
 		s.engines[i] = NewEngine()
 		s.mail[i] = make([]mailbox, n)
 	}
+	s.seqPoll = s.Sequential
 	return s
 }
+
+// Single returns the one-shard scheduler over an existing engine, for
+// callers that build a model on eng and then drive eng directly. One shard
+// never runs a window, so it needs no lookahead, mailboxes or workers.
+func Single(eng *Engine) *Shards { return &Shards{engines: []*Engine{eng}} }
 
 // NumShards reports the number of shards.
 func (s *Shards) NumShards() int { return len(s.engines) }
@@ -215,8 +230,14 @@ func (s *Shards) Engine(i int) *Engine { return s.engines[i] }
 func (s *Shards) Lookahead() Time { return s.lookahead }
 
 // Now reports the coordinator clock: the common shard time at barriers and
-// the merged-mode frontier while sequential. Coordinator context only.
-func (s *Shards) Now() Time { return s.now }
+// the merged-mode frontier while sequential. Coordinator context only. With
+// one shard it is the engine clock, valid anywhere.
+func (s *Shards) Now() Time {
+	if len(s.engines) == 1 {
+		return s.engines[0].Now()
+	}
+	return s.now
+}
 
 // Executed reports the total number of fired events across all shards,
 // including coordinator global events.
@@ -236,21 +257,27 @@ func (s *Shards) SetEventLimit(n uint64) {
 	}
 }
 
-// SetMetrics registers the engine-level series plus per-shard counters
-// (events, windows, barrier wait) on reg. Passing nil is a no-op.
+// SetMetrics registers the engine-level series on reg and, with more than
+// one shard, per-shard counters (events, windows, barrier wait). Passing
+// nil is a no-op.
 func (s *Shards) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	s.metEvents = reg.Counter("sim_events_total", "Total simulation events fired.")
+	s.metEvents = reg.Counter("sim_events_total", "Events dispatched by the simulation engine.")
 	s.metHeapDepth = reg.Gauge("sim_event_heap_depth_max", "High-water mark of the pending-event heap.")
+	for _, e := range s.engines {
+		e.SetMetrics(s.metEvents, s.metHeapDepth)
+	}
+	if len(s.engines) == 1 {
+		return
+	}
 	s.shardEvents = make([]*metrics.Counter, len(s.engines))
 	s.shardWindows = make([]*metrics.Counter, len(s.engines))
 	s.shardWait = make([]*metrics.FloatCounter, len(s.engines))
 	s.finishedAt = make([]time.Time, len(s.engines))
 	s.timed = true
-	for i, e := range s.engines {
-		e.SetMetrics(s.metEvents, s.metHeapDepth)
+	for i := range s.engines {
 		lbl := metrics.L("shard", fmt.Sprintf("%d", i))
 		s.shardEvents[i] = reg.Counter("sim_shard_events_total", "Events fired on this shard.", lbl)
 		s.shardWindows[i] = reg.Counter("sim_shard_windows_total", "Conservative windows this shard actively executed.", lbl)
@@ -260,11 +287,10 @@ func (s *Shards) SetMetrics(reg *metrics.Registry) {
 
 // SetObs attaches a job trace: each parallel window records a barrier-stall
 // span per shard that finished early enough to matter (>= 1ms of host time
-// spent waiting on the slowest shard), on the scenario's trace row. Nil
-// receiver and nil trace are no-ops, so the call can be wired
-// unconditionally.
+// spent waiting on the slowest shard), on the scenario's trace row. A nil
+// trace is a no-op, so the call can be wired unconditionally.
 func (s *Shards) SetObs(tr *obs.Trace, tid int) {
-	if s == nil || tr == nil {
+	if tr == nil {
 		return
 	}
 	s.obs = tr
@@ -277,8 +303,9 @@ func (s *Shards) SetObs(tr *obs.Trace, tid int) {
 }
 
 // OnBarrier registers fn to run on the coordinator at every window barrier
-// (and between merged-mode phases), with all shard clocks equal. The charm
-// runtime uses it to consolidate per-shard completion marks.
+// (and between merged-mode phases), with all shard clocks equal; with one
+// shard, once at the end of every RunUntil. The charm runtime uses it to
+// consolidate per-shard completion marks.
 func (s *Shards) OnBarrier(fn func()) { s.hooks = append(s.hooks, fn) }
 
 // RequireSequential adds one unit of sequential demand: from the next
@@ -330,8 +357,13 @@ func (s *Shards) Cross(src, dst int, at Time, fn func()) {
 
 // GlobalAt schedules fn as a coordinator global event at time t: every
 // shard will be parked at exactly t when it runs. Coordinator context only
-// (construction, global handlers, merged-mode events).
+// (construction, global handlers, merged-mode events). With one shard it is
+// a plain engine event, ordered among the others by scheduling order.
 func (s *Shards) GlobalAt(t Time, fn func()) {
+	if len(s.engines) == 1 {
+		s.engines[0].At(t, fn)
+		return
+	}
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling global event at %v before now %v", t, s.now))
 	}
@@ -344,18 +376,27 @@ func (s *Shards) GlobalAfter(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	s.GlobalAt(s.now+d, fn)
+	s.GlobalAt(s.Now()+d, fn)
 }
 
 // RunUntil advances all shards to target, alternating conservative
 // parallel windows, merged-sequential phases and global events as the
-// model demands. On return every shard clock equals target.
+// model demands. On return every shard clock equals target. One shard runs
+// Engine.RunUntil and then the barrier hooks.
 func (s *Shards) RunUntil(target Time) error {
 	if s.err != nil {
 		return s.err
 	}
 	if s.closed {
 		return fmt.Errorf("sim: RunUntil after Close")
+	}
+	if len(s.engines) == 1 {
+		if err := s.engines[0].RunUntil(target); err != nil {
+			s.err = err
+			return err
+		}
+		s.runHooks()
+		return nil
 	}
 	for {
 		s.drainMail()
@@ -425,18 +466,23 @@ func (s *Shards) drainMail() {
 		if len(buf) == 0 {
 			continue
 		}
-		sort.SliceStable(buf, func(i, j int) bool {
-			if buf[i].at != buf[j].at {
-				return buf[i].at < buf[j].at
-			}
-			return buf[i].src < buf[j].src
-		})
+		slices.SortStableFunc(buf, crossOrder)
 		for i := range buf {
 			s.engines[dst].At(buf[i].at, buf[i].fn)
 		}
 		clear(buf)
 		s.injectScratch = buf[:0]
 	}
+}
+
+// crossOrder orders drained mail by (timestamp, source shard); the stable
+// sort keeps each source's send order. A plain function, not a closure, so
+// sorting a window's mail allocates nothing.
+func crossOrder(a, b crossEntry) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.src, b.src)
 }
 
 func (s *Shards) runHooks() {
@@ -465,7 +511,7 @@ func (s *Shards) runGlobalsAt(t Time) {
 // cross-shard handler code always reads consistent times. It returns early
 // (without reaching bound) as soon as sequential demand drops to zero.
 //
-// A shard that stopped its window early (see runShard) enters merged mode
+// A shard that stopped its window early (see window) enters merged mode
 // with its clock behind shards that ran to the window edge; the AdvanceTo
 // calls are therefore guarded. An ahead shard has no events below the
 // frontier — it already executed everything up to its own clock — so the
@@ -506,53 +552,20 @@ func (s *Shards) runMerged(bound Time) error {
 	return nil
 }
 
-// runShard executes one shard's events up to edge — Engine.RunUntil with
-// one addition: it polls sequential demand before every event and stops as
-// soon as any appears, leaving the clock at the last fired event.
-//
-// The poll is what keeps shared-runtime state off parallel windows. When a
-// handler raises demand (a PE entering AtSync), every follow-up handler
-// that reads cross-shard state is either on another shard — then it is a
-// cross-shard message, at least Lookahead away, landing after the barrier —
-// or on this same shard, where this poll defers it to merged mode. Other
-// shards may observe the demand at a racy point, but their remaining window
-// events touch only shard-local state, so which of them run before the
-// barrier never affects the simulation.
-func (s *Shards) runShard(e *Engine, edge Time) error {
-	for e.pending.len() > 0 {
-		ev := e.pending.ev[0]
-		if ev.dead {
-			e.pending.pop()
-			e.recycle(ev)
-			continue
-		}
-		if ev.at > edge {
-			break
-		}
-		if s.forced || s.seqDemand.Load() > 0 {
-			return nil
-		}
-		if e.limit > 0 && e.executed >= e.limit {
-			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.limit, e.now)
-		}
-		e.metHeapDepth.SetMax(float64(e.pending.len()))
-		e.pending.pop()
-		fn := ev.fn
-		e.now = ev.at
-		e.executed++
-		e.metEvents.Inc()
-		e.recycle(ev)
-		fn()
-	}
-	if edge > e.now {
-		e.now = edge
-	}
-	return nil
-}
-
 // window advances every shard to edge: shards with due events run
 // concurrently on their worker goroutines (or inline when only one shard
 // has work), the rest just move their clocks.
+//
+// Each busy shard runs its engine loop with sequential demand as the stop
+// poll: it stops as soon as any demand appears, leaving its clock at the
+// last fired event. The poll is what keeps shared-runtime state off
+// parallel windows. When a handler raises demand (a PE entering AtSync),
+// every follow-up handler that reads cross-shard state is either on another
+// shard — then it is a cross-shard message, at least Lookahead away,
+// landing after the barrier — or on this same shard, where the poll defers
+// it to merged mode. Other shards may observe the demand at a racy point,
+// but their remaining window events touch only shard-local state, so which
+// of them run before the barrier never affects the simulation.
 func (s *Shards) window(edge Time) error {
 	active := 0
 	lone := -1
@@ -573,7 +586,7 @@ func (s *Shards) window(edge Time) error {
 	if active == 1 {
 		// Single busy shard: no concurrency to exploit; Cross falls back to
 		// direct scheduling, which is the same canonical order.
-		return s.runShard(s.engines[lone], edge)
+		return s.engines[lone].runUntil(edge, s.seqPoll)
 	}
 	s.startWorkers()
 	s.parallel = true
@@ -652,7 +665,7 @@ func (s *Shards) startWorkers() {
 func (s *Shards) worker(i int) {
 	e := s.engines[i]
 	for edge := range s.cmd[i] {
-		err := s.runShard(e, edge)
+		err := e.runUntil(edge, s.seqPoll)
 		var at time.Time
 		if s.timed {
 			at = time.Now()

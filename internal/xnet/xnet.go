@@ -42,7 +42,7 @@
 // restored node continues on the same NIC clock. Send does not check
 // Core.Online for the same reason.
 //
-// Under a sharded scheduler the inter-node latency doubles as the
+// With more than one shard the inter-node latency doubles as the
 // conservative lookahead: every cross-shard delivery lands at least the
 // minimum effective inter-node latency after its send. New validates that
 // the scheduler's lookahead does not exceed that minimum, so a config
@@ -274,17 +274,17 @@ func (c Config) validate(nodes int) {
 
 // Network delivers messages between cores of one machine.
 //
-// Under a sharded scheduler every piece of network state is owned by one
-// shard: a node's NIC queue belongs to the node's shard, and the
-// per-pair bookkeeping (in-order clamp, drop-lottery sequence) and
-// statistics are kept per source shard, so concurrent windows never touch
-// shared maps. Deliveries whose destination core lives on another shard
-// are handed to the shard coordinator; the effective inter-node latency
-// every such message carries is at least the coordinator's conservative
-// lookahead (validated at construction).
+// Every piece of network state is owned by one shard: a node's NIC queue
+// belongs to the node's shard, and the per-pair bookkeeping (in-order
+// clamp, drop-lottery sequence) and statistics are kept per source shard,
+// so concurrent windows never touch shared maps. Deliveries whose
+// destination core lives on another shard are handed to the shard
+// coordinator; the effective inter-node latency every such message carries
+// is at least the coordinator's conservative lookahead (validated at
+// construction).
 type Network struct {
 	mach *machine.Machine
-	sh   *sim.Shards // nil when unsharded
+	sh   *sim.Shards
 	cfg  Config
 
 	// linkLat/linkBW are the effective per-link parameters,
@@ -335,26 +335,22 @@ type pairState struct {
 	seq  uint64   // transmission attempts rolled in the drop lottery
 }
 
-// New creates a network over the machine's cores. When the machine is
-// driven by a sharded scheduler it validates the conservative-lookahead
-// invariant: the scheduler's lookahead must not exceed the minimum
-// effective inter-node latency, or retransmitted and overridden-link
-// deliveries could land inside another shard's window.
+// New creates a network over the machine's cores. It validates the
+// scheduler's conservative-lookahead invariant: the lookahead must not
+// exceed the minimum effective inter-node latency, or retransmitted and
+// overridden-link deliveries could land inside another shard's window.
 func New(mach *machine.Machine, cfg Config) *Network {
-	cfg.validate(mach.NumNodes())
+	nodes := mach.NumNodes()
+	cfg.validate(nodes)
 	sh := mach.Shards()
-	shards := 1
-	if sh != nil {
-		shards = sh.NumShards()
-		if mach.NumNodes() > 1 {
-			if mn := cfg.MinInterNodeLatency(mach.NumNodes()); float64(sh.Lookahead()) > mn {
-				panic(fmt.Sprintf(
-					"xnet: shard lookahead %v exceeds the minimum effective inter-node latency %v; derive the lookahead from this network's resolved Config (Config.MinInterNodeLatency), not from a second copy of the defaults",
-					sh.Lookahead(), mn))
-			}
+	if nodes > 1 {
+		if mn := cfg.MinInterNodeLatency(nodes); float64(sh.Lookahead()) > mn {
+			panic(fmt.Sprintf(
+				"xnet: shard lookahead %v exceeds the minimum effective inter-node latency %v; derive the lookahead from this network's resolved Config (Config.MinInterNodeLatency), not from a second copy of the defaults",
+				sh.Lookahead(), mn))
 		}
 	}
-	nodes := mach.NumNodes()
+	shards := sh.NumShards()
 	n := &Network{
 		mach:        mach,
 		sh:          sh,
@@ -566,15 +562,13 @@ func (n *Network) Send(srcCore, dstCore, bytes int, deliver func()) sim.Time {
 
 	n.messages[srcShard]++
 	n.bytesMoved[srcShard] += uint64(bytes)
-	if n.sh != nil {
-		if dstShard := n.mach.ShardOf(dstCore); dstShard != srcShard {
-			// Inter-node by construction (shards never split a node), so
-			// arrival >= now + effective latency >= now + lookahead: the
-			// coordinator's conservative window holds for every cross-shard
-			// delivery, retransmitted ones included (they only arrive later).
-			n.sh.Cross(srcShard, dstShard, arrival, deliver)
-			return arrival
-		}
+	if dstShard := n.mach.ShardOf(dstCore); dstShard != srcShard {
+		// Inter-node by construction (shards never split a node), so
+		// arrival >= now + effective latency >= now + lookahead: the
+		// coordinator's conservative window holds for every cross-shard
+		// delivery, retransmitted ones included (they only arrive later).
+		n.sh.Cross(srcShard, dstShard, arrival, deliver)
+		return arrival
 	}
 	srcEng.At(arrival, deliver)
 	return arrival
