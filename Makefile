@@ -9,11 +9,14 @@
 # Byte-identity of the committed results/ tree is its own gate,
 # `make verify-results`: it is minutes of simulation, so it runs on
 # demand (always after touching anything on the simulation path) rather
-# than inside `make check`.
+# than inside `make check`. `make fuzz` runs every `Fuzz*` target for
+# FUZZTIME each (default 30s); it explores rather than checks, so it stays
+# out of `make check`, whose plain `go test` already replays every seed.
 
 GO ?= go
+FUZZTIME ?= 30s
 
-.PHONY: build test vet lint race check bench bench-module determinism verify-results figures
+.PHONY: build test vet lint race check bench bench-module determinism verify-results figures fuzz
 
 build:
 	$(GO) build ./...
@@ -57,6 +60,17 @@ bench:
 # finding out when the benchmark runs.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Fuzzing: `go test -fuzz` takes one target in one package per run, so
+# the targets are listed first. A failing input is saved under the
+# package's testdata/fuzz/ and replays as a seed from then on.
+fuzz:
+	@list=$$($(GO) test -list '^Fuzz' ./...) || exit 1; \
+	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read -r pkg target; do \
+		echo "fuzz: $$target ($$pkg) for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
+	done
 
 # Shard-count determinism gate, named so `make check` runs it even when
 # the cached `race` target is skipped: the same scenario at shards

@@ -263,6 +263,8 @@ func TestInvalidFlagsExitWithFieldError(t *testing.T) {
 		{[]string{"-app", "wave2d", "-cores", "8", "-straggle", "99:4"}, "net.straggler_nodes[0]"},
 		{[]string{"-bg", "-bgweight", "NaN"}, "bg_weight"},
 		{[]string{"-droppct", "NaN"}, "net.drop_pct"},
+		{[]string{"-hier", "-preempt", "1:0.1:0:0:-1"}, "hierarchical"},
+		{[]string{"-strategy", "diffusion", "-hier"}, "hierarchical"},
 	} {
 		_, stderr, code := lbsim(t, append(tc.args, "-scale", "0.05")...)
 		if code != 2 || !strings.Contains(stderr, "lbsim: "+tc.field+": ") || strings.Contains(stderr, "panic") {

@@ -204,13 +204,10 @@ type RTS struct {
 	lb lbState
 
 	// Distributed LB wiring: dist is the DistributedStrategy view of
-	// cfg.Strategy (nil when the strategy plans centrally), distNbr caches
-	// every PE's topology neighbor list, distLB is PE 0's readiness state
-	// and distInstr the in-flight step's telemetry.
-	dist      core.DistributedStrategy
-	distNbr   [][]int
-	distLB    distMasterState
-	distInstr *distStepInstr
+	// cfg.Strategy (nil when the strategy plans centrally) and distNbr
+	// caches every PE's topology neighbor list.
+	dist    core.DistributedStrategy
+	distNbr [][]int
 
 	// Quiescence detection state. netInflight counts in-flight runtime
 	// messages in one slot per shard: the send side increments the source

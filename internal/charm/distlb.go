@@ -68,13 +68,6 @@ type diffState struct {
 	slotScratch  [][]core.TransferTask
 }
 
-// distMasterState is PE 0's readiness bookkeeping for one step.
-type distMasterState struct {
-	readyCount int
-	probed     bool
-	rounds     int
-}
-
 // slotIn returns pe's position in a neighbor list, -1 if absent.
 func slotIn(nbr []int, pe int) int {
 	for i, q := range nbr {
@@ -124,31 +117,11 @@ func (p *pe) distEnterSync() {
 }
 
 // distMasterReady runs on PE 0 as each PE's O(1) ready note arrives; the
-// chare-less-PE probing mirrors the flat masterStats.
-func (r *RTS) distMasterReady(peIdx int, load, bg float64) {
-	lb := &r.lb
-	d := &r.distLB
-	if !lb.active {
-		lb.active = true
-		lb.startAt = r.pes[0].eng.Now()
-		d.readyCount = 0
-		d.probed = false
-		d.rounds = 0
-		r.distInstr = r.met.beginDistStep(r.lbSteps+1, lb.startAt, len(r.pes))
-	}
-	r.distInstr.ready(peIdx, load, bg)
-	d.readyCount++
-	if d.readyCount == len(r.pes) {
+// last one starts round 1.
+func (r *RTS) distMasterReady(pe int, load, bg float64) {
+	if r.arrive(pe, load, bg) {
+		r.closeWindow()
 		r.pes[0].diffCast(1, false)
-		return
-	}
-	if !d.probed && d.readyCount == r.nonEmptyPEs() {
-		d.probed = true
-		for _, p := range r.pes {
-			if p.active == 0 && !p.sentStats {
-				r.probeEmpty(p)
-			}
-		}
 	}
 }
 
@@ -182,10 +155,7 @@ func (p *pe) diffBeginRound(round int) {
 	nbr := r.distNbr[p.index]
 	if len(nbr) == 0 {
 		// Single-PE runtime: plan against no peers; nothing can move.
-		t0 := time.Now()
-		d.planner.Plan(nil)
-		r.distInstr.planAdd(time.Since(t0))
-		r.distInstr.peakState(p.index, d.planner.StateBytes())
+		p.diffPlan(nil)
 		d.planned, d.applied, d.shipped = true, true, true
 		d.expectObjs = 0
 		p.diffMaybeFinishRound()
@@ -226,12 +196,22 @@ func (p *pe) diffMaybePlan() {
 		d.sumQ[slot] = d.sumQ[slot][1:]
 	}
 	d.planned = true
-	t0 := time.Now()
-	transfers := d.planner.Plan(d.peersScratch)
-	p.rts.distInstr.planAdd(time.Since(t0))
-	p.rts.distInstr.peakState(p.index, d.planner.StateBytes())
-	p.diffSendTransfers(transfers)
+	p.diffSendTransfers(p.diffPlan(d.peersScratch))
 	p.diffMaybeApply()
+}
+
+// diffPlan runs this PE's planner for the round and records the plan's
+// host wall time, proposed hand-offs and planning state.
+func (p *pe) diffPlan(peers []core.PeerLoad) []core.Transfer {
+	t0 := time.Now()
+	transfers := p.diff.planner.Plan(peers)
+	moves := 0
+	for _, tr := range transfers {
+		moves += len(tr.Tasks)
+	}
+	p.rts.lb.instr.planned(time.Since(t0), moves)
+	p.rts.met.peakState(p.index, p.diff.planner.StateBytes())
+	return transfers
 }
 
 // diffSendTransfers announces this round's hand-offs to every neighbor
@@ -283,7 +263,7 @@ func (p *pe) diffSendTransfers(transfers []core.Transfer) {
 			p.shipScratch = append(p.shipScratch, shipment{rec: rec, bytes: b, to: ni})
 			rec.loc = ni
 			r.migrations++
-			r.distInstr.moveApplied(tk.Load, p.index, ni)
+			r.lb.instr.moved(tk.Load, p.index, ni)
 		}
 	}
 	if len(p.shipScratch) == 0 {
@@ -335,7 +315,7 @@ func (p *pe) diffMaybeApply() {
 	d.expectObjs = expect
 	if len(d.taskScratch) > 0 {
 		d.planner.Receive(d.taskScratch)
-		p.rts.distInstr.peakState(p.index, d.planner.StateBytes())
+		p.rts.met.peakState(p.index, d.planner.StateBytes())
 	}
 	p.diffMaybeFinishRound()
 }
@@ -387,10 +367,12 @@ func (p *pe) diffMaybeFinishRound() {
 		})
 		return
 	}
-	// Root: decide.
-	r.distLB.rounds = d.round
+	// Root: decide another round, or close the step and start the resume
+	// wave.
+	r.lb.rounds = d.round
 	if r.dist.Converged(sample) || d.round >= r.dist.MaxRounds() {
-		r.distFinish()
+		r.stepDone()
+		p.diffCast(d.round, true)
 		return
 	}
 	p.diffCast(d.round+1, false)
@@ -399,16 +381,6 @@ func (p *pe) diffMaybeFinishRound() {
 func (p *pe) diffOnChildSample(slot int, s core.TermSample) {
 	p.diff.termQ[slot] = append(p.diff.termQ[slot], s)
 	p.diffMaybeFinishRound()
-}
-
-// distFinish closes the step at the root and starts the resume wave.
-func (r *RTS) distFinish() {
-	r.lb.active = false
-	r.stepDone()
-	r.met.lbRounds.Add(uint64(r.distLB.rounds))
-	r.distInstr.finish(r.distLB.rounds, r.pes[0].eng.Now()-r.lb.startAt)
-	r.distInstr = nil
-	r.pes[0].diffCast(r.distLB.rounds, true)
 }
 
 // diffTrackComm accumulates one outgoing application message into the

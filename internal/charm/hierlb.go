@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cloudlb/internal/core"
-	"cloudlb/internal/sim"
 )
 
 // Hierarchical load balancing protocol (Config.HierarchicalLB): instead
@@ -176,18 +175,13 @@ func (r *RTS) hierPlan(reports []peStats) {
 	if len(reports) != len(r.pes) {
 		panic(fmt.Sprintf("charm: hierarchical gather produced %d reports for %d PEs", len(reports), len(r.pes)))
 	}
+	r.lb.instr = r.met.beginStep(r.lbSteps+1, len(r.pes))
 	var stats core.Stats
-	var earliest sim.Time = sim.Never
 	for _, st := range reports {
-		stats.Tasks = append(stats.Tasks, st.tasks...)
-		stats.Cores = append(stats.Cores, core.CoreSample{PE: st.pe, Background: st.bg, Speed: st.speed})
+		st.addTo(&stats)
+		r.lb.instr.arrived(st.pe, st.load(), st.bg)
 	}
-	for _, p := range r.pes {
-		if p.intervalAt < earliest {
-			earliest = p.intervalAt
-		}
-	}
-	outs, ins, _ := r.planMoves(&stats, r.pes[0].eng.Now()-earliest)
+	outs, ins, _ := r.planMoves(&stats)
 
 	root := r.pes[0]
 	orders := make([]hierOrder, 0, len(r.pes))

@@ -3,6 +3,7 @@ package charm
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"cloudlb/internal/core"
 	"cloudlb/internal/obs"
@@ -42,15 +43,18 @@ const (
 	migrateHeader = 64
 )
 
-// lbState is the master-side (PE 0) state of one LB step.
+// lbState is PE 0's state of one LB step. The flat gather and
+// DiffusionLB count measurement arrivals in it (see arrive); every
+// protocol keeps the step's record in instr until stepDone publishes it.
 type lbState struct {
-	active     bool
-	stats      core.Stats
-	statsCount int
-	probed     bool
-	doneCount  int
-	moves      []core.Move
-	startAt    sim.Time
+	active    bool
+	arrived   int
+	probed    bool
+	stats     core.Stats // the flat gather's gathered measurements
+	doneCount int
+	moves     []core.Move
+	rounds    int // DiffusionLB's neighbor-exchange rounds
+	instr     *lbStepInstr
 }
 
 type peStats struct {
@@ -59,6 +63,21 @@ type peStats struct {
 	bg      float64
 	speed   float64
 	offline bool
+}
+
+// load is the PE's measured total: O_p plus every task's wall time.
+func (st peStats) load() float64 {
+	l := st.bg
+	for _, t := range st.tasks {
+		l += t.Load
+	}
+	return l
+}
+
+// addTo appends the measurement to a gathered strategy input.
+func (st peStats) addTo(stats *core.Stats) {
+	stats.Tasks = append(stats.Tasks, st.tasks...)
+	stats.Cores = append(stats.Cores, core.CoreSample{PE: st.pe, Background: st.bg, Speed: st.speed, Offline: st.offline})
 }
 
 // shipment is one outbound object in a PE's migration manifest. The
@@ -155,30 +174,32 @@ func (p *pe) sendStats() {
 
 // masterStats runs on PE 0 as each PE's measurement arrives.
 func (r *RTS) masterStats(st peStats) {
+	all := r.arrive(st.pe, st.load(), st.bg)
+	st.addTo(&r.lb.stats)
+	if all {
+		r.masterPlan()
+	}
+}
+
+// arrive counts one PE's measurement — its load and O_p — at PE 0 under
+// the flat gather and DiffusionLB, and reports whether it was the last.
+// The first arrival begins the step; once every PE that can observe the
+// sync point has reported, the chare-less rest are probed.
+func (r *RTS) arrive(pe int, load, bg float64) bool {
 	lb := &r.lb
 	if !lb.active {
-		lb.active = true
-		lb.stats.Tasks = lb.stats.Tasks[:0]
-		lb.stats.Cores = lb.stats.Cores[:0]
-		lb.stats.WallSinceLB = 0
-		lb.statsCount = 0
-		lb.probed = false
-		lb.doneCount = 0
-		// Master-side handlers always run with the master PE's clock at the
-		// event time (sequential demand was raised before any stats message
-		// could be sent), so its engine is the one to read — r.eng can be a
-		// different, ragged shard when the runtime does not own core 0.
-		lb.startAt = r.pes[0].eng.Now()
+		*lb = lbState{
+			active: true,
+			stats:  core.Stats{Tasks: lb.stats.Tasks[:0], Cores: lb.stats.Cores[:0]},
+			instr:  r.met.beginStep(r.lbSteps+1, len(r.pes)),
+		}
 	}
-	lb.stats.Tasks = append(lb.stats.Tasks, st.tasks...)
-	lb.stats.Cores = append(lb.stats.Cores, core.CoreSample{PE: st.pe, Background: st.bg, Speed: st.speed, Offline: st.offline})
-	lb.statsCount++
-
-	if lb.statsCount == len(r.pes) {
-		r.masterPlan()
-		return
+	lb.instr.arrived(pe, load, bg)
+	lb.arrived++
+	if lb.arrived == len(r.pes) {
+		return true
 	}
-	if !lb.probed && lb.statsCount == r.nonEmptyPEs() {
+	if !lb.probed && lb.arrived == r.nonEmptyPEs() {
 		lb.probed = true
 		for _, p := range r.pes {
 			if p.active == 0 && !p.sentStats {
@@ -186,6 +207,25 @@ func (r *RTS) masterStats(st peStats) {
 			}
 		}
 	}
+	return false
+}
+
+// closeWindow ends the step's measurement window at PE 0's clock when
+// the last PE's measurement has arrived, and returns T_lb: the time since
+// the earliest PE's interval began (Eq. 2). PEs resume from the previous
+// step at slightly different instants; the earliest start bounds every
+// PE's window. Master-side handlers always run with the master PE's
+// clock at the event time (sequential demand was raised before any
+// measurement could be sent), so its engine is the one to read — r.eng
+// can be a different, ragged shard when the runtime does not own core 0.
+func (r *RTS) closeWindow() sim.Time {
+	now := r.pes[0].eng.Now()
+	earliest := sim.Never
+	for _, p := range r.pes {
+		earliest = min(earliest, p.intervalAt)
+	}
+	r.lb.instr.window(now, now-earliest)
+	return now - earliest
 }
 
 // allSynced reports whether this PE hosts chares still participating in
@@ -226,14 +266,15 @@ func (r *RTS) probeEmpty(p *pe) {
 // the per-PE migration orders and inbound counts, indexed by PE. Both are
 // RTS-level scratch reused across LB steps (a step's orders are consumed
 // before the next step can begin). It is shared between the flat gather
-// and the hierarchical tree protocol.
-func (r *RTS) planMoves(stats *core.Stats, wallSince sim.Time) (outs [][]core.Move, ins []int, moves []core.Move) {
+// and the hierarchical tree protocol, and runs as the last measurement
+// arrives.
+func (r *RTS) planMoves(stats *core.Stats) (outs [][]core.Move, ins []int, moves []core.Move) {
 	// Deterministic strategy input: sort cores by PE, tasks by ID. Both
 	// comparators are strict total orders (PEs and IDs are unique), so the
 	// unstable sort is deterministic.
 	slices.SortFunc(stats.Cores, func(a, b core.CoreSample) int { return a.PE - b.PE })
 	slices.SortFunc(stats.Tasks, func(a, b core.Task) int { return a.ID.Compare(b.ID) })
-	stats.WallSinceLB = float64(wallSince)
+	stats.WallSinceLB = float64(r.closeWindow())
 	if err := core.Validate(*stats); err != nil {
 		panic(fmt.Sprintf("charm: invalid LB stats: %v", err))
 	}
@@ -243,16 +284,14 @@ func (r *RTS) planMoves(stats *core.Stats, wallSince sim.Time) (outs [][]core.Mo
 	// distributed protocol feeds, so Figure 7 can compare the two shapes.
 	r.met.peakState(0, statsMsgBase+r.cfg.StatsBytesPerTask*len(stats.Tasks)+32*len(stats.Cores))
 
-	// instr is nil unless metrics or an LB timeline are attached; all its
-	// methods are nil-safe, so the uninstrumented path stays unchanged.
-	instr := r.met.beginStep(r.lbSteps+1, r.pes[0].eng.Now(), wallSince, stats)
 	// The LB-step span measures the strategy's host wall time — the real
 	// CPU cost of planning, which the anomaly thresholds watch — while the
 	// args carry the virtual-time context (step number, input size, plan).
+	instr := r.lb.instr
 	stepSpan := r.cfg.Obs.Start(obs.CatLB, "lb-step", r.cfg.ObsTID)
-	instr.planStart()
+	t0 := time.Now()
 	moves = r.cfg.Strategy.Plan(*stats)
-	instr.planDone(moves)
+	instr.planned(time.Since(t0), len(moves))
 	stepSpan.End("rts", r.name, "step", r.lbSteps+1,
 		"pes", len(stats.Cores), "tasks", len(stats.Tasks), "moves", len(moves))
 	// Drop no-op moves defensively.
@@ -283,16 +322,18 @@ func (r *RTS) planMoves(stats *core.Stats, wallSince sim.Time) (outs [][]core.Mo
 		ins[m.To]++
 		rec.loc = m.To
 		r.migrations++
-		instr.moveApplied(m.Task, from, m.To)
+		if instr != nil {
+			i, _ := slices.BinarySearchFunc(stats.Tasks, m.Task, func(t core.Task, id core.TaskID) int { return t.ID.Compare(id) })
+			instr.moved(stats.Tasks[i].Load, from, m.To)
+		}
 	}
-	instr.finish(stats)
 	return outs, ins, moves
 }
 
 // masterPlan runs the strategy and fans out migration orders (flat mode).
 func (r *RTS) masterPlan() {
 	lb := &r.lb
-	outs, ins, moves := r.planMoves(&lb.stats, r.pes[0].eng.Now()-lb.startAt)
+	outs, ins, moves := r.planMoves(&lb.stats)
 	lb.moves = moves
 
 	master := r.pes[0]
@@ -382,7 +423,6 @@ func (r *RTS) masterSyncDone() {
 	if lb.doneCount < len(r.pes) {
 		return
 	}
-	lb.active = false
 	r.stepDone()
 	master := r.pes[0]
 	bytes := resumeMsgBase + perMoveBytes*len(lb.moves)
@@ -394,19 +434,23 @@ func (r *RTS) masterSyncDone() {
 	}
 }
 
-// stepDone counts a completed LB step. Every protocol calls it once, when
-// the step's last migrant is installed and before the resume wave. The
-// placements are final here, so every PE's subtree memos are dropped at
-// once: a PE that resumes later must not leave a stale memo for
-// primeMemos (run by the last sequential-demand holder to resume) or a
-// sibling's lazy fill to fold into its parents' counts.
+// stepDone closes a completed LB step and publishes its record. Every
+// protocol calls it once, when the step's last migrant is installed and
+// before the resume wave. The placements are final here, so every PE's
+// subtree memos are dropped at once: a PE that resumes later must not
+// leave a stale memo for primeMemos (run by the last sequential-demand
+// holder to resume) or a sibling's lazy fill to fold into its parents'
+// counts.
 func (r *RTS) stepDone() {
 	for _, p := range r.pes {
 		clear(p.subtreeMemo)
 		p.subtreeTotalMemo = -1
 	}
+	r.lb.active = false
 	r.lbSteps++
 	r.met.lbSteps.Inc()
+	r.met.publishStep(r.lb.instr, r.lb.rounds)
+	r.lb.instr = nil
 	if r.onLBStep != nil {
 		r.onLBStep()
 	}

@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"cloudlb/internal/core"
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/sim"
 )
@@ -13,8 +12,8 @@ import (
 // disabled state: every handle is nil and nil handles are no-ops, so the
 // hot paths (send, envelope pooling, stats measurement) update them
 // unconditionally at the cost of one inlined nil check. The cold LB-step
-// path additionally computes per-PE load vectors and per-step series, but
-// only when enabled() reports true.
+// path additionally builds a per-step record (see lbStepInstr), but only
+// when a registry or an LB timeline is attached.
 type rtsMetrics struct {
 	reg      *metrics.Registry
 	rtsLabel metrics.Label
@@ -103,10 +102,6 @@ func (m *rtsMetrics) peakState(pe, bytes int) {
 	}
 }
 
-// enabled reports whether the cold-path LB-step instrumentation (load
-// vectors, timeline rows, per-step series) should run.
-func (m *rtsMetrics) enabled() bool { return m.reg != nil || m.timeline != nil }
-
 // measured records one PE's interval measurement (Eq. 2 inputs).
 func (m *rtsMetrics) measured(pe int, taskSeconds, background float64) {
 	m.atSync.Inc()
@@ -116,197 +111,99 @@ func (m *rtsMetrics) measured(pe int, taskSeconds, background float64) {
 	}
 }
 
-// lbStepInstr gathers one LB step's telemetry across planMoves. All of
-// its methods assume enabled() held when it was created.
+// lbStepInstr builds one LB step's record under every AtSync protocol —
+// the flat gather, the tree gather and DiffusionLB alike. Its inputs are
+// each PE's measured load and O_p as they reach PE 0, the window they
+// cover, each plan's host time and proposed moves, and each applied
+// move's load; stepDone publishes it. PELoadAfter is the working load
+// vector: it starts as the before vector and every applied move shifts
+// it. A nil *lbStepInstr (no registry and no timeline) ignores every call.
 type lbStepInstr struct {
-	met      *rtsMetrics
-	step     metrics.LBStep
-	loads    map[int]float64 // working per-PE load vector
-	taskLoad map[core.TaskID]float64
-	planned  int
-	applied  int
-	planT0   time.Time
+	metrics.LBStep
 }
 
-// beginStep snapshots the strategy's input: per-PE load before moves and
-// per-PE background, in PE order. Returns nil when instrumentation is
-// disabled, and every method is nil-safe, so planMoves stays branch-light.
-func (m *rtsMetrics) beginStep(stepNo int, now sim.Time, wallSince sim.Time, stats *core.Stats) *lbStepInstr {
-	if !m.enabled() {
+// beginStep starts step stepNo's record, or returns nil when
+// instrumentation is disabled.
+func (m *rtsMetrics) beginStep(stepNo, numPEs int) *lbStepInstr {
+	if m.reg == nil && m.timeline == nil {
 		return nil
 	}
-	in := &lbStepInstr{
-		met:      m,
-		loads:    make(map[int]float64, len(stats.Cores)),
-		taskLoad: make(map[core.TaskID]float64, len(stats.Tasks)),
-	}
-	in.step = metrics.LBStep{
-		Step:        stepNo,
-		Time:        float64(now),
-		WallSinceLB: float64(wallSince),
-	}
-	for _, c := range stats.Cores {
-		in.loads[c.PE] = c.Background
-	}
-	for _, t := range stats.Tasks {
-		in.loads[t.PE] += t.Load
-		in.taskLoad[t.ID] = t.Load
-	}
-	in.step.PEBackground = make([]float64, 0, len(stats.Cores))
-	in.step.PELoadBefore = make([]float64, 0, len(stats.Cores))
-	for _, c := range stats.Cores {
-		in.step.PEBackground = append(in.step.PEBackground, c.Background)
-		in.step.PELoadBefore = append(in.step.PELoadBefore, in.loads[c.PE])
-	}
-	return in
-}
-
-func (in *lbStepInstr) planStart() {
-	if in == nil {
-		return
-	}
-	in.planT0 = time.Now()
-}
-
-func (in *lbStepInstr) planDone(moves []core.Move) {
-	if in == nil {
-		return
-	}
-	in.step.StrategyWall = time.Since(in.planT0).Seconds()
-	in.planned = len(moves)
-}
-
-// moveApplied shifts one task's load in the working vector.
-func (in *lbStepInstr) moveApplied(task core.TaskID, from, to int) {
-	if in == nil {
-		return
-	}
-	in.applied++
-	load := in.taskLoad[task]
-	in.loads[from] -= load
-	in.loads[to] += load
-}
-
-// finish publishes the step: per-PE after-loads, counters, the per-step
-// migration series, and the timeline row.
-func (in *lbStepInstr) finish(stats *core.Stats) {
-	if in == nil {
-		return
-	}
-	m := in.met
-	in.step.MovesPlanned = in.planned
-	in.step.MovesApplied = in.applied
-	in.step.PELoadAfter = make([]float64, 0, len(stats.Cores))
-	for _, c := range stats.Cores {
-		in.step.PELoadAfter = append(in.step.PELoadAfter, in.loads[c.PE])
-	}
-	m.movesPlanned.Add(uint64(in.planned))
-	m.migrations.Add(uint64(in.applied))
-	m.strategyWall.Add(in.step.StrategyWall)
-	if m.reg != nil {
-		for i, c := range stats.Cores {
-			if c.PE < len(m.peLoadBefore) {
-				m.peLoadBefore[c.PE].Set(in.step.PELoadBefore[i])
-				m.peLoadAfter[c.PE].Set(in.step.PELoadAfter[i])
-			}
-		}
-		m.reg.Gauge("charm_lb_step_migrations",
-			"Objects migrated at one LB step (one series per step).",
-			m.rtsLabel, metrics.L("step", strconv.Itoa(in.step.Step))).
-			Set(float64(in.applied))
-	}
-	m.timeline.Append(in.step)
-}
-
-// distStepInstr gathers one distributed LB step's telemetry. Unlike
-// lbStepInstr there is no global stats snapshot: per-PE loads arrive with
-// the O(1) ready notes and every applied hand-off adjusts the working
-// vector incrementally. Nil (all methods no-op) when instrumentation is
-// disabled.
-type distStepInstr struct {
-	met          *rtsMetrics
-	step         metrics.LBStep
-	loads        []float64 // working per-PE load vector
-	applied      int
-	strategyWall float64
-}
-
-func (m *rtsMetrics) beginDistStep(stepNo int, now sim.Time, numPEs int) *distStepInstr {
-	if !m.enabled() {
-		return nil
-	}
-	in := &distStepInstr{met: m, loads: make([]float64, numPEs)}
-	in.step = metrics.LBStep{
+	return &lbStepInstr{metrics.LBStep{
 		Step:         stepNo,
-		Time:         float64(now),
 		PEBackground: make([]float64, numPEs),
 		PELoadBefore: make([]float64, numPEs),
-	}
-	return in
+		PELoadAfter:  make([]float64, numPEs),
+	}}
 }
 
-// ready records one PE's interval measurement from its readiness note.
-func (in *distStepInstr) ready(pe int, load, bg float64) {
+// arrived records one PE's measurement: its load (tasks plus O_p) and
+// its background load O_p.
+func (in *lbStepInstr) arrived(pe int, load, bg float64) {
 	if in == nil {
 		return
 	}
-	in.loads[pe] = load
-	in.step.PEBackground[pe] = bg
-	in.step.PELoadBefore[pe] = load
+	in.PEBackground[pe] = bg
+	in.PELoadBefore[pe] = load
+	in.PELoadAfter[pe] = load
 }
 
-// planAdd accumulates one planner invocation's host wall time.
-func (in *distStepInstr) planAdd(d time.Duration) {
+// window records when the last measurement arrived and the T_lb window
+// the measurements cover.
+func (in *lbStepInstr) window(now, tlb sim.Time) {
 	if in == nil {
 		return
 	}
-	in.strategyWall += d.Seconds()
+	in.Time = float64(now)
+	in.WallSinceLB = float64(tlb)
 }
 
-// peakState forwards a planner's state size to the per-PE high-water mark.
-func (in *distStepInstr) peakState(pe, bytes int) {
+// planned adds one plan's host wall time and proposed move count.
+func (in *lbStepInstr) planned(wall time.Duration, moves int) {
 	if in == nil {
 		return
 	}
-	in.met.peakState(pe, bytes)
+	in.StrategyWall += wall.Seconds()
+	in.MovesPlanned += moves
 }
 
-// moveApplied shifts one hand-off's load in the working vector.
-func (in *distStepInstr) moveApplied(load float64, from, to int) {
+// moved shifts one applied move's load in the working vector.
+func (in *lbStepInstr) moved(load float64, from, to int) {
 	if in == nil {
 		return
 	}
-	in.applied++
-	in.loads[from] -= load
-	in.loads[to] += load
+	in.MovesApplied++
+	in.PELoadAfter[from] -= load
+	in.PELoadAfter[to] += load
 }
 
-// finish publishes the step once the root has decided to stop rounding.
-func (in *distStepInstr) finish(rounds int, wallSince sim.Time) {
+// publishStep publishes a finished step's record: the planned, migrated,
+// strategy-wall and round counters, the per-PE before/after gauges, the
+// per-step series and the timeline row. rounds is the neighbor-exchange
+// round count, 0 under the gathers (only DiffusionLB runs rounds, and it
+// alone gets a per-step rounds series).
+func (m *rtsMetrics) publishStep(in *lbStepInstr, rounds int) {
 	if in == nil {
 		return
 	}
-	m := in.met
-	in.step.WallSinceLB = float64(wallSince)
-	in.step.StrategyWall = in.strategyWall
-	in.step.MovesPlanned = in.applied
-	in.step.MovesApplied = in.applied
-	in.step.PELoadAfter = append([]float64(nil), in.loads...)
-	m.movesPlanned.Add(uint64(in.applied))
-	m.migrations.Add(uint64(in.applied))
-	m.strategyWall.Add(in.strategyWall)
+	s := in.LBStep
+	m.movesPlanned.Add(uint64(s.MovesPlanned))
+	m.migrations.Add(uint64(s.MovesApplied))
+	m.strategyWall.Add(s.StrategyWall)
+	m.lbRounds.Add(uint64(rounds))
 	if m.reg != nil {
-		for pe := range in.loads {
-			m.peLoadBefore[pe].Set(in.step.PELoadBefore[pe])
-			m.peLoadAfter[pe].Set(in.loads[pe])
+		for pe := range s.PELoadBefore {
+			m.peLoadBefore[pe].Set(s.PELoadBefore[pe])
+			m.peLoadAfter[pe].Set(s.PELoadAfter[pe])
 		}
-		step := metrics.L("step", strconv.Itoa(in.step.Step))
+		step := metrics.L("step", strconv.Itoa(s.Step))
 		m.reg.Gauge("charm_lb_step_migrations",
 			"Objects migrated at one LB step (one series per step).",
-			m.rtsLabel, step).Set(float64(in.applied))
-		m.reg.Gauge("charm_lb_step_rounds",
-			"Neighbor-exchange rounds one distributed LB step took.",
-			m.rtsLabel, step).Set(float64(rounds))
+			m.rtsLabel, step).Set(float64(s.MovesApplied))
+		if rounds > 0 {
+			m.reg.Gauge("charm_lb_step_rounds",
+				"Neighbor-exchange rounds one distributed LB step took.",
+				m.rtsLabel, step).Set(float64(rounds))
+		}
 	}
-	m.timeline.Append(in.step)
+	m.timeline.Append(s)
 }

@@ -5,26 +5,27 @@ import (
 	"testing"
 
 	"cloudlb/internal/core"
+	"cloudlb/internal/lb"
 	"cloudlb/internal/metrics"
 )
 
-// metricsWorld runs a small imbalanced RefineLB workload with telemetry
-// attached and returns the runtime, registry and timeline.
-func metricsWorld(t *testing.T, hier bool) (*RTS, *metrics.Registry, *metrics.LBTimeline) {
+// metricsWorld runs a small imbalanced workload under the given strategy
+// with telemetry attached and returns the runtime, registry and timeline.
+func metricsWorld(t *testing.T, strategy core.Strategy, hier bool) (*RTS, *metrics.Registry, *metrics.LBTimeline) {
 	t.Helper()
 	eng, m, n := testWorld(1, 4)
 	reg := metrics.NewRegistry()
 	tl := &metrics.LBTimeline{}
 	r := NewRTS(Config{
 		Machine: m, Net: n, Cores: allCores(m),
-		Strategy:       &core.RefineLB{EpsilonFrac: 0.02},
+		Strategy:       strategy,
 		HierarchicalLB: hier,
 		Metrics:        reg,
 		LBTimeline:     tl,
 	})
 	// Fine-grained over-decomposition (8 chares per PE) with one 5x-heavy
 	// chare: PE 0 exceeds T_avg+eps while a single light chare still fits
-	// under it elsewhere, so RefineLB migrates for real.
+	// under it elsewhere, so the balancers migrate for real.
 	r.NewArray("w", 32, func(i int) Chare {
 		cost := 0.01
 		if i == 0 {
@@ -72,16 +73,21 @@ func counterValue(t *testing.T, snap metrics.Snapshot, name string, labels ...me
 }
 
 // TestMetricsMatchRunCounters cross-checks the registry against the
-// RTS's own counters and the LB timeline: the exported series must agree
-// with what the run actually did.
+// RTS's own counters and the LB timeline under each AtSync protocol: the
+// exported series must agree with what the run actually did, and every
+// step's window must be the T_lb its measurements cover.
 func TestMetricsMatchRunCounters(t *testing.T) {
-	for _, hier := range []bool{false, true} {
-		name := "flat"
-		if hier {
-			name = "hier"
-		}
-		t.Run(name, func(t *testing.T) {
-			r, reg, tl := metricsWorld(t, hier)
+	for _, tc := range []struct {
+		name     string
+		strategy core.Strategy
+		hier     bool
+	}{
+		{"flat", &core.RefineLB{EpsilonFrac: 0.02}, false},
+		{"hier", &core.RefineLB{EpsilonFrac: 0.02}, true},
+		{"diffusion", &lb.DiffusionLB{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, reg, tl := metricsWorld(t, tc.strategy, tc.hier)
 			snap := reg.Gather()
 			rts := metrics.L("rts", "rts")
 
@@ -104,10 +110,21 @@ func TestMetricsMatchRunCounters(t *testing.T) {
 			if tl.Len() != r.LBSteps() {
 				t.Fatalf("timeline rows = %d, LB steps = %d", tl.Len(), r.LBSteps())
 			}
-			applied := 0
-			for i, step := range tl.Steps() {
+			applied, rounds := 0, 0.0
+			steps := tl.Steps()
+			for i, step := range steps {
 				if step.Step != i+1 {
 					t.Errorf("timeline row %d has step number %d", i, step.Step)
+				}
+				// The window rule: step 1 measured from the run's start;
+				// every later step from its earliest resume, which follows
+				// the previous step's last arrival.
+				if i == 0 && step.WallSinceLB != step.Time {
+					t.Errorf("step 1: wall_since_lb %v, want its time %v", step.WallSinceLB, step.Time)
+				}
+				if i > 0 && (step.WallSinceLB <= 0 || step.WallSinceLB > step.Time-steps[i-1].Time) {
+					t.Errorf("step %d: wall_since_lb %v outside (0, %v], time %v", step.Step,
+						step.WallSinceLB, step.Time-steps[i-1].Time, step.Time)
 				}
 				applied += step.MovesApplied
 				if step.MovesPlanned < step.MovesApplied {
@@ -131,9 +148,30 @@ func TestMetricsMatchRunCounters(t *testing.T) {
 				if d := before - after; d > 1e-9 || d < -1e-9 {
 					t.Errorf("step %d: load not conserved, before %v after %v", step.Step, before, after)
 				}
+				if _, ok := tc.strategy.(core.DistributedStrategy); ok {
+					got := counterValue(t, snap, "charm_lb_step_rounds", rts, metrics.L("step", itoa(step.Step)))
+					if got < 1 {
+						t.Errorf("charm_lb_step_rounds{step=%d} = %v, want >= 1", step.Step, got)
+					}
+					rounds += got
+				}
 			}
 			if applied != r.Migrations() {
 				t.Errorf("timeline applied moves sum to %d, RTS reports %d", applied, r.Migrations())
+			}
+			if got := counterValue(t, snap, "charm_lb_rounds_total", rts); got != rounds {
+				t.Errorf("charm_lb_rounds_total = %v, per-step rounds sum to %v", got, rounds)
+			}
+			// The per-PE gauges hold the last step's vectors.
+			last := steps[len(steps)-1]
+			for pe := 0; pe < r.NumPEs(); pe++ {
+				l := metrics.L("pe", itoa(pe))
+				if got := counterValue(t, snap, "charm_pe_load_before_seconds", rts, l); got != last.PELoadBefore[pe] {
+					t.Errorf("charm_pe_load_before_seconds{pe=%d} = %v, last step says %v", pe, got, last.PELoadBefore[pe])
+				}
+				if got := counterValue(t, snap, "charm_pe_load_after_seconds", rts, l); got != last.PELoadAfter[pe] {
+					t.Errorf("charm_pe_load_after_seconds{pe=%d} = %v, last step says %v", pe, got, last.PELoadAfter[pe])
+				}
 			}
 
 			// Per-PE background series exist for every PE and message

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"cloudlb/internal/xnet"
@@ -114,6 +115,16 @@ func (sp Spec) Validate() error {
 				add("faults", "invalid for %d cores: %v", c, err)
 				break
 			}
+		}
+	}
+	// The runtime's tree gather has no elasticity, and DiffusionLB plans
+	// by neighbor exchange in place of any gather.
+	if sp.Hierarchical {
+		if len(sp.Faults) > 0 {
+			add("hierarchical", "cannot run with faults (the tree gather does not support revocations)")
+		}
+		if slices.Contains(sp.Strategies, Diffusion) {
+			add("hierarchical", "cannot run with DiffusionLB (it plans by neighbor exchange, not a gather)")
 		}
 	}
 	// Node indices must exist on the smallest allocation's cluster.

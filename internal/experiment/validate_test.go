@@ -130,6 +130,10 @@ func TestValidateRejectsRunTimePanics(t *testing.T) {
 			Net: xnet.Config{Links: []xnet.Link{{Src: 0, Dst: 1, Latency: -inf}}}}, "net.links[0]", "finite"},
 		{"NaN sweep axis", Spec{Cores: []int{8}, EpsFracs: []float64{0.02, nan}}, "eps_fracs[1]", "finite"},
 		{"NaN drop axis", Spec{Cores: []int{8}, DropPcts: []float64{0, nan}}, "drop_pcts[1]", "[0,100)"},
+		{"tree gather with faults", Spec{Cores: []int{8}, Hierarchical: true,
+			Faults: elastic.Schedule{{PE: 1, At: 0.1, ReplacementCore: -1}}}, "hierarchical", "faults"},
+		{"tree gather with DiffusionLB", Spec{Cores: []int{8}, Hierarchical: true,
+			Strategies: []StrategyKind{Refine, Diffusion}}, "hierarchical", "DiffusionLB"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.spec.App = Wave2D

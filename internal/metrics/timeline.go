@@ -13,10 +13,13 @@ import (
 type LBStep struct {
 	// Step is the 1-based LB step number within the run.
 	Step int `json:"step"`
-	// Time is the virtual time (seconds) at which the step ran.
+	// Time is the virtual time (seconds) at which the step's measurement
+	// window closed: PE 0's clock when the last PE's measurement arrived
+	// (the plan instant under a gather, round 1 under DiffusionLB).
 	Time float64 `json:"time"`
-	// WallSinceLB is the virtual seconds since the previous step (or run
-	// start) — the T_lb window of Eq. 2.
+	// WallSinceLB is T_lb of Eq. 2, the window the step's loads and O_p
+	// were measured over: Time minus the earliest PE's resume from the
+	// previous step (run start for the first step).
 	WallSinceLB float64 `json:"wall_since_lb"`
 	// MovesPlanned / MovesApplied: strategy output before and after
 	// dropping no-op moves.

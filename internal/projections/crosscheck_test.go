@@ -42,16 +42,12 @@ func runTraced(t *testing.T, hier bool) (*trace.Recorder, []metrics.LBStep, floa
 	return rec, steps, res.AppWall
 }
 
-// stepWindow is the virtual-time interval step k's load measurements
-// cover: the load database resets when the previous step resumes, so the
-// window runs from the previous step's time (run start for the first
-// step) to this step's. WallSinceLB is the protocol's own duration, not
-// the window.
-func stepWindow(steps []metrics.LBStep, k int) (from, to sim.Time) {
-	if k > 0 {
-		from = sim.Time(steps[k-1].Time)
-	}
-	return from, sim.Time(steps[k].Time)
+// stepWindow is the virtual-time interval a step's load measurements
+// cover: WallSinceLB is T_lb, the time from the earliest PE's resume from
+// the previous step (run start for the first step) to the step's Time,
+// when the last measurement arrived.
+func stepWindow(s metrics.LBStep) (from, to sim.Time) {
+	return sim.Time(s.Time - s.WallSinceLB), sim.Time(s.Time)
 }
 
 // taskLoad is the step's per-PE task-only load: PELoadBefore carries
@@ -76,8 +72,8 @@ func coreList(n int) []int {
 // crossCheck validates every LB step of one run against the recorder.
 func crossCheck(t *testing.T, rec *trace.Recorder, steps []metrics.LBStep) {
 	cores := coreList(ccCores)
-	for k, step := range steps {
-		from, to := stepWindow(steps, k)
+	for _, step := range steps {
+		from, to := stepWindow(step)
 		window := float64(to - from)
 		if window <= 0 {
 			t.Fatalf("step %d: empty measurement window [%v, %v]", step.Step, from, to)

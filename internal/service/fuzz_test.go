@@ -8,10 +8,12 @@ import (
 	"cloudlb/internal/xnet"
 )
 
-// FuzzParseRequest: the submit parser never panics, and every request it
-// accepts re-parses from its canonical form (the stored request.json) to
-// the same cache key. Plain `go test` runs the seeds; `go test -fuzz
-// FuzzParseRequest ./internal/service` explores from them.
+// FuzzParseRequest: the submit parser never panics, every request it
+// rejects gets a *experiment.ValidationError whose entries each name a
+// field (the HTTP 400 body), and every request it accepts re-parses from
+// its canonical form (the stored request.json) to the same cache key.
+// Plain `go test` runs the seeds; `go test -fuzz FuzzParseRequest
+// ./internal/service` (or `make fuzz`) explores from them.
 func FuzzParseRequest(f *testing.F) {
 	respelled := quickSpec()
 	respelled.Strategies = []experiment.StrategyKind{experiment.NoLB}
@@ -43,6 +45,8 @@ func FuzzParseRequest(f *testing.F) {
 		`{"method":"scenarios","spec":{"app":"jacobi2d","cores":[4],"scale":1,"max_virtual_time":1}}`,
 		`{"method":"scenarios","spec":{"app":"wave2d","cores":[8],"net":{"straggler_nodes":[99],"straggler_factor":4}}}`,
 		`{"method":"scenarios","spec":{"app":"wave2d","cores":[8],"bg":"wave2d","bg_weight":NaN}}`,
+		`{"method":"scenarios","spec":{"app":"Wave2D","cores":[8],"strategies":["RefineLB"],"hierarchical":true,"faults":[{"pe":1,"at":0.1}]}}`,
+		`{"method":"scenarios","spec":{"app":"Wave2D","cores":[8],"strategies":["DiffusionLB"],"hierarchical":true}}`,
 		// Shards is hashed away but must still parse.
 		`{"v":1,"method":"scenarios","spec":{"app":"Wave2D","cores":[8],"shards":8}}`,
 	} {
@@ -51,6 +55,15 @@ func FuzzParseRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseRequest(data)
 		if err != nil {
+			verr, ok := err.(*experiment.ValidationError)
+			if !ok || len(verr.Fields) == 0 {
+				t.Fatalf("rejection of %s is %T %v, want a *experiment.ValidationError with entries", data, err, err)
+			}
+			for _, fe := range verr.Fields {
+				if fe.Field == "" {
+					t.Fatalf("rejection of %s has an entry naming no field: %v", data, err)
+				}
+			}
 			return
 		}
 		canon, err := req.canonicalJSON()

@@ -339,6 +339,20 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("field = %q, want spec.cores[1]", verr.Errors[0].Field)
 	}
 
+	// A Spec the runtime cannot run is a 400 naming the field, not a
+	// job that fails mid-simulation.
+	for _, sp := range []string{
+		`{"app":"Wave2D","cores":[8],"strategies":["RefineLB"],"hierarchical":true,"faults":[{"pe":1,"at":0.1}]}`,
+		`{"app":"Wave2D","cores":[8],"strategies":["DiffusionLB"],"hierarchical":true}`,
+	} {
+		resp, body := post(`{"method":"scenarios","spec":` + sp + `}`)
+		verr.Errors = nil
+		if err := json.Unmarshal(body, &verr); resp.StatusCode != http.StatusBadRequest || err != nil ||
+			len(verr.Errors) != 1 || verr.Errors[0].Field != "spec.hierarchical" {
+			t.Fatalf("spec %s: status %d, body %s; want 400 naming spec.hierarchical", sp, resp.StatusCode, body)
+		}
+	}
+
 	// Unknown method and unknown Spec field are both rejected.
 	if resp, _ := post(`{"method":"explode","spec":{"app":"Wave2D","cores":[8]}}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown method: status %d", resp.StatusCode)
