@@ -12,11 +12,14 @@
 # than inside `make check`. `make fuzz` runs every `Fuzz*` target for
 # FUZZTIME each (default 30s); it explores rather than checks, so it stays
 # out of `make check`, whose plain `go test` already replays every seed.
+# `make lines BASE=<ref>` counts a change's lines against <ref>, leaving
+# out ISSUE.md and CHANGES.md.
 
 GO ?= go
 FUZZTIME ?= 30s
+BASE ?= HEAD
 
-.PHONY: build test vet lint race check bench bench-module determinism verify-results figures fuzz
+.PHONY: build test vet lint race check bench bench-module determinism verify-results figures fuzz lines
 
 build:
 	$(GO) build ./...
@@ -124,3 +127,14 @@ verify-results:
 		{ rm -rf "$$tmp"; exit 1; }; \
 		rm -rf "$$tmp"; \
 	done
+
+# Line count of the working tree against $(BASE): added, removed and net
+# lines per kind — non-test Go, test Go, docs (*.md) and the rest — from
+# `git diff --numstat`, leaving out ISSUE.md and CHANGES.md. New files
+# count once `git add` tracks them; binary files count as zero lines.
+lines:
+	@git diff --numstat --no-renames $(BASE) -- . ':(exclude)ISSUE.md' ':(exclude)CHANGES.md' | \
+	awk '{ k = "rest" } $$3 ~ /_test\.go$$/ { k = "test Go" } $$3 ~ /\.go$$/ && $$3 !~ /_test\.go$$/ { k = "non-test Go" } \
+		$$3 ~ /\.md$$/ { k = "docs" } { add[k] += $$1; del[k] += $$2 } \
+		END { n = split("non-test Go,test Go,docs,rest", ks, ","); \
+			for (i = 1; i <= n; i++) printf "%-12s +%d -%d net %d\n", ks[i], add[ks[i]], del[ks[i]], add[ks[i]] - del[ks[i]] }'

@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -242,7 +243,7 @@ func main() {
 		ctx = obs.NewContext(ctx, tr)
 		log.Info("figures run starting", "trace_id", tr.ID(), "fig", *fig, "seeds", *seedN)
 	}
-	pool := &runner.Pool{Workers: *parallel, Metrics: prof.Registry(), Progress: prof.Tracker()}
+	pool := &runner.Pool{Workers: *parallel, Metrics: prof.Registry(), OnProgress: prof.Progress}
 	run := &figureRun{
 		ctx:     ctx,
 		opts:    experiment.Options{Executor: pool.Executor(), Metrics: prof.Registry(), LBTimeline: prof.Timeline()},
@@ -257,7 +258,28 @@ func main() {
 	}
 	start := time.Now()
 
-	render := func(f string) {
+	names := []string{*fig}
+	if *fig == "all" {
+		names = []string{"1", "2a", "2b", "2c", "3", "4a", "4b", "4c", "sweep", "compare"}
+	}
+	// One validation gate for every Spec, before the first scenario runs:
+	// the Spec.Validate that gates lbsim's flags and POST /api/v1/jobs.
+	for _, f := range names {
+		switch f {
+		case "1", "3":
+		case "7", "diffusion":
+			validate(experiment.Fig7Spec(base))
+		default:
+			figs, ok := tables[f]
+			if !ok {
+				usage(fmt.Errorf("unknown figure %q", f))
+			}
+			for _, tf := range figs {
+				validate(tf.spec)
+			}
+		}
+	}
+	for _, f := range names {
 		switch f {
 		case "1":
 			fig1(*scale, *width, *svgPath)
@@ -266,29 +288,18 @@ func main() {
 		case "7", "diffusion":
 			run.fig7(base)
 		default:
-			figs, ok := tables[f]
-			if !ok {
-				usage(fmt.Errorf("unknown figure %q", f))
-			}
-			for _, tf := range figs {
+			for _, tf := range tables[f] {
 				run.table(tf)
 			}
 		}
 	}
-	if *fig == "all" {
-		for _, f := range []string{"1", "2a", "2b", "2c", "3", "4a", "4b", "4c", "sweep", "compare"} {
-			render(f)
-		}
-	} else {
-		render(*fig)
-	}
 
 	// Perf summary on stderr: stdout is the byte-exact figure oracle and
 	// must not change with worker count or host speed.
-	wall, events, scenarios := pool.Totals()
-	if scenarios > 0 {
+	total, wall := pool.Totals()
+	if total.ScenariosDone > 0 {
 		fmt.Fprintf(os.Stderr, "figures: %d scenarios, %d simulated events in %.2fs total wall-clock (%.3gM events/s, %d workers)\n",
-			scenarios, events, time.Since(start).Seconds(), float64(events)/wall.Seconds()/1e6, pool.WorkerCount())
+			total.ScenariosDone, total.Events, time.Since(start).Seconds(), float64(total.Events)/wall.Seconds()/1e6, pool.WorkerCount())
 	}
 
 	if err := stopProfiles(); err != nil {
@@ -306,6 +317,22 @@ func die(err error) {
 func usage(err error) {
 	fmt.Fprintln(os.Stderr, "figures:", err)
 	os.Exit(2)
+}
+
+// validate exits 2 naming each offending field, one per line, when sp
+// fails Spec.Validate.
+func validate(sp experiment.Spec) {
+	err := sp.Validate()
+	var verr *experiment.ValidationError
+	if errors.As(err, &verr) {
+		for _, fe := range verr.Fields {
+			fmt.Fprintf(os.Stderr, "figures: %s: %s\n", fe.Field, fe.Msg)
+		}
+		os.Exit(2)
+	}
+	if err != nil {
+		usage(err)
+	}
 }
 
 // figureRun renders figures against one evaluation context: in-process

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -57,5 +58,36 @@ func TestSubmitAllFigures(t *testing.T) {
 	}
 	if n := strings.Count(stderr.String(), "(cache hit): energy.csv"); n != 3 {
 		t.Errorf("%d Figure 4 panels reused their Figure 2 job, want 3:\n%s", n, stderr.String())
+	}
+}
+
+// TestInvalidFlagsExitWithFieldError: flag values that would panic
+// mid-run or silently simulate something else fail validation before
+// the first scenario, exiting 2 with the offending Spec field on stderr,
+// as lbsim does.
+func TestInvalidFlagsExitWithFieldError(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-fig", "2a", "-cores", "6"}, "cores[0]"},
+		{[]string{"-fig", "2a", "-straggle", "99:4"}, "net.straggler_nodes[0]"},
+		{[]string{"-fig", "compare", "-droppct", "NaN"}, "net.drop_pct"},
+		{[]string{"-fig", "7", "-droppct", "NaN"}, "net.drop_pct"},
+	} {
+		cmd := exec.Command(os.Args[0], append(tc.args, "-scale", "0.05")...)
+		cmd.Env = append(os.Environ(), "FIGURES_TEST_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		code := cmd.ProcessState.ExitCode()
+		if code != 2 || !strings.Contains(stderr.String(), "figures: "+tc.field+": ") || strings.Contains(stderr.String(), "panic") || stdout.Len() > 0 {
+			t.Errorf("figures %v: exit %d, stdout %q, stderr %q; want exit 2 naming %s before any output",
+				tc.args, code, stdout.String(), stderr.String(), tc.field)
+		}
 	}
 }

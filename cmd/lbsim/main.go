@@ -228,7 +228,7 @@ func main() {
 		"cores", *cores, "strategy", stratKind.String(), "runs", *runs, "shards", nShards)
 
 	// The local run is the service's scenarios job, run in-process.
-	pool := &runner.Pool{Workers: *parallel, Metrics: prof.Registry(), Progress: prof.Tracker()}
+	pool := &runner.Pool{Workers: *parallel, Metrics: prof.Registry(), OnProgress: prof.Progress}
 	exec := pool.Executor()
 	if *chromePath == "" {
 		// The method records a single run's timeline for trace.json.
@@ -247,13 +247,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lbsim:", err)
 		os.Exit(1)
 	}
-	wall, events, _ := pool.Totals()
+	total, wall := pool.Totals()
 	log.Info("run complete", "trace_id", tr.ID(),
-		"events", events, "wall_s", wall.Seconds(), "spans", len(tr.Spans()))
+		"events", total.Events, "wall_s", wall.Seconds(), "spans", len(tr.Spans()))
 
 	printRows(spec, out.Rows.([]experiment.ScenarioRow))
 	fmt.Fprintf(os.Stderr, "lbsim: %d simulated events in %.3fs wall-clock (%.3gM events/s, %d workers)\n",
-		events, wall.Seconds(), float64(events)/wall.Seconds()/1e6, pool.WorkerCount())
+		total.Events, wall.Seconds(), float64(total.Events)/wall.Seconds()/1e6, pool.WorkerCount())
 
 	if *chromePath != "" {
 		f, err := os.Create(*chromePath)

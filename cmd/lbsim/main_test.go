@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,9 +15,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"cloudlb/internal/service"
 	"cloudlb/internal/service/store"
+	"cloudlb/internal/telemetry"
 )
 
 // TestMain lets a test re-run the test binary as the lbsim command:
@@ -270,5 +275,68 @@ func TestInvalidFlagsExitWithFieldError(t *testing.T) {
 		if code != 2 || !strings.Contains(stderr, "lbsim: "+tc.field+": ") || strings.Contains(stderr, "panic") {
 			t.Errorf("lbsim %v: exit %d, stderr %q; want exit 2 naming %s", tc.args, code, stderr, tc.field)
 		}
+	}
+}
+
+// TestServeReportsPoolAccount runs a two-seed batch with -serve and
+// reads /api/v1/run while the server holds its endpoints open after the
+// run: the served state is the pool's final account — both scenarios
+// queued and done, the run finished, the events of lbsim's own summary
+// line — and the pool's wall histogram holds one sample per scenario.
+func TestServeReportsPoolAccount(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-runs", "2", "-scale", "0.05",
+		"-serve", "127.0.0.1:0", "-serve-wait", "3s")
+	cmd.Env = append(os.Environ(), "LBSIM_TEST_MAIN=1")
+	cmd.Stdout = io.Discard
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	}()
+
+	serving := regexp.MustCompile(`^telemetry: serving on (http://\S+)/$`)
+	summary := regexp.MustCompile(`^lbsim: (\d+) simulated events in `)
+	var base string
+	var events uint64
+	sc := bufio.NewScanner(stderr)
+	for events == 0 && sc.Scan() {
+		if m := serving.FindStringSubmatch(sc.Text()); m != nil {
+			base = m[1]
+		}
+		if m := summary.FindStringSubmatch(sc.Text()); m != nil {
+			events, _ = strconv.ParseUint(m[1], 10, 64)
+		}
+	}
+	if base == "" || events == 0 {
+		t.Fatalf("stderr gave address %q and %d events, want both", base, events)
+	}
+	go func() { _, _ = io.Copy(io.Discard, stderr) }()
+
+	// The summary line precedes the drain that marks the run finished;
+	// the -serve-wait window bounds the wait for it.
+	var st telemetry.RunState
+	for deadline := time.Now().Add(3 * time.Second); !st.Finished && time.Now().Before(deadline); {
+		resp, err := http.Get(base + "/api/v1/run")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Finished {
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	if !st.Finished || st.ScenariosTotal != 2 || st.ScenariosDone != 2 || st.ScenariosInFlight != 0 ||
+		st.Events != events || st.ScenarioWall.Count != 2 {
+		t.Fatalf("/api/v1/run: %+v; want 2 of 2 scenarios done, finished, %d events, 2 wall samples", st, events)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"cloudlb/internal/elastic"
+	"cloudlb/internal/lb"
 	"cloudlb/internal/xnet"
 )
 
@@ -165,15 +166,16 @@ func ParseSpec(data []byte) (Spec, error) {
 // at run time (see Scenario and the workload constants). CanonicalJSON
 // normalizes a knob to its effective value and elides it when it equals
 // the default, so Spec{} and Spec{SyncEvery: 10} — which run identically —
-// also hash identically.
+// also hash identically. Run and buildStrategy read the same constants,
+// which is what makes equal hashes mean equal simulations.
 const (
 	defaultSyncEvery      = syncEvery
 	defaultCharesPerCore  = charesPerCore
 	defaultStencilBlock   = stencilBlock
 	defaultBGIters        = bgIters
 	defaultEpsilonFrac    = 0.02
-	defaultDiffRounds     = 16
-	defaultDiffTol        = 0.05
+	defaultDiffRounds     = lb.DefaultDiffusionRounds
+	defaultDiffTol        = lb.DefaultDiffusionTol
 	defaultMaxVirtualTime = 10000
 )
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -161,6 +162,43 @@ func TestCanonicalElidesDefaults(t *testing.T) {
 	}
 	if spelled.Hash() != bare.Hash() {
 		t.Fatalf("explicit defaults changed the hash: %s vs %s", spelled.Hash(), bare.Hash())
+	}
+}
+
+// TestZeroKnobRunsAsItsDefault is the property behind "equal hash ⇒
+// equal simulation" that the result cache relies on: a knob the
+// normalizer elides at its default runs, left at zero, to the same
+// Result as spelled out at that default.
+func TestZeroKnobRunsAsItsDefault(t *testing.T) {
+	zero := Spec{App: Wave2D, Cores: []int{4}, Strategies: []StrategyKind{Refine, Diffusion},
+		BG: BGWave2D, Seeds: []int64{1}, Scale: quickScale}
+	want, err := RunAll(context.Background(), zero.Scenarios())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		knob string
+		set  func(*Spec)
+	}{
+		{"epsilon_frac", func(sp *Spec) { sp.EpsilonFrac = defaultEpsilonFrac }},
+		{"diff_rounds", func(sp *Spec) { sp.DiffRounds = defaultDiffRounds }},
+		{"diff_tol", func(sp *Spec) { sp.DiffTol = defaultDiffTol }},
+		{"max_virtual_time", func(sp *Spec) { sp.MaxVirtualTime = defaultMaxVirtualTime }},
+	} {
+		spelled := zero
+		tc.set(&spelled)
+		if spelled.Hash() != zero.Hash() {
+			t.Fatalf("%s at its default changed the hash", tc.knob)
+		}
+		got, err := RunAll(context.Background(), spelled.Scenarios())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !resultsEqual(got[i], want[i]) {
+				t.Errorf("%s at its default: scenario %d ran to %+v, at zero to %+v", tc.knob, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func (s StrategyKind) String() string {
 // separate copy of the defaults.
 func buildStrategy(k StrategyKind, epsFrac, interNodeBW float64, diffRounds int, diffTol float64) core.Strategy {
 	if epsFrac <= 0 {
-		epsFrac = 0.02
+		epsFrac = defaultEpsilonFrac
 	}
 	switch k {
 	case NoLB:
@@ -354,7 +354,7 @@ func Run(s Scenario) Result {
 		s.BGWeight = 1
 	}
 	if s.MaxVirtualTime <= 0 {
-		s.MaxVirtualTime = 10000
+		s.MaxVirtualTime = defaultMaxVirtualTime
 	}
 	if s.App == AppNone && s.BG != BGWave2D {
 		panic("experiment: AppNone requires the Wave2D background job (it is the thing being measured)")
@@ -388,7 +388,7 @@ func Run(s Scenario) Result {
 	net := xnet.New(mach, netCfg)
 	net.SetMetrics(s.Metrics)
 	net.SetObs(s.Obs, s.ObsTID)
-	rng := rand.New(rand.NewSource(s.Seed*2654435761 + 12345))
+	rng := newRNG(s.Seed)
 
 	var appRTS *charm.RTS
 	if s.App != AppNone {

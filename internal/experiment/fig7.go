@@ -70,24 +70,42 @@ type DiffEval struct {
 	PlanHostSeconds float64
 }
 
-// Fig7Scenarios lists the comparison's batch in fig7Rows order. Each
-// scenario carries its own metrics registry (regs, parallel to the
-// batch) so the per-strategy round/state series can be read back without
-// cross-contamination; Options.run only attaches its shared registry to
-// scenarios that have none.
-func Fig7Scenarios(scale float64) (batch []Scenario, regs []*metrics.Registry) {
-	for _, row := range fig7Rows {
+// Fig7Spec is the Spec Fig7 runs sp as: the figure's own interfered
+// application, allocation, seed, strategies and run shape, with sp's
+// Scale, Net and Shards. It is the one statement of Figure 7's shape:
+// Fig7Scenarios expands it, and cmd/figures validates it before the
+// figure runs.
+func Fig7Spec(sp Spec) Spec {
+	strategies := make([]StrategyKind, len(fig7Rows))
+	for i, row := range fig7Rows {
+		strategies[i] = row.Strategy
+	}
+	return Spec{
+		App: Wave2D, Cores: []int{fig7Cores}, BG: BGWave2D,
+		Strategies: strategies, Seeds: []int64{fig7Seed},
+		Scale:         sp.Scale,
+		SyncEvery:     fig7SyncEvery,
+		CharesPerCore: fig7CharesPerCore,
+		StencilBlock:  fig7StencilBlock,
+		Net:           sp.Net,
+		Shards:        sp.Shards,
+	}
+}
+
+// Fig7Scenarios lists the comparison's batch for sp in fig7Rows order:
+// Fig7Spec(sp)'s scenarios at the figure's scale factor, each with its
+// row's gather. Each scenario carries its own metrics registry (regs,
+// parallel to the batch) so the per-strategy round/state series can be
+// read back without cross-contamination; Options.run only attaches its
+// shared registry to scenarios that have none.
+func Fig7Scenarios(sp Spec) (batch []Scenario, regs []*metrics.Registry) {
+	batch = Fig7Spec(sp).Scenarios()
+	for i, row := range fig7Rows {
 		reg := metrics.NewRegistry()
 		regs = append(regs, reg)
-		batch = append(batch, Scenario{
-			App: Wave2D, Cores: fig7Cores, Strategy: row.Strategy,
-			BG: BGWave2D, Seed: fig7Seed, Scale: scale * fig7Scale,
-			SyncEvery:     fig7SyncEvery,
-			CharesPerCore: fig7CharesPerCore,
-			StencilBlock:  fig7StencilBlock,
-			Hierarchical:  row.Hier,
-			Metrics:       reg,
-		})
+		batch[i].Scale *= fig7Scale
+		batch[i].Hierarchical = row.Hier
+		batch[i].Metrics = reg
 	}
 	return batch, regs
 }
@@ -96,7 +114,7 @@ func Fig7Scenarios(scale float64) (batch []Scenario, regs []*metrics.Registry) {
 // strategy. The figure fixes its own application, allocation and
 // strategies; it reads only the Spec's Scale, Net and Shards.
 func Fig7(ctx context.Context, opts Options, sp Spec) ([]DiffEval, error) {
-	batch, regs := Fig7Scenarios(sp.scale())
+	batch, regs := Fig7Scenarios(sp)
 	results, err := sp.run(ctx, opts, batch)
 	if err != nil {
 		return nil, err

@@ -9,13 +9,13 @@ import (
 )
 
 // Options configures how a Spec evaluation dispatches its scenario batch
-// and what telemetry the runs carry. The zero value runs sequentially
-// with instrumentation disabled — exactly the behaviour of the original
-// non-Ctx entry points.
+// and what telemetry the runs carry. The zero value runs the batch
+// sequentially with instrumentation disabled.
 type Options struct {
 	// Executor dispatches the batch when non-nil (e.g. runner.Pool's
-	// Executor for the worker pool, its statistics and its Progress
-	// notifications); nil runs the batch sequentially through RunAll.
+	// Executor, which fans it out over the pool's workers and accounts
+	// for every scenario); nil runs the batch sequentially through
+	// RunAll.
 	Executor Executor
 	// Metrics, when non-nil, is attached to every scenario in the batch
 	// (see Scenario.Metrics). In a batch of more than one scenario each

@@ -128,13 +128,14 @@ func (sp Spec) Validate() error {
 		}
 	}
 	// Node indices must exist on the smallest allocation's cluster.
-	nodes := 0
+	smallest, nodes := 0, 0
 	for _, c := range sp.Cores {
-		if c > 0 && c%4 == 0 && (nodes == 0 || clusterNodes(c) < nodes) {
-			nodes = clusterNodes(c)
+		if c > 0 && c%4 == 0 && (smallest == 0 || c < smallest) {
+			smallest, nodes = c, clusterNodes(c)
 		}
 	}
-	errs = append(errs, validateNet(sp.Net, nodes)...)
+	netErrs := validateNet(sp.Net, nodes)
+	errs = append(errs, netErrs...)
 	for i, e := range sp.EpsFracs {
 		if !finite(e) || e <= 0 {
 			add(fmt.Sprintf("eps_fracs[%d]", i), "must be finite and > 0, got %v", e)
@@ -153,6 +154,16 @@ func (sp Spec) Validate() error {
 	for i, f := range sp.StraggleFactors {
 		if !finite(f) || f <= 0 {
 			add(fmt.Sprintf("straggle_factors[%d]", i), "must be finite and > 0, got %v", f)
+			continue
+		}
+		// The net method overlays each factor on the Spec's network
+		// (netCell), where a factor fine on its own can still break a
+		// link. A cell's drop percentage derives nothing, so one cell per
+		// factor covers the sweep.
+		if len(netErrs) == 0 {
+			if err := netCell(sp.Net.Resolved(), smallest, 0, f).CheckDerived(); err != nil {
+				add(fmt.Sprintf("straggle_factors[%d]", i), "%v", err)
+			}
 		}
 	}
 
@@ -231,6 +242,13 @@ func validateNet(cfg xnet.Config, nodes int) []FieldError {
 	}
 	if cfg.MaxAttempts < 0 {
 		add("max_attempts", "must be >= 0 (0 = default), got %d", cfg.MaxAttempts)
+	}
+	// Fields valid one by one can still derive an unusable link or
+	// retransmit timeout once resolved (xnet.New panics on those).
+	if len(errs) == 0 {
+		if err := cfg.Resolved().CheckDerived(); err != nil {
+			errs = append(errs, FieldError{Field: "net", Msg: err.Error()})
+		}
 	}
 	return errs
 }

@@ -130,6 +130,12 @@ func TestValidateRejectsRunTimePanics(t *testing.T) {
 			Net: xnet.Config{Links: []xnet.Link{{Src: 0, Dst: 1, Latency: -inf}}}}, "net.links[0]", "finite"},
 		{"NaN sweep axis", Spec{Cores: []int{8}, EpsFracs: []float64{0.02, nan}}, "eps_fracs[1]", "finite"},
 		{"NaN drop axis", Spec{Cores: []int{8}, DropPcts: []float64{0, nan}}, "drop_pcts[1]", "[0,100)"},
+		{"retransmit timeout overflows", Spec{Cores: []int{8},
+			Net: xnet.Config{InterNodeLatency: 1e308, DropPct: 5}}, "net", "retransmit timeout"},
+		{"straggled bandwidth underflows", Spec{Cores: []int{8},
+			Net: xnet.Config{InterNodeBandwidth: 1e-300, StragglerNodes: []int{1}, StragglerFactor: 1e100}}, "net", "bandwidth 0"},
+		{"straggle factor underflows a sweep cell", Spec{Cores: []int{8},
+			DropPcts: []float64{0}, StraggleFactors: []float64{1, 1e-320}}, "straggle_factors[1]", "straggler factor 1e-320"},
 		{"tree gather with faults", Spec{Cores: []int{8}, Hierarchical: true,
 			Faults: elastic.Schedule{{PE: 1, At: 0.1, ReplacementCore: -1}}}, "hierarchical", "faults"},
 		{"tree gather with DiffusionLB", Spec{Cores: []int{8}, Hierarchical: true,

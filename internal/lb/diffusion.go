@@ -30,11 +30,18 @@ type DiffusionLB struct {
 	Alpha float64
 	// Tol is the convergence band: rounds stop once the maximum
 	// normalized PE load is within Tol of the live-core average
-	// (default 0.05).
+	// (default DefaultDiffusionTol).
 	Tol float64
-	// Rounds bounds the exchange rounds per LB step (default 16).
+	// Rounds bounds the exchange rounds per LB step (default
+	// DefaultDiffusionRounds).
 	Rounds int
 }
+
+// The defaults a zero DiffusionLB.Tol and Rounds take.
+const (
+	DefaultDiffusionTol    = 0.05
+	DefaultDiffusionRounds = 16
+)
 
 // Name implements core.Strategy.
 func (d *DiffusionLB) Name() string { return "DiffusionLB" }
@@ -48,7 +55,7 @@ func (d *DiffusionLB) alpha() float64 {
 
 func (d *DiffusionLB) tol() float64 {
 	if d.Tol <= 0 {
-		return 0.05
+		return DefaultDiffusionTol
 	}
 	return d.Tol
 }
@@ -56,7 +63,7 @@ func (d *DiffusionLB) tol() float64 {
 // MaxRounds implements core.DistributedStrategy.
 func (d *DiffusionLB) MaxRounds() int {
 	if d.Rounds <= 0 {
-		return 16
+		return DefaultDiffusionRounds
 	}
 	return d.Rounds
 }

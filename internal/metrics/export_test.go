@@ -41,8 +41,8 @@ func TestEscapingNoDoubleEscape(t *testing.T) {
 	}
 }
 
-func TestNewHistogramSnapshot(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
+func TestHistogramSnapshot(t *testing.T) {
+	h := NewRegistry().Histogram("h", "", []float64{1, 2, 4})
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 8} {
 		h.Observe(v)
 	}
@@ -92,13 +92,13 @@ func TestEstimateQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestNewHistogramPanicsOnBadBounds(t *testing.T) {
+func TestHistogramPanicsOnBadBounds(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for non-ascending bounds")
 		}
 	}()
-	NewHistogram([]float64{1, 1})
+	NewRegistry().Histogram("h", "", []float64{1, 1})
 }
 
 // TestGatherHistogramQuantiles checks the registry snapshot carries the

@@ -198,22 +198,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
-// NewHistogram returns a standalone histogram that is not registered
-// with any registry — for subsystems (e.g. the telemetry run tracker)
-// that aggregate observations themselves and export them through their
-// own snapshot types. Bounds must be ascending.
-func NewHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("metrics: NewHistogram bounds not ascending")
-		}
-	}
-	return &Histogram{
-		bounds:  append([]float64(nil), bounds...),
-		buckets: make([]atomic.Uint64, len(bounds)+1),
-	}
-}
-
 // ExpBuckets returns n upper bounds starting at start, each factor times
 // the previous — the standard shape for latency histograms.
 func ExpBuckets(start, factor float64, n int) []float64 {

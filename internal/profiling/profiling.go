@@ -17,6 +17,7 @@ import (
 
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/obs"
+	"cloudlb/internal/runner"
 	"cloudlb/internal/service"
 	"cloudlb/internal/service/store"
 	"cloudlb/internal/telemetry"
@@ -56,12 +57,11 @@ type Flags struct {
 	// one JSON object per line) or "text" (slog's logfmt-style handler).
 	LogFormat string
 
-	reg     *metrics.Registry
-	tl      *metrics.LBTimeline
-	tracker *telemetry.RunTracker
-	srv     *telemetry.Server
-	svc     *service.Service
-	log     *obs.Logger
+	reg *metrics.Registry
+	tl  *metrics.LBTimeline
+	srv *telemetry.Server
+	svc *service.Service
+	log *obs.Logger
 }
 
 // RegisterFlags installs the shared observability flags on fs and
@@ -111,7 +111,7 @@ func (f *Flags) Registry() *metrics.Registry {
 	return f.reg
 }
 
-// Timeline returns the LB-step timeline behind /api/lbsteps: nil when
+// Timeline returns the LB-step timeline behind /api/v1/lbsteps: nil when
 // -serve is unset (a nil timeline is the disabled state throughout the
 // codebase), one shared timeline otherwise.
 func (f *Flags) Timeline() *metrics.LBTimeline {
@@ -124,17 +124,14 @@ func (f *Flags) Timeline() *metrics.LBTimeline {
 	return f.tl
 }
 
-// Tracker returns the fleet-progress tracker behind /api/run: nil when
-// -serve is unset (every tracker method is nil-safe, so callers wire it
-// unconditionally), one shared tracker otherwise.
-func (f *Flags) Tracker() *telemetry.RunTracker {
-	if f.Serve == "" {
-		return nil
+// Progress is the sink for the run's scenario account behind
+// /api/v1/run: the telemetry server keeps each snapshot it is handed
+// once Start has started it (-serve), and without one the call does
+// nothing. A runner.Pool's OnProgress points here.
+func (f *Flags) Progress(p runner.Progress) {
+	if f.srv != nil {
+		f.srv.SetProgress(p)
 	}
-	if f.tracker == nil {
-		f.tracker = telemetry.NewRunTracker()
-	}
-	return f.tracker
 }
 
 // Start begins the CPU profile and the telemetry server per the flags
@@ -156,7 +153,7 @@ func (f *Flags) Start() (stop func() error, err error) {
 		return nil, err
 	}
 	if f.Serve != "" {
-		f.srv = telemetry.NewServer(f.Registry(), f.Timeline(), f.Tracker())
+		f.srv = telemetry.NewServer(f.Registry(), f.Timeline())
 		f.srv.SetLog(log)
 		if f.Store != "" {
 			st, err := store.Open(f.Store)

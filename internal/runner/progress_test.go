@@ -4,102 +4,101 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"cloudlb/internal/experiment"
 )
 
-type fakeProgress struct {
-	mu      sync.Mutex
-	queued  int
-	started []int
-	done    []int
-	events  uint64
+// snapshots records every account a pool hands its OnProgress hook.
+type snapshots struct {
+	mu   sync.Mutex
+	seen []Progress
 }
 
-func (f *fakeProgress) BatchQueued(n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.queued += n
+func (s *snapshots) add(p Progress) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seen = append(s.seen, p)
 }
 
-func (f *fakeProgress) ScenarioStarted(i int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.started = append(f.started, i)
-}
-
-func (f *fakeProgress) ScenarioDone(i int, wall time.Duration, events uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.done = append(f.done, i)
-	f.events += events
-}
-
-// TestPoolProgress checks RunBatch notifies the Progress hook once per
-// scenario with batch indices, from however many workers run them.
+// TestPoolProgress checks RunBatch announces its account on every
+// change — the batch queued, then one start and one finish per scenario,
+// from however many workers run them — in order, so the last snapshot is
+// the whole batch, and that Totals and the batch's own account agree.
 func TestPoolProgress(t *testing.T) {
-	f := &fakeProgress{}
-	pool := &Pool{Workers: 2, Progress: f}
+	var s snapshots
+	pool := &Pool{Workers: 2, OnProgress: s.add}
 	batch := experiment.Spec{
 		App: experiment.Jacobi2D, Cores: []int{4}, Seeds: []int64{1, 2}, Scale: 0.1,
 	}.Scenarios()
-	results, _, err := pool.RunBatch(context.Background(), batch)
+	results, acct, err := pool.RunBatch(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.queued != len(batch) {
-		t.Fatalf("queued %d, want %d", f.queued, len(batch))
-	}
-	if len(f.started) != len(batch) || len(f.done) != len(batch) {
-		t.Fatalf("started/done %d/%d, want %d each", len(f.started), len(f.done), len(batch))
-	}
-	seen := make(map[int]bool)
-	for _, i := range f.done {
-		if i < 0 || i >= len(batch) || seen[i] {
-			t.Fatalf("bad or duplicate done index %d", i)
-		}
-		seen[i] = true
-	}
-	var want uint64
+	var events uint64
 	for _, r := range results {
-		want += r.Events
+		events += r.Events
 	}
-	if f.events != want {
-		t.Fatalf("events %d, want %d", f.events, want)
+	want := Progress{ScenariosTotal: len(batch), ScenariosDone: len(batch), Events: events}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seen[0] != (Progress{ScenariosTotal: len(batch)}) {
+		t.Fatalf("first announcement %+v, want the queued batch", s.seen[0])
+	}
+	starts, finishes := 0, 0
+	for i := 1; i < len(s.seen); i++ {
+		prev, cur := s.seen[i-1], s.seen[i]
+		started := prev
+		started.ScenariosInFlight++
+		switch {
+		case cur == started:
+			starts++
+		case cur.ScenariosTotal == prev.ScenariosTotal && cur.ScenariosDone == prev.ScenariosDone+1 &&
+			cur.ScenariosInFlight == prev.ScenariosInFlight-1 && cur.Events > prev.Events:
+			finishes++
+		default:
+			t.Fatalf("announcement %d %+v is neither a start nor a finish after %+v", i, cur, prev)
+		}
+	}
+	if starts != len(batch) || finishes != len(batch) {
+		t.Fatalf("%d starts and %d finishes, want %d each", starts, finishes, len(batch))
+	}
+	if last := s.seen[len(s.seen)-1]; last != want {
+		t.Fatalf("last announcement %+v, want %+v", last, want)
+	}
+	if acct != want {
+		t.Fatalf("batch account %+v, want %+v", acct, want)
+	}
+	if total, wall := pool.Totals(); total != want || wall <= 0 {
+		t.Fatalf("Totals %+v over %v, want %+v", total, wall, want)
 	}
 }
 
-// cancellingProgress wraps fakeProgress and cancels its context after
-// the first scenario completes.
-type cancellingProgress struct {
-	fakeProgress
-	cancel context.CancelFunc
-}
-
-func (c *cancellingProgress) ScenarioDone(i int, wall time.Duration, events uint64) {
-	c.fakeProgress.ScenarioDone(i, wall, events)
-	c.cancel()
-}
-
-// TestPoolMidBatchCancellation cancels from inside the batch, via a
-// Progress hook that fires on the first completion: a one-worker pool
+// TestPoolMidBatchCancellation cancels from inside the batch, via an
+// OnProgress hook that fires on the first completion: a one-worker pool
 // must observe the cancellation at the next scenario boundary and stop,
 // leaving the remainder unrun, and Spec.Evaluate must surface the error.
+// The pool's account keeps the finished scenario.
 func TestPoolMidBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	prog := &cancellingProgress{cancel: cancel}
-	pool := &Pool{Workers: 1, Progress: prog}
+	var s snapshots
+	pool := &Pool{Workers: 1, OnProgress: func(p Progress) {
+		s.add(p)
+		if p.ScenariosDone > 0 {
+			cancel()
+		}
+	}}
 	spec := experiment.Spec{App: experiment.Jacobi2D, Cores: []int{4}, Seeds: []int64{1, 2}, Scale: 0.1}
 	if _, err := spec.Evaluate(ctx, experiment.Options{Executor: pool.Executor()}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	prog.mu.Lock()
-	defer prog.mu.Unlock()
-	if len(prog.done) != 1 {
-		t.Fatalf("ran %d scenarios, want 1 (cancellation after the first)", len(prog.done))
+	total, _ := pool.Totals()
+	if total.ScenariosDone != 1 || total.ScenariosInFlight != 0 || total.Events == 0 {
+		t.Fatalf("ran %+v, want 1 scenario done (cancellation after the first)", total)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if last := s.seen[len(s.seen)-1]; last != total {
+		t.Fatalf("last announcement %+v, Totals %+v", last, total)
 	}
 }

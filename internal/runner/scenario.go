@@ -12,31 +12,30 @@ import (
 	"cloudlb/internal/obs"
 )
 
-// ScenarioStats is one scenario's execution record: where it sat in the
-// batch, how long it took in real time, and how many simulation events it
-// executed.
-type ScenarioStats struct {
-	Index  int
-	Wall   time.Duration
-	Events uint64
+// Progress is the pool's scenario account: scenarios queued, finished
+// and executing, and the simulation events the finished ones executed.
+// The pool keeps one, summed over every batch it has run, and hands a
+// copy of it to OnProgress on every change; RunBatch returns one for its
+// own batch. The JSON names are those of /api/v1/run and a service
+// job's progress, which serve it as is.
+type Progress struct {
+	ScenariosTotal    int    `json:"scenarios_total"`
+	ScenariosDone     int    `json:"scenarios_done"`
+	ScenariosInFlight int    `json:"scenarios_in_flight"`
+	Events            uint64 `json:"events_total"`
 }
 
-// BatchStats aggregates one batch.
-type BatchStats struct {
-	// Wall is the real elapsed time of the whole batch (not the sum of
-	// per-scenario walls — with W workers it is roughly that sum / W).
-	Wall time.Duration
-	// Events is the total number of simulation events executed.
-	Events uint64
-	// Scenarios holds the per-scenario records in batch order.
-	Scenarios []ScenarioStats
+func (p *Progress) add(d Progress) {
+	p.ScenariosTotal += d.ScenariosTotal
+	p.ScenariosDone += d.ScenariosDone
+	p.ScenariosInFlight += d.ScenariosInFlight
+	p.Events += d.Events
 }
 
 // Pool runs experiment scenario batches on a bounded worker pool and
-// accumulates throughput statistics across batches. The zero value is
-// ready to use and selects GOMAXPROCS workers. A Pool may be shared: its
-// accumulators are mutex-protected, and each RunBatch call fans out
-// independently.
+// accounts for every scenario it runs. The zero value is ready to use
+// and selects GOMAXPROCS workers. A Pool may be shared: its account is
+// mutex-protected, and each RunBatch call fans out independently.
 type Pool struct {
 	// Workers bounds the number of concurrently executing scenarios;
 	// <= 0 selects GOMAXPROCS.
@@ -46,23 +45,44 @@ type Pool struct {
 	// wall time, and queue wait (batch submission to execution start).
 	// Nil disables them.
 	Metrics *metrics.Registry
-	// Progress, when non-nil, receives batch lifecycle notifications
-	// (telemetry's live /api/run view). Callbacks arrive from worker
-	// goroutines; implementations must be concurrency-safe.
-	Progress experiment.Progress
+	// OnProgress, when non-nil, is handed the pool's account after every
+	// change: a batch queued, a scenario started, a scenario finished. It
+	// runs with the pool's lock held, so snapshots arrive in the order
+	// they were taken and a reader keeps the last one it was handed; it
+	// must return promptly and must not call back into the pool.
+	OnProgress func(Progress)
 
-	mu        sync.Mutex
-	wall      time.Duration
-	events    uint64
-	scenarios int
+	mu   sync.Mutex
+	acct Progress
+	wall time.Duration
+}
+
+// ScenarioWall registers (or finds) the per-scenario wall-time histogram
+// the pool records in reg — the distribution /api/v1/run serves beside
+// the pool's account.
+func ScenarioWall(reg *metrics.Registry) *metrics.Histogram {
+	return reg.Histogram("runner_scenario_wall_seconds",
+		"Real seconds per scenario.", metrics.DefTimeBuckets())
+}
+
+// record applies one change to the pool's account and to the batch's,
+// and announces the pool's.
+func (p *Pool) record(batch *Progress, d Progress) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.acct.add(d)
+	batch.add(d)
+	if p.OnProgress != nil {
+		p.OnProgress(p.acct)
+	}
 }
 
 // RunBatch executes the batch and returns results slotted by batch index
 // (results[i] corresponds to batch[i] at any worker count) together with
-// the batch's execution statistics. On error or cancellation the partial
-// results are discarded and only the error is returned; completed
-// scenarios still count toward the pool's accumulated totals.
-func (p *Pool) RunBatch(ctx context.Context, batch []experiment.Scenario) ([]experiment.Result, *BatchStats, error) {
+// the batch's own account. On error or cancellation the partial results
+// are discarded and only the error is returned; completed scenarios
+// still count toward the pool's account.
+func (p *Pool) RunBatch(ctx context.Context, batch []experiment.Scenario) ([]experiment.Result, Progress, error) {
 	// Registration is idempotent, so re-resolving handles per batch keeps
 	// the handles off the Pool struct while sharing series across batches.
 	var (
@@ -70,17 +90,15 @@ func (p *Pool) RunBatch(ctx context.Context, batch []experiment.Scenario) ([]exp
 			"Scenarios completed by the pool.")
 		mEvents = p.Metrics.Counter("runner_sim_events_total",
 			"Simulation events executed across pool scenarios.")
-		mWall = p.Metrics.Histogram("runner_scenario_wall_seconds",
-			"Real seconds per scenario.", metrics.DefTimeBuckets())
+		mWall  = ScenarioWall(p.Metrics)
 		mQueue = p.Metrics.Histogram("runner_queue_wait_seconds",
 			"Real seconds a scenario waited for a pool worker.", metrics.DefTimeBuckets())
 		mInflight = p.Metrics.Gauge("runner_scenarios_in_flight",
 			"Scenarios currently executing on pool workers.")
 	)
-	stats := &BatchStats{Scenarios: make([]ScenarioStats, len(batch))}
-	prog := p.Progress
-	if prog != nil {
-		prog.BatchQueued(len(batch))
+	var acct Progress
+	if len(batch) > 0 {
+		p.record(&acct, Progress{ScenariosTotal: len(batch)})
 	}
 	// A job trace on the context gives every scenario its own span row:
 	// pool queue wait and execution, named after the scenario's axes so
@@ -101,40 +119,24 @@ func (p *Pool) RunBatch(ctx context.Context, batch []experiment.Scenario) ([]exp
 			tr.AddNow(obs.CatScenario, "queue-wait", s.ObsTID, queueWait)
 		}
 		runSpan := s.Obs.Start(obs.CatScenario, "run", s.ObsTID)
-		if prog != nil {
-			prog.ScenarioStarted(i)
-		}
+		p.record(&acct, Progress{ScenariosInFlight: 1})
 		mInflight.Add(1)
 		r := experiment.Run(s)
 		mInflight.Add(-1)
 		runSpan.End("events", r.Events, "migrations", r.Migrations, "lb_steps", r.LBSteps)
-		wall := time.Since(t0)
-		stats.Scenarios[i] = ScenarioStats{Index: i, Wall: wall, Events: r.Events}
 		mScenarios.Inc()
 		mEvents.Add(r.Events)
-		mWall.Observe(wall.Seconds())
-		if prog != nil {
-			prog.ScenarioDone(i, wall, r.Events)
-		}
+		mWall.Observe(time.Since(t0).Seconds())
+		p.record(&acct, Progress{ScenariosDone: 1, ScenariosInFlight: -1, Events: r.Events})
 		return r, nil
 	})
-	stats.Wall = time.Since(start)
-	for _, s := range stats.Scenarios {
-		stats.Events += s.Events
-	}
 	p.mu.Lock()
-	p.wall += stats.Wall
-	p.events += stats.Events
-	for _, s := range stats.Scenarios {
-		if s.Wall > 0 {
-			p.scenarios++
-		}
-	}
+	p.wall += time.Since(start)
 	p.mu.Unlock()
 	if err != nil {
-		return nil, nil, err
+		return nil, Progress{}, err
 	}
-	return results, stats, nil
+	return results, acct, nil
 }
 
 // Executor adapts the pool to the experiment package's Executor hook, so
@@ -155,10 +157,10 @@ func (p *Pool) WorkerCount() int {
 	return p.Workers
 }
 
-// Totals reports the pool's accumulated batch wall-clock, executed
-// simulation events and completed scenario count across all RunBatch calls.
-func (p *Pool) Totals() (wall time.Duration, events uint64, scenarios int) {
+// Totals reports the pool's account across all RunBatch calls and their
+// accumulated wall-clock (batch spans, not summed scenario times).
+func (p *Pool) Totals() (Progress, time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.wall, p.events, p.scenarios
+	return p.acct, p.wall
 }

@@ -97,32 +97,28 @@ func TestRunBatchSlotsResultsByIndex(t *testing.T) {
 		{App: experiment.Wave2D, Cores: 4, Strategy: experiment.NoLB, Seed: 3, Scale: 0.1},
 	}
 	pool := &Pool{Workers: 3}
-	got, stats, err := pool.RunBatch(context.Background(), batch)
+	got, acct, err := pool.RunBatch(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var events uint64
 	for i, s := range batch {
 		want := experiment.Run(s)
 		if got[i].AppWall != want.AppWall || got[i].Events != want.Events {
 			t.Fatalf("slot %d does not match its scenario: got wall %v, want %v", i, got[i].AppWall, want.AppWall)
 		}
-	}
-	if stats.Events == 0 {
-		t.Fatal("batch executed zero simulation events")
-	}
-	var sum uint64
-	for i, s := range stats.Scenarios {
-		if s.Events == 0 || s.Wall <= 0 {
-			t.Fatalf("scenario %d has empty stats: %+v", i, s)
+		if got[i].Events == 0 {
+			t.Fatalf("scenario %d executed zero simulation events", i)
 		}
-		sum += s.Events
+		events += got[i].Events
 	}
-	if sum != stats.Events {
-		t.Fatalf("per-scenario events sum %d != batch total %d", sum, stats.Events)
+	want := Progress{ScenariosTotal: len(batch), ScenariosDone: len(batch), Events: events}
+	if acct != want {
+		t.Fatalf("batch account %+v, want %+v", acct, want)
 	}
-	wall, events, n := pool.Totals()
-	if wall <= 0 || events != stats.Events || n != len(batch) {
-		t.Fatalf("pool totals wall=%v events=%d scenarios=%d", wall, events, n)
+	total, wall := pool.Totals()
+	if wall <= 0 || total != want {
+		t.Fatalf("pool totals %+v over %v, want %+v", total, wall, want)
 	}
 }
 
@@ -145,8 +141,8 @@ func TestRunBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestPoolMetrics checks the pool's telemetry against its own stats: the
-// scenario and event counters must agree with the batch totals, and the
+// TestPoolMetrics checks the pool's telemetry against its own account: the
+// scenario and event counters must agree with the batch's account, and the
 // per-scenario wall and queue-wait histograms must have one sample per
 // scenario. The batch runs in parallel while all scenarios share the
 // registry, so -race doubles as the registry's integration concurrency
@@ -159,7 +155,7 @@ func TestPoolMetrics(t *testing.T) {
 		{App: experiment.Wave2D, Cores: 4, Strategy: experiment.Refine, Seed: 2, Scale: 0.1, Metrics: reg},
 		{App: experiment.Wave2D, Cores: 4, Strategy: experiment.Refine, Seed: 3, Scale: 0.1, Metrics: reg},
 	}
-	_, stats, err := pool.RunBatch(context.Background(), batch)
+	_, acct, err := pool.RunBatch(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +173,11 @@ func TestPoolMetrics(t *testing.T) {
 	if got := get("runner_scenarios_total").Value; got != float64(len(batch)) {
 		t.Errorf("runner_scenarios_total = %v, want %d", got, len(batch))
 	}
-	if got := get("runner_sim_events_total").Value; got != float64(stats.Events) {
-		t.Errorf("runner_sim_events_total = %v, batch stats say %d", got, stats.Events)
+	if got := get("runner_sim_events_total").Value; got != float64(acct.Events) {
+		t.Errorf("runner_sim_events_total = %v, batch account says %d", got, acct.Events)
+	}
+	if got := get("runner_scenarios_in_flight").Value; got != 0 {
+		t.Errorf("runner_scenarios_in_flight = %v after the batch, want 0", got)
 	}
 	for _, name := range []string{"runner_scenario_wall_seconds", "runner_queue_wait_seconds"} {
 		if got := get(name).Count; got != uint64(len(batch)) {
@@ -189,8 +188,8 @@ func TestPoolMetrics(t *testing.T) {
 	// sim_events_total, and they must equal the runner's per-scenario sum.
 	for _, s := range snap.Series {
 		if s.Name == "sim_events_total" {
-			if s.Value != float64(stats.Events) {
-				t.Errorf("sim_events_total = %v, runner counted %d", s.Value, stats.Events)
+			if s.Value != float64(acct.Events) {
+				t.Errorf("sim_events_total = %v, runner counted %d", s.Value, acct.Events)
 			}
 			return
 		}

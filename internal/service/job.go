@@ -121,9 +121,9 @@ type manifest struct {
 // execute runs the request's evaluation through the same method dispatch
 // cmd/figures uses. The scenario batch carries the per-job registry (its
 // snapshot becomes the metrics.json artifact) and fans out over a per-job
-// pool so per-scenario progress lands on prog without mixing jobs.
-func execute(ctx context.Context, req Request, reg *metrics.Registry, workers int, prog experiment.Progress) (*experiment.Output, error) {
-	pool := &runner.Pool{Workers: workers, Progress: prog}
+// pool, whose account goes to onProgress without mixing jobs.
+func execute(ctx context.Context, req Request, reg *metrics.Registry, workers int, onProgress func(runner.Progress)) (*experiment.Output, error) {
+	pool := &runner.Pool{Workers: workers, OnProgress: onProgress}
 	sp := req.Spec
 	// Shards is an execution knob excluded from the cache key; the
 	// service always runs one shard, so the per-shard host-time barrier

@@ -32,6 +32,7 @@ import (
 	"cloudlb/internal/experiment"
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/obs"
+	"cloudlb/internal/runner"
 	"cloudlb/internal/service/store"
 )
 
@@ -39,9 +40,9 @@ import (
 type Config struct {
 	// Store holds artifacts and the cache index (required).
 	Store *store.Store
-	// Metrics, when non-nil, is the process-wide live registry: completed
-	// jobs add their engine events to its sim_events_total series, so a
-	// scrape distinguishes computed work from cache hits.
+	// Metrics, when non-nil, is the process-wide live registry: computed
+	// jobs add their pool's event count to its sim_events_total series,
+	// so a scrape distinguishes computed work from cache hits.
 	Metrics *metrics.Registry
 	// QueueDepth bounds the submit queue; a full queue rejects with 503.
 	// <= 0 selects 16.
@@ -77,15 +78,6 @@ type Artifact struct {
 	Size int64  `json:"size"`
 }
 
-// Progress is a job's per-scenario execution progress, fed by the
-// runner pool's Progress hooks.
-type Progress struct {
-	ScenariosTotal    int    `json:"scenarios_total"`
-	ScenariosDone     int    `json:"scenarios_done"`
-	ScenariosInFlight int    `json:"scenarios_in_flight"`
-	Events            uint64 `json:"events_total"`
-}
-
 // JobView is the external JSON representation of a job.
 type JobView struct {
 	ID       string `json:"id"`
@@ -94,9 +86,11 @@ type JobView struct {
 	State    State  `json:"state"`
 	// Cached is true when the job was served from the store without
 	// simulating anything.
-	Cached    bool                `json:"cached"`
-	Error     string              `json:"error,omitempty"`
-	Progress  Progress            `json:"progress"`
+	Cached bool   `json:"cached"`
+	Error  string `json:"error,omitempty"`
+	// Progress is the last scenario account the job's runner pool
+	// announced; zero for a cache hit, which runs nothing.
+	Progress  runner.Progress     `json:"progress"`
 	Artifacts map[string]Artifact `json:"artifacts,omitempty"`
 	// TraceID names the job's trace; log records carrying the same
 	// trace_id belong to this job, and the trace_spans.json artifact holds
@@ -115,7 +109,7 @@ type job struct {
 	state     State
 	cached    bool
 	err       string
-	progress  Progress
+	progress  runner.Progress
 	artifacts map[string]Artifact
 	done      chan struct{}
 
@@ -144,38 +138,6 @@ func (j *job) view() JobView {
 		}
 	}
 	return v
-}
-
-// jobProgress adapts the runner pool's Progress callbacks to one job's
-// counters. Implements experiment.Progress structurally.
-type jobProgress struct {
-	s *Service
-	j *job
-}
-
-func (p jobProgress) BatchQueued(n int) {
-	p.j.mu.Lock()
-	p.j.progress.ScenariosTotal += n
-	p.j.mu.Unlock()
-	p.s.notify(p.j)
-}
-
-func (p jobProgress) ScenarioStarted(int) {
-	p.j.mu.Lock()
-	p.j.progress.ScenariosInFlight++
-	p.j.mu.Unlock()
-	p.s.notify(p.j)
-}
-
-func (p jobProgress) ScenarioDone(_ int, _ time.Duration, events uint64) {
-	p.j.mu.Lock()
-	p.j.progress.ScenariosDone++
-	if p.j.progress.ScenariosInFlight > 0 {
-		p.j.progress.ScenariosInFlight--
-	}
-	p.j.progress.Events += events
-	p.j.mu.Unlock()
-	p.s.notify(p.j)
 }
 
 // Service accepts evaluation jobs over HTTP, drains them through a
@@ -383,23 +345,15 @@ func (s *Service) runJob(j *job) {
 		}()
 		reg := metrics.NewRegistry()
 		execSpan := j.tr.Start(obs.CatJob, "execute", 0)
-		out, err := execute(obs.NewContext(s.ctx, j.tr), j.req, reg, s.cfg.Workers, jobProgress{s: s, j: j})
+		out, err := execute(obs.NewContext(s.ctx, j.tr), j.req, reg, s.cfg.Workers, func(p runner.Progress) {
+			j.mu.Lock()
+			j.progress = p
+			j.mu.Unlock()
+			s.notify(j)
+		})
 		execSpan.End("method", j.req.Method, "err", err != nil)
 		if err != nil {
 			return nil, err
-		}
-		// Re-registering the engine's series on the live registry is
-		// idempotent (same name and kind), so computed events land in the
-		// same sim_events_total a co-resident simulation feeds. Cache hits
-		// never reach this line — that delta is the "did we simulate"
-		// signal the smoke test asserts on.
-		if s.cfg.Metrics != nil {
-			for _, series := range reg.Gather().Series {
-				if series.Name == "sim_events_total" {
-					s.cfg.Metrics.Counter("sim_events_total",
-						"Events dispatched by the simulation engine.").Add(uint64(series.Value))
-				}
-			}
 		}
 		return s.storeArtifacts(j.req, out, reg, j.tr)
 	}()
@@ -410,6 +364,12 @@ func (s *Service) runJob(j *job) {
 		j.state = StateFailed
 		j.err = err.Error()
 	} else {
+		// Computed events land in the live sim_events_total a co-resident
+		// simulation feeds, before the job reads done. Cache hits never
+		// reach this line — that delta is the "did we simulate" signal
+		// the smoke test asserts on.
+		s.cfg.Metrics.Counter("sim_events_total",
+			"Events dispatched by the simulation engine.").Add(events)
 		j.state = StateDone
 		j.artifacts = arts
 	}

@@ -81,12 +81,12 @@ func TestSubmitComputeAndCacheHit(t *testing.T) {
 			t.Errorf("first run missing artifact %s (have %v)", name, first.Artifacts)
 		}
 	}
-	if first.Progress.ScenariosDone != 1 || first.Progress.Events == 0 {
+	if p := first.Progress; p.ScenariosTotal != 1 || p.ScenariosDone != 1 || p.ScenariosInFlight != 0 || p.Events == 0 {
 		t.Fatalf("first run progress: %+v", first.Progress)
 	}
 	eventsAfterFirst := simEvents(live)
-	if eventsAfterFirst == 0 {
-		t.Fatal("computed job did not add to live sim_events_total")
+	if eventsAfterFirst != float64(first.Progress.Events) {
+		t.Fatalf("computed job added %v to live sim_events_total, its pool counted %d events", eventsAfterFirst, first.Progress.Events)
 	}
 
 	// Equivalent spec, spelled differently: defaults explicit, another

@@ -44,20 +44,29 @@ import (
 
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/obs"
+	"cloudlb/internal/runner"
 )
 
 // Server is the embedded observability server. Construct with NewServer;
-// any of the three data sources may be nil (the matching endpoints serve
-// empty documents).
+// either data source may be nil (the matching endpoints serve empty
+// documents).
 type Server struct {
-	reg     *metrics.Registry
-	tl      *metrics.LBTimeline
-	tracker *RunTracker
-	hub     *hub
-	mux     *http.ServeMux
-	srv     *http.Server
-	ln      net.Listener
-	log     *obs.Logger
+	reg *metrics.Registry
+	tl  *metrics.LBTimeline
+	hub *hub
+	mux *http.ServeMux
+	srv *http.Server
+	ln  net.Listener
+	log *obs.Logger
+
+	// The run's state behind /api/v1/run: the last account SetProgress
+	// was handed, whether Drain has finished the run, and the pool's
+	// per-scenario wall histogram in reg.
+	start    time.Time
+	wall     *metrics.Histogram
+	runMu    sync.Mutex
+	progress runner.Progress
+	finished bool
 
 	// readiness probes behind /readyz, keyed by check name.
 	readyMu sync.Mutex
@@ -70,18 +79,17 @@ type lbStepEvent struct {
 	Step  metrics.LBStep `json:"step"`
 }
 
-// NewServer wires the endpoints over the given registry, timeline and
-// tracker, and subscribes to both live sources: every tracker state
-// change and every timeline append is pushed to /events subscribers.
-func NewServer(reg *metrics.Registry, tl *metrics.LBTimeline, tracker *RunTracker) *Server {
-	s := &Server{reg: reg, tl: tl, tracker: tracker, hub: newHub(), mux: http.NewServeMux(),
-		ready: map[string]func() error{}}
+// NewServer wires the endpoints over the given registry and timeline,
+// and subscribes to the timeline: every append is pushed to /events
+// subscribers, as is every account SetProgress is handed.
+func NewServer(reg *metrics.Registry, tl *metrics.LBTimeline) *Server {
+	s := &Server{reg: reg, tl: tl, hub: newHub(), mux: http.NewServeMux(),
+		start: time.Now(), wall: runner.ScenarioWall(reg), ready: map[string]func() error{}}
 	// The live registry doubles as the process health surface: runtime
 	// series plus the SSE slow-consumer drop counter.
 	metrics.RegisterRuntimeCollector(reg)
 	s.hub.dropped = reg.Counter("telemetry_sse_dropped_total",
 		"SSE events dropped because a subscriber's send queue was full.")
-	tracker.setNotify(func() { s.hub.broadcast("progress", tracker.State()) })
 	tl.SetNotify(func(index int, step metrics.LBStep) {
 		s.hub.broadcast("lbstep", lbStepEvent{Index: index, Step: step})
 	})
@@ -160,14 +168,16 @@ func (s *Server) Start(addr string) (string, error) {
 }
 
 // Drain completes the server's lifecycle without losing the final
-// scrape: it marks the run finished (pushing a last progress event and a
-// "done" event to SSE subscribers), keeps every endpoint up for wait so
+// scrape: it marks the run finished (pushing a "done" event with the
+// final state to SSE subscribers), keeps every endpoint up for wait so
 // scrapers and browsers can take a final reading, then ends the SSE
 // streams and shuts the listener down gracefully — requests already in
 // flight run to completion.
 func (s *Server) Drain(wait time.Duration) error {
-	s.tracker.Finish()
-	s.hub.broadcast("done", s.tracker.State())
+	s.runMu.Lock()
+	s.finished = true
+	s.runMu.Unlock()
+	s.hub.broadcast("done", s.State())
 	if wait > 0 {
 		time.Sleep(wait)
 	}
@@ -194,7 +204,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.tracker.State())
+	writeJSON(w, s.State())
 }
 
 // handleHealthz is pure liveness: if this handler runs, the process and
@@ -285,7 +295,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	ch, cancel, closed := s.hub.subscribe()
 	defer cancel()
-	if err := writeSSEJSON(w, "progress", s.tracker.State()); err != nil {
+	if err := writeSSEJSON(w, "progress", s.State()); err != nil {
 		return
 	}
 	fl.Flush()

@@ -21,15 +21,14 @@ import (
 	"cloudlb/internal/telemetry"
 )
 
-func newTestServer(t *testing.T) (*telemetry.Server, *metrics.Registry, *metrics.LBTimeline, *telemetry.RunTracker, *httptest.Server) {
+func newTestServer(t *testing.T) (*telemetry.Server, *metrics.Registry, *metrics.LBTimeline, *httptest.Server) {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	tl := &metrics.LBTimeline{}
-	tracker := telemetry.NewRunTracker()
-	srv := telemetry.NewServer(reg, tl, tracker)
+	srv := telemetry.NewServer(reg, tl)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return srv, reg, tl, tracker, ts
+	return srv, reg, tl, ts
 }
 
 func get(t *testing.T, url string) (int, string, http.Header) {
@@ -47,7 +46,7 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, reg, _, _, ts := newTestServer(t)
+	_, reg, _, ts := newTestServer(t)
 	reg.Counter("sim_events_total", "Events executed.").Add(42)
 	code, body, hdr := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
@@ -61,11 +60,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRunEndpoint: /api/v1/run serves the last account the pool handed
+// the server, with the pool's wall histogram from the served registry.
 func TestRunEndpoint(t *testing.T) {
-	_, _, _, tracker, ts := newTestServer(t)
-	tracker.BatchQueued(3)
-	tracker.ScenarioStarted(0)
-	tracker.ScenarioDone(0, 50*time.Millisecond, 1000)
+	srv, reg, _, ts := newTestServer(t)
+	srv.SetProgress(runner.Progress{ScenariosTotal: 3, ScenariosInFlight: 1})
+	runner.ScenarioWall(reg).Observe(0.05)
+	srv.SetProgress(runner.Progress{ScenariosTotal: 3, ScenariosDone: 1, Events: 1000})
 	code, body, hdr := get(t, ts.URL+"/api/v1/run")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -77,8 +78,23 @@ func TestRunEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("%v\n%s", err, body)
 	}
-	if st.ScenariosTotal != 3 || st.ScenariosDone != 1 || st.Events != 1000 {
+	if st.ScenariosTotal != 3 || st.ScenariosDone != 1 || st.ScenariosInFlight != 0 || st.Events != 1000 || st.Finished {
 		t.Fatalf("state wrong: %+v", st)
+	}
+	if st.EventsPerSec <= 0 {
+		t.Fatalf("no event rate after 1000 events: %+v", st)
+	}
+	// The document keeps its keys: the account flattened beside the
+	// server's own fields.
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"scenarios_total", "scenarios_done", "scenarios_in_flight", "events_total",
+		"elapsed_seconds", "events_per_sec", "eta_seconds", "finished", "scenario_wall_seconds"} {
+		if _, ok := doc[key]; !ok {
+			t.Errorf("/api/v1/run lacks %q:\n%s", key, body)
+		}
 	}
 	if st.EtaSeconds <= 0 {
 		t.Fatalf("no ETA with 2 scenarios remaining: %+v", st)
@@ -89,7 +105,7 @@ func TestRunEndpoint(t *testing.T) {
 }
 
 func TestLBStepsEndpoint(t *testing.T) {
-	_, _, tl, _, ts := newTestServer(t)
+	_, _, tl, ts := newTestServer(t)
 	tl.Append(metrics.LBStep{Step: 1, Time: 1.5, MovesApplied: 2, PELoadAfter: []float64{1, 2}})
 	tl.Append(metrics.LBStep{Step: 2, Time: 3.0})
 	var doc struct {
@@ -123,7 +139,7 @@ func TestLBStepsEndpoint(t *testing.T) {
 }
 
 func TestDashboardAndRouting(t *testing.T) {
-	_, _, _, _, ts := newTestServer(t)
+	_, _, _, ts := newTestServer(t)
 	code, body, hdr := get(t, ts.URL+"/")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -148,7 +164,7 @@ func TestDashboardAndRouting(t *testing.T) {
 }
 
 func TestPprofEndpoints(t *testing.T) {
-	_, _, _, _, ts := newTestServer(t)
+	_, _, _, ts := newTestServer(t)
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
 		if code, _, _ := get(t, ts.URL+path); code != http.StatusOK {
 			t.Fatalf("%s: status %d", path, code)
@@ -177,8 +193,8 @@ func readSSEEvent(t *testing.T, br *bufio.Reader) (name, data string) {
 }
 
 func TestSSEFirstEventAndBroadcast(t *testing.T) {
-	_, _, tl, tracker, ts := newTestServer(t)
-	tracker.BatchQueued(5)
+	srv, _, tl, ts := newTestServer(t)
+	srv.SetProgress(runner.Progress{ScenariosTotal: 5})
 	resp, err := http.Get(ts.URL + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +218,17 @@ func TestSSEFirstEventAndBroadcast(t *testing.T) {
 		t.Fatalf("first event state wrong: %+v", st)
 	}
 
-	// A tracker change broadcasts a fresh progress event.
-	tracker.ScenarioStarted(0)
-	name, _ = readSSEEvent(t, br)
+	// A new account broadcasts a fresh progress event carrying it.
+	srv.SetProgress(runner.Progress{ScenariosTotal: 5, ScenariosInFlight: 1})
+	name, data = readSSEEvent(t, br)
 	if name != "progress" {
 		t.Fatalf("event %q, want progress", name)
+	}
+	if err := json.Unmarshal([]byte(data), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.ScenariosTotal != 5 || st.ScenariosInFlight != 1 {
+		t.Fatalf("progress event state wrong: %+v", st)
 	}
 
 	// A timeline append broadcasts an lbstep event with its index.
@@ -228,7 +250,7 @@ func TestSSEFirstEventAndBroadcast(t *testing.T) {
 }
 
 func TestSSEClientDisconnectAndDrain(t *testing.T) {
-	srv, _, _, _, ts := newTestServer(t)
+	srv, _, _, ts := newTestServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/events", nil)
 	if err != nil {
@@ -257,7 +279,7 @@ func TestSSEClientDisconnectAndDrain(t *testing.T) {
 }
 
 func TestDrainEndsStream(t *testing.T) {
-	srv, _, _, tracker, ts := newTestServer(t)
+	srv, _, _, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -268,22 +290,27 @@ func TestDrainEndsStream(t *testing.T) {
 	if err := srv.Drain(0); err != nil {
 		t.Fatal(err)
 	}
-	// The tracker was finished and the stream closed; reading to EOF must
+	// The run was finished and the stream closed; reading to EOF must
 	// terminate (the "done" event may or may not have won the race with
 	// hub close, so just require termination).
 	if _, err := io.ReadAll(br); err != nil {
 		t.Fatal(err)
 	}
-	if !tracker.State().Finished {
-		t.Fatal("Drain did not finish the tracker")
+	if !srv.State().Finished {
+		t.Fatal("Drain did not finish the run")
+	}
+	var st telemetry.RunState
+	if _, body, _ := get(t, ts.URL+"/api/v1/run"); json.Unmarshal([]byte(body), &st) != nil || !st.Finished || st.EtaSeconds != 0 {
+		t.Fatalf("/api/v1/run after Drain: %s", body)
 	}
 }
 
 // TestConcurrentScrape is the race gate: endpoints are scraped
-// continuously while a scenario fleet runs with the same registry,
-// timeline and tracker attached. Run with -race.
+// continuously while a scenario fleet runs with the same registry and
+// timeline attached and its pool announcing to the server. Run with
+// -race.
 func TestConcurrentScrape(t *testing.T) {
-	_, reg, tl, tracker, ts := newTestServer(t)
+	srv, reg, tl, ts := newTestServer(t)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, path := range []string{"/metrics", "/api/v1/run", "/api/v1/lbsteps", "/api/v1/metrics"} {
@@ -308,7 +335,7 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 	spec := experiment.Spec{App: experiment.Jacobi2D, Cores: []int{4}, Seeds: []int64{1, 2}, Scale: 0.1}
 	_, err := spec.Evaluate(context.Background(), experiment.Options{
-		Executor: (&runner.Pool{Workers: 2, Progress: tracker}).Executor(),
+		Executor: (&runner.Pool{Workers: 2, Metrics: reg, OnProgress: srv.SetProgress}).Executor(),
 		Metrics:  reg, LBTimeline: tl,
 	})
 	close(stop)
@@ -316,8 +343,9 @@ func TestConcurrentScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tracker.State().ScenariosDone == 0 {
-		t.Fatal("tracker saw no scenarios")
+	if st := srv.State(); st.ScenariosDone == 0 || st.ScenariosDone != st.ScenariosTotal || st.ScenariosInFlight != 0 ||
+		st.Events == 0 || st.ScenarioWall.Count != uint64(st.ScenariosDone) {
+		t.Fatalf("server state after the fleet: %+v", st)
 	}
 }
 
@@ -325,7 +353,7 @@ func TestConcurrentScrape(t *testing.T) {
 // answer 308 with the v1 location, query string intact, and still reach
 // the data when the redirect is followed.
 func TestLegacyRedirects(t *testing.T) {
-	_, _, tl, _, ts := newTestServer(t)
+	_, _, tl, ts := newTestServer(t)
 	tl.Append(metrics.LBStep{Step: 1, Time: 1.5})
 
 	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
@@ -360,7 +388,7 @@ func TestLegacyRedirects(t *testing.T) {
 // service mounts through: extra routes on the shared mux, and named SSE
 // events reaching /events subscribers.
 func TestHandleAndBroadcast(t *testing.T) {
-	srv, _, _, _, ts := newTestServer(t)
+	srv, _, _, ts := newTestServer(t)
 	srv.Handle(func(mux *http.ServeMux) {
 		mux.HandleFunc("GET /api/v1/extra", func(w http.ResponseWriter, _ *http.Request) {
 			_, _ = w.Write([]byte("mounted"))
@@ -408,7 +436,7 @@ func TestHandleAndBroadcast(t *testing.T) {
 // is unconditionally 200 while serving; /readyz reflects registered
 // probes, flipping 503 when any fails and naming the failed check.
 func TestHealthAndReadiness(t *testing.T) {
-	srv, _, _, _, ts := newTestServer(t)
+	srv, _, _, ts := newTestServer(t)
 	if code, body, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz: %d %q", code, body)
 	}
@@ -448,7 +476,7 @@ func TestHealthAndReadiness(t *testing.T) {
 // ring lands on /api/v1/logs as ndjson and that each record reaches
 // /events subscribers as a "log" event.
 func TestLogsEndpointAndSSE(t *testing.T) {
-	srv, _, _, _, ts := newTestServer(t)
+	srv, _, _, ts := newTestServer(t)
 	// Empty until a logger is attached.
 	if code, body, _ := get(t, ts.URL+"/api/v1/logs"); code != http.StatusOK || body != "" {
 		t.Fatalf("/api/v1/logs without logger: %d %q", code, body)
@@ -508,7 +536,7 @@ func TestLogsEndpointAndSSE(t *testing.T) {
 // server registers the Go runtime collector, so a bare /metrics scrape
 // answers with process health series.
 func TestRuntimeSeriesOnScrape(t *testing.T) {
-	_, _, _, _, ts := newTestServer(t)
+	_, _, _, ts := newTestServer(t)
 	code, body, _ := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)

@@ -52,6 +52,7 @@ package xnet
 
 import (
 	"fmt"
+	"math"
 
 	"cloudlb/internal/machine"
 	"cloudlb/internal/metrics"
@@ -234,6 +235,10 @@ func (c Config) MinInterNodeLatency(nodes int) float64 {
 // validate panics on nonsensical parameters, like machine.New: a bad
 // network shape is always a programming error in this codebase.
 func (c Config) validate(nodes int) {
+	if !finite(c.IntraNodeLatency, c.IntraNodeBandwidth, c.InterNodeLatency, c.InterNodeBandwidth,
+		c.StragglerFactor, c.DropPct, c.RetransmitTimeout) {
+		panic(fmt.Sprintf("xnet: non-finite parameter in %+v", c))
+	}
 	if c.IntraNodeBandwidth <= 0 || c.InterNodeBandwidth <= 0 {
 		panic("xnet: bandwidths must be positive")
 	}
@@ -266,10 +271,58 @@ func (c Config) validate(nodes int) {
 		if l.Src == l.Dst {
 			panic(fmt.Sprintf("xnet: link override %d->%d is intra-node", l.Src, l.Dst))
 		}
-		if l.Latency < 0 || l.Bandwidth < 0 {
-			panic(fmt.Sprintf("xnet: link override %d->%d has negative parameters", l.Src, l.Dst))
+		if !finite(l.Latency, l.Bandwidth) || l.Latency < 0 || l.Bandwidth < 0 {
+			panic(fmt.Sprintf("xnet: link override %d->%d has negative or non-finite parameters", l.Src, l.Dst))
 		}
 	}
+}
+
+// CheckDerived reports the first unusable parameter a resolved config
+// derives from its fields: the retransmit timeout (Resolved makes it 4x
+// the inter-node latency) must be finite, and every inter-node link —
+// the base one and each override, straggled or not — must keep a finite
+// latency, positive if its own is, and a finite positive bandwidth.
+// Finite fields can still break these: a straggler factor overflows a
+// latency to +Inf, or underflows it or a bandwidth to 0.
+func (c Config) CheckDerived() error {
+	if !finite(c.RetransmitTimeout) {
+		return fmt.Errorf("retransmit timeout %v is not finite", c.RetransmitTimeout)
+	}
+	factors := []float64{1}
+	if len(c.StragglerNodes) > 0 && c.StragglerFactor > 0 {
+		factors = append(factors, c.StragglerFactor)
+	}
+	for i, l := range append([]Link{{}}, c.Links...) {
+		lat, bw := c.InterNodeLatency, c.InterNodeBandwidth
+		if l.Latency != 0 {
+			lat = l.Latency
+		}
+		if l.Bandwidth != 0 {
+			bw = l.Bandwidth
+		}
+		for _, f := range factors {
+			if dl, db := lat*f, bw/f; !finite(dl, db) || db <= 0 || dl == 0 && lat > 0 {
+				link := "the base inter-node link"
+				if i > 0 {
+					link = fmt.Sprintf("link override %d", i-1)
+				}
+				return fmt.Errorf("%s has latency %v and bandwidth %v at straggler factor %v, from %v and %v",
+					link, dl, db, f, lat, bw)
+			}
+		}
+	}
+	return nil
+}
+
+// finite reports whether no v is NaN or ±Inf. NaN fails every
+// comparison, so a range check alone lets it through.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Network delivers messages between cores of one machine.
@@ -342,6 +395,9 @@ type pairState struct {
 func New(mach *machine.Machine, cfg Config) *Network {
 	nodes := mach.NumNodes()
 	cfg.validate(nodes)
+	if err := cfg.CheckDerived(); err != nil {
+		panic("xnet: " + err.Error())
+	}
 	sh := mach.Shards()
 	if nodes > 1 {
 		if mn := cfg.MinInterNodeLatency(nodes); float64(sh.Lookahead()) > mn {
@@ -373,9 +429,6 @@ func New(mach *machine.Machine, cfg Config) *Network {
 				continue
 			}
 			n.linkLat[s][d], n.linkBW[s][d] = cfg.EffectiveLink(s, d)
-			if n.linkBW[s][d] <= 0 {
-				panic(fmt.Sprintf("xnet: effective bandwidth on link %d->%d is not positive", s, d))
-			}
 		}
 	}
 	for i := range n.pairs {

@@ -117,11 +117,20 @@ func TestNegativeSizePanics(t *testing.T) {
 
 func TestInvalidConfigPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
+	m := machine.New(eng, machine.Config{Nodes: 2, CoresPerNode: 1, CoreSpeed: 1})
 	bad := []Config{
 		{IntraNodeBandwidth: 0, InterNodeBandwidth: 1},
 		{IntraNodeBandwidth: 1, InterNodeBandwidth: 0},
 		{IntraNodeBandwidth: 1, InterNodeBandwidth: 1, IntraNodeLatency: -1},
+		// NaN passes every range check written as a comparison.
+		{IntraNodeBandwidth: math.NaN(), InterNodeBandwidth: 1},
+		{IntraNodeBandwidth: 1, InterNodeBandwidth: 1, InterNodeLatency: math.NaN()},
+		{IntraNodeBandwidth: 1, InterNodeBandwidth: 1, DropPct: math.NaN(), RetransmitTimeout: 1, MaxAttempts: 1},
+		{IntraNodeBandwidth: 1, InterNodeBandwidth: 1, StragglerNodes: []int{0}, StragglerFactor: math.NaN()},
+		{IntraNodeBandwidth: 1, InterNodeBandwidth: 1, Links: []Link{{Src: 0, Dst: 1, Latency: math.NaN()}}},
+		{IntraNodeBandwidth: 1, InterNodeBandwidth: 1, DropPct: 5, RetransmitTimeout: math.Inf(1), MaxAttempts: 1},
+		// Finite fields whose straggled link overflows.
+		{IntraNodeBandwidth: 1, InterNodeBandwidth: 1, InterNodeLatency: 1e308, StragglerNodes: []int{0}, StragglerFactor: 10},
 	}
 	for i, cfg := range bad {
 		func() {
