@@ -66,13 +66,15 @@ bench-module:
 
 # Fuzzing: `go test -fuzz` takes one target in one package per run, so
 # the targets are listed first. A failing input is saved under the
-# package's testdata/fuzz/ and replays as a seed from then on.
+# package's testdata/fuzz/ and replays as a seed from then on. Each new
+# interesting input is minimized for at most 5s (go test's default is
+# 60s, which can eat a whole FUZZTIME with nothing executing).
 fuzz:
 	@list=$$($(GO) test -list '^Fuzz' ./...) || exit 1; \
 	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
 	while read -r pkg target; do \
 		echo "fuzz: $$target ($$pkg) for $(FUZZTIME)"; \
-		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 5s "$$pkg" || exit 1; \
 	done
 
 # Shard-count determinism gate, named so `make check` runs it even when

@@ -16,6 +16,7 @@ import (
 	"cloudlb/internal/core"
 	"cloudlb/internal/experiment"
 	"cloudlb/internal/lb"
+	"cloudlb/internal/sim"
 	"cloudlb/internal/trace"
 )
 
@@ -109,9 +110,12 @@ func BenchmarkFig4Energy(b *testing.B) {
 // mid-run on one core of a 4-core Wave2D run without load balancing.
 func BenchmarkFig1Timeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiment.Fig1(benchScale)
+		s, res, err := experiment.Fig1(context.Background(), experiment.Options{}, experiment.Spec{Scale: benchScale})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == b.N-1 {
-			after := res.Trace.BusyFraction(3, trace.KindBackground, res.HogStart, res.AppFinish)
+			after := s.Trace.BusyFraction(3, trace.KindBackground, s.Hogs[0].Start, sim.Time(res.AppWall))
 			b.ReportMetric(after*100, "bg_share_after_%")
 		}
 	}
@@ -121,7 +125,10 @@ func BenchmarkFig1Timeline(b *testing.B) {
 // interference moves between cores.
 func BenchmarkFig3Adaptation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiment.Fig3(0.5)
+		_, res, err := experiment.Fig3(context.Background(), experiment.Options{}, experiment.Spec{Scale: 0.5})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == b.N-1 {
 			b.ReportMetric(float64(res.Migrations), "migrations")
 		}

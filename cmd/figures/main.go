@@ -266,7 +266,10 @@ func main() {
 	// the Spec.Validate that gates lbsim's flags and POST /api/v1/jobs.
 	for _, f := range names {
 		switch f {
-		case "1", "3":
+		case "1":
+			validate(experiment.Fig1Spec(base))
+		case "3":
+			validate(experiment.Fig3Spec(base))
 		case "7", "diffusion":
 			validate(experiment.Fig7Spec(base))
 		default:
@@ -282,9 +285,9 @@ func main() {
 	for _, f := range names {
 		switch f {
 		case "1":
-			fig1(*scale, *width, *svgPath)
+			run.fig1(base, *width, *svgPath)
 		case "3":
-			fig3(*scale, *width, *svgPath)
+			run.fig3(base, *width, *svgPath)
 		case "7", "diffusion":
 			run.fig7(base)
 		default:
@@ -434,50 +437,61 @@ func parseCores(s string) ([]int, error) {
 	return out, nil
 }
 
-func fig1(scale float64, width int, svgPath string) {
-	res := experiment.Fig1(scale)
+// timelineCores are the rows of the Figure 1 and 3 timelines: the 4
+// cores of the run's one node.
+var timelineCores = []int{0, 1, 2, 3}
+
+func (r *figureRun) fig1(sp experiment.Spec, width int, svgPath string) {
+	s, res, err := experiment.Fig1(r.ctx, r.opts, sp)
+	if err != nil {
+		die(err)
+	}
+	hogStart, finish := s.Hogs[0].Start, sim.Time(res.AppWall)
 	fmt.Println("Figure 1: background task disturbing load balance (Wave2D, 4 cores, no LB)")
 	fmt.Printf("1-core background job starts at t=%.3fs on core 3; run finishes at t=%.3fs\n",
-		float64(res.HogStart), float64(res.AppFinish))
+		float64(hogStart), res.AppWall)
 	// Window (a): before interference. Window (b): after.
-	span := (res.AppFinish - res.HogStart) / 4
+	span := (finish - hogStart) / 4
 	fmt.Println("\n(a) no BG task:")
-	res.Trace.RenderASCII(os.Stdout, res.Cores, res.HogStart-span, res.HogStart, width)
+	s.Trace.RenderASCII(os.Stdout, timelineCores, hogStart-span, hogStart, width)
 	fmt.Println("\n(b) core 3 overloaded:")
-	res.Trace.RenderASCII(os.Stdout, res.Cores, res.HogStart, res.HogStart+span, width)
+	s.Trace.RenderASCII(os.Stdout, timelineCores, hogStart, hogStart+span, width)
 	if svgPath != "" {
 		writeFile(svgPath, func(w io.Writer) error {
-			res.Trace.RenderSVG(w, res.Cores, 0, res.AppFinish, 1000)
+			s.Trace.RenderSVG(w, timelineCores, 0, finish, 1000)
 			return nil
 		})
 	}
 	fmt.Println()
 }
 
-func fig3(scale float64, width int, svgPath string) {
-	res := experiment.Fig3(scale)
+func (r *figureRun) fig3(sp experiment.Spec, width int, svgPath string) {
+	s, res, err := experiment.Fig3(r.ctx, r.opts, sp)
+	if err != nil {
+		die(err)
+	}
+	h1, h2 := s.Hogs[0], s.Hogs[1]
 	fmt.Println("Figure 3: load balancer adapting to dynamic interference (Wave2D, 4 cores, RefineLB)")
 	fmt.Printf("BG on core 1: %.2f-%.2fs; BG on core 3: %.2f-%.2fs; finish %.2fs; %d migrations\n",
-		float64(res.Hog1Start), float64(res.Hog1Stop),
-		float64(res.Hog2Start), float64(res.Hog2Stop),
-		float64(res.AppFinish), res.Migrations)
+		float64(h1.Start), float64(h1.Stop), float64(h2.Start), float64(h2.Stop),
+		res.AppWall, res.Migrations)
 	phases := []struct {
 		label    string
 		from, to sim.Time
 	}{
-		{"(a) core 1 overloaded", res.Hog1Start, res.Hog1Start + (res.Hog1Stop-res.Hog1Start)/3},
-		{"(b) load balanced", res.Hog1Stop - (res.Hog1Stop-res.Hog1Start)/3, res.Hog1Stop},
-		{"(c) no BG task", res.Hog1Stop + (res.Hog2Start-res.Hog1Stop)/4, res.Hog2Start - (res.Hog2Start-res.Hog1Stop)/4},
-		{"(d) core 3 overloaded", res.Hog2Start, res.Hog2Start + (res.Hog2Stop-res.Hog2Start)/3},
-		{"(e) load balanced", res.Hog2Stop - (res.Hog2Stop-res.Hog2Start)/3, res.Hog2Stop},
+		{"(a) core 1 overloaded", h1.Start, h1.Start + (h1.Stop-h1.Start)/3},
+		{"(b) load balanced", h1.Stop - (h1.Stop-h1.Start)/3, h1.Stop},
+		{"(c) no BG task", h1.Stop + (h2.Start-h1.Stop)/4, h2.Start - (h2.Start-h1.Stop)/4},
+		{"(d) core 3 overloaded", h2.Start, h2.Start + (h2.Stop-h2.Start)/3},
+		{"(e) load balanced", h2.Stop - (h2.Stop-h2.Start)/3, h2.Stop},
 	}
 	for _, p := range phases {
 		fmt.Println("\n" + p.label + ":")
-		res.Trace.RenderASCII(os.Stdout, res.Cores, p.from, p.to, width)
+		s.Trace.RenderASCII(os.Stdout, timelineCores, p.from, p.to, width)
 	}
 	if svgPath != "" {
 		writeFile(svgPath, func(w io.Writer) error {
-			res.Trace.RenderSVG(w, res.Cores, 0, res.AppFinish, 1200)
+			s.Trace.RenderSVG(w, timelineCores, 0, sim.Time(res.AppWall), 1200)
 			return nil
 		})
 	}

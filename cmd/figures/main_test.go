@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestSubmitAllFigures(t *testing.T) {
 // TestInvalidFlagsExitWithFieldError: flag values that would panic
 // mid-run or silently simulate something else fail validation before
 // the first scenario, exiting 2 with the offending Spec field on stderr,
-// as lbsim does.
+// as lbsim does. Rows without their own -scale run at -scale 0.05.
 func TestInvalidFlagsExitWithFieldError(t *testing.T) {
 	for _, tc := range []struct {
 		args  []string
@@ -74,8 +75,14 @@ func TestInvalidFlagsExitWithFieldError(t *testing.T) {
 		{[]string{"-fig", "2a", "-straggle", "99:4"}, "net.straggler_nodes[0]"},
 		{[]string{"-fig", "compare", "-droppct", "NaN"}, "net.drop_pct"},
 		{[]string{"-fig", "7", "-droppct", "NaN"}, "net.drop_pct"},
+		{[]string{"-fig", "1", "-scale", "NaN"}, "scale"},
+		{[]string{"-fig", "3", "-scale", "-1"}, "scale"},
 	} {
-		cmd := exec.Command(os.Args[0], append(tc.args, "-scale", "0.05")...)
+		args := tc.args
+		if !slices.Contains(args, "-scale") {
+			args = append(args, "-scale", "0.05")
+		}
+		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "FIGURES_TEST_MAIN=1")
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -88,6 +95,28 @@ func TestInvalidFlagsExitWithFieldError(t *testing.T) {
 		if code != 2 || !strings.Contains(stderr.String(), "figures: "+tc.field+": ") || strings.Contains(stderr.String(), "panic") || stdout.Len() > 0 {
 			t.Errorf("figures %v: exit %d, stdout %q, stderr %q; want exit 2 naming %s before any output",
 				tc.args, code, stdout.String(), stderr.String(), tc.field)
+		}
+	}
+}
+
+// TestTimelineFiguresMatchResults pins Figures 1 and 3 to the committed
+// oracle: at the default scale each figure's stdout appears verbatim in
+// results/figures_full.txt, the -fig all regeneration.
+func TestTimelineFiguresMatchResults(t *testing.T) {
+	oracle, err := os.ReadFile("../../results/figures_full.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fig := range []string{"1", "3"} {
+		cmd := exec.Command(os.Args[0], "-fig", fig)
+		cmd.Env = append(os.Environ(), "FIGURES_TEST_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("figures -fig %s: %v\n%s", fig, err, stderr.String())
+		}
+		if stdout.Len() == 0 || !bytes.Contains(oracle, stdout.Bytes()) {
+			t.Errorf("figures -fig %s output is not in results/figures_full.txt:\n%s", fig, stdout.String())
 		}
 	}
 }

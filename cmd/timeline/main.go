@@ -1,25 +1,29 @@
 // Command timeline renders per-core execution timelines (the Projections
 // view of the paper's Figures 1 and 3) for a Wave2D run under dynamic
-// interference, as ASCII and optionally SVG.
+// interference, as ASCII and optionally SVG. The run is the evaluation's
+// 4-core Wave2D scenario (experiment.Spec, LB every 5 iterations) with two
+// hogs, vm-a on core 1 and vm-b on core 3, executed by experiment.Run
+// through a one-worker runner.Pool like every other scenario.
 //
 // Usage:
 //
 //	timeline                         # Figure 3-style run, ASCII phases
 //	timeline -strategy none          # Figure 1-style: watch imbalance persist
+//	timeline -scale 0.3 -lbsteps     # a shorter run and its per-LB-step table
 //	timeline -svg out.svg            # also write the full SVG timeline
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
-	"cloudlb/internal/apps"
-	"cloudlb/internal/charm"
-	"cloudlb/internal/core"
+	"cloudlb/internal/experiment"
 	"cloudlb/internal/interfere"
-	"cloudlb/internal/machine"
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/obs"
 	"cloudlb/internal/profiling"
@@ -27,7 +31,6 @@ import (
 	"cloudlb/internal/runner"
 	"cloudlb/internal/sim"
 	"cloudlb/internal/trace"
-	"cloudlb/internal/xnet"
 )
 
 // normalize maps an imbalance series (>=1 when active) to [0,1] for
@@ -45,8 +48,8 @@ func normalize(series []float64) []float64 {
 }
 
 func main() {
-	strategy := flag.String("strategy", "refine", "refine or none")
-	iters := flag.Int("iters", 200, "Wave2D iterations")
+	strategy := flag.String("strategy", "refine", "load balancer, as lbsim's -strategy (refine, none, greedy, ...)")
+	scale := flag.Float64("scale", 1.0, "iteration-count scale factor (1.0 = 200 Wave2D iterations)")
 	width := flag.Int("width", 100, "ASCII timeline width")
 	profile := flag.Bool("profile", false, "also print the Projections-style analysis (time profile, imbalance, top chares)")
 	svgPath := flag.String("svg", "", "write an SVG timeline to this path")
@@ -65,67 +68,73 @@ func main() {
 		os.Exit(1)
 	}
 
-	var strat core.Strategy
-	switch *strategy {
-	case "refine":
-		strat = &core.RefineLB{EpsilonFrac: 0.02}
-	case "none":
-		strat = nil
-	default:
-		fmt.Fprintf(os.Stderr, "timeline: unknown strategy %q\n", *strategy)
+	stratKind, err := experiment.ParseStrategyKind(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "timeline:", err)
+		os.Exit(2)
+	}
+	sp := experiment.Spec{
+		App: experiment.Wave2D, Cores: []int{4},
+		Strategies: []experiment.StrategyKind{stratKind},
+		Scale:      *scale, SyncEvery: 5,
+	}
+	// The Spec.Validate gate lbsim and the service use, plus the hog
+	// windows, which no Spec field carries.
+	var fields []experiment.FieldError
+	var verr *experiment.ValidationError
+	if errors.As(sp.Validate(), &verr) {
+		fields = verr.Fields
+	}
+	for _, h := range []struct {
+		flag string
+		v    float64
+	}{{"hog1", *hog1}, {"hog1stop", *hog1stop}, {"hog2", *hog2}, {"hog2stop", *hog2stop}} {
+		if !(h.v >= 0) || math.IsInf(h.v, 1) {
+			fields = append(fields, experiment.FieldError{
+				Field: h.flag, Msg: fmt.Sprintf("must be finite and >= 0 (seconds), got %v", h.v)})
+		}
+	}
+	if len(fields) > 0 {
+		for _, fe := range fields {
+			fmt.Fprintf(os.Stderr, "timeline: %s: %s\n", fe.Field, fe.Msg)
+		}
 		os.Exit(2)
 	}
 
-	eng := sim.NewEngine()
-	mach := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1, Metrics: prof.Registry()})
-	net := xnet.New(mach, xnet.DefaultConfig())
 	rec := trace.NewRecorder()
-
 	// The LB-step timeline feeds both the -lbsteps table and the -serve
 	// /api/lbsteps endpoint; either flag enables it.
 	tl := prof.Timeline()
 	if tl == nil && *lbSteps {
 		tl = &metrics.LBTimeline{}
 	}
-	rts := charm.NewRTS(charm.Config{
-		Machine: mach, Net: net, Cores: []int{0, 1, 2, 3},
-		Strategy: strat, Trace: rec, Name: "wave",
-		Metrics: prof.Registry(), LBTimeline: tl,
-	})
-	apps.NewStencilApp(rts, apps.StencilConfig{
-		Array: "wave", GridW: 256, GridH: 128, CharesX: 16, CharesY: 8,
-		Iters: *iters, SyncEvery: 5, CostPerCell: 3e-6,
-		NewKernel: apps.NewWaveKernel(256, 128, 0.4),
-	})
-	interfere.StartHog(mach, interfere.HogConfig{Core: 1, Start: sim.Time(*hog1), Stop: sim.Time(*hog1stop), Trace: rec, Name: "vm-a"})
-	interfere.StartHog(mach, interfere.HogConfig{Core: 3, Start: sim.Time(*hog2), Stop: sim.Time(*hog2stop), Trace: rec, Name: "vm-b"})
+	s := sp.Scenarios()[0]
+	s.Trace, s.Metrics, s.LBTimeline = rec, prof.Registry(), tl
+	s.Hogs = []interfere.HogConfig{
+		{Core: 1, Start: sim.Time(*hog1), Stop: sim.Time(*hog1stop), Name: "vm-a"},
+		{Core: 3, Start: sim.Time(*hog2), Stop: sim.Time(*hog2stop), Name: "vm-b"},
+	}
 
 	log, err := prof.Logger()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "timeline:", err)
 		os.Exit(2)
 	}
-	log.Info("timeline run starting", "strategy", *strategy, "iters", *iters)
+	log.Info("timeline run starting", "strategy", *strategy, "scale", *scale)
 
-	// The run is one scenario outside any pool, so it announces its own
-	// account to /api/v1/run: in flight now, done with its events after.
-	prof.Progress(runner.Progress{ScenariosTotal: 1, ScenariosInFlight: 1})
+	pool := &runner.Pool{Workers: 1, Metrics: prof.Registry(), OnProgress: prof.Progress}
 	t0 := time.Now()
-	rts.Start()
-	for !rts.Finished() && eng.Now() < 1000 {
-		if err := eng.RunUntil(eng.Now() + 1); err != nil {
-			panic(err)
-		}
-		// Publish per-core busy/idle so a live -serve scrape sees them move.
-		mach.PublishMetrics()
+	results, err := pool.Executor()(context.Background(), []experiment.Scenario{s})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "timeline:", err)
+		os.Exit(1)
 	}
-	mach.PublishMetrics()
-	prof.Progress(runner.Progress{ScenariosTotal: 1, ScenariosDone: 1, Events: eng.Executed()})
+	res := results[0]
 	log.Info("timeline run complete", "wall_s", time.Since(t0).Seconds(),
-		"events", eng.Executed(), "migrations", rts.Migrations(), "lb_steps", rts.LBSteps())
-	finish := rts.FinishTime()
+		"events", res.Events, "migrations", res.Migrations, "lb_steps", res.LBSteps)
+	finish := sim.Time(res.AppWall)
 	fmt.Printf("Wave2D (%s) finished at %.2fs, %d migrations, %d LB steps\n\n",
-		*strategy, float64(finish), rts.Migrations(), rts.LBSteps())
+		*strategy, res.AppWall, res.Migrations, res.LBSteps)
 
 	cores := []int{0, 1, 2, 3}
 	rec.RenderASCII(os.Stdout, cores, 0, finish, *width)

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +14,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"cloudlb/internal/telemetry"
 )
 
 // TestMain lets a test re-run the test binary as the timeline command:
@@ -28,7 +35,7 @@ func TestMain(m *testing.M) {
 // step and a Chrome trace must all come out.
 func TestHogsOverlappingTheRun(t *testing.T) {
 	chrome := filepath.Join(t.TempDir(), "timeline.json")
-	cmd := exec.Command(os.Args[0], "-iters", "40",
+	cmd := exec.Command(os.Args[0], "-scale", "0.2",
 		"-hog1", "0.1", "-hog1stop", "0.4", "-hog2", "0.5", "-hog2stop", "0.8",
 		"-lbsteps", "-chrome", chrome)
 	cmd.Env = append(os.Environ(), "TIMELINE_TEST_MAIN=1")
@@ -76,5 +83,93 @@ func TestHogsOverlappingTheRun(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Fatal("Chrome trace is empty")
+	}
+}
+
+// TestInvalidFlagsExitWithFieldError: a bad -scale fails Spec.Validate
+// and a non-finite hog time fails the hog check, before anything runs:
+// exit 2 with the offending field on stderr and nothing on stdout. A Go
+// panic also exits 2, so the test rules it out by name.
+func TestInvalidFlagsExitWithFieldError(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-scale", "NaN"}, "scale"},
+		{[]string{"-hog1", "NaN"}, "hog1"},
+		{[]string{"-hog2stop", "Inf"}, "hog2stop"},
+	} {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), "TIMELINE_TEST_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		code := cmd.ProcessState.ExitCode()
+		if code != 2 || !strings.Contains(stderr.String(), "timeline: "+tc.field+": ") ||
+			strings.Contains(stderr.String(), "panic") || stdout.Len() > 0 {
+			t.Errorf("timeline %v: exit %d, stdout %q, stderr %q; want exit 2 naming %s before any output",
+				tc.args, code, stdout.String(), stderr.String(), tc.field)
+		}
+	}
+}
+
+// TestServeReportsPoolAccount runs a short timeline with -serve and reads
+// /api/v1/run while the server holds its endpoints open after the run:
+// the run's one scenario went through a pool, so the served account
+// holds it queued and done, the run finished, and the pool's wall
+// histogram one sample.
+func TestServeReportsPoolAccount(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-scale", "0.1", "-serve", "127.0.0.1:0", "-serve-wait", "3s")
+	cmd.Env = append(os.Environ(), "TIMELINE_TEST_MAIN=1")
+	cmd.Stdout = io.Discard
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	}()
+
+	serving := regexp.MustCompile(`^telemetry: serving on (http://\S+)/$`)
+	var base string
+	sc := bufio.NewScanner(stderr)
+	for base == "" && sc.Scan() {
+		if m := serving.FindStringSubmatch(sc.Text()); m != nil {
+			base = m[1]
+		}
+	}
+	if base == "" {
+		t.Fatal("stderr gave no server address")
+	}
+	go func() { _, _ = io.Copy(io.Discard, stderr) }()
+
+	// The run finishes, then the drain marks it finished and holds the
+	// endpoints open for -serve-wait.
+	var st telemetry.RunState
+	for deadline := time.Now().Add(30 * time.Second); !st.Finished && time.Now().Before(deadline); {
+		resp, err := http.Get(base + "/api/v1/run")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Finished {
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	if !st.Finished || st.ScenariosTotal != 1 || st.ScenariosDone != 1 || st.ScenariosInFlight != 0 ||
+		st.Events == 0 || st.ScenarioWall.Count != 1 {
+		t.Fatalf("/api/v1/run: %+v; want 1 of 1 scenarios done, finished, its events, 1 wall sample", st)
 	}
 }

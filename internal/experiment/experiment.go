@@ -188,6 +188,12 @@ type Scenario struct {
 	// applied to the application's runtime (cloud elasticity; see
 	// internal/elastic). Requires an application.
 	Faults elastic.Schedule
+	// Hogs are single-core interfering jobs with start and stop times, the
+	// moving interference of the Figure 1 and 3 timelines and of
+	// cmd/timeline. Run starts each on the scenario's Trace (a hog's own
+	// Trace field is ignored). Spec has no counterpart: the wire format
+	// describes no hogs.
+	Hogs []interfere.HogConfig
 	// Net describes the cluster interconnect: link parameters, per-link
 	// overrides, straggler nodes, seeded packet loss (see xnet.Config).
 	// Zero fields inherit xnet.DefaultConfig via Resolved; the zero value
@@ -362,8 +368,7 @@ func Run(s Scenario) Result {
 
 	// One resolved network config drives everything network-shaped in the
 	// run: the Network itself, the scheduler's lookahead, and the
-	// migration-cost model's bandwidth. (Two independent DefaultConfig()
-	// calls here and in helpers.go once let those silently diverge.)
+	// migration-cost model's bandwidth.
 	netCfg := s.Net.Resolved()
 
 	// Conservative lookahead = the minimum effective inter-node latency of
@@ -421,6 +426,10 @@ func Run(s Scenario) Result {
 		s.Faults.Apply(appRTS)
 	} else if len(s.Faults) > 0 {
 		panic("experiment: Faults require an application (they revoke its cores)")
+	}
+	for _, h := range s.Hogs {
+		h.Trace = s.Trace
+		interfere.StartHog(mach, h)
 	}
 
 	var bg *interfere.Wave2DJob
@@ -627,6 +636,11 @@ func buildApp(rts *charm.RTS, s Scenario, rng *rand.Rand) {
 	default:
 		panic(fmt.Sprintf("experiment: cannot build app %v", s.App))
 	}
+}
+
+// newRNG seeds a scenario's measurement-noise stream.
+func newRNG(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed*2654435761 + 12345))
 }
 
 // costJitter models run-to-run measurement noise: each chare's cost is

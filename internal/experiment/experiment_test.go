@@ -146,14 +146,18 @@ func TestEvaluateShape(t *testing.T) {
 }
 
 func TestFig1TimelineShowsInterference(t *testing.T) {
-	res := Fig1(quickScale)
-	if res.AppFinish <= res.HogStart {
+	s, res, err := Fig1(context.Background(), Options{}, Spec{Scale: quickScale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hogStart, finish := s.Hogs[0].Start, sim.Time(res.AppWall)
+	if finish <= hogStart {
 		t.Fatal("hog started after the run ended")
 	}
-	rec := res.Trace
+	rec := s.Trace
 	// Before the hog: no background activity on core 3. After: plenty.
-	before := rec.BusyFraction(3, trace.KindBackground, 0, res.HogStart)
-	after := rec.BusyFraction(3, trace.KindBackground, res.HogStart, res.AppFinish)
+	before := rec.BusyFraction(3, trace.KindBackground, 0, hogStart)
+	after := rec.BusyFraction(3, trace.KindBackground, hogStart, finish)
 	if before != 0 {
 		t.Fatalf("background activity %v before the hog started", before)
 	}
@@ -162,7 +166,7 @@ func TestFig1TimelineShowsInterference(t *testing.T) {
 	}
 	// Tasks run on every core.
 	for c := 0; c < 4; c++ {
-		if rec.BusyFraction(c, trace.KindTask, 0, res.AppFinish) < 0.2 {
+		if rec.BusyFraction(c, trace.KindTask, 0, finish) < 0.2 {
 			t.Fatalf("core %d shows no application activity", c)
 		}
 	}
@@ -182,13 +186,18 @@ func distinctChares(rec *trace.Recorder, core int, from, to sim.Time) int {
 }
 
 func TestFig3AdaptsToMovingInterference(t *testing.T) {
-	res := Fig3(1.0)
+	s, res, err := Fig3(context.Background(), Options{}, Spec{Scale: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Migrations == 0 {
 		t.Fatal("no migrations despite dynamic interference")
 	}
-	rec := res.Trace
+	rec := s.Trace
+	hog1Start, hog1Stop := s.Hogs[0].Start, s.Hogs[0].Stop
+	hog2Start, hog2Stop := s.Hogs[1].Start, s.Hogs[1].Stop
 	// Before any interference, core 1 hosts its initial share (~32).
-	initial := distinctChares(rec, 1, 0, res.Hog1Start)
+	initial := distinctChares(rec, 1, 0, hog1Start)
 	if initial < 16 {
 		t.Fatalf("core 1 started with only %d chares", initial)
 	}
@@ -197,22 +206,22 @@ func TestFig3AdaptsToMovingInterference(t *testing.T) {
 	// hog taking ~half the core, physical balance keeps roughly
 	// initial*2/3 ... initial/2 of the work there (the paper's Fig. 3
 	// likewise migrates some, not all, tasks).
-	lateHog1 := res.Hog1Stop - (res.Hog1Stop-res.Hog1Start)/4
-	shed := distinctChares(rec, 1, lateHog1, res.Hog1Stop)
+	lateHog1 := hog1Stop - (hog1Stop-hog1Start)/4
+	shed := distinctChares(rec, 1, lateHog1, hog1Stop)
 	if shed > initial*3/4 {
 		t.Fatalf("balancer did not shed core 1: %d -> %d chares", initial, shed)
 	}
 	// After hog 1 stops and before hog 2 starts, core 1 regains work.
-	quietFrom := res.Hog1Stop + (res.Hog2Start-res.Hog1Stop)/2
-	recovered := distinctChares(rec, 1, quietFrom, res.Hog2Start)
+	quietFrom := hog1Stop + (hog2Start-hog1Stop)/2
+	recovered := distinctChares(rec, 1, quietFrom, hog2Start)
 	if recovered <= shed {
 		t.Fatalf("core 1 did not regain work after interference ended: %d -> %d chares", shed, recovered)
 	}
 	// While the core-3 hog is active and the balancer has reacted, core 3
 	// sheds as well.
-	lateHog2 := res.Hog2Stop - (res.Hog2Stop-res.Hog2Start)/4
-	shed3 := distinctChares(rec, 3, lateHog2, res.Hog2Stop)
-	quiet0 := distinctChares(rec, 0, lateHog2, res.Hog2Stop)
+	lateHog2 := hog2Stop - (hog2Stop-hog2Start)/4
+	shed3 := distinctChares(rec, 3, lateHog2, hog2Stop)
+	quiet0 := distinctChares(rec, 0, lateHog2, hog2Stop)
 	if shed3 >= quiet0 {
 		t.Fatalf("balancer did not shed core 3: %d chares vs %d on quiet core", shed3, quiet0)
 	}

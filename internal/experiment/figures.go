@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"context"
+
+	"cloudlb/internal/interfere"
 	"cloudlb/internal/sim"
 	"cloudlb/internal/stats"
 	"cloudlb/internal/trace"
@@ -108,88 +111,62 @@ func Fig4Table(app AppKind, evals []Eval) *stats.Table {
 	return t
 }
 
-// Fig1Result carries the timeline experiment of Figure 1.
-type Fig1Result struct {
-	Trace *trace.Recorder
-	// HogStart is when the 1-core interfering job begins (mid-run).
-	HogStart sim.Time
-	// AppFinish is the application's completion time.
-	AppFinish sim.Time
-	// Cores are the timeline rows to render.
-	Cores []int
+// Fig1Spec is the Spec Figure 1 runs sp as: Wave2D on the 4 cores of one
+// node, seed 1, without load balancing, at sp's Scale (the figure reads
+// nothing else of sp). Fig1 expands it, and cmd/figures validates it
+// before the figure runs.
+func Fig1Spec(sp Spec) Spec {
+	return Spec{App: Wave2D, Cores: []int{4}, Strategies: []StrategyKind{NoLB}, Seeds: []int64{1}, Scale: sp.Scale}
 }
 
 // Fig1 reproduces the paper's Figure 1: Wave2D on the 4 cores of one node,
-// no load balancing; after a few iterations a 1-core job starts on core 3
-// (the paper's Core#4) and disturbs the balance.
-func Fig1(scale float64) Fig1Result {
-	if scale <= 0 {
-		scale = 1
-	}
-	rec := trace.NewRecorder()
-	s := Scenario{App: Wave2D, Cores: 4, Strategy: NoLB, BG: BGNone, Seed: 1, Scale: scale, Trace: rec}
-	// Estimate solo wall to place the hog mid-run: per iteration, each
-	// core computes 16 chares x 256 cells x waveCostPerCell.
-	perIter := float64(charesPerCore*stencilBlock*stencilBlock) * waveCostPerCell
-	iters := scaleIters(waveIters, scale)
-	hogStart := sim.Time(perIter * float64(iters) / 3)
-
-	eng := sim.NewEngine()
-	mach := testbed(sim.Single(eng), testbedNodes, 0, nil)
-	net := newNet(mach)
-	cores := []int{0, 1, 2, 3}
-	rts := newAppRTS(mach, net, cores, NoLB, rec)
-	buildApp(rts, s, newRNG(s.Seed))
-	interfereHog(mach, 3, hogStart, 0, rec)
-	rts.Start()
-	mustFinish(eng, func() bool { return rts.Finished() }, 10000)
-	return Fig1Result{Trace: rec, HogStart: hogStart, AppFinish: rts.FinishTime(), Cores: cores}
+// no load balancing; a third of the way into the run a 1-core job starts
+// on core 3 (the paper's Core#4) and disturbs the balance. It returns the
+// scenario it ran, whose Trace holds the timeline and whose one hog is
+// that job, and the run's Result.
+func Fig1(ctx context.Context, opts Options, sp Spec) (Scenario, Result, error) {
+	s := Fig1Spec(sp).Scenarios()[0]
+	s.Hogs = []interfere.HogConfig{{Core: 3, Start: soloWall(s) / 3}}
+	return runTimeline(ctx, opts, s)
 }
 
-// Fig3Result carries the dynamic-adaptation timeline of Figure 3.
-type Fig3Result struct {
-	Trace      *trace.Recorder
-	Hog1Start  sim.Time
-	Hog1Stop   sim.Time
-	Hog2Start  sim.Time
-	Hog2Stop   sim.Time
-	AppFinish  sim.Time
-	Cores      []int
-	Migrations int
+// Fig3Spec is Fig1Spec with RefineLB: the Spec Figure 3 runs sp as.
+func Fig3Spec(sp Spec) Spec {
+	f := Fig1Spec(sp)
+	f.Strategies = []StrategyKind{Refine}
+	return f
 }
 
 // Fig3 reproduces the paper's Figure 3: a 4-core Wave2D run with RefineLB;
 // interference appears on core 1, the balancer sheds its load, the
 // interference ends (tasks migrate back), then new interference appears
-// on core 3 and the balancer adapts again.
-func Fig3(scale float64) Fig3Result {
-	if scale <= 0 {
-		scale = 1
+// on core 3 and the balancer adapts again. It returns the scenario it
+// ran (its Trace and its two hogs, in that order) and the run's Result.
+func Fig3(ctx context.Context, opts Options, sp Spec) (Scenario, Result, error) {
+	s := Fig3Spec(sp).Scenarios()[0]
+	total := soloWall(s)
+	s.Hogs = []interfere.HogConfig{
+		{Core: 1, Start: total / 8, Stop: total * 3 / 8},
+		{Core: 3, Start: total * 5 / 8, Stop: total * 7 / 8},
 	}
-	rec := trace.NewRecorder()
-	s := Scenario{App: Wave2D, Cores: 4, Strategy: Refine, BG: BGNone, Seed: 1, Scale: scale, Trace: rec}
-	perIter := float64(charesPerCore*stencilBlock*stencilBlock) * waveCostPerCell
-	iters := scaleIters(waveIters, scale)
-	total := sim.Time(perIter * float64(iters))
+	return runTimeline(ctx, opts, s)
+}
 
-	res := Fig3Result{
-		Trace:     rec,
-		Hog1Start: total / 8,
-		Hog1Stop:  total * 3 / 8,
-		Hog2Start: total * 5 / 8,
-		Hog2Stop:  total * 7 / 8,
-		Cores:     []int{0, 1, 2, 3},
+// soloWall estimates a timeline scenario's interference-free wall time, to
+// place its hogs: per iteration each core computes charesPerCore blocks of
+// stencilBlock x stencilBlock Wave2D cells.
+func soloWall(s Scenario) sim.Time {
+	perIter := float64(charesPerCore*stencilBlock*stencilBlock) * waveCostPerCell
+	return sim.Time(perIter * float64(scaleIters(waveIters, s.Scale)))
+}
+
+// runTimeline runs one timeline scenario through opts, recording its
+// trace.
+func runTimeline(ctx context.Context, opts Options, s Scenario) (Scenario, Result, error) {
+	s.Trace = trace.NewRecorder()
+	results, err := opts.run(ctx, []Scenario{s})
+	if err != nil {
+		return Scenario{}, Result{}, err
 	}
-	eng := sim.NewEngine()
-	mach := testbed(sim.Single(eng), testbedNodes, 0, nil)
-	net := newNet(mach)
-	rts := newAppRTS(mach, net, res.Cores, Refine, rec)
-	buildApp(rts, s, newRNG(s.Seed))
-	interfereHog(mach, 1, res.Hog1Start, res.Hog1Stop, rec)
-	interfereHog(mach, 3, res.Hog2Start, res.Hog2Stop, rec)
-	rts.Start()
-	mustFinish(eng, func() bool { return rts.Finished() }, 10000)
-	res.AppFinish = rts.FinishTime()
-	res.Migrations = rts.Migrations()
-	return res
+	return s, results[0], nil
 }

@@ -29,28 +29,26 @@ var PlanBenchSizes = []struct {
 	{"1024c100k", 1024, 98},
 }
 
-// PlanBenchStrategies lists the planners under measurement with the same
-// construction the scenario runner uses (buildStrategy defaults). The
-// hierarchical (tree) mode has no row of its own: the tree only changes
-// how stats travel — the root still runs the configured strategy's Plan
-// over the full gathered snapshot, so its planning cost IS the RefineLB
-// row (Figure 7's RefineLB+tree run confirms the identical peak state).
+// PlanBenchStrategies lists the planners under measurement, each built by
+// buildStrategy with its defaults, as a scenario builds it; a row's name
+// is its kind's String. The hierarchical (tree) mode has no row of its
+// own: the tree only changes how stats travel — the root still runs the
+// configured strategy's Plan over the full gathered snapshot, so its
+// planning cost IS the RefineLB row (Figure 7's RefineLB+tree run
+// confirms the identical peak state).
 // MaxCores caps the snapshot size for planners whose cost is too far
 // superlinear to time at the cloud allocation: RefineSwapLB's pairwise
 // swap search is quadratic in tasks-per-core across core pairs and a
 // single 100k-task Plan takes minutes — the cap keeps the suite honest
 // about what each planner can actually be asked to do.
 var PlanBenchStrategies = []struct {
-	Name     string
-	Build    func() core.Strategy
+	Kind     StrategyKind
 	MaxCores int
 }{
-	{"RefineLB", func() core.Strategy { return &core.RefineLB{EpsilonFrac: 0.02} }, 0},
-	{"GreedyLB", func() core.Strategy { return lb.GreedyLB{} }, 0},
-	{"RefineSwapLB", func() core.Strategy {
-		return &lb.RefineSwapLB{Inner: core.RefineLB{EpsilonFrac: 0.02}}
-	}, 256},
-	{"DiffusionLB", func() core.Strategy { return &lb.DiffusionLB{} }, 0},
+	{Refine, 0},
+	{Greedy, 0},
+	{RefineSwap, 256},
+	{Diffusion, 0},
 }
 
 // SyntheticStats builds a deterministic clustered-hotspot load snapshot:
@@ -108,14 +106,14 @@ func SyntheticStats(cores, tasksPerCore int) core.Stats {
 func StrategyPlanBenchmarks() []NamedBench {
 	var out []NamedBench
 	for _, st := range PlanBenchStrategies {
-		strat := st.Build()
+		strat := buildStrategy(st.Kind, 0, 0, 0, 0)
 		for _, sz := range PlanBenchSizes {
 			if st.MaxCores > 0 && sz.Cores > st.MaxCores {
 				continue
 			}
 			stats := SyntheticStats(sz.Cores, sz.TasksPerCore)
 			out = append(out, NamedBench{
-				Name: fmt.Sprintf("StrategyPlan%s%s", st.Name, sz.Label),
+				Name: fmt.Sprintf("StrategyPlan%s%s", st.Kind, sz.Label),
 				Run:  func() { strat.Plan(stats) },
 			})
 		}
@@ -136,7 +134,7 @@ func StrategyPlanBenchmarks() []NamedBench {
 // for transfer selection). This cost is O(local tasks + neighbors) by
 // construction and should stay near-flat from 32 to 1024 cores.
 func diffusionPerPEBench(label string, cores, tasksPerCore int) NamedBench {
-	d := &lb.DiffusionLB{}
+	d := buildStrategy(Diffusion, 0, 0, 0, 0).(*lb.DiffusionLB)
 	stats := SyntheticStats(cores, tasksPerCore)
 	w, _ := core.MeshShape(cores)
 	pe := (w+3)/4 - 1 // hotspot corner: x = hot width - 1, y = 0

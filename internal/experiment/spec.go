@@ -14,9 +14,12 @@ import (
 // point: cmd/lbsim, cmd/figures, the scenario service and the benchmark
 // set all build one Spec and run the method matching their experiment
 // (see RunMethod), instead of threading ad-hoc parameter bundles through
-// per-figure function signatures. The axis fields (Cores, Strategies,
-// Seeds, EpsFracs, Periods) enumerate a matrix; each method documents
-// which axes it consumes. Net and Shards apply to every method.
+// per-figure function signatures. The timelines (Figures 1 and 3, and
+// cmd/timeline) build and validate one too, then give its one scenario
+// the hogs no Spec field describes (Scenario.Hogs). The axis fields
+// (Cores, Strategies, Seeds, EpsFracs, Periods) enumerate a matrix; each
+// method documents which axes it consumes. Net and Shards apply to every
+// method.
 type Spec struct {
 	// App is the measured application (required for every method).
 	App AppKind `json:"app"`
