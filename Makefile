@@ -81,13 +81,18 @@ fuzz:
 # the cached `race` target is skipped: the same scenario at shards
 # {1,2,4,8} x GOMAXPROCS {1,4}, and seeded random Specs at shards {1,2,4},
 # must produce an identical Result, metric snapshot and trace hash under
-# the race detector. The scheduler must stay allocation-free in steady
+# the race detector. Thirty random Specs drawn up to 256 cores run the
+# same comparison without -race, which would take minutes on them; their
+# seed, 2, draws three Mol3D Specs whose traces split at two and four
+# shards when a cross-shard delivery tied a local event's timestamp. The
+# scheduler must stay allocation-free in steady
 # state at one shard (the runtime stack alone and under the stencil and
 # Mol3D applications) and at 2 and 8 shards. The alloc gates run without
 # -race (instrumentation perturbs allocation counts); -count=1 defeats the
 # test cache so the gates always execute.
 determinism:
 	$(GO) test -race -count=1 -run 'TestShardedDeterminism|TestDiffusionShardedDeterminism|TestShardsAutoResolve|TestShardCountInvariantOnRandomSpecs' ./internal/experiment
+	$(GO) test -count=1 -run 'TestShardCountInvariantOnRandomSpecs' ./internal/experiment -args -shardspec.maxcores=256 -shardspec.seed=2 -shardspec.cases=30
 	$(GO) test -count=1 -run 'TestClassicScenarioSteadyStateAllocFree|TestShardedScenarioSteadyStateAllocFree|TestStencilSteadyStateAllocFree|TestMol3DSteadyStateAllocFree' ./internal/experiment
 
 # Regenerate the committed results/ tree (byte-identical at any -parallel).

@@ -76,6 +76,8 @@ func TestInvalidFlagsExitWithFieldError(t *testing.T) {
 		{[]string{"-fig", "compare", "-droppct", "NaN"}, "net.drop_pct"},
 		{[]string{"-fig", "7", "-droppct", "NaN"}, "net.drop_pct"},
 		{[]string{"-fig", "1", "-scale", "NaN"}, "scale"},
+		{[]string{"-fig", "1", "-straggle", "99:4"}, "net.straggler_nodes[0]"},
+		{[]string{"-fig", "3", "-droppct", "NaN"}, "net.drop_pct"},
 		{[]string{"-fig", "3", "-scale", "-1"}, "scale"},
 	} {
 		args := tc.args

@@ -97,7 +97,7 @@ func main() {
 	hier := flag.Bool("hier", false, "use the hierarchical (tree) LB gather instead of the flat gather")
 	diffRounds := flag.Int("diffrounds", 0, "DiffusionLB: max neighbor-exchange rounds per LB step (0 = default 16)")
 	diffTol := flag.Float64("difftol", 0, "DiffusionLB: convergence band as a fraction of the average load (0 = default 0.05)")
-	shards := flag.String("shards", "1", "event-scheduler shards per run: 1 = one shard, a single event engine; N = parallel node shards; auto = one per node up to GOMAXPROCS (results are identical at any value)")
+	shards := flag.String("shards", "0", "event-scheduler shards per run: 0 (or auto) = the pool decides, giving two shards to a run of 256 cores or more, without -metrics or -serve, when a worker would otherwise idle; 1 = one shard, a single event engine; N = parallel node shards (results are identical at any value)")
 	preempt := flag.String("preempt", "", "core revocation schedule, comma-separated pe:at:warning:restore:core entries (restore 0 = never, core -1 = original core)")
 	dropPct := flag.Float64("droppct", 0, "percentage of inter-node transmissions lost and retransmitted (0 = reliable network)")
 	straggle := flag.String("straggle", "", "straggler nodes and slowdown factor, NODES:FACTOR (e.g. \"1,3:4\"): their links get latency x factor, bandwidth / factor")

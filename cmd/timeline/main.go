@@ -55,9 +55,9 @@ func main() {
 	svgPath := flag.String("svg", "", "write an SVG timeline to this path")
 	chromePath := flag.String("chrome", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) to this path")
 	hog1 := flag.Float64("hog1", 1.0, "start of the core-1 interfering job (s)")
-	hog1stop := flag.Float64("hog1stop", 3.0, "end of the core-1 job (s)")
+	hog1stop := flag.Float64("hog1stop", 3.0, "time the core-1 job leaves its core (s); must be after -hog1")
 	hog2 := flag.Float64("hog2", 4.5, "start of the core-3 interfering job (s)")
-	hog2stop := flag.Float64("hog2stop", 6.5, "end of the core-3 job (s)")
+	hog2stop := flag.Float64("hog2stop", 6.5, "time the core-3 job leaves its core (s); must be after -hog2")
 	lbSteps := flag.Bool("lbsteps", false, "print the per-LB-step table (moves, strategy wall time, per-PE load before/after)")
 	prof := profiling.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -92,6 +92,17 @@ func main() {
 		if !(h.v >= 0) || math.IsInf(h.v, 1) {
 			fields = append(fields, experiment.FieldError{
 				Field: h.flag, Msg: fmt.Sprintf("must be finite and >= 0 (seconds), got %v", h.v)})
+		}
+	}
+	// A hog whose stop is not after its start would never leave its core
+	// (interfere.HogConfig's "run forever"), which no flag asks for.
+	for _, h := range []struct {
+		flag        string
+		start, stop float64
+	}{{"hog1stop", *hog1, *hog1stop}, {"hog2stop", *hog2, *hog2stop}} {
+		if h.stop <= h.start {
+			fields = append(fields, experiment.FieldError{
+				Field: h.flag, Msg: fmt.Sprintf("must be after the job's start (%v s), got %v", h.start, h.stop)})
 		}
 	}
 	if len(fields) > 0 {

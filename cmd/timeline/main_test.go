@@ -86,8 +86,9 @@ func TestHogsOverlappingTheRun(t *testing.T) {
 	}
 }
 
-// TestInvalidFlagsExitWithFieldError: a bad -scale fails Spec.Validate
-// and a non-finite hog time fails the hog check, before anything runs:
+// TestInvalidFlagsExitWithFieldError: a bad -scale fails Spec.Validate,
+// and a non-finite hog time or a stop at or before its start fails the
+// hog check, before anything runs:
 // exit 2 with the offending field on stderr and nothing on stdout. A Go
 // panic also exits 2, so the test rules it out by name.
 func TestInvalidFlagsExitWithFieldError(t *testing.T) {
@@ -98,6 +99,8 @@ func TestInvalidFlagsExitWithFieldError(t *testing.T) {
 		{[]string{"-scale", "NaN"}, "scale"},
 		{[]string{"-hog1", "NaN"}, "hog1"},
 		{[]string{"-hog2stop", "Inf"}, "hog2stop"},
+		{[]string{"-scale", "0.5", "-hog1", "0.5", "-hog1stop", "0.2"}, "hog1stop"},
+		{[]string{"-hog2", "5", "-hog2stop", "5"}, "hog2stop"},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), "TIMELINE_TEST_MAIN=1")

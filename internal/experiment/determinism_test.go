@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"strings"
 	"testing"
 
 	"cloudlb/internal/apps"
 	"cloudlb/internal/charm"
+	"cloudlb/internal/elastic"
 	"cloudlb/internal/machine"
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/sim"
@@ -69,15 +69,8 @@ func detScenario(shards int) Scenario {
 }
 
 // metricValues flattens a registry into name|labels -> value, dropping
-// series that legitimately differ across schedulers:
-//
-//   - sim_event_heap_depth_max: the global heap splits into per-shard
-//     heaps, so the high-water mark shrinks with the shard count.
-//   - sim_shard_*: per-shard occupancy and wall-clock barrier waits.
-//   - charm_messages_pooled_total: envelopes are pooled per shard (taken
-//     on the sending shard, released on the delivering one), so reuse hit
-//     rates depend on the partition.
-//   - charm_lb_strategy_wall_seconds_total: host wall-clock time.
+// the series that legitimately differ across schedulers, ShardSeries and
+// HostTimeSeries.
 //
 // xnet_link_busy_seconds is compared exactly: the network accumulates
 // NIC busy time per source node (single writer, shard-invariant addition
@@ -86,10 +79,7 @@ func detScenario(shards int) Scenario {
 func metricValues(reg *metrics.Registry) map[string]float64 {
 	vals := make(map[string]float64)
 	for _, s := range reg.Gather().Series {
-		if s.Name == "sim_event_heap_depth_max" ||
-			s.Name == "charm_messages_pooled_total" ||
-			s.Name == "charm_lb_strategy_wall_seconds_total" ||
-			strings.HasPrefix(s.Name, "sim_shard_") {
+		if ShardSeries[s.Name] || HostTimeSeries[s.Name] {
 			continue
 		}
 		k := s.Name
@@ -157,23 +147,50 @@ func TestShardedDeterminismLossyNet(t *testing.T) {
 	}
 }
 
-// TestShardsAutoResolve pins the -shards knob semantics.
+// TestShardsAutoResolve pins the -shards knob semantics: Run clamps a
+// count into [1, nodes], "auto" is the pool's choice (0), and the pool
+// gives two shards only to a scenario that leaves it the choice, has at
+// least 256 cores, and carries no metrics registry or fault schedule. A
+// trace recorder does not stop it.
 func TestShardsAutoResolve(t *testing.T) {
 	cases := []struct{ in, nodes, want int }{
-		{0, 8, 1}, {1, 8, 1}, {2, 8, 2}, {8, 8, 8}, {64, 8, 8},
+		{-1, 8, 1}, {0, 8, 1}, {1, 8, 1}, {2, 8, 2}, {8, 8, 8}, {64, 8, 8},
 	}
 	for _, c := range cases {
 		if got := resolveShards(c.in, c.nodes); got != c.want {
 			t.Errorf("resolveShards(%d, %d) = %d, want %d", c.in, c.nodes, got, c.want)
 		}
 	}
-	auto := resolveShards(-1, 8)
-	want := runtime.GOMAXPROCS(0)
-	if want > 8 {
-		want = 8
+	if n, err := ParseShards("auto"); n != 0 || err != nil {
+		t.Errorf(`ParseShards("auto") = %d, %v; want 0`, n, err)
 	}
-	if auto != want {
-		t.Errorf("resolveShards(-1, 8) = %d, want %d", auto, want)
+	large := Scenario{App: Wave2D, Cores: poolShardMinCores, Strategy: Diffusion}
+	with := func(f func(*Scenario)) Scenario {
+		s := large
+		f(&s)
+		return s
+	}
+	rule := []struct {
+		name        string
+		s           Scenario
+		perScenario int
+		want        int
+	}{
+		{"pool decides", large, 2, 2},
+		{"pool decides, four idle", large, 4, 2},
+		{"older auto", with(func(s *Scenario) { s.Shards = -1 }), 2, 2},
+		{"no idle worker", large, 1, 0},
+		{"explicit one shard", with(func(s *Scenario) { s.Shards = 1 }), 2, 1},
+		{"explicit count", with(func(s *Scenario) { s.Shards = 8 }), 2, 8},
+		{"below 256 cores", with(func(s *Scenario) { s.Cores = 128 }), 2, 0},
+		{"trace recorder", with(func(s *Scenario) { s.Trace = trace.NewRecorder() }), 2, 2},
+		{"metrics registry", with(func(s *Scenario) { s.Metrics = metrics.NewRegistry() }), 2, 0},
+		{"faults", with(func(s *Scenario) { s.Faults = elastic.Schedule{{PE: 1, At: 0.1}} }), 2, 0},
+	}
+	for _, c := range rule {
+		if got := PoolShards(c.s, c.perScenario); got != c.want {
+			t.Errorf("%s: PoolShards(.., %d) = %d, want %d", c.name, c.perScenario, got, c.want)
+		}
 	}
 }
 
@@ -222,7 +239,8 @@ func ringSteadyAllocs(t *testing.T, n int) float64 {
 }
 
 // TestClassicScenarioSteadyStateAllocFree is the allocation gate for the
-// default one-shard scheduler (-shards 1): once the pools are primed,
+// one-shard scheduler (-shards 1, and every run the pool leaves unsharded):
+// once the pools are primed,
 // driving the runtime stack forward over the full testbed — cross-node
 // messages, NIC serialization, per-shard message pools and in-flight
 // accounting included — must not allocate. Application kernels own their

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -224,12 +223,14 @@ type Scenario struct {
 	ObsTID int
 	// MaxVirtualTime bounds the simulation (default 10000 s).
 	MaxVirtualTime sim.Time
-	// Shards sets the scheduler's shard count. 0 or 1 runs one shard,
-	// which is a single engine; N > 1 partitions the machine by node into
-	// N conservatively-synchronized shards executing in parallel (clamped
-	// to the node count); -1 means auto: one shard per node, capped at
-	// GOMAXPROCS. Every value produces byte-identical results — sharding
-	// is purely a wall-clock optimization.
+	// Shards sets the scheduler's shard count. 0 (or any negative value)
+	// leaves it to the runner pool, which shards a scenario only when its
+	// workers would otherwise idle (see PoolShards); Run itself runs it on
+	// one shard. 1 runs one shard, which is a single engine; N > 1
+	// partitions the machine by node into N conservatively-synchronized
+	// shards executing in parallel (clamped to the node count). Every
+	// value produces byte-identical results — sharding is purely a
+	// wall-clock optimization.
 	Shards int
 }
 
@@ -288,12 +289,13 @@ func clusterNodes(cores int) int {
 	return testbedNodes
 }
 
-// ParseShards parses a -shards command-line value: "auto" (one shard per
-// node, capped at GOMAXPROCS) maps to -1, otherwise a non-negative count
-// (0 and 1 both select one shard, a single engine).
+// ParseShards parses a -shards command-line value: a non-negative count,
+// where 0 lets the runner pool decide (see PoolShards) and 1 is one shard,
+// a single engine. "auto", the older spelling of "the pool decides", maps
+// to 0.
 func ParseShards(v string) (int, error) {
 	if strings.EqualFold(v, "auto") {
-		return -1, nil
+		return 0, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {
@@ -329,23 +331,47 @@ func ParseStraggle(v string) (nodes []int, factor float64, err error) {
 }
 
 // resolveShards maps the Scenario.Shards knob to a concrete shard count:
-// 0 or 1 is one shard, -1 asks for one shard per node capped at
-// GOMAXPROCS, and anything else clamps into [1, nodes].
+// anything below 2 is one shard, and larger counts clamp to the node
+// count.
 func resolveShards(v, nodes int) int {
-	if v == 0 || v == 1 {
-		return 1
-	}
-	if v < 0 {
-		v = runtime.GOMAXPROCS(0)
-	}
-	if v > nodes {
-		v = nodes
-	}
-	if v < 1 {
-		v = 1
-	}
-	return v
+	return max(1, min(v, nodes))
 }
+
+// poolShardMinCores is the smallest allocation PoolShards shards and
+// poolShardCount the count it gives. On a 2-core host two shards cut a
+// lone 256-core scenario by about a quarter; at 128 cores the gain stayed
+// inside the spread of the runs, and 64 cores and the 32-core testbed are
+// slower at two (DESIGN.md §10). Larger counts are not measured.
+const (
+	poolShardMinCores = 256
+	poolShardCount    = 2
+)
+
+// PoolShards is the shard count a runner pool gives s when perScenario
+// of its workers would otherwise idle for each scenario of the batch:
+// two shards for a scenario that leaves the choice to the pool
+// (Shards <= 0) and is large enough to win from them, s.Shards
+// otherwise. A scenario with a metrics registry or a fault schedule
+// stays on one shard: the registry's ShardSeries depend on the
+// partition, and a fault schedule forces the run sequential anyway.
+func PoolShards(s Scenario, perScenario int) int {
+	if perScenario < poolShardCount || s.Shards > 0 || s.Cores < poolShardMinCores ||
+		s.Metrics != nil || len(s.Faults) > 0 {
+		return s.Shards
+	}
+	return poolShardCount
+}
+
+// Registry series that describe how a scenario was executed rather than
+// what it simulated. HostTimeSeries are measured in host seconds and
+// vary from run to run. ShardSeries depend on the partition: the
+// pending-event heap's high-water mark (one heap per shard) and envelope
+// reuse (one pool per shard). Every other series is identical at every
+// shard count.
+var (
+	HostTimeSeries = map[string]bool{"charm_lb_strategy_wall_seconds_total": true}
+	ShardSeries    = map[string]bool{"sim_event_heap_depth_max": true, "charm_messages_pooled_total": true}
+)
 
 // Run executes one scenario to completion and returns its measurements.
 func Run(s Scenario) Result {
@@ -505,11 +531,6 @@ func Run(s Scenario) Result {
 		// Publish per-core busy/idle from the owning goroutine so a live
 		// /metrics scrape sees them move without touching scheduler state.
 		mach.PublishMetrics()
-		// Finish times consolidate at the first barrier after they occur,
-		// so once a virtual second has fully drained the busy logs (kept
-		// only with more than one shard) can be re-baselined to bound
-		// their memory.
-		mach.TrimBusyLogs()
 	}
 	if !finished() {
 		panic(fmt.Sprintf("experiment: scenario %+v did not finish by t=%v", s, s.MaxVirtualTime))
@@ -533,6 +554,7 @@ func Run(s Scenario) Result {
 	res.NetRetransmits = net.Retransmits()
 	res.Events = sh.Executed()
 	driveSpan.End("events", res.Events, "shards", sh.NumShards(),
+		"shard_events", sh.ShardEvents(), "shard_windows", sh.ShardWindows(),
 		"virtual_s", finiteOrZero(res.AppWall), "lb_steps", res.LBSteps)
 	return res
 }

@@ -112,11 +112,14 @@ func Fig4Table(app AppKind, evals []Eval) *stats.Table {
 }
 
 // Fig1Spec is the Spec Figure 1 runs sp as: Wave2D on the 4 cores of one
-// node, seed 1, without load balancing, at sp's Scale (the figure reads
-// nothing else of sp). Fig1 expands it, and cmd/figures validates it
-// before the figure runs.
+// node, seed 1, without load balancing, at sp's Scale, over sp's network
+// and at sp's shard count (the figure reads nothing else of sp). Fig1
+// expands it, and cmd/figures validates it before the figure runs.
 func Fig1Spec(sp Spec) Spec {
-	return Spec{App: Wave2D, Cores: []int{4}, Strategies: []StrategyKind{NoLB}, Seeds: []int64{1}, Scale: sp.Scale}
+	return Spec{
+		App: Wave2D, Cores: []int{4}, Strategies: []StrategyKind{NoLB}, Seeds: []int64{1},
+		Scale: sp.Scale, Net: sp.Net, Shards: sp.Shards,
+	}
 }
 
 // Fig1 reproduces the paper's Figure 1: Wave2D on the 4 cores of one node,

@@ -16,11 +16,18 @@ import (
 //
 //	go test -run TestShardCountInvariantOnRandomSpecs ./internal/experiment \
 //	    -args -shardspec.cases=200 -shardspec.seed=7 -shardspec.maxdrop=20
+//
+// and reach the cloud-scale allocations with -shardspec.maxcores=256.
 var (
-	shardSpecCases   = flag.Int("shardspec.cases", 10, "random Specs run at shards 1, 2 and 4")
-	shardSpecSeed    = flag.Int64("shardspec.seed", 1, "seed of the random Spec generator")
-	shardSpecMaxDrop = flag.Float64("shardspec.maxdrop", 8, "largest inter-node drop percentage drawn")
+	shardSpecCases    = flag.Int("shardspec.cases", 10, "random Specs run at shards 1, 2 and 4")
+	shardSpecSeed     = flag.Int64("shardspec.seed", 1, "seed of the random Spec generator")
+	shardSpecMaxDrop  = flag.Float64("shardspec.maxdrop", 8, "largest inter-node drop percentage drawn")
+	shardSpecMaxCores = flag.Int("shardspec.maxcores", 32, "largest core count drawn, from 8, 16, 32, 64, 128 and 256")
 )
+
+// shardSpecCloudChares is the over-decomposition of a drawn Spec above the
+// 32-core testbed, low enough that a 256-core case stays small.
+const shardSpecCloudChares = 4
 
 // randomSpec draws one single-scenario Spec over every axis the scheduler
 // could mishandle: application and allocation, every strategy, each kind
@@ -29,8 +36,14 @@ var (
 // by design: the tree gather with a distributed strategy or with
 // elasticity, and a revocation with a co-located foreign thread (churn
 // tenants may land on any core, the background job on the last two).
-func randomSpec(rng *rand.Rand, maxDrop float64) Spec {
-	cores := []int{8, 16, 32}[rng.Intn(3)]
+func randomSpec(rng *rand.Rand, maxDrop float64, maxCores int) Spec {
+	var allocs []int
+	for _, c := range []int{8, 16, 32, 64, 128, 256} {
+		if c <= maxCores {
+			allocs = append(allocs, c)
+		}
+	}
+	cores := allocs[rng.Intn(len(allocs))]
 	sp := Spec{
 		App:        []AppKind{Jacobi2D, Wave2D, Mol3D}[rng.Intn(3)],
 		Cores:      []int{cores},
@@ -39,6 +52,9 @@ func randomSpec(rng *rand.Rand, maxDrop float64) Spec {
 		Scale:      0.02 + 0.04*rng.Float64(),
 		BG:         BGKind(rng.Intn(3)),
 		Net:        xnet.Config{DropPct: maxDrop * rng.Float64(), Seed: rng.Int63n(1000)},
+	}
+	if cores > testbedCores {
+		sp.CharesPerCore = shardSpecCloudChares
 	}
 	if rng.Intn(2) == 0 {
 		sp.Net.StragglerNodes = []int{rng.Intn(clusterNodes(cores))}
@@ -90,7 +106,7 @@ func TestShardCountInvariantOnRandomSpecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(*shardSpecSeed))
 	specs := []Spec{shardSpecRepro}
 	for i := 0; i < *shardSpecCases; i++ {
-		specs = append(specs, randomSpec(rng, *shardSpecMaxDrop))
+		specs = append(specs, randomSpec(rng, *shardSpecMaxDrop, *shardSpecMaxCores))
 	}
 	for i, sp := range specs {
 		if err := sp.Validate(); err != nil {

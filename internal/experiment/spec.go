@@ -59,7 +59,8 @@ type Spec struct {
 	Net xnet.Config `json:"net,omitzero"`
 
 	// Shards sets the scheduler's shard count for every scenario of every
-	// method (see Scenario.Shards: 0/1 one shard, N>1 sharded, -1 auto).
+	// method (see Scenario.Shards: 0 lets the runner pool decide, 1 is one
+	// shard, N>1 sharded; -1, the older "auto", is the same as 0).
 	// It is an execution knob, not part of the scenario description:
 	// results are byte-identical at every value, so CanonicalJSON and
 	// Hash exclude it.

@@ -173,10 +173,11 @@ func (c *Core) logPoint() {
 // value ProcStat would have returned had it been called at t, without
 // settling the core. For t at or after the last settlement it answers from
 // the core's current state, which is exactly what the last busy-log entry
-// holds; earlier times need logging enabled and t no earlier than the last
-// TrimBusyLogs baseline. Either way the reconstruction reproduces settle's
-// arithmetic — one addition onto the counter as of the preceding
-// settlement — so the result is bit-identical to an in-place reading.
+// holds; earlier times need logging enabled and t no earlier than the
+// barrier before the latest one (see Machine.trimBusyLogs). Either way the
+// reconstruction reproduces settle's arithmetic — one addition onto the
+// counter as of the preceding settlement — so the result is bit-identical
+// to an in-place reading.
 func (c *Core) BusyAt(t sim.Time) sim.Time {
 	if t >= c.lastSettle {
 		if len(c.active) > 0 && t > c.lastSettle {
@@ -184,6 +185,19 @@ func (c *Core) BusyAt(t sim.Time) sim.Time {
 		}
 		return c.busy
 	}
+	n := c.settledBy(t)
+	if n == 0 {
+		panic(fmt.Sprintf("machine: BusyAt(%v) precedes the busy log of core %d", t, c.ID))
+	}
+	p := c.busyLog[n-1]
+	if p.runnable && t > p.at {
+		return p.busy + (t - p.at)
+	}
+	return p.busy
+}
+
+// settledBy returns how many busy-log entries lie at or before t.
+func (c *Core) settledBy(t sim.Time) int {
 	log := c.busyLog
 	lo, hi := 0, len(log)
 	for lo < hi {
@@ -194,14 +208,7 @@ func (c *Core) BusyAt(t sim.Time) sim.Time {
 			hi = mid
 		}
 	}
-	if lo == 0 {
-		panic(fmt.Sprintf("machine: BusyAt(%v) precedes the busy log of core %d", t, c.ID))
-	}
-	p := log[lo-1]
-	if p.runnable && t > p.at {
-		return p.busy + (t - p.at)
-	}
-	return p.busy
+	return lo
 }
 
 func (c *Core) totalWeight() float64 {

@@ -83,6 +83,10 @@ type Machine struct {
 	// feeds; nil without Config.Metrics.
 	metricsBusy []*metrics.Gauge
 	metricsIdle []*metrics.Gauge
+
+	// lastBarrier is the clock of the latest window barrier, which the
+	// next trimBusyLogs keeps the busy logs back to.
+	lastBarrier sim.Time
 }
 
 // Node groups the cores that share a physical box (and a power supply).
@@ -140,6 +144,9 @@ func NewSharded(sh *sim.Shards, cfg Config) *Machine {
 		m.nodes = append(m.nodes, node)
 	}
 	m.registerMetrics()
+	if sh.NumShards() > 1 {
+		sh.OnBarrier(m.trimBusyLogs)
+	}
 	return m
 }
 
@@ -227,7 +234,8 @@ func (m *Machine) NodeOf(coreID int) int { return coreID / m.cfg.CoresPerNode }
 // cores it meters, so it can take its final sample at an application
 // finish time the shards have already run past. With one shard no reading
 // is ever late — BusyAt answers the current instant from the core's state
-// — so a one-shard machine keeps no log.
+// — so a one-shard machine keeps no log. Every barrier trims the logs to
+// two windows (see trimBusyLogs).
 func (m *Machine) EnableBusyLog(coreIDs []int) {
 	if m.shards.NumShards() == 1 {
 		return
@@ -240,17 +248,20 @@ func (m *Machine) EnableBusyLog(coreIDs []int) {
 	}
 }
 
-// TrimBusyLogs truncates every enabled busy log to a single baseline entry
-// for the current state, bounding log memory. The scenario drive loop
-// calls it once per virtual second; BusyAt afterwards only accepts times
-// from the trim point on, which is always the case because finish times
-// are consolidated at the first window barrier after they occur.
-func (m *Machine) TrimBusyLogs() {
+// trimBusyLogs runs at every barrier of a multi-shard machine. It drops
+// from each busy log the entries before the last one at or before the
+// previous barrier, which stays as the baseline, so a log holds at most
+// two windows of settles. A late reading comes from a finish that a
+// barrier hook (the charm runtime's consolidation) reports at the first
+// barrier after it, so it asks for a time after the previous barrier,
+// whichever of the two hooks runs first.
+func (m *Machine) trimBusyLogs() {
+	prev := m.lastBarrier
+	m.lastBarrier = m.shards.Now()
 	for _, c := range m.cores {
-		if !c.logPoints || len(c.busyLog) == 0 {
-			continue
+		if i := c.settledBy(prev) - 1; i > 0 {
+			n := copy(c.busyLog, c.busyLog[i:])
+			c.busyLog = c.busyLog[:n]
 		}
-		c.busyLog[0] = busyPoint{at: c.lastSettle, busy: c.busy, runnable: len(c.active) > 0}
-		c.busyLog = c.busyLog[:1]
 	}
 }

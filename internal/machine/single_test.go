@@ -30,24 +30,27 @@ func TestNewIsOneShardOverEngine(t *testing.T) {
 	}
 }
 
+// busyLoad enables every core's busy log and keeps each core busy with
+// back-to-back bursts of burst CPU-seconds.
+func busyLoad(m *Machine, burst float64) {
+	ids := make([]int, m.NumCores())
+	for i := range ids {
+		ids[i] = i
+	}
+	m.EnableBusyLog(ids)
+	for i := 0; i < m.NumCores(); i++ {
+		th := m.NewThread("w", m.Core(i), 1)
+		var loop func()
+		loop = func() { th.Run(burst, loop) }
+		loop()
+	}
+}
+
 // TestOneShardKeepsNoBusyLog asserts a one-shard machine never logs busy
 // points — its readings are never late — while a multi-shard one does.
 func TestOneShardKeepsNoBusyLog(t *testing.T) {
-	load := func(m *Machine) {
-		ids := make([]int, m.NumCores())
-		for i := range ids {
-			ids[i] = i
-		}
-		m.EnableBusyLog(ids)
-		for i := 0; i < m.NumCores(); i++ {
-			th := m.NewThread("w", m.Core(i), 1)
-			var loop func()
-			loop = func() { th.Run(0.01, loop) }
-			loop()
-		}
-	}
 	eng, one := newTestMachine(2, 2)
-	load(one)
+	busyLoad(one, 0.01)
 	if err := eng.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func TestOneShardKeepsNoBusyLog(t *testing.T) {
 	sh := sim.NewShards(2, 0.05)
 	defer sh.Close()
 	two := NewSharded(sh, Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
-	load(two)
+	busyLoad(two, 0.01)
 	if err := sh.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +70,54 @@ func TestOneShardKeepsNoBusyLog(t *testing.T) {
 		if !c.logPoints || len(c.busyLog) < 2 {
 			t.Fatalf("two shards: core %d logging %v with %d points", c.ID, c.logPoints, len(c.busyLog))
 		}
+	}
+}
+
+// TestBusyLogHoldsTwoWindows asserts that a multi-shard busy log is
+// trimmed at every barrier: afterwards its first entry is the last one at
+// or before the previous barrier, so it never grows past two windows'
+// settles.
+func TestBusyLogHoldsTwoWindows(t *testing.T) {
+	const lookahead, burst = 0.05, 0.001
+	sh := sim.NewShards(2, lookahead)
+	defer sh.Close()
+	// Registered before NewSharded's trim, this hook sees each log at its
+	// longest.
+	var m *Machine
+	peak := make([]int, 4)
+	sh.OnBarrier(func() {
+		for i, c := range m.cores {
+			peak[i] = max(peak[i], len(c.busyLog))
+		}
+	})
+	m = NewSharded(sh, Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
+	busyLoad(m, burst)
+	barriers := 0
+	var prev sim.Time
+	sh.OnBarrier(func() {
+		barriers++
+		for _, c := range m.cores {
+			if log := c.busyLog; log[0].at > prev || len(log) > 1 && log[1].at <= prev {
+				t.Fatalf("barrier at %v: core %d keeps %d points from %v, previous barrier %v",
+					sh.Now(), c.ID, len(log), log[0].at, prev)
+			}
+		}
+		prev = sh.Now()
+	})
+	if err := sh.RunUntil(2); err != nil {
+		t.Fatal(err)
+	}
+	// One settle per burst completion, and a window runs from a barrier to
+	// the next event plus the lookahead, so it completes up to one burst
+	// more than lookahead/burst; two windows and the baseline.
+	limit := 2*(int(lookahead/burst)+1) + 1
+	for i, n := range peak {
+		if n > limit {
+			t.Errorf("core %d: busy log reached %d points, two windows hold %d", i, n, limit)
+		}
+	}
+	if barriers < int(2/lookahead) {
+		t.Fatalf("%d barriers in 2 s at lookahead %v", barriers, lookahead)
 	}
 }
 

@@ -1,13 +1,20 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"cloudlb/internal/experiment"
 	"cloudlb/internal/metrics"
+	"cloudlb/internal/obs"
+	"cloudlb/internal/trace"
+	"cloudlb/internal/xnet"
 )
 
 // evalsEqual compares Eval rows field by field, treating NaN as equal to
@@ -195,4 +202,82 @@ func TestPoolMetrics(t *testing.T) {
 		}
 	}
 	t.Error("sim_events_total not exported by instrumented scenarios")
+}
+
+// TestPoolShardsLoneLargeScenario runs a lone 256-core scenario through a
+// two-worker pool as a batch of one. Without a metrics registry the pool
+// gives it the idle worker as a second shard, and its Result and trace
+// equal a Shards: 1 run's; with a registry it stays on one shard, and its
+// snapshot, less the host-time series, equals a Shards: 1 run's byte for
+// byte. Either way the caller's batch keeps its Shards.
+func TestPoolShardsLoneLargeScenario(t *testing.T) {
+	pool := &Pool{Workers: 2}
+	type outcome struct {
+		shards any
+		res    string
+		segs   []trace.Segment
+		snap   []byte
+	}
+	run := func(shards int, reg *metrics.Registry) outcome {
+		tr := obs.NewTrace("pool-shards", nil)
+		rec := trace.NewRecorder()
+		s := experiment.Scenario{
+			App: experiment.Wave2D, Cores: 256, Strategy: experiment.Diffusion, BG: experiment.BGWave2D,
+			Seed: 3, Scale: 0.1, SyncEvery: 5, CharesPerCore: 4,
+			Net:    xnet.Config{DropPct: 2, StragglerNodes: []int{3}, StragglerFactor: 4, Seed: 3},
+			Shards: shards, Metrics: reg, Trace: rec,
+		}
+		batch := []experiment.Scenario{s}
+		results, _, err := pool.RunBatch(obs.NewContext(context.Background(), tr), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch[0].Shards != shards {
+			t.Fatalf("the pool changed the caller's batch: Shards %d -> %d", shards, batch[0].Shards)
+		}
+		o := outcome{res: fmt.Sprintf("%+v", results[0]), segs: rec.Segments()}
+		for _, sp := range tr.Spans() {
+			if sp.Cat == obs.CatSim && sp.Name == "sim-drive" {
+				o.shards = sp.Args["shards"]
+			}
+		}
+		if reg != nil {
+			snap := reg.Gather()
+			kept := snap.Series[:0]
+			for _, sr := range snap.Series {
+				if !experiment.HostTimeSeries[sr.Name] {
+					kept = append(kept, sr)
+				}
+			}
+			snap.Series = kept
+			if o.snap, err = json.Marshal(snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return o
+	}
+	one := run(1, metrics.NewRegistry())
+	if one.shards != 1 {
+		t.Fatalf("Shards: 1 ran on %v shards", one.shards)
+	}
+	pooled := run(0, nil)
+	if pooled.shards != 2 {
+		t.Fatalf("lone 256-core scenario on two workers ran on %v shards, want 2", pooled.shards)
+	}
+	if pooled.res != one.res {
+		t.Errorf("Result differs from one shard:\n got %s\nwant %s", pooled.res, one.res)
+	}
+	if !slices.Equal(pooled.segs, one.segs) {
+		t.Errorf("trace differs from one shard (%d segments, want %d)", len(pooled.segs), len(one.segs))
+	}
+	pooledReg := run(0, metrics.NewRegistry())
+	if pooledReg.shards != 1 {
+		t.Fatalf("lone scenario with a registry ran on %v shards, want 1", pooledReg.shards)
+	}
+	if pooledReg.res != one.res {
+		t.Errorf("Result with a registry differs from one shard:\n got %s\nwant %s", pooledReg.res, one.res)
+	}
+	if !bytes.Equal(pooledReg.snap, one.snap) {
+		t.Errorf("metrics snapshot differs from one shard:\n got %s\nwant %s", pooledReg.snap, one.snap)
+	}
 }

@@ -125,9 +125,9 @@ type manifest struct {
 func execute(ctx context.Context, req Request, reg *metrics.Registry, workers int, onProgress func(runner.Progress)) (*experiment.Output, error) {
 	pool := &runner.Pool{Workers: workers, OnProgress: onProgress}
 	sp := req.Spec
-	// Shards is an execution knob excluded from the cache key; the
-	// service always runs one shard, so the per-shard host-time barrier
-	// series of a multi-shard run never leak into the metrics artifact.
-	sp.Shards = 0
+	// Shards is an execution knob excluded from the cache key, but
+	// metrics.json holds experiment.ShardSeries, which depend on the
+	// partition: jobs run on one shard whatever the request says.
+	sp.Shards = 1
 	return sp.RunMethod(ctx, req.Method, experiment.Options{Executor: pool.Executor(), Metrics: reg})
 }

@@ -483,23 +483,16 @@ func (s *Service) storeArtifacts(req Request, out *experiment.Output, reg *metri
 	return s.describe(hashes)
 }
 
-// hostTimeSeries names the per-job registry series measured in real
-// (host) seconds. Everything else a scenario records is virtual
-// simulated time or event counts — bit-reproducible — but these vary
-// run to run, so the metrics.json artifact drops them to keep identical
-// requests producing identical content addresses.
-var hostTimeSeries = map[string]bool{
-	"charm_lb_strategy_wall_seconds_total": true,
-	"sim_shard_barrier_wait_seconds_total": true,
-}
-
 // deterministicMetricsJSON renders the per-job registry in WriteJSON's
-// shape with host-time series removed.
+// shape with experiment.HostTimeSeries removed. Everything else a
+// scenario records is virtual simulated time or event counts —
+// bit-reproducible on one shard — but those vary run to run, so dropping
+// them keeps identical requests producing identical content addresses.
 func deterministicMetricsJSON(reg *metrics.Registry) ([]byte, error) {
 	snap := reg.Gather()
 	kept := snap.Series[:0]
 	for _, s := range snap.Series {
-		if !hostTimeSeries[s.Name] {
+		if !experiment.HostTimeSeries[s.Name] {
 			kept = append(kept, s)
 		}
 	}

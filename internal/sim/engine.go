@@ -29,11 +29,25 @@ type Duration = Time
 const Never Time = math.MaxFloat64
 
 type event struct {
-	at   Time
+	at Time
+	// from and seq record who scheduled the event. from is the virtual
+	// time it was scheduled at; seq holds the scheduling shard above
+	// seqShardShift (the engine's own for a local event, the sender's for
+	// a cross-shard delivery) and the engine's scheduling count below.
+	// Events at the same instant fire in (from, seq) order. On one engine
+	// that is exactly scheduling order, since the clock never runs
+	// backwards and the shard is constant; across shards it carries the
+	// sender's place through the mailbox, which a count taken at the
+	// barrier cannot (see Shards).
+	from Time
 	seq  uint64
-	fn   func()
-	dead bool
+	// fn is nil once the event is cancelled or has fired.
+	fn func()
 }
+
+// seqShardShift places the scheduling shard above an engine's scheduling
+// count in event.seq; no engine schedules 2^48 events.
+const seqShardShift = 48
 
 // EventID identifies a scheduled event so it can be cancelled. Event
 // structs are recycled through the engine's free list once they fire, so
@@ -51,6 +65,7 @@ type EventID struct {
 type Engine struct {
 	now     Time
 	seq     uint64
+	shard   uint64 // this engine's shard, shifted into place (see event.seq)
 	pending eventHeap
 	// free recycles fired and cancelled event structs: scheduling in the
 	// steady state then allocates nothing, which matters because every
@@ -94,7 +109,7 @@ func (e *Engine) SetMetrics(events *metrics.Counter, heapDepth *metrics.Gauge) {
 func (e *Engine) Pending() int {
 	n := 0
 	for _, ev := range e.pending.ev {
-		if !ev.dead {
+		if ev.fn != nil {
 			n++
 		}
 	}
@@ -118,15 +133,22 @@ func (e *Engine) recycle(ev *event) {
 
 // At schedules fn to run at virtual time t. Scheduling in the past panics:
 // it is always a model bug, and silently clamping would hide it.
-func (e *Engine) At(t Time, fn func()) EventID {
+func (e *Engine) At(t Time, fn func()) EventID { return e.atFrom(t, e.now, e.shard, fn) }
+
+// atFrom schedules fn at t on behalf of the shard whose shifted index is
+// shard and whose clock reads from (see event).
+func (e *Engine) atFrom(t, from Time, shard uint64, fn func()) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	if fn == nil {
+		panic("sim: scheduling a nil event function")
+	}
 	ev := e.alloc()
 	ev.at = t
-	ev.seq = e.seq
+	ev.from = from
+	ev.seq = shard | e.seq
 	ev.fn = fn
-	ev.dead = false
 	e.seq++
 	e.pending.push(ev)
 	return EventID{ev: ev, seq: ev.seq}
@@ -144,7 +166,7 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 // already fired (or was already cancelled) is a no-op.
 func (e *Engine) Cancel(id EventID) {
 	if id.ev != nil && id.ev.seq == id.seq {
-		id.ev.dead = true
+		id.ev.fn = nil
 	}
 }
 
@@ -153,7 +175,7 @@ func (e *Engine) Step() bool {
 	e.metHeapDepth.SetMax(float64(e.pending.len()))
 	for e.pending.len() > 0 {
 		ev := e.pending.pop()
-		if ev.dead {
+		if ev.fn == nil {
 			e.recycle(ev)
 			continue
 		}
@@ -205,7 +227,7 @@ func (e *Engine) RunUntil(deadline Time) error { return e.runUntil(deadline, nil
 func (e *Engine) runUntil(deadline Time, stop func() bool) error {
 	for e.pending.len() > 0 {
 		ev := e.pending.ev[0]
-		if ev.dead {
+		if ev.fn == nil {
 			e.pending.pop()
 			e.recycle(ev)
 			continue
@@ -240,7 +262,7 @@ func (e *Engine) runUntil(deadline Time, stop func() bool) error {
 func (e *Engine) NextEventAt() (Time, bool) {
 	for e.pending.len() > 0 {
 		ev := e.pending.ev[0]
-		if ev.dead {
+		if ev.fn == nil {
 			e.pending.pop()
 			e.recycle(ev)
 			continue
@@ -265,7 +287,7 @@ func (e *Engine) AdvanceTo(t Time) {
 
 func (e *Engine) peek() *event {
 	for e.pending.len() > 0 {
-		if ev := e.pending.ev[0]; ev.dead {
+		if ev := e.pending.ev[0]; ev.fn == nil {
 			e.pending.pop()
 			e.recycle(ev)
 			continue

@@ -1,16 +1,16 @@
 package sim
 
 // eventHeap is a hand-specialized 4-ary min-heap of *event ordered by
-// (at, seq). It replaces the earlier container/heap adapter: the generic
-// heap boxes every element through interface{} on Push/Pop and calls the
-// comparator through an interface table, both of which showed up in the
-// per-event hot path of every simulation. A 4-ary layout also halves the
-// tree depth, trading a few extra comparisons per level for fewer cache
-// misses on sift-down.
+// (at, from, seq). It replaces the earlier container/heap adapter: the
+// generic heap boxes every element through interface{} on Push/Pop and
+// calls the comparator through an interface table, both of which showed
+// up in the per-event hot path of every simulation. A 4-ary layout also
+// halves the tree depth, trading a few extra comparisons per level for
+// fewer cache misses on sift-down.
 //
-// Pop order is fully determined by the (at, seq) total order, so swapping
-// the heap shape cannot change which event fires next — simulations stay
-// bit-identical to the binary-heap implementation.
+// Pop order is fully determined by the (at, from, seq) total order, so
+// swapping the heap shape cannot change which event fires next —
+// simulations stay bit-identical to the binary-heap implementation.
 type eventHeap struct {
 	ev []*event
 }
@@ -18,6 +18,9 @@ type eventHeap struct {
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
+	}
+	if a.from != b.from {
+		return a.from < b.from
 	}
 	return a.seq < b.seq
 }

@@ -33,9 +33,17 @@ import (
 // edge = min(nextEvent) + Lookahead: no message produced inside the window
 // can land inside it. Cross-shard sends buffer in per-(src,dst) mailboxes
 // while a window runs and are drained into the destination heaps at the
-// barrier, sorted by (timestamp, source shard, send order) so the
-// destination sequence numbers — and therefore the simulation — never
-// depend on goroutine scheduling.
+// barrier, sorted by (timestamp, send time, source shard, send order) so
+// the destination sequence numbers — and therefore the simulation — never
+// depend on goroutine scheduling. Each delivery keeps its sender's clock
+// and shard as its scheduling time and origin, so against a local event
+// at the same timestamp it fires after the events scheduled before it was
+// sent and before those scheduled later. A local event scheduled at the
+// same instant as the send goes by shard: a lower shard's delivery fires
+// first, as in merged mode, which is one engine's order when the two
+// senders' histories tie back to the runtime's start, where nodes are
+// built in shard order. Two senders at the same instant whose histories
+// differ earlier can still fire in another order than on one engine.
 //
 // Two coordinator-side execution modes complement the parallel windows:
 //
@@ -92,22 +100,21 @@ type Shards struct {
 	// Telemetry (nil-safe handles; see SetMetrics).
 	metEvents    *metrics.Counter
 	metHeapDepth *metrics.Gauge
-	shardEvents  []*metrics.Counter
-	shardWindows []*metrics.Counter
-	shardWait    []*metrics.FloatCounter
-	lastExec     []uint64
-	finishedAt   []time.Time
-	timed        bool
+	// windows counts the conservative windows each shard actively
+	// executed (see ShardWindows).
+	windows []uint64
 
-	// Job tracing (nil-safe; see SetObs).
-	obs    *obs.Trace
-	obsTID int
+	// Job tracing (nil-safe; see SetObs). finishedAt holds each shard's
+	// host finish time in the current window, for the stall spans.
+	obs        *obs.Trace
+	obsTID     int
+	finishedAt []time.Time
 }
 
 type crossEntry struct {
-	at  Time
-	src int
-	fn  func()
+	at, from Time
+	src      int
+	fn       func()
 }
 
 // mailbox buffers one ordered (src,dst) stream. The pad keeps mailboxes of
@@ -194,8 +201,8 @@ func (h globalHeap) min() (Time, bool) {
 // sender. Lookahead must be positive — a zero-lookahead model cannot make
 // conservative progress.
 func NewShards(n int, lookahead Time) *Shards {
-	if n < 1 {
-		panic(fmt.Sprintf("sim: shard count %d < 1", n))
+	if n < 1 || n > 1<<(64-seqShardShift) {
+		panic(fmt.Sprintf("sim: shard count %d outside [1, %d]", n, 1<<(64-seqShardShift)))
 	}
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: lookahead %v must be positive", lookahead))
@@ -205,10 +212,11 @@ func NewShards(n int, lookahead Time) *Shards {
 		lookahead: lookahead,
 		mail:      make([][]mailbox, n),
 		inWindow:  make([]bool, n),
-		lastExec:  make([]uint64, n),
+		windows:   make([]uint64, n),
 	}
 	for i := range s.engines {
 		s.engines[i] = NewEngine()
+		s.engines[i].shard = uint64(i) << seqShardShift
 		s.mail[i] = make([]mailbox, n)
 	}
 	s.seqPoll = s.Sequential
@@ -257,8 +265,10 @@ func (s *Shards) SetEventLimit(n uint64) {
 	}
 }
 
-// SetMetrics registers the engine-level series on reg and, with more than
-// one shard, per-shard counters (events, windows, barrier wait). Passing
+// SetMetrics registers the engine-level series on reg: events fired and
+// the pending-event heap's high-water mark. Nothing per shard goes into
+// the registry, so a run registers the same series at every shard count;
+// per-shard counts are read with ShardEvents and ShardWindows. Passing
 // nil is a no-op.
 func (s *Shards) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
@@ -269,21 +279,21 @@ func (s *Shards) SetMetrics(reg *metrics.Registry) {
 	for _, e := range s.engines {
 		e.SetMetrics(s.metEvents, s.metHeapDepth)
 	}
-	if len(s.engines) == 1 {
-		return
-	}
-	s.shardEvents = make([]*metrics.Counter, len(s.engines))
-	s.shardWindows = make([]*metrics.Counter, len(s.engines))
-	s.shardWait = make([]*metrics.FloatCounter, len(s.engines))
-	s.finishedAt = make([]time.Time, len(s.engines))
-	s.timed = true
-	for i := range s.engines {
-		lbl := metrics.L("shard", fmt.Sprintf("%d", i))
-		s.shardEvents[i] = reg.Counter("sim_shard_events_total", "Events fired on this shard.", lbl)
-		s.shardWindows[i] = reg.Counter("sim_shard_windows_total", "Conservative windows this shard actively executed.", lbl)
-		s.shardWait[i] = reg.FloatCounter("sim_shard_barrier_wait_seconds_total", "Wall-clock time this shard spent waiting for window barriers.", lbl)
-	}
 }
+
+// ShardEvents reports the events each shard's engine has fired, in shard
+// order (coordinator global events are not on any shard).
+func (s *Shards) ShardEvents() []uint64 {
+	out := make([]uint64, len(s.engines))
+	for i, e := range s.engines {
+		out[i] = e.Executed()
+	}
+	return out
+}
+
+// ShardWindows reports how many conservative windows each shard actively
+// executed, in shard order. One shard never runs a window.
+func (s *Shards) ShardWindows() []uint64 { return slices.Clone(s.windows) }
 
 // SetObs attaches a job trace: each parallel window records a barrier-stall
 // span per shard that finished early enough to matter (>= 1ms of host time
@@ -295,11 +305,7 @@ func (s *Shards) SetObs(tr *obs.Trace, tid int) {
 	}
 	s.obs = tr
 	s.obsTID = tid
-	// Stall spans need per-shard finish times even when metrics are off.
-	if s.finishedAt == nil {
-		s.finishedAt = make([]time.Time, len(s.engines))
-	}
-	s.timed = true
+	s.finishedAt = make([]time.Time, len(s.engines))
 }
 
 // OnBarrier registers fn to run on the coordinator at every window barrier
@@ -342,17 +348,18 @@ func (s *Shards) Sequential() bool { return s.forced || s.seqDemand.Load() > 0 }
 // always a construction-time bug (xnet.New validates the matching
 // invariant), so it panics rather than silently corrupting determinism.
 func (s *Shards) Cross(src, dst int, at Time, fn func()) {
-	if min := s.engines[src].Now() + s.lookahead; at < min {
+	from := s.engines[src].Now()
+	if at < from+s.lookahead {
 		panic(fmt.Sprintf(
 			"sim: cross-shard event at %v violates conservative lookahead (shard %d now %v + lookahead %v)",
-			at, src, s.engines[src].Now(), s.lookahead))
+			at, src, from, s.lookahead))
 	}
 	if !s.parallel {
-		s.engines[dst].At(at, fn)
+		s.engines[dst].atFrom(at, from, uint64(src)<<seqShardShift, fn)
 		return
 	}
 	mb := &s.mail[src][dst]
-	mb.entries = append(mb.entries, crossEntry{at: at, src: src, fn: fn})
+	mb.entries = append(mb.entries, crossEntry{at: at, from: from, src: src, fn: fn})
 }
 
 // GlobalAt schedules fn as a coordinator global event at time t: every
@@ -452,8 +459,8 @@ func (s *Shards) RunUntil(target Time) error {
 }
 
 // drainMail moves buffered cross-shard sends into the destination heaps in
-// canonical (timestamp, source shard, send order) order. Coordinator only,
-// with no window in flight.
+// canonical (timestamp, send time, source shard, send order) order.
+// Coordinator only, with no window in flight.
 func (s *Shards) drainMail() {
 	for dst := range s.engines {
 		buf := s.injectScratch[:0]
@@ -468,18 +475,21 @@ func (s *Shards) drainMail() {
 		}
 		slices.SortStableFunc(buf, crossOrder)
 		for i := range buf {
-			s.engines[dst].At(buf[i].at, buf[i].fn)
+			s.engines[dst].atFrom(buf[i].at, buf[i].from, uint64(buf[i].src)<<seqShardShift, buf[i].fn)
 		}
 		clear(buf)
 		s.injectScratch = buf[:0]
 	}
 }
 
-// crossOrder orders drained mail by (timestamp, source shard); the stable
-// sort keeps each source's send order. A plain function, not a closure, so
-// sorting a window's mail allocates nothing.
+// crossOrder orders drained mail by (timestamp, send time, source shard);
+// the stable sort keeps each source's send order. A plain function, not a
+// closure, so sorting a window's mail allocates nothing.
 func crossOrder(a, b crossEntry) int {
 	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.from, b.from); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.src, b.src)
@@ -579,9 +589,13 @@ func (s *Shards) window(edge Time) error {
 			e.AdvanceTo(edge)
 		}
 	}
-	defer s.accountWindow(edge)
 	if active == 0 {
 		return nil
+	}
+	for i, busy := range s.inWindow {
+		if busy {
+			s.windows[i]++
+		}
 	}
 	if active == 1 {
 		// Single busy shard: no concurrency to exploit; Cross falls back to
@@ -603,7 +617,7 @@ func (s *Shards) window(edge Time) error {
 		if d.err != nil && d.shard < errShard {
 			err, errShard = d.err, d.shard
 		}
-		if s.timed {
+		if s.obs != nil {
 			s.finishedAt[d.shard] = d.at
 			if d.at.After(lastDone) {
 				lastDone = d.at
@@ -611,42 +625,23 @@ func (s *Shards) window(edge Time) error {
 		}
 	}
 	s.parallel = false
-	if s.timed {
+	if s.obs != nil {
 		for i := range s.engines {
 			if !s.inWindow[i] {
 				continue
 			}
 			stall := lastDone.Sub(s.finishedAt[i])
-			if s.shardWait != nil {
-				s.shardWait[i].Add(stall.Seconds())
-			}
 			// Only material stalls become spans: every window stalls all but
 			// the slowest shard by a few microseconds, and recording those
 			// would exhaust the span budget without telling the reader
 			// anything. 1ms of host time is already an outlier barrier.
-			if s.obs != nil && stall >= time.Millisecond {
+			if stall >= time.Millisecond {
 				s.obs.AddNow(obs.CatBarrier, "window-stall", s.obsTID, stall,
 					"shard", i, "virtual_t", float64(edge))
 			}
 		}
 	}
 	return err
-}
-
-// accountWindow updates the per-shard telemetry after a window.
-func (s *Shards) accountWindow(edge Time) {
-	if s.shardEvents == nil {
-		return
-	}
-	for i, e := range s.engines {
-		if n := e.Executed(); n != s.lastExec[i] {
-			s.shardEvents[i].Add(n - s.lastExec[i])
-			s.lastExec[i] = n
-		}
-		if s.inWindow[i] {
-			s.shardWindows[i].Inc()
-		}
-	}
 }
 
 func (s *Shards) startWorkers() {
@@ -667,7 +662,7 @@ func (s *Shards) worker(i int) {
 	for edge := range s.cmd[i] {
 		err := e.runUntil(edge, s.seqPoll)
 		var at time.Time
-		if s.timed {
+		if s.obs != nil {
 			at = time.Now()
 		}
 		s.done <- workerDone{shard: i, err: err, at: at}

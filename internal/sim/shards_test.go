@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+
+	"cloudlb/internal/metrics"
 )
 
 // shardTrace is a concurrency-safe observation log for shard tests. Real
@@ -269,7 +272,7 @@ func TestNewShardsValidation(t *testing.T) {
 	for _, c := range []struct {
 		n    int
 		look Time
-	}{{0, 1}, {-1, 1}, {2, 0}, {2, -0.5}} {
+	}{{0, 1}, {-1, 1}, {1<<16 + 1, 1}, {2, 0}, {2, -0.5}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -278,5 +281,84 @@ func TestNewShardsValidation(t *testing.T) {
 			}()
 			NewShards(c.n, c.look)
 		}()
+	}
+}
+
+// sameInstantArrivals schedules four deliveries to node 1 that all land
+// at t = 2: A sent from node 0 at 0.5, B scheduled on node 1 at 0.5, C on
+// node 1 at 0.7 and D sent from node 0 at 0.9, with node i on shard
+// min(i, n-1). It returns the order they fire in. The senders are built
+// in node order, as the runtime builds its PEs.
+func sameInstantArrivals(t *testing.T, n int) string {
+	t.Helper()
+	s := NewShards(n, 1)
+	defer s.Close()
+	src, dst := 0, min(1, n-1)
+	var order []string // appended on dst's engine only
+	deliver := func(name string) func() { return func() { order = append(order, name) } }
+	send := func(at Time, name string) {
+		s.Engine(src).At(at, func() { s.Cross(src, dst, 2, deliver(name)) })
+	}
+	local := func(at Time, name string) {
+		e := s.Engine(dst)
+		e.At(at, func() { e.At(2, deliver(name)) })
+	}
+	send(0.5, "A")
+	local(0.5, "B")
+	local(0.7, "C")
+	send(0.9, "D")
+	if err := s.RunUntil(3); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(order, "")
+}
+
+// TestCrossDeliveryKeepsOneEngineOrder asserts that deliveries which tie
+// local events' timestamp fire in one engine's order at two shards: by
+// send time, and at the same send time the lower shard first. Sequence
+// numbers taken at the barrier alone would fire the local events first
+// (BCAD).
+func TestCrossDeliveryKeepsOneEngineOrder(t *testing.T) {
+	want := sameInstantArrivals(t, 1)
+	if want != "ABCD" {
+		t.Fatalf("one engine fired %s, want ABCD", want)
+	}
+	if got := sameInstantArrivals(t, 2); got != want {
+		t.Errorf("two shards fired %s, one engine %s", got, want)
+	}
+}
+
+// TestShardsRegisterEngineSeriesOnly asserts that a multi-shard scheduler
+// registers the same two series as one shard, so a run's registry has the
+// same shape at every shard count, and that the per-shard counts the
+// registry no longer holds come from ShardEvents and ShardWindows.
+func TestShardsRegisterEngineSeriesOnly(t *testing.T) {
+	s := NewShards(2, 0.05)
+	defer s.Close()
+	reg := metrics.NewRegistry()
+	s.SetMetrics(reg)
+	for i := 0; i < 2; i++ {
+		e := s.Engine(i)
+		for k := 1; k <= 3+i; k++ {
+			e.At(Time(k)*0.1, func() {})
+		}
+	}
+	if err := s.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, sr := range reg.Gather().Series {
+		names = append(names, sr.Name)
+	}
+	if fmt.Sprint(names) != "[sim_event_heap_depth_max sim_events_total]" {
+		t.Errorf("two shards registered %v, want the engine's two series", names)
+	}
+	if got := fmt.Sprint(s.ShardEvents()); got != "[3 4]" {
+		t.Errorf("ShardEvents = %s, want [3 4]", got)
+	}
+	// Each event is 0.1 s from the next, twice the lookahead, so each
+	// has a window of its own.
+	if got := fmt.Sprint(s.ShardWindows()); got != "[3 4]" {
+		t.Errorf("ShardWindows = %s, want [3 4]", got)
 	}
 }
