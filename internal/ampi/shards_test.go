@@ -6,59 +6,80 @@ import (
 	"cloudlb/internal/charm"
 	"cloudlb/internal/core"
 	"cloudlb/internal/interfere"
+	"cloudlb/internal/lb"
 	"cloudlb/internal/machine"
 	"cloudlb/internal/sim"
 	"cloudlb/internal/xnet"
 )
 
 // TestAllReduceAfterMigrateSyncAnyShardCount runs a ring that reduces
-// right before every MigrateSync, under a hog that makes RefineLB move
-// ranks, at one and two shards. A reduction counts contributions against
-// per-subtree element memos; they must be recomputed from the placements
-// the LB step left behind, whichever PE resumes last. A stale memo makes
-// the next AllReduce wait forever.
+// right before every MigrateSync and again right after it resumes, under
+// a hog that makes the balancer move ranks, at one and two shards, under
+// the flat gather, the tree gather and DiffusionLB. A reduction counts
+// contributions against per-subtree element memos; they must be
+// recomputed from the placements the LB step left behind before the
+// resume wave runs, in parallel windows, into the next reduction. A stale
+// memo makes an AllReduce wait forever.
 func TestAllReduceAfterMigrateSyncAnyShardCount(t *testing.T) {
-	run := func(shards int) sim.Time {
-		netCfg := xnet.DefaultConfig()
-		sh := sim.NewShards(shards, sim.Time(netCfg.MinInterNodeLatency(2)))
-		defer sh.Close()
-		m := machine.NewSharded(sh, machine.Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
-		rts := charm.NewRTS(charm.Config{
-			Machine: m, Net: xnet.New(m, netCfg), Cores: []int{0, 1, 2, 3},
-			Strategy: &core.RefineLB{EpsilonFrac: 0.05},
-		})
-		interfere.StartHog(m, interfere.HogConfig{Core: 3, Start: 0.2})
-		const ranks = 64
-		New(rts, "ring", ranks, func(r *Rank) {
-			left, right := (r.Rank()+ranks-1)%ranks, (r.Rank()+1)%ranks
-			val := float64(r.Rank())
-			for iter := 0; iter < 50; iter++ {
-				r.Charge(0.002)
-				r.Send(left, val, 4096)
-				r.Send(right, val, 4096)
-				val = (r.Recv(left).(float64) + r.Recv(right).(float64) + val) / 3
-				if iter%10 == 9 {
-					r.AllReduce(val, charm.ReduceMax)
-					r.MigrateSync()
-				}
+	refine := func() core.Strategy { return &core.RefineLB{EpsilonFrac: 0.05} }
+	for _, tc := range []struct {
+		name     string
+		strategy func() core.Strategy
+		hier     bool
+	}{
+		{"flat", refine, false},
+		{"tree", refine, true},
+		{"diffusion", func() core.Strategy { return &lb.DiffusionLB{} }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			one := allReduceRing(t, 1, tc.strategy(), tc.hier)
+			if two := allReduceRing(t, 2, tc.strategy(), tc.hier); two != one {
+				t.Errorf("finish at %v on two shards, %v on one", two, one)
 			}
 		})
-		rts.Start()
-		for !rts.Finished() && sh.Now() < 200 {
-			if err := sh.RunUntil(sh.Now() + 1); err != nil {
-				t.Fatal(err)
+	}
+}
+
+// allReduceRing runs the ring on the given shard count and returns its
+// finish time.
+func allReduceRing(t *testing.T, shards int, strategy core.Strategy, hier bool) sim.Time {
+	t.Helper()
+	netCfg := xnet.DefaultConfig()
+	sh := sim.NewShards(shards, sim.Time(netCfg.MinInterNodeLatency(2)))
+	defer sh.Close()
+	m := machine.NewSharded(sh, machine.Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
+	rts := charm.NewRTS(charm.Config{
+		Machine: m, Net: xnet.New(m, netCfg), Cores: []int{0, 1, 2, 3},
+		Strategy: strategy, HierarchicalLB: hier,
+	})
+	interfere.StartHog(m, interfere.HogConfig{Core: 3, Start: 0.2})
+	const ranks = 64
+	New(rts, "ring", ranks, func(r *Rank) {
+		left, right := (r.Rank()+ranks-1)%ranks, (r.Rank()+1)%ranks
+		val := float64(r.Rank())
+		for iter := 0; iter < 50; iter++ {
+			r.Charge(0.002)
+			r.Send(left, val, 4096)
+			r.Send(right, val, 4096)
+			val = (r.Recv(left).(float64) + r.Recv(right).(float64) + val) / 3
+			if iter%10 == 9 {
+				r.AllReduce(val, charm.ReduceMax)
+				r.MigrateSync()
+				val = r.AllReduce(val, charm.ReduceSum) / ranks
 			}
 		}
-		if !rts.Finished() {
-			t.Fatalf("%d shards: ring did not finish by t=200", shards)
+	})
+	rts.Start()
+	for !rts.Finished() && sh.Now() < 200 {
+		if err := sh.RunUntil(sh.Now() + 1); err != nil {
+			t.Fatal(err)
 		}
-		if rts.Migrations() == 0 {
-			t.Fatalf("%d shards: no rank migrated; the LB steps prove nothing", shards)
-		}
-		return rts.FinishTime()
 	}
-	one := run(1)
-	if two := run(2); two != one {
-		t.Errorf("finish at %v on two shards, %v on one", two, one)
+	if !rts.Finished() {
+		t.Fatalf("%d shards: ring did not finish by t=200", shards)
 	}
+	if rts.Migrations() == 0 {
+		t.Fatalf("%d shards: no rank migrated; the LB steps prove nothing", shards)
+	}
+	return rts.FinishTime()
 }

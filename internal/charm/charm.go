@@ -177,10 +177,10 @@ type RTS struct {
 	eng *sim.Engine
 	// sh is the scheduler driving the machine. Every PE's events run on
 	// its core's shard engine, and the runtime splits its hot-path mutable
-	// state (message pools, in-flight counters, Done marks) per shard so
-	// parallel windows never contend; the AtSync/LB protocol and quiescence
-	// detection raise sequential demand, so their cross-shard handlers only
-	// ever run merged on the coordinator.
+	// state (message pools, Done marks) per shard so parallel windows never
+	// contend; an LB step raises sequential demand from a PE's sync until
+	// its placements are final (stepDone), so the step's cross-shard
+	// handlers only ever run merged on the coordinator.
 	sh   *sim.Shards
 	pes  []*pe
 	name string
@@ -209,20 +209,9 @@ type RTS struct {
 	dist    core.DistributedStrategy
 	distNbr [][]int
 
-	// Quiescence detection state. netInflight counts in-flight runtime
-	// messages in one slot per shard: the send side increments the source
-	// shard's slot and the delivery side decrements the destination's, so
-	// each slot is only ever touched by code executing on its own shard
-	// and a slot can go transiently negative — only the sum is
-	// meaningful, and it is only read in sequential context (StartQD pins
-	// the run merged until its waiters fire).
-	netInflight []inflightCount
-	qdWaiters   []func()
-
 	// Counters exposed for experiments.
 	lbSteps    int
 	migrations int
-	lbWall     sim.Time
 
 	// Elasticity state: revocations/restores deferred past an in-flight
 	// LB step, and the emergency-evacuation counter.
@@ -298,16 +287,9 @@ type chareArray struct {
 // byID orders records by chare ID, the roster order.
 func byID(a, b *chareRec) int { return a.id.Compare(b.id) }
 
-// inflightCount is one shard's in-flight message counter. The pad keeps
-// adjacent shards' slots off each other's cache lines: both the send and
-// the delivery path touch a slot for every application message.
-type inflightCount struct {
-	n int
-	_ [56]byte
-}
-
-// msgPool is one shard's free list of message envelopes, padded like
-// inflightCount — newAppMsg and deliver hit it once per message.
+// msgPool is one shard's free list of message envelopes. The pad keeps
+// adjacent shards' pools off each other's cache lines: newAppMsg and
+// deliver hit a pool once per message.
 type msgPool struct {
 	free []*appMsg
 	_    [40]byte
@@ -356,7 +338,6 @@ func NewRTS(cfg Config) *RTS {
 	}
 	shards := r.sh.NumShards()
 	r.msgFree = make([]msgPool, shards)
-	r.netInflight = make([]inflightCount, shards)
 	r.shardDone = make([]shardDoneState, shards)
 	r.sh.OnBarrier(r.consolidate)
 	r.outsScratch = make([][]core.Move, len(r.pes))
@@ -478,9 +459,8 @@ func (r *RTS) Start() {
 // parallel-window paths (reduction folds, hierarchical activation) only
 // ever read them; a lazy fill from a shard worker would race with sibling
 // shards recursing through the same entries. Called from coordinator
-// context whenever placements may have changed and parallel windows are
-// about to resume: at Start and when the last sequential-demand holder
-// (LB resume, quiescence waiter) releases.
+// context before parallel windows can run on new placements: at Start and
+// by stepDone, once an LB step's placements are final.
 func (r *RTS) primeMemos() {
 	for _, p := range r.pes {
 		r.treeChildren(p.index)
@@ -561,9 +541,15 @@ func (r *RTS) LBSteps() int { return r.lbSteps }
 func (r *RTS) Migrations() int { return r.migrations }
 
 // LBWallTime reports the cumulative wall time all PEs spent synchronized
-// inside LB steps (sync entry to resume), averaged over PEs.
+// inside LB steps (sync entry to resume), averaged over PEs. Each PE keeps
+// its own sum, since PEs resume in parallel windows; they add up in PE
+// order, so the value is the same at every shard count.
 func (r *RTS) LBWallTime() sim.Time {
-	return r.lbWall / sim.Time(len(r.pes))
+	var total sim.Time
+	for _, p := range r.pes {
+		total += p.lbWall
+	}
+	return total / sim.Time(len(r.pes))
 }
 
 func (r *RTS) chareDone(p *pe, rec *chareRec) {
@@ -619,7 +605,6 @@ func (m *appMsg) deliver() {
 	r := m.rts
 	to, data, bytes, dstPE := m.to, m.data, m.bytes, m.dstPE
 	dst := r.pes[dstPE]
-	r.netInflight[dst.shard].n--
 	m.data = nil
 	pool := &r.msgFree[dst.shard].free
 	*pool = append(*pool, m)
@@ -638,15 +623,12 @@ func (m *appMsg) deliver() {
 // interconnect when it lives on another PE, or via the intra-node path for
 // local delivery (a real RTS enqueues locally; the intra-node latency
 // stands in for that queueing cost). It runs in the sending PE's shard
-// context and touches only that shard's pool and in-flight slot.
+// context and touches only that shard's pool.
 func (r *RTS) send(fromPE int, to *chareRec, data interface{}, bytes int) {
 	dstPE := to.loc
 	src := r.pes[fromPE]
 	m := r.newAppMsg(src.shard)
 	m.to, m.data, m.bytes, m.dstPE = to, data, bytes, dstPE
 	r.met.msgsSent.Inc()
-	// In-flight accounting as in netSend, folded into the envelope so
-	// quiescence detection still sees every application message.
-	r.netInflight[src.shard].n++
 	r.cfg.Net.Send(src.core.ID, r.pes[dstPE].core.ID, bytes, m.fn)
 }

@@ -111,7 +111,7 @@ func (p *pe) distEnterSync() {
 
 	load, bg, pe := d.planner.Summary().Load, st.bg, p.index
 	master := r.pes[0]
-	r.netSend(p.core.ID, master.core.ID, syncDoneBytes, func() {
+	r.cfg.Net.Send(p.core.ID, master.core.ID, syncDoneBytes, func() {
 		master.enqueueSys(func() { r.distMasterReady(pe, load, bg) })
 	})
 }
@@ -132,7 +132,7 @@ func (p *pe) diffCast(round int, finish bool) {
 	r := p.rts
 	for _, ci := range r.treeChildren(p.index) {
 		child := r.pes[ci]
-		r.netSend(p.core.ID, child.core.ID, diffCastBytes, func() {
+		r.cfg.Net.Send(p.core.ID, child.core.ID, diffCastBytes, func() {
 			child.enqueueSys(func() { child.diffCast(round, finish) })
 		})
 	}
@@ -165,7 +165,7 @@ func (p *pe) diffBeginRound(round int) {
 	for _, ni := range nbr {
 		q := r.pes[ni]
 		back := slotIn(r.distNbr[ni], p.index)
-		r.netSend(p.core.ID, q.core.ID, statsMsgBase, func() {
+		r.cfg.Net.Send(p.core.ID, q.core.ID, statsMsgBase, func() {
 			q.enqueueSys(func() { q.diffOnSummary(back, sum) })
 		})
 	}
@@ -245,7 +245,7 @@ func (p *pe) diffSendTransfers(transfers []core.Transfer) {
 		q := r.pes[ni]
 		back := slotIn(r.distNbr[ni], p.index)
 		tasks := byslot[slot]
-		r.netSend(p.core.ID, q.core.ID, orderMsgBase+perMoveBytes*len(tasks), func() {
+		r.cfg.Net.Send(p.core.ID, q.core.ID, orderMsgBase+perMoveBytes*len(tasks), func() {
 			q.enqueueSys(func() { q.diffOnAnnounce(back, tasks) })
 		})
 	}
@@ -275,7 +275,7 @@ func (p *pe) diffSendTransfers(transfers []core.Transfer) {
 		for _, s := range p.shipScratch {
 			s := s
 			dst := r.pes[s.to]
-			r.netSend(p.core.ID, dst.core.ID, s.bytes+migrateHeader, func() {
+			r.cfg.Net.Send(p.core.ID, dst.core.ID, s.bytes+migrateHeader, func() {
 				dst.enqueueSys(func() { dst.diffReceiveMigrant(s.rec, s.bytes) })
 			})
 		}
@@ -362,7 +362,7 @@ func (p *pe) diffMaybeFinishRound() {
 		pp := r.pes[parent]
 		slot := slotIn(r.treeChildren(parent), p.index)
 		s := sample
-		r.netSend(p.core.ID, pp.core.ID, diffTermBytes, func() {
+		r.cfg.Net.Send(p.core.ID, pp.core.ID, diffTermBytes, func() {
 			pp.enqueueSys(func() { pp.diffOnChildSample(slot, s) })
 		})
 		return

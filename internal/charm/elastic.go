@@ -162,7 +162,10 @@ func (r *RTS) lbBusy() bool {
 }
 
 // drainElastic applies deferred revocations/restores; the last PE to
-// resume from an LB step calls it.
+// resume from an LB step calls it. Every PE calls it from onResume, which
+// may run in a parallel window, so the length check comes first: an op is
+// only ever queued after RevokePE or RestorePE pinned the run merged
+// (ForceSequential), and only then does lbBusy read every PE's state.
 func (r *RTS) drainElastic() {
 	if len(r.pendingElastic) == 0 || r.lbBusy() {
 		return
@@ -210,7 +213,7 @@ func (r *RTS) evacuatePE(p *pe) {
 		r.met.evacuations.Inc()
 		d := r.pes[dst]
 		bytes := rec.obj.PackSize()
-		r.netSend(p.core.ID, d.core.ID, bytes+migrateHeader, func() {
+		r.cfg.Net.Send(p.core.ID, d.core.ID, bytes+migrateHeader, func() {
 			d.enqueueSys(func() { d.receiveEvacuee(rec, bytes) })
 		})
 	}
@@ -262,7 +265,7 @@ func (p *pe) receiveEvacuee(rec *chareRec, bytes int) {
 		dst := r.pickEvacDest(p.index, pending)
 		rec.loc = dst
 		d := r.pes[dst]
-		r.netSend(p.core.ID, d.core.ID, bytes+migrateHeader, func() {
+		r.cfg.Net.Send(p.core.ID, d.core.ID, bytes+migrateHeader, func() {
 			d.enqueueSys(func() { d.receiveEvacuee(rec, bytes) })
 		})
 		return

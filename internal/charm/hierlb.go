@@ -99,7 +99,7 @@ func (p *pe) hierActivate() {
 	for _, ci := range p.rts.treeChildren(p.index) {
 		child := p.rts.pes[ci]
 		if child.subtreeChareTotal() == 0 {
-			p.rts.netSend(p.core.ID, child.core.ID, probeBytes, func() {
+			p.rts.cfg.Net.Send(p.core.ID, child.core.ID, probeBytes, func() {
 				child.enqueueSys(child.hierOnProbe)
 			})
 		}
@@ -165,7 +165,7 @@ func (p *pe) hierMaybeForward() {
 	}
 	bytes := statsMsgBase + p.rts.cfg.StatsBytesPerTask*tasks + 16*len(reports)
 	pp := p.rts.pes[parent]
-	p.rts.netSend(p.core.ID, pp.core.ID, bytes, func() {
+	p.rts.cfg.Net.Send(p.core.ID, pp.core.ID, bytes, func() {
 		pp.enqueueSys(func() { pp.hierOnChildStats(p.index, reports) })
 	})
 }
@@ -218,7 +218,7 @@ func (p *pe) hierApplyOrders(orders []hierOrder) {
 			moves += len(o.order)
 		}
 		bytes := orderMsgBase + perMoveBytes*moves + 16*len(bundle)
-		p.rts.netSend(p.core.ID, child.core.ID, bytes, func() {
+		p.rts.cfg.Net.Send(p.core.ID, child.core.ID, bytes, func() {
 			child.enqueueSys(func() { child.hierApplyOrders(bundle) })
 		})
 	}
@@ -262,7 +262,7 @@ func (p *pe) hierMaybeSyncDone() {
 		return
 	}
 	pp := p.rts.pes[parent]
-	p.rts.netSend(p.core.ID, pp.core.ID, syncDoneBytes, func() {
+	p.rts.cfg.Net.Send(p.core.ID, pp.core.ID, syncDoneBytes, func() {
 		pp.enqueueSys(func() {
 			pp.hier.childDone[p.index] = true
 			pp.hierMaybeSyncDone()
@@ -275,7 +275,7 @@ func (p *pe) hierMaybeSyncDone() {
 func (p *pe) hierResume() {
 	for _, ci := range p.rts.treeChildren(p.index) {
 		child := p.rts.pes[ci]
-		p.rts.netSend(p.core.ID, child.core.ID, resumeMsgBase, func() {
+		p.rts.cfg.Net.Send(p.core.ID, child.core.ID, resumeMsgBase, func() {
 			child.enqueueSys(child.hierResume)
 		})
 	}

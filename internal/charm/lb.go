@@ -167,7 +167,7 @@ func (p *pe) sendStats() {
 	st := p.measureStats()
 	bytes := statsMsgBase + p.rts.cfg.StatsBytesPerTask*len(st.tasks)
 	master := p.rts.pes[0]
-	p.rts.netSend(p.core.ID, master.core.ID, bytes, func() {
+	p.rts.cfg.Net.Send(p.core.ID, master.core.ID, bytes, func() {
 		master.enqueueSys(func() { p.rts.masterStats(st) })
 	})
 }
@@ -256,7 +256,7 @@ func (r *RTS) nonEmptyPEs() int {
 
 func (r *RTS) probeEmpty(p *pe) {
 	master := r.pes[0]
-	r.netSend(master.core.ID, p.core.ID, probeBytes, func() {
+	r.cfg.Net.Send(master.core.ID, p.core.ID, probeBytes, func() {
 		p.enqueueSys(func() { p.syncReport() })
 	})
 }
@@ -342,7 +342,7 @@ func (r *RTS) masterPlan() {
 		order := outs[p.index]
 		expect := ins[p.index]
 		bytes := orderMsgBase + perMoveBytes*len(order)
-		r.netSend(master.core.ID, p.core.ID, bytes, func() {
+		r.cfg.Net.Send(master.core.ID, p.core.ID, bytes, func() {
 			p.enqueueSys(func() { p.onOrder(order, expect) })
 		})
 	}
@@ -373,7 +373,7 @@ func (p *pe) onOrder(order []core.Move, expect int) {
 		for _, s := range p.shipScratch {
 			s := s
 			dst := p.rts.pes[s.to]
-			p.rts.netSend(p.core.ID, dst.core.ID, s.bytes+migrateHeader, func() {
+			p.rts.cfg.Net.Send(p.core.ID, dst.core.ID, s.bytes+migrateHeader, func() {
 				dst.enqueueSys(func() { dst.receiveMigrant(s.rec, s.bytes) })
 			})
 		}
@@ -411,7 +411,7 @@ func (p *pe) maybeSyncDone() {
 		return
 	}
 	master := p.rts.pes[0]
-	p.rts.netSend(p.core.ID, master.core.ID, syncDoneBytes, func() {
+	p.rts.cfg.Net.Send(p.core.ID, master.core.ID, syncDoneBytes, func() {
 		master.enqueueSys(func() { p.rts.masterSyncDone() })
 	})
 }
@@ -428,19 +428,19 @@ func (r *RTS) masterSyncDone() {
 	bytes := resumeMsgBase + perMoveBytes*len(lb.moves)
 	for _, p := range r.pes {
 		p := p
-		r.netSend(master.core.ID, p.core.ID, bytes, func() {
+		r.cfg.Net.Send(master.core.ID, p.core.ID, bytes, func() {
 			p.enqueueSys(func() { p.onResume() })
 		})
 	}
 }
 
 // stepDone closes a completed LB step and publishes its record. Every
-// protocol calls it once, when the step's last migrant is installed and
-// before the resume wave. The placements are final here, so every PE's
-// subtree memos are dropped at once: a PE that resumes later must not
-// leave a stale memo for primeMemos (run by the last sequential-demand
-// holder to resume) or a sibling's lazy fill to fold into its parents'
-// counts.
+// protocol calls it once, merged on the coordinator, when the step's last
+// migrant is installed and before the resume wave. The placements are
+// final here, so every PE's subtree memos are recomputed at once, and
+// every PE's unit of sequential demand is released: the resume wave and
+// the next iteration read only their own PE's state and the primed memos,
+// so they run in parallel windows (DESIGN §10 lists the handlers).
 func (r *RTS) stepDone() {
 	for _, p := range r.pes {
 		clear(p.subtreeMemo)
@@ -454,12 +454,19 @@ func (r *RTS) stepDone() {
 	if r.onLBStep != nil {
 		r.onLBStep()
 	}
+	for _, p := range r.pes {
+		if p.seqHeld {
+			p.seqHeld = false
+			r.sh.ReleaseSequential()
+		}
+	}
+	r.primeMemos()
 }
 
 // onResume closes the LB step on this PE and restarts its chares.
 func (p *pe) onResume() {
 	now := p.eng.Now()
-	p.rts.lbWall += now - p.syncAt
+	p.lbWall += now - p.syncAt
 	if rec := p.rts.cfg.Trace; rec != nil {
 		rec.Add(trace.Segment{
 			Core: p.core.ID, Start: p.syncAt, End: now, Kind: trace.KindLB, Label: "lb-step",

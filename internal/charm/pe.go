@@ -43,6 +43,10 @@ type pe struct {
 	sysQ    []func()
 
 	running bool // an entry method (or pack/unpack burst) is in flight
+	// applying is set while afterEntry applies an entry's effects: they
+	// are read from the PE's one Ctx, so the pump starts nothing until
+	// they are applied (see afterEntry).
+	applying bool
 
 	// In-flight entry state, valid while running. Kept on the PE (entries
 	// are strictly sequential per PE) so completion needs no per-entry
@@ -63,9 +67,13 @@ type pe struct {
 	intervalAt sim.Time // start of the interval (last resume)
 	idleAtLB   sim.Time // core idle reading at interval start
 
-	// AtSync state.
+	// AtSync state. seqHeld marks the unit of sequential demand markInSync
+	// raised and stepDone (or, failing that, exitSync) releases. lbWall
+	// sums this PE's sync-to-resume spans (see RTS.LBWallTime).
 	inSync    bool
+	seqHeld   bool
 	syncAt    sim.Time
+	lbWall    sim.Time
 	orderSeen bool
 	expectIn  int
 	arrivedIn int
@@ -161,28 +169,25 @@ func (p *pe) resetLoadDB() {
 
 // markInSync flips this PE into the synchronized state. It also raises one
 // unit of sequential demand: from the next event on this shard (and the
-// next barrier globally) until the matching resume, the coordinator
-// executes everything in global timestamp order, because the LB step's
-// master-side handlers read state on every shard.
+// next barrier globally) until the step's placements are final, the
+// coordinator executes everything merged, because the LB step's
+// master-side handlers read state on every shard. stepDone releases it.
 func (p *pe) markInSync() {
 	p.inSync = true
 	p.syncAt = p.eng.Now()
+	p.seqHeld = true
 	p.rts.sh.RequireSequential()
 }
 
-// exitSync leaves the synchronized state, releasing the demand markInSync
-// raised. When the last holder releases (no LB step or quiescence wait
-// outstanding anywhere), placements are final again and the reduction
-// memos are re-primed before parallel windows resume.
+// exitSync leaves the synchronized state as the PE resumes. stepDone has
+// already released the PE's unit of sequential demand and re-primed the
+// reduction memos; a unit still held here is released, so no path can
+// leave the run merged for good.
 func (p *pe) exitSync() {
-	if !p.inSync {
-		return
-	}
 	p.inSync = false
-	sh := p.rts.sh
-	sh.ReleaseSequential()
-	if !sh.Sequential() {
-		p.rts.primeMemos()
+	if p.seqHeld {
+		p.seqHeld = false
+		p.rts.sh.ReleaseSequential()
 	}
 }
 
@@ -238,13 +243,15 @@ func (p *pe) holds(rec *chareRec) bool { return rec.host == p.index && rec.synce
 // its post-sync ghost edges after Resume). Held messages keep their
 // relative order.
 func (p *pe) pump() {
+	if p.applying {
+		return
+	}
 	for !p.running && len(p.sysQ) > 0 {
 		fn := p.sysQ[0]
 		p.sysQ = p.sysQ[1:]
 		fn()
 	}
 	if p.running || p.inSync || p.retired || p.appQueued() == 0 {
-		p.rts.maybeQuiesce()
 		return
 	}
 	q := p.appQ[p.appHead:]
@@ -256,7 +263,6 @@ func (p *pe) pump() {
 		}
 	}
 	if idx < 0 {
-		p.rts.maybeQuiesce()
 		return
 	}
 	d := q[idx]
@@ -326,9 +332,13 @@ func (p *pe) onEntryDone() {
 // afterEntry applies the effects an entry method produced: outgoing
 // messages, reduction contributions, completion, and AtSync. Each send
 // resolves its destination's record once; the envelope carries it from
-// there on.
+// there on. A contribution that completes a reduction at the root
+// delivers the result to this PE at once, and the pump must not start
+// work before the effects are applied: the next entry would reuse the Ctx
+// they are read from. onEntryDone's pump runs it right after.
 func (p *pe) afterEntry(ctx *Ctx) {
 	r := p.rts
+	p.applying = true
 	for _, m := range ctx.sends {
 		to := r.record(m.to)
 		if to == nil {
@@ -353,6 +363,7 @@ func (p *pe) afterEntry(ctx *Ctx) {
 		self.synced = true
 		p.maybeEnterSync(self)
 	}
+	p.applying = false
 }
 
 // runBurst charges a CPU burst (e.g. pack/unpack work) to the PE thread

@@ -172,7 +172,7 @@ func (p *pe) foldReduction(k redKey, val float64, op ReduceOp, count int) {
 	}
 	pp := p.rts.pes[parent]
 	val, op, cnt := acc.value, acc.op, acc.count
-	p.rts.netSend(p.core.ID, pp.core.ID, contribMsgBytes, func() {
+	p.rts.cfg.Net.Send(p.core.ID, pp.core.ID, contribMsgBytes, func() {
 		pp.enqueueSys(func() { pp.foldReduction(k, val, op, cnt) })
 	})
 }
@@ -188,7 +188,7 @@ func (r *RTS) completeReduction(k redKey, result ReductionResult) {
 func (p *pe) deliverReduction(k redKey, res ReductionResult) {
 	for _, ci := range p.rts.treeChildren(p.index) {
 		child := p.rts.pes[ci]
-		p.rts.netSend(p.core.ID, child.core.ID, resultMsgBytes, func() {
+		p.rts.cfg.Net.Send(p.core.ID, child.core.ID, resultMsgBytes, func() {
 			child.enqueueSys(func() { child.deliverReduction(k, res) })
 		})
 	}

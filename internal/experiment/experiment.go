@@ -555,6 +555,7 @@ func Run(s Scenario) Result {
 	res.Events = sh.Executed()
 	driveSpan.End("events", res.Events, "shards", sh.NumShards(),
 		"shard_events", sh.ShardEvents(), "shard_windows", sh.ShardWindows(),
+		"merged_events", sh.MergedEvents(),
 		"virtual_s", finiteOrZero(res.AppWall), "lb_steps", res.LBSteps)
 	return res
 }

@@ -209,11 +209,17 @@ func TestPoolMetrics(t *testing.T) {
 // gives it the idle worker as a second shard, and its Result and trace
 // equal a Shards: 1 run's; with a registry it stays on one shard, and its
 // snapshot, less the host-time series, equals a Shards: 1 run's byte for
-// byte. Either way the caller's batch keeps its Shards.
+// byte. Either way the caller's batch keeps its Shards. On two shards the
+// coordinator runs at most a fifth of the events merged: an LB step holds
+// the run sequential only until its placements are final, so the resume
+// wave and the next iteration run in parallel windows (a step held until
+// the last PE resumed ran 24.7% merged).
 func TestPoolShardsLoneLargeScenario(t *testing.T) {
 	pool := &Pool{Workers: 2}
 	type outcome struct {
 		shards any
+		events uint64
+		merged uint64
 		res    string
 		segs   []trace.Segment
 		snap   []byte
@@ -239,6 +245,11 @@ func TestPoolShardsLoneLargeScenario(t *testing.T) {
 		for _, sp := range tr.Spans() {
 			if sp.Cat == obs.CatSim && sp.Name == "sim-drive" {
 				o.shards = sp.Args["shards"]
+				o.events, _ = sp.Args["events"].(uint64)
+				var ok bool
+				if o.merged, ok = sp.Args["merged_events"].(uint64); !ok {
+					t.Errorf("sim-drive span args %v carry no merged_events count", sp.Args)
+				}
 			}
 		}
 		if reg != nil {
@@ -269,6 +280,12 @@ func TestPoolShardsLoneLargeScenario(t *testing.T) {
 	}
 	if !slices.Equal(pooled.segs, one.segs) {
 		t.Errorf("trace differs from one shard (%d segments, want %d)", len(pooled.segs), len(one.segs))
+	}
+	if pooled.events == 0 || 5*pooled.merged > pooled.events {
+		t.Errorf("%d of %d events ran merged on two shards, want at most a fifth", pooled.merged, pooled.events)
+	}
+	if one.merged != 0 {
+		t.Errorf("one shard ran %d events merged, want 0", one.merged)
 	}
 	pooledReg := run(0, metrics.NewRegistry())
 	if pooledReg.shards != 1 {

@@ -52,12 +52,14 @@ import (
 //     for actors that touch cores on many shards at once: power-meter
 //     samples, cloud churn arrivals, background-job starts.
 //   - Merged-sequential mode (RequireSequential/ForceSequential) makes the
-//     coordinator pop events one at a time in global (timestamp, shard,
-//     sequence) order with all shard clocks advanced in lock step. The
-//     charm runtime raises sequential demand around AtSync/LB steps and
-//     quiescence detection, whose master-side handlers read state on every
-//     shard; it drops the demand when the last PE resumes, and the
-//     coordinator returns to parallel windows from that exact point.
+//     coordinator pop events one at a time in the engines' own (timestamp,
+//     send time, sequence) order with all shard clocks advanced in lock
+//     step. The charm runtime raises sequential demand while an LB step
+//     gathers, plans and migrates, because its master-side handlers read
+//     state on every shard; it drops the demand when the step's placements
+//     are final, and the coordinator returns to parallel windows from that
+//     exact point, resume wave included. Elasticity pins a whole run
+//     merged (ForceSequential).
 type Shards struct {
 	engines   []*Engine
 	lookahead Time
@@ -70,6 +72,8 @@ type Shards struct {
 	globals    globalHeap
 	gseq       uint64
 	globalExec uint64
+	// merged counts the events the coordinator ran merged-sequentially.
+	merged uint64
 
 	// seqDemand counts outstanding reasons to run merged-sequentially. It
 	// is incremented from shard workers (a PE entering AtSync mid-window)
@@ -295,6 +299,11 @@ func (s *Shards) ShardEvents() []uint64 {
 // executed, in shard order. One shard never runs a window.
 func (s *Shards) ShardWindows() []uint64 { return slices.Clone(s.windows) }
 
+// MergedEvents reports how many engine events the coordinator ran
+// merged-sequentially, one at a time with every other shard parked. With
+// one shard it is 0: a plain engine has no merged mode.
+func (s *Shards) MergedEvents() uint64 { return s.merged }
+
 // SetObs attaches a job trace: each parallel window records a barrier-stall
 // span per shard that finished early enough to matter (>= 1ms of host time
 // spent waiting on the slowest shard), on the scenario's trace row. A nil
@@ -315,9 +324,9 @@ func (s *Shards) SetObs(tr *obs.Trace, tid int) {
 func (s *Shards) OnBarrier(fn func()) { s.hooks = append(s.hooks, fn) }
 
 // RequireSequential adds one unit of sequential demand: from the next
-// barrier on, the coordinator executes events in global (timestamp, shard,
-// sequence) order until ReleaseSequential drops the demand to zero. Safe to
-// call from shard workers mid-window.
+// barrier on, the coordinator executes events one at a time in one
+// engine's order (see runMerged) until ReleaseSequential drops the demand
+// to zero. Safe to call from shard workers mid-window.
 func (s *Shards) RequireSequential() { s.seqDemand.Add(1) }
 
 // ReleaseSequential removes one unit of sequential demand.
@@ -516,9 +525,12 @@ func (s *Shards) runGlobalsAt(t Time) {
 	}
 }
 
-// runMerged executes events one at a time in global (timestamp, shard,
-// sequence) order until bound, advancing every shard clock in lock step so
-// cross-shard handler code always reads consistent times. It returns early
+// runMerged executes events one at a time until bound, advancing every
+// shard clock in lock step so cross-shard handler code always reads
+// consistent times. Each step fires the engine root with the smallest
+// (timestamp, send time, sequence) key, the key every engine heap orders
+// by, so events tied on their timestamp fire in one engine's order: by send
+// time, then by scheduling shard (seq's top bits). It returns early
 // (without reaching bound) as soon as sequential demand drops to zero.
 //
 // A shard that stopped its window early (see window) enters merged mode
@@ -530,15 +542,16 @@ func (s *Shards) runGlobalsAt(t Time) {
 func (s *Shards) runMerged(bound Time) error {
 	for {
 		best := -1
-		var bt Time
+		var next *event
 		for i, e := range s.engines {
-			if t, ok := e.NextEventAt(); ok && (best < 0 || t < bt) {
-				best, bt = i, t
+			if ev := e.peek(); ev != nil && (next == nil || eventLess(ev, next)) {
+				best, next = i, ev
 			}
 		}
-		if best < 0 || bt > bound {
+		if next == nil || next.at > bound {
 			break
 		}
+		bt := next.at
 		if s.limit > 0 && s.Executed() >= s.limit {
 			return fmt.Errorf("sim: event limit %d exceeded at t=%v", s.limit, s.now)
 		}
@@ -549,6 +562,7 @@ func (s *Shards) runMerged(bound Time) error {
 		}
 		s.now = bt
 		s.engines[best].Step()
+		s.merged++
 		if !s.Sequential() {
 			return nil
 		}

@@ -328,6 +328,46 @@ func TestCrossDeliveryKeepsOneEngineOrder(t *testing.T) {
 	}
 }
 
+// mergedTiedRoots runs three events that tie at t=2 on n shards forced
+// merged. Shard 0 schedules X at t=0.9; the last shard schedules Y at
+// t=0.5 and Z at t=0.9, after X. It returns the firing order.
+func mergedTiedRoots(t *testing.T, n int) string {
+	t.Helper()
+	s := NewShards(n, 1)
+	defer s.Close()
+	s.ForceSequential()
+	var order []string // merged mode runs every event on the coordinator
+	at2 := func(shard int, at Time, name string) {
+		e := s.Engine(shard)
+		e.At(at, func() { e.At(2, func() { order = append(order, name) }) })
+	}
+	last := n - 1
+	at2(0, 0.9, "X")
+	at2(last, 0.5, "Y")
+	at2(last, 0.9, "Z")
+	if err := s.RunUntil(3); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.MergedEvents(); n > 1 && got != 6 {
+		t.Errorf("MergedEvents = %d at %d shards, want 6", got, n)
+	}
+	return strings.Join(order, "")
+}
+
+// TestMergedModeKeepsOneEngineOrder asserts that merged-sequential mode
+// fires roots tied on their timestamp in one engine's order: by the time
+// they were scheduled at, then by scheduling shard. Picking the lowest
+// shard at the smallest timestamp fires X before Y (XYZ).
+func TestMergedModeKeepsOneEngineOrder(t *testing.T) {
+	want := mergedTiedRoots(t, 1)
+	if want != "YXZ" {
+		t.Fatalf("one engine fired %s, want YXZ", want)
+	}
+	if got := mergedTiedRoots(t, 2); got != want {
+		t.Errorf("two shards merged fired %s, one engine %s", got, want)
+	}
+}
+
 // TestShardsRegisterEngineSeriesOnly asserts that a multi-shard scheduler
 // registers the same two series as one shard, so a run's registry has the
 // same shape at every shard count, and that the per-shard counts the

@@ -328,13 +328,13 @@ func finite(vs ...float64) bool {
 // Network delivers messages between cores of one machine.
 //
 // Every piece of network state is owned by one shard: a node's NIC queue
-// belongs to the node's shard, and the per-pair bookkeeping (in-order
-// clamp, drop-lottery sequence) and statistics are kept per source shard,
-// so concurrent windows never touch shared maps. Deliveries whose
-// destination core lives on another shard are handed to the shard
-// coordinator; the effective inter-node latency every such message carries
-// is at least the coordinator's conservative lookahead (validated at
-// construction).
+// belongs to the node's shard, the per-pair bookkeeping (in-order clamp,
+// drop-lottery sequence) lives in the source core's row, and statistics
+// are kept per source shard, so concurrent windows never write the same
+// state. Deliveries whose destination core lives on another shard are
+// handed to the shard coordinator; the effective inter-node latency every
+// such message carries is at least the coordinator's conservative
+// lookahead (validated at construction).
 type Network struct {
 	mach *machine.Machine
 	sh   *sim.Shards
@@ -348,10 +348,12 @@ type Network struct {
 
 	nicFree []sim.Time // per node: earliest time its NIC can start a new transfer
 	// pairs serializes state per (src,dst) core pair: the in-order
-	// delivery clamp and the drop lottery's attempt sequence. One map per
-	// source shard: the pair key starts at the source core, so a pair's
-	// entry is only ever touched by the shard sending on it.
-	pairs []map[[2]int]pairState
+	// delivery clamp and the drop lottery's attempt sequence. pairs[src]
+	// is the source core's row, indexed by destination core and allocated
+	// on the core's first send; only the source core's shard touches it,
+	// so a lookup is two indexed loads and hashes nothing, even on a
+	// master PE's row that reaches every core.
+	pairs [][]pairState
 
 	// Stats, per source shard.
 	messages    []uint64
@@ -414,7 +416,7 @@ func New(mach *machine.Machine, cfg Config) *Network {
 		linkLat:     make([][]float64, nodes),
 		linkBW:      make([][]float64, nodes),
 		nicFree:     make([]sim.Time, nodes),
-		pairs:       make([]map[[2]int]pairState, shards),
+		pairs:       make([][]pairState, mach.NumCores()),
 		messages:    make([]uint64, shards),
 		bytesMoved:  make([]uint64, shards),
 		drops:       make([]uint64, shards),
@@ -430,9 +432,6 @@ func New(mach *machine.Machine, cfg Config) *Network {
 			}
 			n.linkLat[s][d], n.linkBW[s][d] = cfg.EffectiveLink(s, d)
 		}
-	}
-	for i := range n.pairs {
-		n.pairs[i] = make(map[[2]int]pairState)
 	}
 	return n
 }
@@ -558,9 +557,12 @@ func (n *Network) Send(srcCore, dstCore, bytes int, deliver func()) sim.Time {
 	dstNode := n.mach.NodeOf(dstCore)
 	srcShard := n.mach.ShardOf(srcCore)
 
-	key := [2]int{srcCore, dstCore}
-	pairs := n.pairs[srcShard]
-	ps := pairs[key]
+	row := n.pairs[srcCore]
+	if row == nil {
+		row = make([]pairState, len(n.pairs))
+		n.pairs[srcCore] = row
+	}
+	ps := &row[dstCore]
 
 	var arrival sim.Time
 	if srcNode == dstNode {
@@ -611,7 +613,6 @@ func (n *Network) Send(srcCore, dstCore, bytes int, deliver func()) sim.Time {
 		arrival = ps.last
 	}
 	ps.last = arrival
-	pairs[key] = ps
 
 	n.messages[srcShard]++
 	n.bytesMoved[srcShard] += uint64(bytes)

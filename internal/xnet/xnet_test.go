@@ -475,3 +475,55 @@ func TestNICSurvivesRevocation(t *testing.T) {
 		}
 	}
 }
+
+// TestLossySendOnWarmPairAllocFree is the allocation gate of the send
+// path: once a pair's row exists and the engine's event free list is
+// warm, a lossy inter-node Send, drop lottery and retransmits included,
+// allocates nothing.
+func TestLossySendOnWarmPairAllocFree(t *testing.T) {
+	eng, n := testNet(t, Config{DropPct: 30, Seed: 7}.Resolved())
+	nop := func() {}
+	n.Send(0, 2, 100, nop)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		n.Send(0, 2, 100, nop)
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("lossy Send on a warm pair: %.2f allocs per run, want 0", avg)
+	}
+	if n.Retransmits() == 0 {
+		t.Fatal("no retransmit in 101 sends at 30% drops; the gate missed the retransmit path")
+	}
+}
+
+// BenchmarkSendBroadcastRow sends from core 0 to each of 1,024 cores in
+// turn over a lossy network: the row a master PE's broadcasts walk in
+// Fig. 7, where every lookup lands on a different destination.
+func BenchmarkSendBroadcastRow(b *testing.B) {
+	eng := sim.NewEngine()
+	m := machine.New(eng, machine.Config{Nodes: 256, CoresPerNode: 4, CoreSpeed: 1})
+	n := New(m, Config{DropPct: 2, Seed: 1}.Resolved())
+	nop := func() {}
+	for dst := 0; dst < m.NumCores(); dst++ {
+		n.Send(0, dst, 64, nop)
+	}
+	if err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst := i % m.NumCores()
+		n.Send(0, dst, 64, nop)
+		if dst == m.NumCores()-1 {
+			if err := eng.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
