@@ -84,12 +84,14 @@ fuzz:
 # the race detector. So must the LB step's resume wave, which runs in
 # parallel windows once the step's placements are final: under the flat
 # gather, the tree gather and DiffusionLB, with a reduction right after
-# the resume, and in LBWallTime's per-PE sums; merged mode must keep one
+# the resume, in each AMPI rank's Wtime, and in LBWallTime's per-PE sums; merged mode must keep one
 # engine's order, and a lone pool-sharded scenario must run at most a
 # fifth of its events merged. Thirty random Specs drawn up to 256 cores run the
-# same comparison without -race, which would take minutes on them; their
-# seed, 2, draws three Mol3D Specs whose traces split at two and four
-# shards when a cross-shard delivery tied a local event's timestamp. The
+# same comparison without -race, which would take minutes on them, at two
+# seeds: seed 2 draws three Mol3D Specs whose traces split at two and four
+# shards when a cross-shard delivery tied a local event's timestamp, and
+# seed 1 draws a hard kill whose evacuees landed on PEs already in sync,
+# which hung the run. The
 # scheduler must stay allocation-free in steady
 # state at one shard (the runtime stack alone and under the stencil and
 # Mol3D applications) and at 2 and 8 shards, and so must a lossy xnet
@@ -103,6 +105,7 @@ determinism:
 	$(GO) test -race -count=1 -run 'TestMergedModeKeepsOneEngineOrder|TestCrossDeliveryKeepsOneEngineOrder' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestPoolShardsLoneLargeScenario' ./internal/runner
 	$(GO) test -count=1 -run 'TestShardCountInvariantOnRandomSpecs' ./internal/experiment -args -shardspec.maxcores=256 -shardspec.seed=2 -shardspec.cases=30
+	$(GO) test -count=1 -run 'TestShardCountInvariantOnRandomSpecs' ./internal/experiment -args -shardspec.maxcores=256 -shardspec.seed=1 -shardspec.cases=30
 	$(GO) test -count=1 -run 'TestClassicScenarioSteadyStateAllocFree|TestShardedScenarioSteadyStateAllocFree|TestStencilSteadyStateAllocFree|TestMol3DSteadyStateAllocFree' ./internal/experiment
 	$(GO) test -count=1 -run 'TestLossySendOnWarmPairAllocFree' ./internal/xnet
 

@@ -114,7 +114,7 @@ func main() {
 
 	rec := trace.NewRecorder()
 	// The LB-step timeline feeds both the -lbsteps table and the -serve
-	// /api/lbsteps endpoint; either flag enables it.
+	// /api/v1/lbsteps endpoint; either flag enables it.
 	tl := prof.Timeline()
 	if tl == nil && *lbSteps {
 		tl = &metrics.LBTimeline{}

@@ -14,8 +14,10 @@ import (
 // distinguished payloads, as MPICH-style implementations do over a flat
 // topology.
 
-// Wtime returns the current virtual time in seconds (MPI_Wtime).
-func (r *Rank) Wtime() float64 { return float64(r.rc.world.rts.Engine().Now()) }
+// Wtime returns the current virtual time in seconds (MPI_Wtime): the
+// clock of the PE running the rank, which on a sharded run is its own
+// shard's.
+func (r *Rank) Wtime() float64 { return float64(r.rc.ctx.Now()) }
 
 // SendRecv sends to one rank and receives from another in one logical
 // step (MPI_Sendrecv): the send is initiated before blocking on the

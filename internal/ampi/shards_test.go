@@ -19,7 +19,9 @@ import (
 // contributions against per-subtree element memos; they must be
 // recomputed from the placements the LB step left behind before the
 // resume wave runs, in parallel windows, into the next reduction. A stale
-// memo makes an AllReduce wait forever.
+// memo makes an AllReduce wait forever. Each rank's Wtime after its last
+// exchange must also match: a rank reads its own PE's clock, not another
+// shard's in the middle of a window.
 func TestAllReduceAfterMigrateSyncAnyShardCount(t *testing.T) {
 	refine := func() core.Strategy { return &core.RefineLB{EpsilonFrac: 0.05} }
 	for _, tc := range []struct {
@@ -32,17 +34,23 @@ func TestAllReduceAfterMigrateSyncAnyShardCount(t *testing.T) {
 		{"diffusion", func() core.Strategy { return &lb.DiffusionLB{} }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			one := allReduceRing(t, 1, tc.strategy(), tc.hier)
-			if two := allReduceRing(t, 2, tc.strategy(), tc.hier); two != one {
+			one, oneWtime := allReduceRing(t, 1, tc.strategy(), tc.hier)
+			two, twoWtime := allReduceRing(t, 2, tc.strategy(), tc.hier)
+			if two != one {
 				t.Errorf("finish at %v on two shards, %v on one", two, one)
+			}
+			for i := range oneWtime {
+				if twoWtime[i] != oneWtime[i] {
+					t.Errorf("rank %d: Wtime %v on two shards, %v on one", i, twoWtime[i], oneWtime[i])
+				}
 			}
 		})
 	}
 }
 
 // allReduceRing runs the ring on the given shard count and returns its
-// finish time.
-func allReduceRing(t *testing.T, shards int, strategy core.Strategy, hier bool) sim.Time {
+// finish time and each rank's Wtime after its last exchange.
+func allReduceRing(t *testing.T, shards int, strategy core.Strategy, hier bool) (sim.Time, []float64) {
 	t.Helper()
 	netCfg := xnet.DefaultConfig()
 	sh := sim.NewShards(shards, sim.Time(netCfg.MinInterNodeLatency(2)))
@@ -54,6 +62,7 @@ func allReduceRing(t *testing.T, shards int, strategy core.Strategy, hier bool) 
 	})
 	interfere.StartHog(m, interfere.HogConfig{Core: 3, Start: 0.2})
 	const ranks = 64
+	wtime := make([]float64, ranks)
 	New(rts, "ring", ranks, func(r *Rank) {
 		left, right := (r.Rank()+ranks-1)%ranks, (r.Rank()+1)%ranks
 		val := float64(r.Rank())
@@ -68,6 +77,7 @@ func allReduceRing(t *testing.T, shards int, strategy core.Strategy, hier bool) 
 				val = r.AllReduce(val, charm.ReduceSum) / ranks
 			}
 		}
+		wtime[r.Rank()] = r.Wtime()
 	})
 	rts.Start()
 	for !rts.Finished() && sh.Now() < 200 {
@@ -81,5 +91,5 @@ func allReduceRing(t *testing.T, shards int, strategy core.Strategy, hier bool) 
 	if rts.Migrations() == 0 {
 		t.Fatalf("%d shards: no rank migrated; the LB steps prove nothing", shards)
 	}
-	return rts.FinishTime()
+	return rts.FinishTime(), wtime
 }

@@ -212,6 +212,7 @@ func (r *RTS) evacuatePE(p *pe) {
 		r.evacuations++
 		r.met.evacuations.Inc()
 		d := r.pes[dst]
+		d.evacIn++
 		bytes := rec.obj.PackSize()
 		r.cfg.Net.Send(p.core.ID, d.core.ID, bytes+migrateHeader, func() {
 			d.enqueueSys(func() { d.receiveEvacuee(rec, bytes) })
@@ -235,16 +236,19 @@ func (r *RTS) evacuatePE(p *pe) {
 }
 
 // pickEvacDest selects the live PE with the fewest chares (current plus
-// already inbound from this evacuation), lowest index on ties.
+// already inbound from this evacuation), lowest index on ties. A PE not in
+// sync beats one that is: a PE in sync runs no application entry until the
+// step resumes it, so an evacuee that has not synced yet would sit there
+// while its neighbours wait on it.
 func (r *RTS) pickEvacDest(srcIdx int, pending map[int]int) int {
-	best, bestN := -1, 0
+	best, bestN, bestInSync := -1, 0, false
 	for i, q := range r.pes {
 		if i == srcIdx || q.retired {
 			continue
 		}
 		n := len(q.roster) + pending[i]
-		if best < 0 || n < bestN {
-			best, bestN = i, n
+		if best < 0 || bestInSync && !q.inSync || q.inSync == bestInSync && n < bestN {
+			best, bestN, bestInSync = i, n, q.inSync
 		}
 	}
 	if best < 0 {
@@ -265,6 +269,8 @@ func (p *pe) receiveEvacuee(rec *chareRec, bytes int) {
 		dst := r.pickEvacDest(p.index, pending)
 		rec.loc = dst
 		d := r.pes[dst]
+		d.evacIn++
+		p.evacIn--
 		r.cfg.Net.Send(p.core.ID, d.core.ID, bytes+migrateHeader, func() {
 			d.enqueueSys(func() { d.receiveEvacuee(rec, bytes) })
 		})
@@ -272,10 +278,12 @@ func (p *pe) receiveEvacuee(rec *chareRec, bytes int) {
 	}
 	p.runBurst(float64(bytes)*r.cfg.PackCPUPerByte, func() {
 		p.install(rec)
-		if rec.synced && r.cfg.Strategy != nil {
-			// The chare is past its sync point: its messages stay held
-			// until Resume, and this PE's sync completes if it was the
-			// last one.
+		p.evacIn--
+		if p.evacIn == 0 && r.cfg.Strategy != nil {
+			// The last inbound evacuee has landed: this PE's sync
+			// completes if its chares, the evacuees included, have all
+			// synced or are Done. A synced evacuee's messages stay held
+			// until Resume.
 			p.maybeEnterSync(rec)
 		}
 	})

@@ -211,20 +211,113 @@ func TestRevocationScenarioDeterministic(t *testing.T) {
 	}
 }
 
+// ghost is haloChare's halo message: the sender's iteration.
+type ghost struct{ iter int }
+
+// haloChare is a 1D stencil on a ring of n chares: each iteration sends a
+// ghost to both neighbours and computes once both of theirs for the same
+// iteration have arrived, calling AtSync every syncEvery iterations.
+// Neighbours stay within one iteration of each other, so a chare that
+// stops running stalls the whole ring within a few iterations.
+type haloChare struct {
+	n, iters, syncEvery int
+	cost                float64
+
+	iter int
+	got  [2]int // ghosts received for iter and iter+1
+}
+
+func (c *haloChare) PackSize() int { return 4096 }
+
+func (c *haloChare) Recv(ctx *Ctx, data interface{}) float64 {
+	switch m := data.(type) {
+	case Start, Resume:
+		c.sendGhosts(ctx)
+		return 0
+	case ghost:
+		c.got[m.iter-c.iter]++
+		if c.got[0] < 2 {
+			return 0
+		}
+		c.iter++
+		c.got = [2]int{c.got[1], 0}
+		switch {
+		case c.iter == c.iters:
+			ctx.Done()
+		case c.iter%c.syncEvery == 0:
+			ctx.AtSync()
+		default:
+			c.sendGhosts(ctx)
+		}
+		return c.cost
+	}
+	panic("haloChare: unexpected message")
+}
+
+func (c *haloChare) sendGhosts(ctx *Ctx) {
+	i := ctx.Self().Index
+	for _, j := range []int{(i + c.n - 1) % c.n, (i + 1) % c.n} {
+		ctx.Send(ChareID{Array: "w", Index: j}, ghost{c.iter}, 256)
+	}
+}
+
+// haloWorkload installs a 16-chare ring on 4 PEs (block placement puts
+// four on each) under RefineLB, with the given fault detection delay, and
+// returns the runtime.
+func haloWorkload(t *testing.T, detect float64) (*sim.Engine, *RTS) {
+	t.Helper()
+	eng, m, n := testWorld(1, 6)
+	r := NewRTS(Config{
+		Machine: m, Net: n, Cores: []int{0, 1, 2, 3},
+		Strategy: &core.RefineLB{}, FaultDetectionDelay: detect,
+	})
+	r.NewArray("w", 16, func(int) Chare {
+		return &haloChare{n: 16, iters: 60, syncEvery: 10, cost: 0.01}
+	})
+	watchInvariants(t, r)
+	return eng, r
+}
+
 func TestHardKillWithStrategyCompletes(t *testing.T) {
-	// Frequent syncs make it likely the detection delay overlaps a stats
-	// gather; the stranded PE must report itself so the step can finish.
-	eng, r := elasticWorkload(t, &core.RefineLB{}, 30, 2)
-	r.Start()
-	eng.At(0.123, func() { r.RevokePE(2, 0) })
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Finished() {
-		t.Fatal("run stalled after a hard kill during LB activity")
-	}
-	if r.Evacuations() == 0 {
-		t.Fatal("no evacuations recorded")
+	for _, tc := range []struct {
+		name     string
+		workload func(*testing.T) (*sim.Engine, *RTS)
+		at       sim.Time // when PE 2 is hard-killed
+	}{
+		// Frequent syncs make it likely the detection delay overlaps a
+		// stats gather; the stranded PE must report itself so the step
+		// can finish.
+		{"self-ticking", func(t *testing.T) (*sim.Engine, *RTS) {
+			return elasticWorkload(t, &core.RefineLB{}, 30, 2)
+		}, 0.123},
+		// An evacuee that has not synced must not land on a PE in sync:
+		// it would run nothing there, and its neighbours on the other PEs
+		// would wait for its ghosts and never reach their own sync point.
+		// Here the kill is detected mid-gather, with PE 0 in sync and
+		// PEs 1 and 3 stalled on the dead PE's ghosts.
+		{"halo-detected-mid-gather", func(t *testing.T) (*sim.Engine, *RTS) {
+			return haloWorkload(t, 0.2)
+		}, 0.25},
+		// Here no PE is in sync at detection, but PEs 0 and 3 would reach
+		// their sync point while the evacuees are still in flight to them.
+		{"halo-sync-while-evacuees-travel", func(t *testing.T) (*sim.Engine, *RTS) {
+			return haloWorkload(t, 0.05)
+		}, 0.345},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, r := tc.workload(t)
+			r.Start()
+			eng.At(tc.at, func() { r.RevokePE(2, 0) })
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !r.Finished() {
+				t.Fatal("run stalled after a hard kill during LB activity")
+			}
+			if r.Evacuations() == 0 {
+				t.Fatal("no evacuations recorded")
+			}
+		})
 	}
 }
 

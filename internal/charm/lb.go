@@ -229,9 +229,11 @@ func (r *RTS) closeWindow() sim.Time {
 }
 
 // allSynced reports whether this PE hosts chares still participating in
-// AtSync (not Done) and every one of them has synced.
+// AtSync (not Done), every one of them has synced, and no evacuee is on
+// its way here: an evacuee landing on a PE in sync would never run to its
+// own sync point, because the pump runs no application entry there.
 func (p *pe) allSynced() bool {
-	if p.active == 0 {
+	if p.active == 0 || p.evacIn > 0 {
 		return false
 	}
 	for _, rec := range p.roster {

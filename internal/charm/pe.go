@@ -57,10 +57,13 @@ type pe struct {
 	entryDone func()
 
 	// Elasticity state. A retired PE executes no application work; its
-	// core is offline (or about to be) until RestorePE.
+	// core is offline (or about to be) until RestorePE. evacIn counts the
+	// evacuees shipped here and not yet installed: the PE does not enter
+	// sync while one is inbound (see allSynced).
 	retired     bool
 	wentOffline bool
 	offlineAt   sim.Time
+	evacIn      int
 
 	// Load database for the current LB interval; the per-chare wall times
 	// live in the resident chares' records.

@@ -21,7 +21,10 @@ import (
 // encoding (the "v" field). Bump it whenever the canonical field set, a
 // default, or a normalization rule changes: the version is hashed, so a
 // bump invalidates every content-addressed cache entry instead of
-// silently serving results computed under the old semantics.
+// silently serving results computed under the old semantics. Removing a
+// field that no parseable Spec can carry needs no bump: the
+// interactivity_bonus field was omitempty, so no Spec that still parses
+// ever encoded it, and ParseSpec refuses a document that sets it.
 const SpecSchemaVersion = 1
 
 // ParseAppKind maps a command-line or wire name to an application.
@@ -209,30 +212,29 @@ func canonFloats(vs []float64) []canonFloat {
 // order, and a zero field is a default: normalize zeroes every knob that
 // equals its effective default, so the omitempty tags elide it.
 type canonSpec struct {
-	V                  int            `json:"v"`
-	App                AppKind        `json:"app"`
-	Cores              []int          `json:"cores"`
-	Strategies         []StrategyKind `json:"strategies,omitempty"`
-	Seeds              []int64        `json:"seeds,omitempty"`
-	Scale              canonFloat     `json:"scale,omitempty"`
-	BG                 BGKind         `json:"bg,omitempty"`
-	BGWeight           canonFloat     `json:"bg_weight,omitempty"`
-	BGIters            int            `json:"bg_iters,omitempty"`
-	SyncEvery          int            `json:"sync_every,omitempty"`
-	CharesPerCore      int            `json:"chares_per_core,omitempty"`
-	StencilBlock       int            `json:"stencil_block,omitempty"`
-	EpsilonFrac        canonFloat     `json:"epsilon_frac,omitempty"`
-	DiffRounds         int            `json:"diff_rounds,omitempty"`
-	DiffTol            canonFloat     `json:"diff_tol,omitempty"`
-	InteractivityBonus canonFloat     `json:"interactivity_bonus,omitempty"`
-	Hierarchical       bool           `json:"hierarchical,omitempty"`
-	Faults             []canonFault   `json:"faults,omitempty"`
-	MaxVirtualTime     canonFloat     `json:"max_virtual_time,omitempty"`
-	Net                *canonNet      `json:"net,omitempty"`
-	EpsFracs           []canonFloat   `json:"eps_fracs,omitempty"`
-	Periods            []int          `json:"periods,omitempty"`
-	DropPcts           []canonFloat   `json:"drop_pcts,omitempty"`
-	StraggleFactors    []canonFloat   `json:"straggle_factors,omitempty"`
+	V               int            `json:"v"`
+	App             AppKind        `json:"app"`
+	Cores           []int          `json:"cores"`
+	Strategies      []StrategyKind `json:"strategies,omitempty"`
+	Seeds           []int64        `json:"seeds,omitempty"`
+	Scale           canonFloat     `json:"scale,omitempty"`
+	BG              BGKind         `json:"bg,omitempty"`
+	BGWeight        canonFloat     `json:"bg_weight,omitempty"`
+	BGIters         int            `json:"bg_iters,omitempty"`
+	SyncEvery       int            `json:"sync_every,omitempty"`
+	CharesPerCore   int            `json:"chares_per_core,omitempty"`
+	StencilBlock    int            `json:"stencil_block,omitempty"`
+	EpsilonFrac     canonFloat     `json:"epsilon_frac,omitempty"`
+	DiffRounds      int            `json:"diff_rounds,omitempty"`
+	DiffTol         canonFloat     `json:"diff_tol,omitempty"`
+	Hierarchical    bool           `json:"hierarchical,omitempty"`
+	Faults          []canonFault   `json:"faults,omitempty"`
+	MaxVirtualTime  canonFloat     `json:"max_virtual_time,omitempty"`
+	Net             *canonNet      `json:"net,omitempty"`
+	EpsFracs        []canonFloat   `json:"eps_fracs,omitempty"`
+	Periods         []int          `json:"periods,omitempty"`
+	DropPcts        []canonFloat   `json:"drop_pcts,omitempty"`
+	StraggleFactors []canonFloat   `json:"straggle_factors,omitempty"`
 }
 
 type canonFault struct {
@@ -308,22 +310,21 @@ func (sp Spec) Hash() string {
 func (sp Spec) normalize() canonSpec {
 	c := canonSpec{
 		V: SpecSchemaVersion, App: sp.App, Cores: sp.Cores,
-		BG:                 sp.BG,
-		BGIters:            nonDefault(normInt(sp.BGIters, defaultBGIters), defaultBGIters),
-		SyncEvery:          nonDefault(normInt(sp.SyncEvery, defaultSyncEvery), defaultSyncEvery),
-		CharesPerCore:      nonDefault(normInt(sp.CharesPerCore, defaultCharesPerCore), defaultCharesPerCore),
-		StencilBlock:       nonDefault(normInt(sp.StencilBlock, defaultStencilBlock), defaultStencilBlock),
-		EpsilonFrac:        canonFloat(nonDefault(normFloat(sp.EpsilonFrac, defaultEpsilonFrac), defaultEpsilonFrac)),
-		DiffRounds:         nonDefault(normInt(sp.DiffRounds, defaultDiffRounds), defaultDiffRounds),
-		DiffTol:            canonFloat(nonDefault(normFloat(sp.DiffTol, defaultDiffTol), defaultDiffTol)),
-		InteractivityBonus: canonFloat(sp.InteractivityBonus),
-		Hierarchical:       sp.Hierarchical,
-		MaxVirtualTime:     canonFloat(nonDefault(normFloat(float64(sp.MaxVirtualTime), defaultMaxVirtualTime), defaultMaxVirtualTime)),
-		Net:                normNet(sp.Net),
-		EpsFracs:           canonFloats(sp.EpsFracs),
-		Periods:            sp.Periods,
-		DropPcts:           canonFloats(sp.DropPcts),
-		StraggleFactors:    canonFloats(sp.StraggleFactors),
+		BG:              sp.BG,
+		BGIters:         nonDefault(normInt(sp.BGIters, defaultBGIters), defaultBGIters),
+		SyncEvery:       nonDefault(normInt(sp.SyncEvery, defaultSyncEvery), defaultSyncEvery),
+		CharesPerCore:   nonDefault(normInt(sp.CharesPerCore, defaultCharesPerCore), defaultCharesPerCore),
+		StencilBlock:    nonDefault(normInt(sp.StencilBlock, defaultStencilBlock), defaultStencilBlock),
+		EpsilonFrac:     canonFloat(nonDefault(normFloat(sp.EpsilonFrac, defaultEpsilonFrac), defaultEpsilonFrac)),
+		DiffRounds:      nonDefault(normInt(sp.DiffRounds, defaultDiffRounds), defaultDiffRounds),
+		DiffTol:         canonFloat(nonDefault(normFloat(sp.DiffTol, defaultDiffTol), defaultDiffTol)),
+		Hierarchical:    sp.Hierarchical,
+		MaxVirtualTime:  canonFloat(nonDefault(normFloat(float64(sp.MaxVirtualTime), defaultMaxVirtualTime), defaultMaxVirtualTime)),
+		Net:             normNet(sp.Net),
+		EpsFracs:        canonFloats(sp.EpsFracs),
+		Periods:         sp.Periods,
+		DropPcts:        canonFloats(sp.DropPcts),
+		StraggleFactors: canonFloats(sp.StraggleFactors),
 	}
 	if c.Cores == nil {
 		c.Cores = []int{}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"cloudlb/internal/elastic"
@@ -99,26 +100,25 @@ func TestCanonicalJSONGolden(t *testing.T) {
 		{
 			name: "knobs-and-sweep-axes",
 			spec: Spec{
-				App:                Wave2D,
-				Cores:              []int{4},
-				Scale:              0.05,
-				BG:                 BGCloudChurn,
-				BGIters:            1200,
-				SyncEvery:          5,
-				CharesPerCore:      98,
-				StencilBlock:       4,
-				DiffRounds:         8,
-				DiffTol:            0.1,
-				InteractivityBonus: 0.75,
-				Hierarchical:       true,
-				MaxVirtualTime:     2.5e4,
-				Net:                xnet.Config{StragglerNodes: []int{2}, StragglerFactor: 1},
-				EpsFracs:           []float64{0.01, 5e-5},
-				Periods:            []int{5, 40},
+				App:            Wave2D,
+				Cores:          []int{4},
+				Scale:          0.05,
+				BG:             BGCloudChurn,
+				BGIters:        1200,
+				SyncEvery:      5,
+				CharesPerCore:  98,
+				StencilBlock:   4,
+				DiffRounds:     8,
+				DiffTol:        0.1,
+				Hierarchical:   true,
+				MaxVirtualTime: 2.5e4,
+				Net:            xnet.Config{StragglerNodes: []int{2}, StragglerFactor: 1},
+				EpsFracs:       []float64{0.01, 5e-5},
+				Periods:        []int{5, 40},
 			},
 			want: `{"v":1,"app":"Wave2D","cores":[4],"scale":0.05,"bg":"churn",` +
 				`"bg_iters":1200,"sync_every":5,"chares_per_core":98,"stencil_block":4,` +
-				`"diff_rounds":8,"diff_tol":0.1,"interactivity_bonus":0.75,"hierarchical":true,` +
+				`"diff_rounds":8,"diff_tol":0.1,"hierarchical":true,` +
 				`"max_virtual_time":25000,"eps_fracs":[0.01,5e-05],"periods":[5,40]}`,
 		},
 	}
@@ -295,6 +295,12 @@ func TestCanonicalRoundTrip(t *testing.T) {
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"app":"Wave2D","cores":[8],"coers":[4]}`)); err == nil {
 		t.Fatal("unknown field must be rejected")
+	}
+	// A field the Spec no longer has is unknown too: a document that sets
+	// it must not run without it.
+	if _, err := ParseSpec([]byte(`{"app":"Wave2D","cores":[8],"interactivity_bonus":0.5}`)); err == nil ||
+		!strings.Contains(err.Error(), "interactivity_bonus") {
+		t.Fatalf("interactivity_bonus: err %v, want a rejection naming the field", err)
 	}
 	if _, err := ParseSpec([]byte(`{"app":"NoSuchApp","cores":[8]}`)); err == nil {
 		t.Fatal("unknown app name must be rejected")

@@ -213,7 +213,7 @@ func ringSteadyAllocs(t *testing.T, n int) float64 {
 	netCfg := xnet.DefaultConfig()
 	sh := sim.NewShards(n, sim.Time(netCfg.MinInterNodeLatency(testbedNodes)))
 	defer sh.Close()
-	mach := testbed(sh, testbedNodes, 0, nil)
+	mach := testbed(sh, testbedNodes, nil)
 	net := xnet.New(mach, netCfg)
 	cores := make([]int, testbedCores)
 	for i := range cores {

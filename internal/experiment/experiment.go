@@ -175,11 +175,6 @@ type Scenario struct {
 	// EpsilonFrac overrides RefineLB's tolerance as a fraction of T_avg
 	// (0 = default 0.02). Only meaningful for refinement strategies.
 	EpsilonFrac float64
-	// InteractivityBonus enables the OS scheduler's sleeper-fairness
-	// model (see machine.Config): frequently-sleeping threads gain
-	// effective weight. An alternative to the static BGWeight model of
-	// the Mol3D OS preference.
-	InteractivityBonus float64
 	// Hierarchical routes LB statistics and orders along the runtime's
 	// spanning tree instead of a flat gather at PE 0.
 	Hierarchical bool
@@ -267,12 +262,8 @@ const testbedCores = 32
 // testbed returns the evaluation machine shape — nodes x 4 cores — driven
 // by sh. The paper's testbed is testbedNodes nodes; the cloud-scale
 // scenarios grow the node count with the allocation.
-func testbed(sh *sim.Shards, nodes int, interactivityBonus float64, reg *metrics.Registry) *machine.Machine {
-	return machine.NewSharded(sh, machine.Config{
-		Nodes: nodes, CoresPerNode: 4, CoreSpeed: 1,
-		InteractivityBonus: interactivityBonus,
-		Metrics:            reg,
-	})
+func testbed(sh *sim.Shards, nodes int, reg *metrics.Registry) *machine.Machine {
+	return machine.NewSharded(sh, machine.Config{Nodes: nodes, CoresPerNode: 4, CoreSpeed: 1, Metrics: reg})
 }
 
 // testbedNodes is the testbed's node count — the upper bound on shards.
@@ -415,7 +406,7 @@ func Run(s Scenario) Result {
 		sh.ForceSequential()
 	}
 	s.Trace.SetConcurrent(sh.NumShards() > 1)
-	mach := testbed(sh, nodes, s.InteractivityBonus, s.Metrics)
+	mach := testbed(sh, nodes, s.Metrics)
 	net := xnet.New(mach, netCfg)
 	net.SetMetrics(s.Metrics)
 	net.SetObs(s.Obs, s.ObsTID)

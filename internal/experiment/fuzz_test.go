@@ -60,7 +60,7 @@ func FuzzNetConfig(f *testing.F) {
 				t.Fatalf("Resolved is not idempotent on %s:\n once: %+v\ntwice: %+v", data, r, again)
 			}
 			sh := sim.NewShards(1, sim.Time(r.MinInterNodeLatency(nodes)))
-			xnet.New(testbed(sh, nodes, 0, nil), r)
+			xnet.New(testbed(sh, nodes, nil), r)
 			sh.Close()
 		}
 	})

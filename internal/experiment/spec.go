@@ -39,19 +39,18 @@ type Spec struct {
 
 	// Workload knobs consumed by Scenarios (the standard evaluation
 	// methods derive their own per the paper's methodology).
-	BG                 BGKind           `json:"bg,omitempty"`
-	BGWeight           float64          `json:"bg_weight,omitempty"`
-	BGIters            int              `json:"bg_iters,omitempty"`
-	SyncEvery          int              `json:"sync_every,omitempty"`
-	CharesPerCore      int              `json:"chares_per_core,omitempty"`
-	StencilBlock       int              `json:"stencil_block,omitempty"`
-	EpsilonFrac        float64          `json:"epsilon_frac,omitempty"`
-	DiffRounds         int              `json:"diff_rounds,omitempty"`
-	DiffTol            float64          `json:"diff_tol,omitempty"`
-	InteractivityBonus float64          `json:"interactivity_bonus,omitempty"`
-	Hierarchical       bool             `json:"hierarchical,omitempty"`
-	Faults             elastic.Schedule `json:"faults,omitempty"`
-	MaxVirtualTime     sim.Time         `json:"max_virtual_time,omitempty"`
+	BG             BGKind           `json:"bg,omitempty"`
+	BGWeight       float64          `json:"bg_weight,omitempty"`
+	BGIters        int              `json:"bg_iters,omitempty"`
+	SyncEvery      int              `json:"sync_every,omitempty"`
+	CharesPerCore  int              `json:"chares_per_core,omitempty"`
+	StencilBlock   int              `json:"stencil_block,omitempty"`
+	EpsilonFrac    float64          `json:"epsilon_frac,omitempty"`
+	DiffRounds     int              `json:"diff_rounds,omitempty"`
+	DiffTol        float64          `json:"diff_tol,omitempty"`
+	Hierarchical   bool             `json:"hierarchical,omitempty"`
+	Faults         elastic.Schedule `json:"faults,omitempty"`
+	MaxVirtualTime sim.Time         `json:"max_virtual_time,omitempty"`
 
 	// Net is the cluster interconnect every scenario of every method runs
 	// over (see Scenario.Net; the zero value is the uniform reliable
@@ -133,17 +132,16 @@ func (sp Spec) Scenarios() []Scenario {
 					App: sp.App, Cores: cores, Strategy: k, BG: sp.BG,
 					Seed: seed, BGWeight: sp.BGWeight, BGIters: sp.BGIters,
 					Scale: sp.scale(), SyncEvery: sp.SyncEvery,
-					CharesPerCore:      sp.CharesPerCore,
-					StencilBlock:       sp.StencilBlock,
-					EpsilonFrac:        sp.EpsilonFrac,
-					DiffRounds:         sp.DiffRounds,
-					DiffTol:            sp.DiffTol,
-					InteractivityBonus: sp.InteractivityBonus,
-					Hierarchical:       sp.Hierarchical,
-					Faults:             sp.Faults,
-					MaxVirtualTime:     sp.MaxVirtualTime,
-					Net:                sp.Net,
-					Shards:             sp.Shards,
+					CharesPerCore:  sp.CharesPerCore,
+					StencilBlock:   sp.StencilBlock,
+					EpsilonFrac:    sp.EpsilonFrac,
+					DiffRounds:     sp.DiffRounds,
+					DiffTol:        sp.DiffTol,
+					Hierarchical:   sp.Hierarchical,
+					Faults:         sp.Faults,
+					MaxVirtualTime: sp.MaxVirtualTime,
+					Net:            sp.Net,
+					Shards:         sp.Shards,
 				})
 			}
 		}

@@ -87,7 +87,6 @@ func (sp Spec) Validate() error {
 		{"epsilon_frac", sp.EpsilonFrac},
 		{"diff_rounds", float64(sp.DiffRounds)},
 		{"diff_tol", sp.DiffTol},
-		{"interactivity_bonus", sp.InteractivityBonus},
 		{"max_virtual_time", float64(sp.MaxVirtualTime)},
 	}
 	for _, n := range nonNegative {

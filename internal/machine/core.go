@@ -16,7 +16,6 @@ const workEpsilon = 1e-9
 type Core struct {
 	ID   int
 	node *Node
-	m    *Machine
 	// eng is the engine this core's events live on: its node's shard
 	// engine. All scheduling and time reads in the core go through it, so a
 	// shard can run its cores without touching any other shard's clock.
@@ -75,9 +74,6 @@ func (c *Core) SetSpeed(s float64) {
 	c.arm()
 }
 
-// NumRunnable reports how many threads currently share the core.
-func (c *Core) NumRunnable() int { return len(c.active) }
-
 // Online reports whether the core is serving CPU. Cores start online; a
 // cloud provider revoking the underlying instance takes them offline.
 func (c *Core) Online() bool { return c.online }
@@ -118,17 +114,6 @@ func (c *Core) ProcStat() (busy, idle sim.Time) {
 	return c.busy, c.idle
 }
 
-// Utilization returns the busy fraction of the core over [since, now]. It
-// is a convenience for power metering; since must not be in the future.
-func (c *Core) Utilization(busySince, since sim.Time) (busyNow sim.Time, util float64) {
-	c.settle()
-	now := c.eng.Now()
-	if now <= since {
-		return c.busy, 0
-	}
-	return c.busy, float64(c.busy-busySince) / float64(now-since)
-}
-
 // settle distributes CPU for the wall time elapsed since the last
 // settlement among the runnable threads, updating all accounting.
 func (c *Core) settle() {
@@ -146,7 +131,7 @@ func (c *Core) settle() {
 	c.busy += dt
 	total := c.totalWeight()
 	for _, th := range c.active {
-		got := float64(dt) * c.speed * th.effWeight / total
+		got := float64(dt) * c.speed * th.weight / total
 		th.remaining -= got
 		th.cpu += sim.Time(got)
 	}
@@ -214,7 +199,7 @@ func (c *Core) settledBy(t sim.Time) int {
 func (c *Core) totalWeight() float64 {
 	t := 0.0
 	for _, th := range c.active {
-		t += th.effWeight
+		t += th.weight
 	}
 	return t
 }
@@ -234,7 +219,7 @@ func (c *Core) arm() {
 	total := c.totalWeight()
 	soonest := math.MaxFloat64
 	for _, th := range c.active {
-		rate := c.speed * th.effWeight / total
+		rate := c.speed * th.weight / total
 		dt := th.remaining / rate
 		if dt < 0 {
 			dt = 0
@@ -271,7 +256,7 @@ func (c *Core) onCompletion() {
 	keep := c.active[:0]
 	for _, th := range c.active {
 		if th.remaining <= th.demand*workEpsilon+1e-15 ||
-			now+sim.Time(th.remaining/(c.speed*th.effWeight/total)) == now {
+			now+sim.Time(th.remaining/(c.speed*th.weight/total)) == now {
 			done = append(done, th)
 		} else {
 			keep = append(keep, th)
@@ -328,32 +313,19 @@ type Thread struct {
 	running   bool
 	demand    float64 // CPU-seconds requested by the current burst
 	remaining float64
-	effWeight float64
 	onDone    func()
 
 	cpu sim.Time // cumulative CPU-seconds received
 	gen uint64   // burst generation, guards stale zero-demand completions
-
-	// Interactivity tracking: EMA of the fraction of recent wall time the
-	// thread spent sleeping, updated once per sleep->run transition.
-	sleepFrac  float64
-	burstStart sim.Time
-	sleepStart sim.Time
-	everRan    bool
 }
 
-// NewThread creates a sleeping thread pinned to core with the given base
-// weight. Weight must be positive.
+// NewThread creates a sleeping thread pinned to core with the given weight,
+// its share of a contended core. Weight must be positive.
 func (m *Machine) NewThread(name string, core *Core, weight float64) *Thread {
 	if weight <= 0 {
 		panic("machine: thread weight must be positive")
 	}
-	return &Thread{
-		name:       name,
-		core:       core,
-		weight:     weight,
-		sleepStart: core.eng.Now(),
-	}
+	return &Thread{name: name, core: core, weight: weight}
 }
 
 // Name returns the thread's diagnostic name.
@@ -374,10 +346,6 @@ func (t *Thread) CPUTime() sim.Time {
 	return t.cpu
 }
 
-// SleepFraction returns the thread's smoothed recent sleep fraction, the
-// input to the scheduler's interactivity bonus.
-func (t *Thread) SleepFraction() float64 { return t.sleepFrac }
-
 // Run starts a CPU burst of demand CPU-seconds. onDone fires (as a
 // simulation event) when the burst has been fully served. A zero demand
 // completes at the current instant. Starting a burst while one is in flight
@@ -389,32 +357,17 @@ func (t *Thread) Run(demand float64, onDone func()) {
 	if demand < 0 {
 		panic("machine: negative CPU demand")
 	}
-	eng := t.core.eng
-	now := eng.Now()
-	// Update the sleep-fraction EMA with the completed run/sleep cycle.
-	if t.everRan {
-		runDur := float64(t.sleepStart - t.burstStart)
-		sleepDur := float64(now - t.sleepStart)
-		if runDur+sleepDur > 0 {
-			frac := sleepDur / (runDur + sleepDur)
-			a := t.core.m.cfg.InteractivityAlpha
-			t.sleepFrac = a*frac + (1-a)*t.sleepFrac
-		}
-	}
-	t.burstStart = now
-	t.everRan = true
 	t.running = true
 	t.demand = demand
 	t.remaining = demand
 	t.onDone = onDone
-	t.effWeight = t.weight * (1 + t.core.m.cfg.InteractivityBonus*t.sleepFrac)
 	t.gen++
 	if demand == 0 {
 		// Complete via an event so callers observe uniform asynchrony. The
 		// generation guard discards the event if the burst was aborted (and
 		// possibly replaced) before it fires.
 		gen := t.gen
-		eng.After(0, func() {
+		t.core.eng.After(0, func() {
 			if t.gen == gen && t.running {
 				t.finishBurst()
 			}
@@ -427,7 +380,6 @@ func (t *Thread) Run(demand float64, onDone func()) {
 func (t *Thread) finishBurst() {
 	t.running = false
 	t.remaining = 0
-	t.sleepStart = t.core.eng.Now()
 	if t.onDone != nil {
 		cb := t.onDone
 		t.onDone = nil
@@ -479,6 +431,5 @@ func (t *Thread) Abort() float64 {
 	t.running = false
 	t.onDone = nil
 	t.remaining = 0
-	t.sleepStart = t.core.eng.Now()
 	return rem
 }

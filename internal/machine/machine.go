@@ -3,17 +3,11 @@
 //
 // Each core is a generalized processor-sharing (GPS) server: all runnable
 // threads on a core receive CPU simultaneously, in proportion to their
-// effective weights. This mirrors how a multi-tenant cloud host divides a
-// physical core between a pinned HPC worker and an interfering co-located
-// VM, which is the environment the paper studies.
-//
-// The scheduler includes a configurable "interactivity bonus": threads that
-// spend a larger fraction of their recent wall time sleeping get a larger
-// effective weight, a one-parameter stand-in for the sleeper-fairness
-// heuristics of Linux CFS. With the bonus enabled, a fine-grained background
-// job naturally receives more than half of a shared core when it competes
-// with a long-burst compute thread — the behaviour the paper reports for
-// Mol3D.
+// weights. This mirrors how a multi-tenant cloud host divides a physical
+// core between a pinned HPC worker and an interfering co-located VM, which
+// is the environment the paper studies. A thread's weight is fixed when it
+// is created; the OS preference the paper reports for Mol3D's background
+// job is such a static weight, set by the experiment that builds the job.
 //
 // Cores keep /proc/stat-style cumulative busy and idle counters (see
 // ProcStat). Load balancers in this repository observe background load only
@@ -37,14 +31,6 @@ type Config struct {
 	// second when a thread runs alone. 1.0 models the paper's testbed;
 	// heterogeneous speeds can be set per core after construction.
 	CoreSpeed float64
-	// InteractivityBonus scales the weight boost given to threads that
-	// sleep often: effectiveWeight = weight * (1 + bonus*sleepFraction).
-	// 0 yields plain weighted fair sharing.
-	InteractivityBonus float64
-	// InteractivityAlpha is the smoothing factor of the exponential moving
-	// average of a thread's sleep fraction, applied once per run/sleep
-	// cycle. Defaults to 0.25 when zero.
-	InteractivityAlpha float64
 	// Metrics, when non-nil, receives per-core busy/idle gauges
 	// (machine_core_busy_seconds / machine_core_idle_seconds). The values
 	// are published by PublishMetrics — called from the goroutine driving
@@ -53,18 +39,6 @@ type Config struct {
 	// scheduler's hot path pays nothing for them and a live /metrics
 	// scrape never touches scheduler state.
 	Metrics *metrics.Registry
-}
-
-// DefaultConfig mirrors the paper's testbed: 8 single-socket nodes with a
-// quad-core processor each.
-func DefaultConfig() Config {
-	return Config{
-		Nodes:              8,
-		CoresPerNode:       4,
-		CoreSpeed:          1.0,
-		InteractivityBonus: 0,
-		InteractivityAlpha: 0.25,
-	}
 }
 
 // Machine is a simulated cluster.
@@ -119,9 +93,6 @@ func NewSharded(sh *sim.Shards, cfg Config) *Machine {
 	if sh.NumShards() > cfg.Nodes {
 		panic(fmt.Sprintf("machine: %d shards for %d nodes", sh.NumShards(), cfg.Nodes))
 	}
-	if cfg.InteractivityAlpha == 0 {
-		cfg.InteractivityAlpha = 0.25
-	}
 	m := &Machine{eng: sh.Engine(0), cfg: cfg, shards: sh}
 	for n := 0; n < cfg.Nodes; n++ {
 		node := &Node{ID: n}
@@ -131,7 +102,6 @@ func NewSharded(sh *sim.Shards, cfg Config) *Machine {
 			core := &Core{
 				ID:     n*cfg.CoresPerNode + c,
 				node:   node,
-				m:      m,
 				eng:    eng,
 				shard:  shard,
 				speed:  cfg.CoreSpeed,

@@ -310,56 +310,6 @@ func TestMigrateRunningPanics(t *testing.T) {
 	th.Migrate(m.Core(1))
 }
 
-func TestInteractivityBonusFavorsSleeper(t *testing.T) {
-	eng := sim.NewEngine()
-	m := New(eng, Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1, InteractivityBonus: 2, InteractivityAlpha: 0.5})
-	core := m.Core(0)
-	hog := m.NewThread("hog", core, 1)
-	napper := m.NewThread("napper", core, 1)
-
-	// The hog computes continuously; the napper alternates short bursts
-	// and equal sleeps, building up a sleep fraction near 0.5.
-	var hogLoop func()
-	hogLoop = func() { hog.Run(1.0, hogLoop) }
-	hogLoop()
-	var napLoop func()
-	napLoop = func() {
-		napper.Run(0.05, func() {
-			eng.After(0.05, napLoop)
-		})
-	}
-	napLoop()
-
-	if err := eng.RunUntil(200); err != nil {
-		t.Fatal(err)
-	}
-	if napper.SleepFraction() < 0.2 {
-		t.Fatalf("napper sleep fraction %v, expected substantial", napper.SleepFraction())
-	}
-	// Per unit of runnable time, the napper must be served faster than
-	// fair share: while both are runnable the napper should get more than
-	// half the core. Check via CPU per wall-second-of-demand: the napper
-	// requested bursts continuously except its sleeps, so its total CPU
-	// should exceed what a pure 50/50 split of its runnable time gives.
-	hogCPU := float64(hog.CPUTime())
-	napCPU := float64(napper.CPUTime())
-	if napCPU <= 0 || hogCPU <= 0 {
-		t.Fatal("threads did not run")
-	}
-	// The napper was runnable for roughly napCPU_wall; with bonus, its
-	// effective weight while runnable exceeds the hog's, so its share of
-	// contended time exceeds 1/2. A loose check: the napper accumulated
-	// CPU at more than 55% of the rate of contended fair share.
-	if napper.SleepFraction() > 0.2 && napCPU/(napCPU+hogCPU) < 0.05 {
-		t.Fatalf("napper starved: %.3f of total CPU", napCPU/(napCPU+hogCPU))
-	}
-	// Direct check of the mechanism: effective weight grows with sleep
-	// fraction.
-	if napper.SleepFraction() <= hog.SleepFraction() {
-		t.Fatalf("napper sleepFrac %v <= hog %v", napper.SleepFraction(), hog.SleepFraction())
-	}
-}
-
 func TestCPUConservation(t *testing.T) {
 	// Property: for random workloads on one core, total CPU delivered to
 	// threads equals busy wall time times speed, and busy+idle equals
@@ -417,27 +367,6 @@ func TestTwoCoresAreIndependent(t *testing.T) {
 	}
 	if !approx(da, 1) || !approx(db, 1) {
 		t.Fatalf("independent cores interfered: %v %v", da, db)
-	}
-}
-
-func TestUtilizationWindow(t *testing.T) {
-	eng, m := newTestMachine(1, 1)
-	th := m.NewThread("a", m.Core(0), 1)
-	th.Run(1, func() {})
-	if err := eng.RunUntil(2); err != nil {
-		t.Fatal(err)
-	}
-	busy0, util := m.Core(0).Utilization(0, 0)
-	if math.Abs(util-0.5) > tol {
-		t.Fatalf("util=%v over [0,2], want 0.5", util)
-	}
-	th.Run(2, func() {})
-	if err := eng.RunUntil(4); err != nil {
-		t.Fatal(err)
-	}
-	_, util = m.Core(0).Utilization(busy0, 2)
-	if math.Abs(util-1.0) > tol {
-		t.Fatalf("util=%v over [2,4], want 1", util)
 	}
 }
 

@@ -79,7 +79,7 @@ func (t *LBTimeline) SetNotify(fn func(index int, s LBStep)) {
 }
 
 // StepsSince returns a copy of the steps recorded at index from onward —
-// the incremental read behind /api/lbsteps?since=N. A negative or
+// the incremental read behind /api/v1/lbsteps?since=N. A negative or
 // out-of-range from yields the full or empty slice respectively; nil on
 // a nil receiver.
 func (t *LBTimeline) StepsSince(from int) []LBStep {

@@ -360,6 +360,14 @@ func TestSubmitValidation(t *testing.T) {
 	if resp, _ := post(`{"method":"scenarios","spec":{"app":"Wave2D","coers":[8]}}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d", resp.StatusCode)
 	}
+	// A field the wire format does not have is refused by name, so a Spec
+	// that sets one is never run without it.
+	resp, body = post(`{"method":"scenarios","spec":{"app":"Wave2D","cores":[8],"interactivity_bonus":1}}`)
+	verr.Errors = nil
+	if err := json.Unmarshal(body, &verr); resp.StatusCode != http.StatusBadRequest || err != nil ||
+		len(verr.Errors) != 1 || verr.Errors[0].Field != "spec" || !strings.Contains(verr.Errors[0].Msg, "interactivity_bonus") {
+		t.Fatalf("removed field: status %d, body %s; want 400 naming interactivity_bonus", resp.StatusCode, body)
+	}
 
 	// Method-shape errors surface as failed jobs, not hung ones: compare
 	// needs exactly one core count.

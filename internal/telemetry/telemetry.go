@@ -20,9 +20,7 @@
 //	GET /api/v1/logs       recent structured log records (ndjson ring)
 //	GET /events            SSE: progress, lbstep, job, log, done events
 //
-// The pre-v1 spellings /api/run and /api/lbsteps answer with permanent
-// (308) redirects to their /api/v1 homes. The scenario service
-// (internal/service) mounts its /api/v1/jobs and /api/v1/artifacts
+// The scenario service (internal/service) mounts its /api/v1/jobs and /api/v1/artifacts
 // endpoints on the same mux via Handle.
 //
 // Everything served is backed by atomics or mutex-guarded copies, so
@@ -102,28 +100,12 @@ func NewServer(reg *metrics.Registry, tl *metrics.LBTimeline) *Server {
 	s.mux.HandleFunc("GET /api/v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /api/v1/logs", s.handleLogs)
 	s.mux.HandleFunc("GET /events", s.handleEvents)
-	// The pre-v1 paths remain as permanent redirects so existing scrape
-	// configs and dashboards keep working; 308 preserves method and query.
-	s.mux.HandleFunc("/api/run", redirectV1("/api/v1/run"))
-	s.mux.HandleFunc("/api/lbsteps", redirectV1("/api/v1/lbsteps"))
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
-}
-
-// redirectV1 maps a legacy path onto its /api/v1 home, preserving the
-// query string. 308 (not 301) keeps the method across the hop.
-func redirectV1(target string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		dst := target
-		if r.URL.RawQuery != "" {
-			dst += "?" + r.URL.RawQuery
-		}
-		http.Redirect(w, r, dst, http.StatusPermanentRedirect)
-	}
 }
 
 // Handler exposes the routed endpoints (httptest hosts this directly).

@@ -349,41 +349,6 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 }
 
-// TestLegacyRedirects pins the v1 migration contract: the pre-v1 paths
-// answer 308 with the v1 location, query string intact, and still reach
-// the data when the redirect is followed.
-func TestLegacyRedirects(t *testing.T) {
-	_, _, tl, ts := newTestServer(t)
-	tl.Append(metrics.LBStep{Step: 1, Time: 1.5})
-
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	cases := map[string]string{
-		"/api/run":             "/api/v1/run",
-		"/api/lbsteps":         "/api/v1/lbsteps",
-		"/api/lbsteps?since=1": "/api/v1/lbsteps?since=1",
-	}
-	for old, want := range cases {
-		resp, err := noFollow.Get(ts.URL + old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Fatalf("%s: status %d, want 308", old, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != want {
-			t.Fatalf("%s: Location %q, want %q", old, loc, want)
-		}
-	}
-	// A default client walks through the hop transparently.
-	code, body, _ := get(t, ts.URL+"/api/lbsteps?since=0")
-	if code != http.StatusOK || !strings.Contains(body, `"total": 1`) {
-		t.Fatalf("followed redirect: %d\n%s", code, body)
-	}
-}
-
 // TestHandleAndBroadcast covers the extension points the scenario
 // service mounts through: extra routes on the shared mux, and named SSE
 // events reaching /events subscribers.
