@@ -87,25 +87,34 @@ fuzz:
 # the resume, in each AMPI rank's Wtime, and in LBWallTime's per-PE sums; merged mode must keep one
 # engine's order, and a lone pool-sharded scenario must run at most a
 # fifth of its events merged. Thirty random Specs drawn up to 256 cores run the
-# same comparison without -race, which would take minutes on them, at two
+# same comparison without -race, which would take minutes on them, at three
 # seeds: seed 2 draws three Mol3D Specs whose traces split at two and four
-# shards when a cross-shard delivery tied a local event's timestamp, and
+# shards when a cross-shard delivery tied a local event's timestamp,
 # seed 1 draws a hard kill whose evacuees landed on PEs already in sync,
-# which hung the run. The
+# which hung the run, and seed 6 a restore that lands before a hard kill
+# is detected, which left the PE idle with its queue. The
 # scheduler must stay allocation-free in steady
 # state at one shard (the runtime stack alone and under the stencil and
 # Mol3D applications) and at 2 and 8 shards, and so must a lossy xnet
-# Send on a warm pair. The alloc gates run without
+# Send on a warm pair. The kernel worker is held to the same
+# contract under the race detector: the random Specs with and without it,
+# the applications' serial-reference rows that run their steps on it,
+# and the charm elastic tests with their sends deferred to it
+# (-charm.kernelworker), revocations forcing entries complete mid-tail
+# included; the alloc gates hold 0 with it too. The alloc gates run without
 # -race (instrumentation perturbs allocation counts); -count=1 defeats the
 # test cache so the gates always execute.
 determinism:
-	$(GO) test -race -count=1 -run 'TestShardedDeterminism|TestDiffusionShardedDeterminism|TestShardsAutoResolve|TestShardCountInvariantOnRandomSpecs' ./internal/experiment
+	$(GO) test -race -count=1 -run 'TestShardedDeterminism|TestDiffusionShardedDeterminism|TestShardsAutoResolve|TestShardCountInvariantOnRandomSpecs|TestKernelWorkerInvariantOnRandomSpecs' ./internal/experiment
+	$(GO) test -race -count=1 -run 'MatchesSerial|MoversExportedOnce|WithSyncMatchesWithoutSync|AdaptiveConvergence' ./internal/apps
+	$(GO) test -race -count=1 -run 'Revoke|Revocation|HardKill|Restore|Elastic|RecoversFaster|KernelWorker' ./internal/charm -args -charm.kernelworker
 	$(GO) test -race -count=1 -run 'TestResumeWaveRunsInParallelWindows' ./internal/charm
 	$(GO) test -race -count=1 -run 'TestAllReduceAfterMigrateSyncAnyShardCount' ./internal/ampi
 	$(GO) test -race -count=1 -run 'TestMergedModeKeepsOneEngineOrder|TestCrossDeliveryKeepsOneEngineOrder' ./internal/sim
-	$(GO) test -race -count=1 -run 'TestPoolShardsLoneLargeScenario' ./internal/runner
+	$(GO) test -race -count=1 -run 'TestPoolShardsLoneLargeScenario|TestPoolKernelWorkerLoneScenario' ./internal/runner
 	$(GO) test -count=1 -run 'TestShardCountInvariantOnRandomSpecs' ./internal/experiment -args -shardspec.maxcores=256 -shardspec.seed=2 -shardspec.cases=30
 	$(GO) test -count=1 -run 'TestShardCountInvariantOnRandomSpecs' ./internal/experiment -args -shardspec.maxcores=256 -shardspec.seed=1 -shardspec.cases=30
+	$(GO) test -count=1 -run 'TestShardCountInvariantOnRandomSpecs' ./internal/experiment -args -shardspec.maxcores=256 -shardspec.seed=6 -shardspec.cases=30
 	$(GO) test -count=1 -run 'TestClassicScenarioSteadyStateAllocFree|TestShardedScenarioSteadyStateAllocFree|TestStencilSteadyStateAllocFree|TestMol3DSteadyStateAllocFree' ./internal/experiment
 	$(GO) test -count=1 -run 'TestLossySendOnWarmPairAllocFree' ./internal/xnet
 

@@ -250,6 +250,11 @@ type mdChare struct {
 	departed   []Particle
 	fx, fy, fz []float64 // force scratch
 	nbrs       []int     // cached neighbors(); the decomposition never changes
+	// sendNext marks a step whose tail also sends the next iteration's
+	// positions; tail is the step's deferred tail (see drainReady), bound
+	// once so deferring it allocates nothing.
+	sendNext bool
+	tail     func(*charm.Ctx)
 }
 
 // initExchange sizes the per-neighbor exchange state.
@@ -262,6 +267,7 @@ func (c *mdChare) initExchange() {
 		c.out[p] = out[p*n : (p+1)*n : (p+1)*n]
 	}
 	c.outbox = make([][]Particle, n)
+	c.tail = c.stepTail
 }
 
 // nbrPos returns the position of cell in neighbors().
@@ -327,6 +333,13 @@ func (c *mdChare) Recv(ctx *charm.Ctx, data interface{}) float64 {
 	panic(fmt.Sprintf("apps: md chare got unexpected message %T", data))
 }
 
+// drainReady computes as many iterations as have every neighbor's
+// positions, stopping at sync points and completion, and returns their
+// CPU cost. Each step's cost is a count known before its arithmetic (see
+// stepCost), so the arithmetic and the sends that read it are the step's
+// tail, deferred to the kernel worker when the entry ends with it. A step
+// the entry goes on past runs its tail here: the next step's cost reads
+// the cell it leaves.
 func (c *mdChare) drainReady(ctx *charm.Ctx) float64 {
 	cost := 0.0
 	for {
@@ -337,29 +350,61 @@ func (c *mdChare) drainReady(ctx *charm.Ctx) float64 {
 		if c.inN[p] != len(c.neighbors()) {
 			return cost
 		}
-		cost += c.computeStep(c.in[p])
-		clear(c.in[p])
+		cost += c.stepCost(c.in[p])
 		c.inN[p] = 0
 		c.iter++
 
+		c.sendNext = false
 		switch {
 		case c.iter == c.app.cfg.Iters:
 			ctx.Done()
-			return cost
 		case c.app.cfg.SyncEvery > 0 && c.iter%c.app.cfg.SyncEvery == 0:
 			c.atSync = true
 			ctx.AtSync()
-			return cost
 		default:
-			c.sendPositions(ctx)
+			c.sendNext = true
+			if c.inN[c.iter&1] == len(c.neighbors()) {
+				c.stepTail(ctx)
+				continue
+			}
 		}
+		ctx.Defer(c.tail)
+		return cost
+	}
+}
+
+// stepCost is the CPU cost of the step over in, this iteration's message
+// from each neighbor: the pairs computeStep examines and the particles it
+// integrates, counted before any arithmetic. Each sender exports every
+// mover exactly once, so a message holds len(Ghost) − len(Movers) ghosts
+// that are not adopted here.
+func (c *mdChare) stepCost(in []*posMsg) float64 {
+	n, ghosts := len(c.own), 0
+	for _, m := range in {
+		n += len(m.Movers)
+		ghosts += len(m.Ghost) - len(m.Movers)
+	}
+	pairs := n*(n-1)/2 + n*(ghosts+len(c.departed))
+	return float64(pairs)*c.app.cfg.CostPerPair + float64(n)*c.app.cfg.CostPerParticle
+}
+
+// stepTail is the last step's arithmetic and, unless the step ended at a
+// sync point or the run's end, the next iteration's position sends. It
+// runs before the cell's next entry, so the step's messages are still in
+// their slot; it clears the slot for the iteration two ahead.
+func (c *mdChare) stepTail(ctx *charm.Ctx) {
+	in := c.in[(c.iter-1)&1]
+	c.computeStep(in)
+	clear(in)
+	if c.sendNext {
+		c.sendPositions(ctx)
 	}
 }
 
 // computeStep adopts inbound movers, evaluates forces against own, ghost
 // and recently-departed particles, integrates, and sorts departures into
 // the outbox. in holds this iteration's message from each neighbor, in
-// neighbors() order. It returns the CPU cost of the work performed.
+// neighbors() order; stepCost counts its work.
 //
 // Pair coverage invariant: every particle pair within the cutoff is
 // evaluated exactly once per side per iteration. Adopted movers also
@@ -370,7 +415,7 @@ func (c *mdChare) drainReady(ctx *charm.Ctx) float64 {
 // because the destination's exports for this iteration predate the
 // handover. This requires a skin: particles may penetrate at most
 // CellSize - Cutoff into the next cell per step, which is asserted below.
-func (c *mdChare) computeStep(in []*posMsg) float64 {
+func (c *mdChare) computeStep(in []*posMsg) {
 	cfg := &c.app.cfg
 	lj := &c.app.lj
 	// Adopt movers in deterministic neighbor order; the own-ghost loop
@@ -386,7 +431,6 @@ func (c *mdChare) computeStep(in []*posMsg) float64 {
 
 	// Own-own pairs, Newton's third law applied.
 	lj.addPairForces(c.fx, c.fy, c.fz, own)
-	pairs := n * (n - 1) / 2
 	// Own-ghost pairs, one-sided (the neighbor computes its own side).
 	for _, m := range in {
 		for k := range m.Ghost {
@@ -394,7 +438,6 @@ func (c *mdChare) computeStep(in []*posMsg) float64 {
 			if moved(m.Movers, g.ID) {
 				continue
 			}
-			pairs += n
 			lj.addForces(c.fx, c.fy, c.fz, own, g)
 		}
 	}
@@ -402,7 +445,6 @@ func (c *mdChare) computeStep(in []*posMsg) float64 {
 	// so this cell supplies the force they exert on its remaining
 	// particles (the owner computes the mirror side from our ghost).
 	for k := range c.departed {
-		pairs += n
 		lj.addForces(c.fx, c.fy, c.fz, own, &c.departed[k])
 	}
 	c.departed = c.departed[:0]
@@ -445,8 +487,6 @@ func (c *mdChare) computeStep(in []*posMsg) float64 {
 		c.departed = append(c.departed, p)
 	}
 	c.own = kept
-
-	return float64(pairs)*cfg.CostPerPair + float64(n)*cfg.CostPerParticle
 }
 
 // moved reports whether particle id is among a sender's movers.

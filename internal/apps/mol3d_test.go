@@ -3,6 +3,8 @@ package apps
 import (
 	"math"
 	"testing"
+
+	"cloudlb/internal/charm"
 )
 
 // serialMD is the reference implementation: all-pairs truncated LJ with
@@ -228,7 +230,8 @@ func TestMol3DDeterministic(t *testing.T) {
 }
 
 func TestMol3DWithSyncMatchesWithoutSync(t *testing.T) {
-	// LB barriers must not change physics.
+	// LB barriers must not change physics, nor must migrating cells
+	// whose steps ran on a kernel worker.
 	base := Mol3DConfig{
 		CellsX: 2, CellsY: 2, CellsZ: 1,
 		CellSize: 1.0, Particles: 60, ClusterFrac: 0.5,
@@ -239,19 +242,21 @@ func TestMol3DWithSyncMatchesWithoutSync(t *testing.T) {
 
 	synced := base
 	synced.SyncEvery = 5
-	eng, rts := testRTSWithStrategy(t)
-	app := NewMol3DApp(rts, synced)
-	rts.Start()
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !rts.Finished() {
-		t.Fatal("synced md run did not finish")
-	}
-	got := app.Particles()
-	for i := range plain {
-		if plain[i] != got[i] {
-			t.Fatalf("sync changed physics at particle %d", i)
+	for _, kern := range []*charm.KernelWorker{nil, kernelWorker(t)} {
+		eng, rts := testRTSWithStrategy(t, kern)
+		app := NewMol3DApp(rts, synced)
+		rts.Start()
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !rts.Finished() {
+			t.Fatal("synced md run did not finish")
+		}
+		got := app.Particles()
+		for i := range plain {
+			if plain[i] != got[i] {
+				t.Fatalf("sync (kernel worker %v) changed physics at particle %d", kern != nil, i)
+			}
 		}
 	}
 }
@@ -288,5 +293,55 @@ func TestClampHelpers(t *testing.T) {
 	}
 	if abs(-3) != 3 || abs(3) != 3 {
 		t.Fatal("abs")
+	}
+}
+
+// TestMol3DMoversExportedOnce pins the count stepCost relies on: every
+// particle a cell hands to a neighbor is in that cell's ghost export
+// exactly once, so a position message holds len(Ghost) − len(Movers)
+// ghosts its receiver does not adopt. An outgoing message keeps its
+// contents for two iterations, so checking every cell's messages once
+// per iteration sees each of them.
+func TestMol3DMoversExportedOnce(t *testing.T) {
+	cfg := Mol3DConfig{
+		CellsX: 4, CellsY: 4, CellsZ: 1,
+		CellSize: 1.0, Cutoff: 0.8, Particles: 128,
+		ClusterFrac: 0.3, ClusterSigmaFrac: 0.25,
+		Seed: 3, Dt: 5e-4, Epsilon: 0.2, Iters: 200,
+		CostPerPair: 1e-8,
+	}
+	eng, rts := testRTS(t, 1, 4)
+	app := NewMol3DApp(rts, cfg)
+	rts.Start()
+	movers := 0
+	for it := 1; it <= cfg.Iters; it++ {
+		for i := 0; i < app.NumCells(); i++ {
+			for app.Iterations(i) < it {
+				if !eng.Step() {
+					t.Fatal("Mol3D world ran out of events")
+				}
+			}
+		}
+		for _, c := range app.chares {
+			for p := range c.out {
+				for _, m := range c.out[p] {
+					for _, mv := range m.Movers {
+						n := 0
+						for _, g := range m.Ghost {
+							if g.ID == mv.ID {
+								n++
+							}
+						}
+						if n != 1 {
+							t.Fatalf("cell %d, iteration %d: mover %d is in its ghost export %d times, want 1", c.index, m.Iter, mv.ID, n)
+						}
+					}
+					movers += len(m.Movers)
+				}
+			}
+		}
+	}
+	if movers == 0 {
+		t.Fatal("no particle changed cells; the check proved nothing")
 	}
 }

@@ -265,6 +265,9 @@ type stencilChare struct {
 	atSync   bool // between AtSync and Resume; no stepping
 	stopAt   int  // converged: finish before computing this iteration (0 = run to Iters)
 	finished bool // Done has been signaled
+	// sendNext marks a step whose tail also sends the next iteration's
+	// edges.
+	sendNext bool
 	// in holds the edges received for iterations of each parity, indexed
 	// by the direction they arrive from; inN counts each slot's edges.
 	in  [2][numDirs]*edgeMsg
@@ -272,6 +275,9 @@ type stencilChare struct {
 	// out holds the outgoing edges of each parity, indexed by direction.
 	out  [2][numDirs]edgeMsg
 	nbrs []int // cached neighbors(); the decomposition never changes
+	// tail is the step's deferred tail (see drainReady), bound once so
+	// deferring it allocates nothing.
+	tail func(*charm.Ctx)
 }
 
 // initOut carves the outgoing edge buffers of both parities for a
@@ -289,6 +295,7 @@ func (c *stencilChare) initOut(bw, bh int) {
 			buf = buf[l:]
 		}
 	}
+	c.tail = c.stepTail
 }
 
 // windowSlot returns the parity slot of a message for iteration msgIter
@@ -399,7 +406,11 @@ func (c *stencilChare) limit() int {
 
 // drainReady computes as many iterations as have complete edge sets,
 // stopping at sync points and completion. It returns the accumulated CPU
-// cost of the computation performed in this entry.
+// cost of the computation performed in this entry. A step's cost is its
+// cell count, so the kernel step and the edge sends that read it are the
+// step's tail, deferred to the kernel worker when the entry ends with
+// it. A step the entry goes on past, or whose residual a convergence
+// check reads, runs its tail here.
 func (c *stencilChare) drainReady(ctx *charm.Ctx) float64 {
 	cost := 0.0
 	for {
@@ -415,14 +426,7 @@ func (c *stencilChare) drainReady(ctx *charm.Ctx) float64 {
 		if c.inN[p] != len(c.neighbors()) {
 			return cost
 		}
-		var g Ghosts
-		for d, m := range c.in[p] {
-			if m != nil {
-				g[d] = m.Data
-			}
-		}
-		c.in[p], c.inN[p] = [numDirs]*edgeMsg{}, 0
-		c.kernel.StepGhosts(g)
+		c.inN[p] = 0
 		bw := c.app.cfg.GridW / c.app.cfg.CharesX
 		bh := c.app.cfg.GridH / c.app.cfg.CharesY
 		step := float64(bw*bh) * c.app.cfg.CostPerCell
@@ -432,23 +436,49 @@ func (c *stencilChare) drainReady(ctx *charm.Ctx) float64 {
 		cost += step
 		c.iter++
 
+		c.sendNext = false
 		switch {
 		case c.iter >= c.limit():
 			c.finished = true
 			ctx.Done()
-			return cost
 		case c.app.cfg.SyncEvery > 0 && c.iter%c.app.cfg.SyncEvery == 0:
+			c.atSync = true
+			ctx.AtSync()
 			if c.app.cfg.ConvergeEps > 0 {
+				c.stepTail(ctx)
 				rk := c.kernel.(ResidualKernel)
 				round := c.iter / c.app.cfg.SyncEvery
 				ctx.Contribute(residualTagPrefix+strconv.Itoa(round), rk.Residual(), charm.ReduceMax)
+				return cost
 			}
-			c.atSync = true
-			ctx.AtSync()
-			return cost
 		default:
-			c.sendEdges(ctx)
+			c.sendNext = true
+			if c.inN[c.iter&1] == len(c.neighbors()) {
+				c.stepTail(ctx)
+				continue
+			}
 		}
+		ctx.Defer(c.tail)
+		return cost
+	}
+}
+
+// stepTail is the last step's kernel update and, unless the step ended
+// at a sync point or the run's end, the next iteration's edge sends. It
+// runs before the chare's next entry, so the step's edges are still in
+// their slot; it clears the slot for the iteration two ahead.
+func (c *stencilChare) stepTail(ctx *charm.Ctx) {
+	p := (c.iter - 1) & 1
+	var g Ghosts
+	for d, m := range c.in[p] {
+		if m != nil {
+			g[d] = m.Data
+		}
+	}
+	c.in[p] = [numDirs]*edgeMsg{}
+	c.kernel.StepGhosts(g)
+	if c.sendNext {
+		c.sendEdges(ctx)
 	}
 }
 

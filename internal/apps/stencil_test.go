@@ -13,6 +13,11 @@ import (
 
 func testRTS(t *testing.T, nodes, coresPer int) (*sim.Engine, *charm.RTS) {
 	t.Helper()
+	return uniformRTS(t, nodes, coresPer, nil)
+}
+
+func uniformRTS(t *testing.T, nodes, coresPer int, kern *charm.KernelWorker) (*sim.Engine, *charm.RTS) {
+	t.Helper()
 	eng := sim.NewEngine()
 	m := machine.New(eng, machine.Config{Nodes: nodes, CoresPerNode: coresPer, CoreSpeed: 1})
 	n := xnet.New(m, xnet.DefaultConfig())
@@ -20,7 +25,7 @@ func testRTS(t *testing.T, nodes, coresPer int) (*sim.Engine, *charm.RTS) {
 	for i := range cores {
 		cores[i] = i
 	}
-	return eng, charm.NewRTS(charm.Config{Machine: m, Net: n, Cores: cores})
+	return eng, charm.NewRTS(charm.Config{Machine: m, Net: n, Cores: cores, Kernels: kern})
 }
 
 // skewedRTS builds a 2-node x 2-core runtime whose timing pulls neighbors
@@ -28,7 +33,7 @@ func testRTS(t *testing.T, nodes, coresPer int) (*sim.Engine, *charm.RTS) {
 // 10% of inter-node transmissions are lost and retransmitted. Neighbors
 // then run an iteration apart and messages arrive late and out of order,
 // which the exchanges' two-slot iteration window must absorb.
-func skewedRTS(t *testing.T) (*sim.Engine, *charm.RTS) {
+func skewedRTS(t *testing.T, kern *charm.KernelWorker) (*sim.Engine, *charm.RTS) {
 	t.Helper()
 	eng := sim.NewEngine()
 	m := machine.New(eng, machine.Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
@@ -36,16 +41,31 @@ func skewedRTS(t *testing.T) (*sim.Engine, *charm.RTS) {
 	n := xnet.New(m, xnet.Config{
 		DropPct: 10, Seed: 1, StragglerNodes: []int{1}, StragglerFactor: 4,
 	}.Resolved())
-	return eng, charm.NewRTS(charm.Config{Machine: m, Net: n, Cores: []int{0, 1, 2, 3}})
+	return eng, charm.NewRTS(charm.Config{Machine: m, Net: n, Cores: []int{0, 1, 2, 3}, Kernels: kern})
+}
+
+// kernelWorker starts a kernel worker that stops when the test ends.
+func kernelWorker(t *testing.T) *charm.KernelWorker {
+	w := charm.StartKernelWorker()
+	t.Cleanup(func() { w.Stop() })
+	return w
 }
 
 // exchangeRuntimes are the runtimes the serial-reference tests run on.
+// The kernel-worker rows run each step's arithmetic and sends beside the
+// event thread.
 var exchangeRuntimes = []struct {
 	name  string
 	build func(t *testing.T) (*sim.Engine, *charm.RTS)
 }{
-	{"uniform 1x4", func(t *testing.T) (*sim.Engine, *charm.RTS) { return testRTS(t, 1, 4) }},
-	{"skewed 2x2", skewedRTS},
+	{"uniform 1x4", func(t *testing.T) (*sim.Engine, *charm.RTS) { return uniformRTS(t, 1, 4, nil) }},
+	{"skewed 2x2", func(t *testing.T) (*sim.Engine, *charm.RTS) { return skewedRTS(t, nil) }},
+	{"uniform 1x4, kernel worker", func(t *testing.T) (*sim.Engine, *charm.RTS) {
+		return uniformRTS(t, 1, 4, kernelWorker(t))
+	}},
+	{"skewed 2x2, kernel worker", func(t *testing.T) (*sim.Engine, *charm.RTS) {
+		return skewedRTS(t, kernelWorker(t))
+	}},
 }
 
 // serialJacobi runs the reference implementation: gw x gh grid, zero
@@ -150,7 +170,7 @@ func TestJacobiWithAtSyncMatchesSerial(t *testing.T) {
 	// the numerics.
 	const gw, gh, cx, cy, iters = 16, 16, 2, 2, 12
 	want := serialJacobi(gw, gh, iters)
-	eng, rts := testRTSWithStrategy(t)
+	eng, rts := testRTSWithStrategy(t, nil)
 	app := NewStencilApp(rts, StencilConfig{
 		Array: "jacobi", GridW: gw, GridH: gh, CharesX: cx, CharesY: cy,
 		Iters: iters, SyncEvery: 4, CostPerCell: 1e-6,
@@ -171,14 +191,14 @@ func TestJacobiWithAtSyncMatchesSerial(t *testing.T) {
 	}
 }
 
-func testRTSWithStrategy(t *testing.T) (*sim.Engine, *charm.RTS) {
+func testRTSWithStrategy(t *testing.T, kern *charm.KernelWorker) (*sim.Engine, *charm.RTS) {
 	t.Helper()
 	eng := sim.NewEngine()
 	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 	n := xnet.New(m, xnet.DefaultConfig())
 	return eng, charm.NewRTS(charm.Config{
 		Machine: m, Net: n, Cores: []int{0, 1, 2, 3},
-		Strategy: &core.RefineLB{EpsilonFrac: 0.05},
+		Strategy: &core.RefineLB{EpsilonFrac: 0.05}, Kernels: kern,
 	})
 }
 
@@ -333,9 +353,20 @@ func TestStencilInvalidConfigPanics(t *testing.T) {
 func TestJacobiAdaptiveConvergence(t *testing.T) {
 	// With ConvergeEps set, the run stops as soon as the max-reduced
 	// residual falls below the threshold — well before the configured
-	// iteration bound on this small grid.
+	// iteration bound on this small grid. The residual a sync step
+	// contributes reads that step's update, which a kernel worker must
+	// not defer past it.
+	want := adaptiveConvergence(t, nil)
+	if got := adaptiveConvergence(t, kernelWorker(t)); got != want {
+		t.Fatalf("with a kernel worker the run stopped at %d, without at %d", got, want)
+	}
+}
+
+// adaptiveConvergence runs the converging Jacobi grid and returns the
+// iteration it stopped at.
+func adaptiveConvergence(t *testing.T, kern *charm.KernelWorker) int {
 	const gw, gh, cx, cy = 16, 16, 2, 2
-	eng, rts := testRTSWithStrategy(t)
+	eng, rts := testRTSWithStrategy(t, kern)
 	app := NewStencilApp(rts, StencilConfig{
 		Array: "jacobi", GridW: gw, GridH: gh, CharesX: cx, CharesY: cy,
 		Iters: 10000, SyncEvery: 20, CostPerCell: 1e-7,
@@ -368,7 +399,7 @@ func TestJacobiAdaptiveConvergence(t *testing.T) {
 	if r := app.Kernel(0, 0).(*JacobiKernel).Residual(); r >= 1e-4 {
 		t.Fatalf("residual %v above threshold at stop", r)
 	}
-	t.Logf("converged after %d iterations", stopped)
+	return stopped
 }
 
 func TestConvergeEpsRequiresSyncEvery(t *testing.T) {

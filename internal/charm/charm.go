@@ -40,6 +40,13 @@ type Chare interface {
 	// method consumes. The runtime runs application logic eagerly but
 	// charges the returned cost to the PE's thread before any message
 	// sent from this entry leaves the PE.
+	//
+	// Recv may hand the entry's numeric tail to Ctx.Defer. The deferred
+	// function touches only this chare's state and the payloads delivered
+	// to it, calls only Ctx.Send, and never reads a clock; the runtime
+	// joins it when the burst completes, before it applies the entry's
+	// effects, so the chare's next entry, a migration or evacuation pack
+	// and every reader after the run see the work done.
 	Recv(ctx *Ctx, data interface{}) float64
 	// PackSize returns the object's serialized size in bytes, charged
 	// when the load balancer migrates it.
@@ -169,6 +176,11 @@ type Config struct {
 	Obs *obs.Trace
 	// ObsTID is the trace row (Chrome thread ID) for this runtime's spans.
 	ObsTID int
+	// Kernels, when non-nil, runs the entries' deferred tails (Ctx.Defer)
+	// beside the event thread; several runtimes of one scenario may share
+	// it. It requires a one-shard scheduler: the event thread is its only
+	// producer. Nil runs every tail inline, where Defer is called.
+	Kernels *KernelWorker
 }
 
 // RTS is a runtime instance.
@@ -337,6 +349,9 @@ func NewRTS(cfg Config) *RTS {
 		r.pes = append(r.pes, newPE(r, i, cfg.Machine.Core(c)))
 	}
 	shards := r.sh.NumShards()
+	if cfg.Kernels != nil && shards > 1 {
+		panic("charm: a kernel worker needs a one-shard scheduler")
+	}
 	r.msgFree = make([]msgPool, shards)
 	r.shardDone = make([]shardDoneState, shards)
 	r.sh.OnBarrier(r.consolidate)

@@ -51,6 +51,7 @@ type iterChare struct {
 	cost      float64
 	syncEvery int
 
+	self    ChareID
 	done    int
 	lastPE  int
 	peTrail []int
@@ -82,10 +83,14 @@ func (c *iterChare) step(ctx *Ctx) float64 {
 	if c.syncEvery > 0 && c.done%c.syncEvery == 0 {
 		ctx.AtSync()
 	} else {
-		ctx.Send(ctx.Self(), tick{}, 16)
+		c.self = ctx.Self()
+		ctx.Defer(c.sendTick)
 	}
 	return c.cost
 }
+
+// sendTick is a step's deferred tail: the next step's trigger.
+func (c *iterChare) sendTick(ctx *Ctx) { ctx.Send(c.self, tick{}, 16) }
 
 func TestSingleChareRuns(t *testing.T) {
 	eng, m, n := testWorld(1, 1)

@@ -62,6 +62,30 @@ func (c *Ctx) Broadcast(array string, data interface{}, bytes int) {
 	}
 }
 
+// Defer hands the entry's numeric tail to the scenario's kernel worker
+// (Config.Kernels): fn runs on the worker, or on the event thread if it
+// reaches the join first, and the runtime joins it when the entry's CPU
+// burst completes, before it applies the entry's effects. Recv still
+// returns the entry's cost at once, so the cost must not depend on what
+// fn computes. fn touches only this chare's state and the payloads
+// delivered to it, calls only Send (on the Ctx it is handed), and never
+// reads a clock. A second Defer in one entry first joins the first, so
+// the tails run in order. With no worker, fn runs here and now.
+func (c *Ctx) Defer(fn func(*Ctx)) {
+	t := c.pe.task
+	if t == nil {
+		fn(c)
+		return
+	}
+	w := c.rts.cfg.Kernels
+	if t.state.Load() != taskIdle {
+		w.join(t)
+	}
+	t.fn, t.ctx = fn, c
+	t.state.Store(taskQueued)
+	w.push(t)
+}
+
 // AtSync tells the runtime this chare reached the load balancing point.
 // The chare must not send or expect application messages until it receives
 // the built-in Resume message.

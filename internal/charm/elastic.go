@@ -133,6 +133,15 @@ func (r *RTS) RestorePE(peIdx int, newCoreID int) {
 	p.wentOffline = false
 	p.resetLoadDB()
 	r.cfg.Trace.Mark(p.core.ID, r.eng.Now(), "restored")
+	// A restore that lands before a hard kill's detection delay finds
+	// the PE's chares and queue still here. While it was retired its
+	// pump ran nothing, and the chare that synced last (its entry forced
+	// complete by the revocation) could not take it into sync; resume
+	// both.
+	if r.cfg.Strategy != nil {
+		p.checkSync()
+	}
+	p.pump()
 }
 
 // Evacuations reports how many chares were emergency-evacuated off

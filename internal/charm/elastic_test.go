@@ -17,6 +17,7 @@ func elasticWorkload(t *testing.T, strat core.Strategy, iters, syncEvery int) (*
 		Net:      n,
 		Cores:    []int{0, 1, 2, 3},
 		Strategy: strat,
+		Kernels:  testKernels(t),
 	})
 	r.NewArray("w", 8, func(int) Chare {
 		return &iterChare{iters: iters, cost: 0.01, syncEvery: syncEvery}
@@ -218,10 +219,11 @@ type ghost struct{ iter int }
 // ghost to both neighbours and computes once both of theirs for the same
 // iteration have arrived, calling AtSync every syncEvery iterations.
 // Neighbours stay within one iteration of each other, so a chare that
-// stops running stalls the whole ring within a few iterations.
+// stops running stalls the whole ring within a few iterations. A step's
+// sends are its deferred tail.
 type haloChare struct {
-	n, iters, syncEvery int
-	cost                float64
+	idx, n, iters, syncEvery int
+	cost                     float64
 
 	iter int
 	got  [2]int // ghosts received for iter and iter+1
@@ -247,7 +249,7 @@ func (c *haloChare) Recv(ctx *Ctx, data interface{}) float64 {
 		case c.iter%c.syncEvery == 0:
 			ctx.AtSync()
 		default:
-			c.sendGhosts(ctx)
+			ctx.Defer(c.sendGhosts)
 		}
 		return c.cost
 	}
@@ -255,8 +257,7 @@ func (c *haloChare) Recv(ctx *Ctx, data interface{}) float64 {
 }
 
 func (c *haloChare) sendGhosts(ctx *Ctx) {
-	i := ctx.Self().Index
-	for _, j := range []int{(i + c.n - 1) % c.n, (i + 1) % c.n} {
+	for _, j := range []int{(c.idx + c.n - 1) % c.n, (c.idx + 1) % c.n} {
 		ctx.Send(ChareID{Array: "w", Index: j}, ghost{c.iter}, 256)
 	}
 }
@@ -270,9 +271,10 @@ func haloWorkload(t *testing.T, detect float64) (*sim.Engine, *RTS) {
 	r := NewRTS(Config{
 		Machine: m, Net: n, Cores: []int{0, 1, 2, 3},
 		Strategy: &core.RefineLB{}, FaultDetectionDelay: detect,
+		Kernels: testKernels(t),
 	})
-	r.NewArray("w", 16, func(int) Chare {
-		return &haloChare{n: 16, iters: 60, syncEvery: 10, cost: 0.01}
+	r.NewArray("w", 16, func(i int) Chare {
+		return &haloChare{idx: i, n: 16, iters: 60, syncEvery: 10, cost: 0.01}
 	})
 	watchInvariants(t, r)
 	return eng, r
@@ -318,6 +320,33 @@ func TestHardKillWithStrategyCompletes(t *testing.T) {
 				t.Fatal("no evacuations recorded")
 			}
 		})
+	}
+}
+
+// TestRestoreBeforeDetectionRearmsPE revokes a halo-ring PE without
+// warning and restores it in the same event, before the kill is
+// detected, so its chares and queue never leave. The restore must pump
+// the PE and re-check its sync point: at these instants the entry the
+// revocation forced complete is often the PE's last AtSync.
+func TestRestoreBeforeDetectionRearmsPE(t *testing.T) {
+	for pe := 0; pe < 4; pe++ {
+		for _, at := range []sim.Time{0.361, 0.37, 0.38, 0.39, 0.391, 0.395, 0.4} {
+			eng, r := haloWorkload(t, 0.05)
+			r.Start()
+			eng.At(at, func() {
+				r.RevokePE(pe, 0)
+				r.RestorePE(pe, -1)
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !r.Finished() {
+				t.Errorf("PE %d revoked and restored at %v: the run stalled", pe, at)
+			}
+			if r.Evacuations() != 0 {
+				t.Errorf("PE %d revoked and restored at %v: %d evacuations, want 0", pe, at, r.Evacuations())
+			}
+		}
 	}
 }
 

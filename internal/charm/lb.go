@@ -99,6 +99,12 @@ func (p *pe) maybeEnterSync(self *chareRec) {
 		p.enqueueApp(self, Resume{})
 		return
 	}
+	p.checkSync()
+}
+
+// checkSync enters sync once every local chare has synced, under a
+// strategy.
+func (p *pe) checkSync() {
 	// A retired PE never initiates a sync: its chares are on their way to
 	// other PEs and will complete the count there. (It still answers the
 	// master's empty-PE probe so the gather can total up.)

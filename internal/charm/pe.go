@@ -55,6 +55,9 @@ type pe struct {
 	curStart  sim.Time
 	ctx       Ctx
 	entryDone func()
+	// task holds the in-flight entry's deferred tail (Ctx.Defer) for the
+	// kernel worker, nil without one; onEntryDone joins it.
+	task *kernelTask
 
 	// Elasticity state. A retired PE executes no application work; its
 	// core is offline (or about to be) until RestorePE. evacIn counts the
@@ -119,6 +122,9 @@ func newPE(r *RTS, index int, c *machine.Core) *pe {
 	}
 	p.thread = r.cfg.Machine.NewThread(fmt.Sprintf("%s/pe%d", r.name, index), c, r.cfg.ThreadWeight)
 	p.entryDone = p.onEntryDone
+	if r.cfg.Kernels != nil {
+		p.task = new(kernelTask)
+	}
 	p.subtreeTotalMemo = -1
 	p.hierReset()
 	return p
@@ -313,8 +319,13 @@ func (p *pe) execute(d appDelivery) {
 	p.thread.Run(cost, p.entryDone)
 }
 
-// onEntryDone fires when the in-flight entry's CPU burst has been served.
+// onEntryDone fires when the in-flight entry's CPU burst has been served,
+// or at once when a revocation forces it complete (FinishNow). It joins
+// the entry's deferred tail first: the effects below read what it wrote.
 func (p *pe) onEntryDone() {
+	if t := p.task; t != nil && t.state.Load() != taskIdle {
+		p.rts.cfg.Kernels.join(t)
+	}
 	now := p.eng.Now()
 	p.running = false
 	p.cur.wall += float64(now - p.curStart)

@@ -99,12 +99,16 @@ type SteadyIterBench struct {
 // NewSteadyIterBench builds the world and warms it past the startup
 // transient, so the first timed StepOnce already runs on primed message
 // pools and armed threads.
-func NewSteadyIterBench() *SteadyIterBench {
+func NewSteadyIterBench() *SteadyIterBench { return newSteadyIterBench(nil) }
+
+// newSteadyIterBench is NewSteadyIterBench with the runtime's deferred
+// kernels on kern (nil runs them inline).
+func newSteadyIterBench(kern *charm.KernelWorker) *SteadyIterBench {
 	eng := sim.NewEngine()
 	mach := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 	net := xnet.New(mach, xnet.DefaultConfig())
 	rts := charm.NewRTS(charm.Config{
-		Machine: mach, Net: net, Cores: []int{0, 1, 2, 3}, Name: "steady",
+		Machine: mach, Net: net, Cores: []int{0, 1, 2, 3}, Name: "steady", Kernels: kern,
 	})
 	app := apps.NewStencilApp(rts, apps.StencilConfig{
 		Array: "wave", GridW: 256, GridH: 128,

@@ -36,7 +36,7 @@ func runOutcome(s Scenario) outcome {
 	reg := metrics.NewRegistry()
 	s.Trace, s.Metrics = rec, reg
 	res := Run(s)
-	return outcome{res: res, vals: metricValues(reg), hash: traceHash(rec)}
+	return outcome{res: res, vals: metricValues(reg, ShardSeries, HostTimeSeries), hash: traceHash(rec)}
 }
 
 // diffOutcomes reports every way got differs from want.
@@ -69,18 +69,21 @@ func detScenario(shards int) Scenario {
 }
 
 // metricValues flattens a registry into name|labels -> value, dropping
-// the series that legitimately differ across schedulers, ShardSeries and
-// HostTimeSeries.
+// the series of the skip sets: across shard counts, the ones that
+// legitimately differ, ShardSeries and HostTimeSeries.
 //
 // xnet_link_busy_seconds is compared exactly: the network accumulates
 // NIC busy time per source node (single writer, shard-invariant addition
 // order) and publishes a fixed-shape pairwise reduction, so the float is
 // bit-identical at any shard count.
-func metricValues(reg *metrics.Registry) map[string]float64 {
+func metricValues(reg *metrics.Registry, skip ...map[string]bool) map[string]float64 {
 	vals := make(map[string]float64)
+series:
 	for _, s := range reg.Gather().Series {
-		if ShardSeries[s.Name] || HostTimeSeries[s.Name] {
-			continue
+		for _, sk := range skip {
+			if sk[s.Name] {
+				continue series
+			}
 		}
 		k := s.Name
 		for _, l := range s.Labels {
@@ -151,7 +154,8 @@ func TestShardedDeterminismLossyNet(t *testing.T) {
 // count into [1, nodes], "auto" is the pool's choice (0), and the pool
 // gives two shards only to a scenario that leaves it the choice, has at
 // least 256 cores, and carries no metrics registry or fault schedule. A
-// trace recorder does not stop it.
+// trace recorder does not stop it. Below 256 cores the pool gives a
+// kernel worker instead, to any scenario that runs on one shard.
 func TestShardsAutoResolve(t *testing.T) {
 	cases := []struct{ in, nodes, want int }{
 		{-1, 8, 1}, {0, 8, 1}, {1, 8, 1}, {2, 8, 2}, {8, 8, 8}, {64, 8, 8},
@@ -170,26 +174,42 @@ func TestShardsAutoResolve(t *testing.T) {
 		f(&s)
 		return s
 	}
+	testbed := func(f func(*Scenario)) Scenario {
+		return with(func(s *Scenario) { s.App, s.Cores = Mol3D, testbedCores; f(s) })
+	}
 	rule := []struct {
 		name        string
 		s           Scenario
 		perScenario int
 		want        int
+		worker      bool // PoolGrant's kernel worker
 	}{
-		{"pool decides", large, 2, 2},
-		{"pool decides, four idle", large, 4, 2},
-		{"older auto", with(func(s *Scenario) { s.Shards = -1 }), 2, 2},
-		{"no idle worker", large, 1, 0},
-		{"explicit one shard", with(func(s *Scenario) { s.Shards = 1 }), 2, 1},
-		{"explicit count", with(func(s *Scenario) { s.Shards = 8 }), 2, 8},
-		{"below 256 cores", with(func(s *Scenario) { s.Cores = 128 }), 2, 0},
-		{"trace recorder", with(func(s *Scenario) { s.Trace = trace.NewRecorder() }), 2, 2},
-		{"metrics registry", with(func(s *Scenario) { s.Metrics = metrics.NewRegistry() }), 2, 0},
-		{"faults", with(func(s *Scenario) { s.Faults = elastic.Schedule{{PE: 1, At: 0.1}} }), 2, 0},
+		{"pool decides", large, 2, 2, false},
+		{"pool decides, four idle", large, 4, 2, false},
+		{"older auto", with(func(s *Scenario) { s.Shards = -1 }), 2, 2, false},
+		{"no idle worker", large, 1, 0, false},
+		{"explicit one shard", with(func(s *Scenario) { s.Shards = 1 }), 2, 1, false},
+		{"explicit count", with(func(s *Scenario) { s.Shards = 8 }), 2, 8, false},
+		{"below 256 cores", with(func(s *Scenario) { s.Cores = 128 }), 2, 0, false},
+		{"Mol3D below 256 cores", with(func(s *Scenario) { s.App, s.Cores = Mol3D, 128 }), 2, 0, true},
+		{"Mol3D at 256 cores", with(func(s *Scenario) { s.App = Mol3D }), 2, 2, false},
+		{"trace recorder", with(func(s *Scenario) { s.Trace = trace.NewRecorder() }), 2, 2, false},
+		{"metrics registry", with(func(s *Scenario) { s.Metrics = metrics.NewRegistry() }), 2, 0, false},
+		{"faults", with(func(s *Scenario) { s.Faults = elastic.Schedule{{PE: 1, At: 0.1}} }), 2, 0, false},
+		{"testbed", testbed(func(*Scenario) {}), 2, 0, true},
+		{"testbed, Wave2D", testbed(func(s *Scenario) { s.App = Wave2D }), 2, 0, false},
+		{"testbed, Jacobi2D", testbed(func(s *Scenario) { s.App = Jacobi2D }), 2, 0, false},
+		{"testbed, background job alone", testbed(func(s *Scenario) { s.App = AppNone }), 2, 0, false},
+		{"testbed, no idle worker", testbed(func(*Scenario) {}), 1, 0, false},
+		{"testbed, explicit one shard", testbed(func(s *Scenario) { s.Shards = 1 }), 2, 1, true},
+		{"testbed, explicit two shards", testbed(func(s *Scenario) { s.Shards = 2 }), 2, 2, false},
+		{"testbed, metrics registry", testbed(func(s *Scenario) { s.Metrics = metrics.NewRegistry() }), 2, 0, true},
+		{"testbed, faults", testbed(func(s *Scenario) { s.Faults = elastic.Schedule{{PE: 1, At: 0.1}} }), 4, 0, true},
 	}
 	for _, c := range rule {
-		if got := PoolShards(c.s, c.perScenario); got != c.want {
-			t.Errorf("%s: PoolShards(.., %d) = %d, want %d", c.name, c.perScenario, got, c.want)
+		if g := PoolGrant(c.s, c.perScenario); g.Shards != c.want || g.kernelWorker != c.worker {
+			t.Errorf("%s: PoolGrant(.., %d) gives %d shards, kernel worker %v; want %d, %v",
+				c.name, c.perScenario, g.Shards, g.kernelWorker, c.want, c.worker)
 		}
 	}
 }
@@ -207,8 +227,9 @@ func (c *ringChare) Recv(ctx *charm.Ctx, data interface{}) float64 {
 
 // ringSteadyAllocs builds the full 32-core testbed over n shards with a
 // ring of messages circulating forever, warms it 0.5 s past the startup
-// transient, and reports the allocations of one 10 ms RunUntil.
-func ringSteadyAllocs(t *testing.T, n int) float64 {
+// transient, and reports the allocations of one 10 ms RunUntil. kern
+// gives the runtime a kernel worker.
+func ringSteadyAllocs(t *testing.T, n int, kern *charm.KernelWorker) float64 {
 	t.Helper()
 	netCfg := xnet.DefaultConfig()
 	sh := sim.NewShards(n, sim.Time(netCfg.MinInterNodeLatency(testbedNodes)))
@@ -221,7 +242,7 @@ func ringSteadyAllocs(t *testing.T, n int) float64 {
 	}
 	rts := charm.NewRTS(charm.Config{
 		Machine: mach, Net: net, Cores: cores,
-		Placement: charm.PlaceBlock,
+		Placement: charm.PlaceBlock, Kernels: kern,
 	})
 	chares := 2 * testbedCores
 	rts.NewArray("ring", chares, func(i int) charm.Chare {
@@ -243,15 +264,25 @@ func ringSteadyAllocs(t *testing.T, n int) float64 {
 // once the pools are primed,
 // driving the runtime stack forward over the full testbed — cross-node
 // messages, NIC serialization, per-shard message pools and in-flight
-// accounting included — must not allocate. Application kernels own their
-// payload allocations and are deliberately outside the gate.
+// accounting included — must not allocate, with or without a kernel
+// worker. Application kernels own their payload allocations and are
+// deliberately outside the gate.
 func TestClassicScenarioSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	if avg := ringSteadyAllocs(t, 1); avg != 0 {
+	if avg := ringSteadyAllocs(t, 1, nil); avg != 0 {
 		t.Errorf("steady-state runtime stack: %.2f allocs per 10ms window, want 0", avg)
 	}
+	if avg := ringSteadyAllocs(t, 1, stopAtEnd(t, charm.StartKernelWorker())); avg != 0 {
+		t.Errorf("steady-state runtime stack with a kernel worker: %.2f allocs per 10ms window, want 0", avg)
+	}
+}
+
+// stopAtEnd stops w when the test ends.
+func stopAtEnd(t *testing.T, w *charm.KernelWorker) *charm.KernelWorker {
+	t.Cleanup(func() { w.Stop() })
+	return w
 }
 
 // TestShardedScenarioSteadyStateAllocFree is the same gate across shards:
@@ -262,7 +293,7 @@ func TestShardedScenarioSteadyStateAllocFree(t *testing.T) {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	for _, n := range []int{2, 8} {
-		if avg := ringSteadyAllocs(t, n); avg != 0 {
+		if avg := ringSteadyAllocs(t, n, nil); avg != 0 {
 			t.Errorf("%d shards: %.2f allocs per 10ms of steady state, want 0", n, avg)
 		}
 	}
@@ -271,7 +302,7 @@ func TestShardedScenarioSteadyStateAllocFree(t *testing.T) {
 // TestStencilSteadyStateAllocFree is the allocation gate for the stencil
 // applications over the runtime stack: a steady-state Wave2D superstep —
 // edge exchange, kernel steps, messaging and scheduling — must not
-// allocate.
+// allocate, with its steps' tails inline or on a kernel worker.
 func TestStencilSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -280,20 +311,34 @@ func TestStencilSteadyStateAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, s.StepOnce); avg != 0 {
 		t.Errorf("steady-state Wave2D superstep: %.2f allocs, want 0", avg)
 	}
+	s = newSteadyIterBench(stopAtEnd(t, charm.StartKernelWorker()))
+	if avg := testing.AllocsPerRun(50, s.StepOnce); avg != 0 {
+		t.Errorf("steady-state Wave2D superstep with a kernel worker: %.2f allocs, want 0", avg)
+	}
 }
 
 // TestMol3DSteadyStateAllocFree is the same gate for Mol3D: once its
 // exchange buffers have grown to the largest cell, a superstep — ghost
 // and mover exchange, pair forces, integration and departures — must not
-// allocate.
+// allocate, inline or on a kernel worker.
 func TestMol3DSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
+	for _, kern := range []*charm.KernelWorker{nil, stopAtEnd(t, charm.StartKernelWorker())} {
+		if avg := mol3dSteadyAllocs(t, kern); avg != 0 {
+			t.Errorf("steady-state Mol3D superstep (kernel worker %v): %.2f allocs, want 0", kern != nil, avg)
+		}
+	}
+}
+
+// mol3dSteadyAllocs warms a 16-cell Mol3D world on 4 PEs for 200
+// supersteps and reports the allocations of one more.
+func mol3dSteadyAllocs(t *testing.T, kern *charm.KernelWorker) float64 {
 	eng := sim.NewEngine()
 	mach := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 	net := xnet.New(mach, xnet.DefaultConfig())
-	rts := charm.NewRTS(charm.Config{Machine: mach, Net: net, Cores: []int{0, 1, 2, 3}})
+	rts := charm.NewRTS(charm.Config{Machine: mach, Net: net, Cores: []int{0, 1, 2, 3}, Kernels: kern})
 	app := apps.NewMol3DApp(rts, apps.Mol3DConfig{
 		CellsX: 4, CellsY: 4, CellsZ: 1,
 		CellSize: 1.0, Particles: 200, ClusterFrac: 0.4,
@@ -315,7 +360,5 @@ func TestMol3DSteadyStateAllocFree(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		superstep()
 	}
-	if avg := testing.AllocsPerRun(100, superstep); avg != 0 {
-		t.Errorf("steady-state Mol3D superstep: %.2f allocs, want 0", avg)
-	}
+	return testing.AllocsPerRun(100, superstep)
 }

@@ -220,13 +220,18 @@ type Scenario struct {
 	MaxVirtualTime sim.Time
 	// Shards sets the scheduler's shard count. 0 (or any negative value)
 	// leaves it to the runner pool, which shards a scenario only when its
-	// workers would otherwise idle (see PoolShards); Run itself runs it on
+	// workers would otherwise idle (see PoolGrant); Run itself runs it on
 	// one shard. 1 runs one shard, which is a single engine; N > 1
 	// partitions the machine by node into N conservatively-synchronized
 	// shards executing in parallel (clamped to the node count). Every
 	// value produces byte-identical results — sharding is purely a
 	// wall-clock optimization.
 	Shards int
+
+	// kernelWorker runs the scenario's deferred application kernels on a
+	// second goroutine (charm.KernelWorker). Only PoolGrant sets it; it
+	// changes no result either.
+	kernelWorker bool
 }
 
 // Result is one run's measurements.
@@ -281,7 +286,7 @@ func clusterNodes(cores int) int {
 }
 
 // ParseShards parses a -shards command-line value: a non-negative count,
-// where 0 lets the runner pool decide (see PoolShards) and 1 is one shard,
+// where 0 lets the runner pool decide (see PoolGrant) and 1 is one shard,
 // a single engine. "auto", the older spelling of "the pool decides", maps
 // to 0.
 func ParseShards(v string) (int, error) {
@@ -328,7 +333,7 @@ func resolveShards(v, nodes int) int {
 	return max(1, min(v, nodes))
 }
 
-// poolShardMinCores is the smallest allocation PoolShards shards and
+// poolShardMinCores is the smallest allocation PoolGrant shards and
 // poolShardCount the count it gives. On a 2-core host two shards cut a
 // lone 256-core scenario by about a quarter; at 128 cores the gain stayed
 // inside the spread of the runs, and 64 cores and the 32-core testbed are
@@ -338,19 +343,29 @@ const (
 	poolShardCount    = 2
 )
 
-// PoolShards is the shard count a runner pool gives s when perScenario
-// of its workers would otherwise idle for each scenario of the batch:
-// two shards for a scenario that leaves the choice to the pool
-// (Shards <= 0) and is large enough to win from them, s.Shards
-// otherwise. A scenario with a metrics registry or a fault schedule
-// stays on one shard: the registry's ShardSeries depend on the
-// partition, and a fault schedule forces the run sequential anyway.
-func PoolShards(s Scenario, perScenario int) int {
-	if perScenario < poolShardCount || s.Shards > 0 || s.Cores < poolShardMinCores ||
-		s.Metrics != nil || len(s.Faults) > 0 {
-		return s.Shards
+// PoolGrant returns s as a runner pool runs it when perScenario of its
+// workers would otherwise idle for each scenario of the batch. It is the
+// pool's one decision on how a scenario uses idle workers: two shards at
+// poolShardMinCores cores or more, a kernel worker for Mol3D below that.
+// A scenario that leaves the shard count to the pool (Shards <= 0) and
+// is large enough takes two shards, unless it carries a metrics registry
+// or a fault schedule: the registry's ShardSeries depend on the
+// partition, and a fault schedule forces the run sequential anyway. A
+// smaller Mol3D scenario that runs on one shard takes a kernel worker,
+// which runs its entries' deferred kernels beside the event thread
+// (charm.KernelWorker). On a 2-core host the worker cuts mol3d-32c by
+// about a third, where two shards lose; the stencils are left without
+// one until it is measured on them (DESIGN.md §10).
+func PoolGrant(s Scenario, perScenario int) Scenario {
+	if perScenario < poolShardCount {
+		return s
 	}
-	return poolShardCount
+	if s.Cores < poolShardMinCores {
+		s.kernelWorker = s.App == Mol3D && resolveShards(s.Shards, clusterNodes(s.Cores)) == 1
+	} else if s.Shards <= 0 && s.Metrics == nil && len(s.Faults) == 0 {
+		s.Shards = poolShardCount
+	}
+	return s
 }
 
 // Registry series that describe how a scenario was executed rather than
@@ -406,6 +421,11 @@ func Run(s Scenario) Result {
 		sh.ForceSequential()
 	}
 	s.Trace.SetConcurrent(sh.NumShards() > 1)
+	var kern *charm.KernelWorker
+	if s.kernelWorker && sh.NumShards() == 1 {
+		kern = charm.StartKernelWorker()
+		defer kern.Stop()
+	}
 	mach := testbed(sh, nodes, s.Metrics)
 	net := xnet.New(mach, netCfg)
 	net.SetMetrics(s.Metrics)
@@ -438,6 +458,7 @@ func Run(s Scenario) Result {
 			LBTimeline:     s.LBTimeline,
 			Obs:            s.Obs,
 			ObsTID:         s.ObsTID,
+			Kernels:        kern,
 		})
 		buildApp(appRTS, s, rng)
 		s.Faults.Apply(appRTS)
@@ -457,10 +478,11 @@ func Run(s Scenario) Result {
 			iters = bgIters
 		}
 		bg = interfere.NewWave2DJob(mach, net, interfere.Wave2DJobConfig{
-			Cores:  []int{s.Cores - 2, s.Cores - 1},
-			Iters:  scaleIters(iters, s.Scale),
-			Weight: s.BGWeight,
-			Trace:  s.Trace,
+			Cores:   []int{s.Cores - 2, s.Cores - 1},
+			Iters:   scaleIters(iters, s.Scale),
+			Weight:  s.BGWeight,
+			Trace:   s.Trace,
+			Kernels: kern,
 		})
 	case BGCloudChurn:
 		cores := make([]int, s.Cores)
@@ -544,9 +566,11 @@ func Run(s Scenario) Result {
 	res.NetDrops = net.Drops()
 	res.NetRetransmits = net.Retransmits()
 	res.Events = sh.Executed()
+	ks := kern.Stop()
 	driveSpan.End("events", res.Events, "shards", sh.NumShards(),
 		"shard_events", sh.ShardEvents(), "shard_windows", sh.ShardWindows(),
 		"merged_events", sh.MergedEvents(),
+		"kernel_worker", kern != nil, "deferred_worker", ks.Worker, "deferred_joined", ks.Joined,
 		"virtual_s", finiteOrZero(res.AppWall), "lb_steps", res.LBSteps)
 	return res
 }

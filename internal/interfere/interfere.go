@@ -136,6 +136,9 @@ type Wave2DJobConfig struct {
 	Trace *trace.Recorder
 	// Name tags the job's runtime (default "bg").
 	Name string
+	// Kernels, when non-nil, is the scenario's kernel worker, shared
+	// with the measured application (see charm.Config.Kernels).
+	Kernels *charm.KernelWorker
 }
 
 func (c Wave2DJobConfig) withDefaults() Wave2DJobConfig {
@@ -181,6 +184,7 @@ func NewWave2DJob(m *machine.Machine, net *xnet.Network, cfg Wave2DJobConfig) *W
 		Trace:             c.Trace,
 		TraceAsBackground: true,
 		Name:              c.Name,
+		Kernels:           c.Kernels,
 	})
 	nChares := c.CharesPerPE * len(c.Cores)
 	grid := gridShape(nChares)

@@ -101,9 +101,10 @@ func (p *Pool) RunBatch(ctx context.Context, batch []experiment.Scenario) ([]exp
 		p.record(&acct, Progress{ScenariosTotal: len(batch)})
 	}
 	// Workers that no scenario of the batch would keep busy go to the
-	// scenarios as shards instead (experiment.PoolShards decides which
-	// scenarios take them). Each worker gets its own copy of a scenario,
-	// so the caller's batch keeps its Shards.
+	// scenarios instead, as shards or as a kernel worker
+	// (experiment.PoolGrant decides which scenarios take them and how).
+	// Each worker gets its own copy of a scenario, so the caller's batch
+	// keeps its Shards.
 	perScenario := p.WorkerCount() / max(len(batch), 1)
 	// A job trace on the context gives every scenario its own span row:
 	// pool queue wait and execution, named after the scenario's axes so
@@ -111,7 +112,7 @@ func (p *Pool) RunBatch(ctx context.Context, batch []experiment.Scenario) ([]exp
 	tr := obs.FromContext(ctx)
 	start := time.Now()
 	results, err := Map(ctx, p.Workers, batch, func(_ context.Context, i int, s experiment.Scenario) (experiment.Result, error) {
-		s.Shards = experiment.PoolShards(s, perScenario)
+		s = experiment.PoolGrant(s, perScenario)
 		t0 := time.Now()
 		queueWait := t0.Sub(start)
 		mQueue.Observe(queueWait.Seconds())

@@ -298,3 +298,57 @@ func TestPoolShardsLoneLargeScenario(t *testing.T) {
 		t.Errorf("metrics snapshot differs from one shard:\n got %s\nwant %s", pooledReg.snap, one.snap)
 	}
 }
+
+// TestPoolKernelWorkerLoneScenario runs a lone Mol3D scenario below 256
+// cores through the pool. On two workers the pool gives it a kernel
+// worker instead of a shard, and its Result and trace equal the run a
+// one-worker pool gives it without one; a batch of two on two workers
+// leaves neither a worker to spare, and a lone Wave2D scenario, whose
+// gain from the worker is not measured, takes none.
+func TestPoolKernelWorkerLoneScenario(t *testing.T) {
+	s := experiment.Scenario{
+		App: experiment.Mol3D, Cores: 16, Strategy: experiment.Refine, BG: experiment.BGWave2D,
+		BGWeight: 4, Seed: 2, Scale: 0.1,
+	}
+	run := func(workers int, batch []experiment.Scenario) (string, []trace.Segment, []map[string]any) {
+		tr := obs.NewTrace("pool-kernel", nil)
+		rec := trace.NewRecorder()
+		batch[0].Trace = rec
+		results, _, err := (&Pool{Workers: workers}).RunBatch(obs.NewContext(context.Background(), tr), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var drives []map[string]any
+		for _, sp := range tr.Spans() {
+			if sp.Cat == obs.CatSim && sp.Name == "sim-drive" {
+				drives = append(drives, sp.Args)
+			}
+		}
+		return fmt.Sprintf("%+v", results[0]), rec.Segments(), drives
+	}
+	alone, aloneSegs, drives := run(1, []experiment.Scenario{s})
+	if len(drives) != 1 || drives[0]["kernel_worker"] != false {
+		t.Fatalf("one-worker pool: sim-drive args %v, want no kernel worker", drives)
+	}
+	pooled, pooledSegs, drives := run(2, []experiment.Scenario{s})
+	if len(drives) != 1 || drives[0]["kernel_worker"] != true || drives[0]["shards"] != 1 {
+		t.Fatalf("lone scenario on two workers: sim-drive args %v, want one shard and a kernel worker", drives)
+	}
+	if pooled != alone {
+		t.Errorf("Result with a kernel worker differs:\n got %s\nwant %s", pooled, alone)
+	}
+	if !slices.Equal(pooledSegs, aloneSegs) {
+		t.Errorf("trace with a kernel worker differs (%d segments, want %d)", len(pooledSegs), len(aloneSegs))
+	}
+	_, _, drives = run(2, []experiment.Scenario{s, s})
+	for _, d := range drives {
+		if d["kernel_worker"] != false {
+			t.Errorf("batch of two on two workers: sim-drive args %v, want no kernel worker", d)
+		}
+	}
+	stencil := s
+	stencil.App = experiment.Wave2D
+	if _, _, drives = run(2, []experiment.Scenario{stencil}); len(drives) != 1 || drives[0]["kernel_worker"] != false {
+		t.Errorf("lone Wave2D scenario on two workers: sim-drive args %v, want no kernel worker", drives)
+	}
+}
