@@ -71,7 +71,7 @@ func main() {
 		{"RefineInternalLB (ablation)", &lb.RefineInternalLB{Inner: core.RefineLB{EpsilonFrac: 0.02}}},
 		{"RefineSwapLB", &lb.RefineSwapLB{Inner: core.RefineLB{EpsilonFrac: 0.02}}},
 		{"GreedyLB", lb.GreedyLB{}},
-		{"ThresholdLB", &lb.ThresholdLB{ThresholdFrac: 0.2}},
+		{"ThresholdLB", &lb.ThresholdLB{}},
 		{"MigrationCostAwareLB", &lb.MigrationCostAwareLB{
 			Inner: &core.RefineLB{EpsilonFrac: 0.02}, BytesPerSecond: 1e8,
 		}},

@@ -80,9 +80,5 @@ func (k *JacobiKernel) Bytes() int { return 8 * k.w * k.h }
 // LastDelta returns the largest cell update of the most recent Step.
 func (k *JacobiKernel) LastDelta() float64 { return k.lastDelta }
 
-// Residual implements ResidualKernel: Jacobi's convergence measure is the
-// largest cell update of the latest iteration.
-func (k *JacobiKernel) Residual() float64 { return k.lastDelta }
-
 // Value returns the current value at block-local (x, y), for tests.
 func (k *JacobiKernel) Value(x, y int) float64 { return k.cur[y*k.w+x] }

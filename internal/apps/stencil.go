@@ -17,8 +17,6 @@ package apps
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"cloudlb/internal/charm"
 )
@@ -44,14 +42,6 @@ func opposite(d int) int {
 		return dirW
 	}
 	panic("apps: bad direction")
-}
-
-// ResidualKernel is implemented by kernels that can report a convergence
-// residual (e.g. the largest cell update of the last Step); required when
-// StencilConfig.ConvergeEps is set.
-type ResidualKernel interface {
-	Kernel
-	Residual() float64
 }
 
 // Ghosts holds one iteration's ghost edges indexed by direction (north,
@@ -171,11 +161,6 @@ type StencilConfig struct {
 	// a chare-specific factor — used to model per-core measurement noise
 	// and mild application heterogeneity across repeated runs.
 	CostScale func(chareIndex int) float64
-	// ConvergeEps, when positive, enables adaptive termination: every
-	// SyncEvery iterations the chares max-reduce their kernels' residual
-	// (the Kernel must implement Residual); once it drops below
-	// ConvergeEps, all chares stop together at the next sync boundary.
-	ConvergeEps float64
 	// NewKernel builds the block kernel for the chare at block (bx, by)
 	// covering [x0,x0+w) x [y0,y0+h) of the global grid.
 	NewKernel func(bx, by, x0, y0, w, h int) Kernel
@@ -203,9 +188,6 @@ func NewStencilApp(rts *charm.RTS, cfg StencilConfig) *StencilApp {
 	}
 	if cfg.NewKernel == nil {
 		panic("apps: NewKernel required")
-	}
-	if cfg.ConvergeEps > 0 && cfg.SyncEvery <= 0 {
-		panic("apps: ConvergeEps requires SyncEvery (convergence is checked at sync boundaries)")
 	}
 	app := &StencilApp{cfg: cfg, rts: rts}
 	n := cfg.CharesX * cfg.CharesY
@@ -263,7 +245,6 @@ type stencilChare struct {
 
 	iter     int
 	atSync   bool // between AtSync and Resume; no stepping
-	stopAt   int  // converged: finish before computing this iteration (0 = run to Iters)
 	finished bool // Done has been signaled
 	// sendNext marks a step whose tail also sends the next iteration's
 	// edges.
@@ -369,39 +350,8 @@ func (c *stencilChare) Recv(ctx *charm.Ctx, data interface{}) float64 {
 		c.in[p][recvDir] = m
 		c.inN[p]++
 		return c.drainReady(ctx)
-	case charm.ReductionResult:
-		if c.app.cfg.ConvergeEps > 0 && strings.HasPrefix(m.Tag, residualTagPrefix) &&
-			m.Value < c.app.cfg.ConvergeEps && c.stopAt == 0 {
-			// Converged: every chare derives the same stop point from
-			// the reduction round, one sync period past the converged
-			// measurement. The strategy's AtSync barrier guarantees the
-			// result arrives right after Resume at that round's
-			// boundary; the check below turns any violation into a loud
-			// failure instead of a silent deadlock.
-			round, err := strconv.Atoi(m.Tag[len(residualTagPrefix):])
-			if err != nil {
-				panic(fmt.Sprintf("apps: malformed residual tag %q", m.Tag))
-			}
-			c.stopAt = (round + 1) * c.app.cfg.SyncEvery
-			if c.iter > c.stopAt {
-				panic(fmt.Sprintf("apps: chare %d already past convergence stop point %d (iter %d); ConvergeEps requires a load balancing strategy", c.index, c.stopAt, c.iter))
-			}
-			return c.drainReady(ctx)
-		}
-		return 0
 	}
 	panic(fmt.Sprintf("apps: stencil chare got unexpected message %T", data))
-}
-
-const residualTagPrefix = "stencil-residual:"
-
-// limit returns the iteration bound currently in force: the configured
-// count, or an earlier convergence stop point.
-func (c *stencilChare) limit() int {
-	if c.stopAt > 0 && c.stopAt < c.app.cfg.Iters {
-		return c.stopAt
-	}
-	return c.app.cfg.Iters
 }
 
 // drainReady computes as many iterations as have complete edge sets,
@@ -409,15 +359,14 @@ func (c *stencilChare) limit() int {
 // cost of the computation performed in this entry. A step's cost is its
 // cell count, so the kernel step and the edge sends that read it are the
 // step's tail, deferred to the kernel worker when the entry ends with
-// it. A step the entry goes on past, or whose residual a convergence
-// check reads, runs its tail here.
+// it. A step the entry goes on past runs its tail here.
 func (c *stencilChare) drainReady(ctx *charm.Ctx) float64 {
 	cost := 0.0
 	for {
 		if c.finished || c.atSync {
 			return cost
 		}
-		if c.iter >= c.limit() {
+		if c.iter >= c.app.cfg.Iters {
 			c.finished = true
 			ctx.Done()
 			return cost
@@ -438,19 +387,12 @@ func (c *stencilChare) drainReady(ctx *charm.Ctx) float64 {
 
 		c.sendNext = false
 		switch {
-		case c.iter >= c.limit():
+		case c.iter >= c.app.cfg.Iters:
 			c.finished = true
 			ctx.Done()
 		case c.app.cfg.SyncEvery > 0 && c.iter%c.app.cfg.SyncEvery == 0:
 			c.atSync = true
 			ctx.AtSync()
-			if c.app.cfg.ConvergeEps > 0 {
-				c.stepTail(ctx)
-				rk := c.kernel.(ResidualKernel)
-				round := c.iter / c.app.cfg.SyncEvery
-				ctx.Contribute(residualTagPrefix+strconv.Itoa(round), rk.Residual(), charm.ReduceMax)
-				return cost
-			}
 		default:
 			c.sendNext = true
 			if c.inN[c.iter&1] == len(c.neighbors()) {

@@ -350,72 +350,6 @@ func TestStencilInvalidConfigPanics(t *testing.T) {
 	}
 }
 
-func TestJacobiAdaptiveConvergence(t *testing.T) {
-	// With ConvergeEps set, the run stops as soon as the max-reduced
-	// residual falls below the threshold — well before the configured
-	// iteration bound on this small grid. The residual a sync step
-	// contributes reads that step's update, which a kernel worker must
-	// not defer past it.
-	want := adaptiveConvergence(t, nil)
-	if got := adaptiveConvergence(t, kernelWorker(t)); got != want {
-		t.Fatalf("with a kernel worker the run stopped at %d, without at %d", got, want)
-	}
-}
-
-// adaptiveConvergence runs the converging Jacobi grid and returns the
-// iteration it stopped at.
-func adaptiveConvergence(t *testing.T, kern *charm.KernelWorker) int {
-	const gw, gh, cx, cy = 16, 16, 2, 2
-	eng, rts := testRTSWithStrategy(t, kern)
-	app := NewStencilApp(rts, StencilConfig{
-		Array: "jacobi", GridW: gw, GridH: gh, CharesX: cx, CharesY: cy,
-		Iters: 10000, SyncEvery: 20, CostPerCell: 1e-7,
-		ConvergeEps: 1e-4,
-		NewKernel:   NewJacobiKernel(gw, gh),
-	})
-	rts.Start()
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !rts.Finished() {
-		t.Fatal("converging run did not finish")
-	}
-	stopped := app.Iterations(0, 0)
-	if stopped >= 10000 {
-		t.Fatal("run did not stop early despite convergence")
-	}
-	if stopped%20 != 0 {
-		t.Fatalf("stopped at %d, not a sync boundary", stopped)
-	}
-	// Every chare stopped at the same iteration.
-	for by := 0; by < cy; by++ {
-		for bx := 0; bx < cx; bx++ {
-			if app.Iterations(bx, by) != stopped {
-				t.Fatalf("chare (%d,%d) stopped at %d, others at %d", bx, by, app.Iterations(bx, by), stopped)
-			}
-		}
-	}
-	// And the residual is actually below the threshold.
-	if r := app.Kernel(0, 0).(*JacobiKernel).Residual(); r >= 1e-4 {
-		t.Fatalf("residual %v above threshold at stop", r)
-	}
-	return stopped
-}
-
-func TestConvergeEpsRequiresSyncEvery(t *testing.T) {
-	_, rts := testRTS(t, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ConvergeEps without SyncEvery did not panic")
-		}
-	}()
-	NewStencilApp(rts, StencilConfig{
-		Array: "x", GridW: 8, GridH: 8, CharesX: 1, CharesY: 1,
-		Iters: 10, ConvergeEps: 1e-3,
-		NewKernel: NewJacobiKernel(8, 8),
-	})
-}
-
 func TestStencilSingleChare(t *testing.T) {
 	// 1x1 decomposition: no neighbors, all iterations drain in a burst.
 	const gw, gh, iters = 8, 8, 5

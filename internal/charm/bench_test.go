@@ -109,8 +109,8 @@ func BenchmarkLBStepHierarchical(b *testing.B) {
 			Machine: m, Net: n, Cores: allCores(m),
 			Strategy:       &core.RefineLB{EpsilonFrac: 0.02},
 			HierarchicalLB: true,
-			ReductionArity: 2,
 		})
+		r.arity = 2
 		r.NewArray("w", 256, func(int) Chare { return &iterChare{iters: 10, cost: 0.001, syncEvery: 5} })
 		r.Start()
 		if err := eng.Run(); err != nil {

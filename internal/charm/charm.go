@@ -75,8 +75,6 @@ const (
 	// PlaceBlock assigns contiguous index ranges to PEs (the default;
 	// preserves neighbor locality for stencils).
 	PlaceBlock Placement = iota
-	// PlaceRoundRobin deals indices out cyclically.
-	PlaceRoundRobin
 	// PlaceHash scatters indices by a multiplicative hash, decorrelating
 	// placement from any spatial structure of the index space (useful
 	// for irregular work whose heavy elements are spatially clustered).
@@ -139,28 +137,11 @@ type Config struct {
 	// ThreadWeight is the OS scheduling weight of PE worker threads
 	// (default 1).
 	ThreadWeight float64
-	// MsgOverheadCPU is the scheduler's per-entry CPU overhead in
-	// seconds (default 2e-6).
-	MsgOverheadCPU float64
-	// PackCPUPerByte is the CPU cost to serialize or deserialize one
-	// byte of a migrating object (default 2e-10, ~5 GB/s memcpy).
-	PackCPUPerByte float64
-	// StatsBytesPerTask sizes the LB stats message (default 24 bytes per
-	// task record).
-	StatsBytesPerTask int
-	// ReductionArity is the fan-in of the reduction spanning tree
-	// (default 4).
-	ReductionArity int
 	// HierarchicalLB routes load balancing statistics, orders and
 	// completion up and down the reduction tree instead of a flat
 	// gather at PE 0 — the communication shape of Charm++'s
 	// hierarchical balancers.
 	HierarchicalLB bool
-	// FaultDetectionDelay is how long a hard-killed core's disappearance
-	// goes unnoticed before the runtime evacuates its chares (default
-	// 50 ms, a typical heartbeat timeout). Irrelevant for revocations
-	// with advance warning, which evacuate eagerly.
-	FaultDetectionDelay float64
 	// Name tags this runtime instance in traces and metric labels.
 	Name string
 	// Metrics, when non-nil, receives this runtime's telemetry series
@@ -183,9 +164,31 @@ type Config struct {
 	Kernels *KernelWorker
 }
 
+// The runtime's fixed costs and shapes.
+const (
+	// msgOverheadCPU is the scheduler's per-entry CPU overhead in seconds.
+	msgOverheadCPU = 2e-6
+	// packCPUPerByte is the CPU cost to serialize or deserialize one byte
+	// of a migrating object (~5 GB/s memcpy).
+	packCPUPerByte = 2e-10
+	// statsBytesPerTask sizes one task record of an LB stats message.
+	statsBytesPerTask = 24
+	// reductionArity is the fan-in of the reduction spanning tree.
+	reductionArity = 4
+	// faultDetectionDelay is how long a hard-killed core's disappearance
+	// goes unnoticed before the runtime evacuates its chares, a typical
+	// heartbeat timeout. Revocations with advance warning evacuate eagerly.
+	faultDetectionDelay sim.Duration = 0.05
+)
+
 // RTS is a runtime instance.
 type RTS struct {
 	cfg Config
+	// arity and detectDelay are reductionArity and faultDetectionDelay;
+	// tests set other values before Start.
+	arity       int
+	detectDelay sim.Duration
+
 	eng *sim.Engine
 	// sh is the scheduler driving the machine. Every PE's events run on
 	// its core's shard engine, and the runtime splits its hot-path mutable
@@ -279,10 +282,14 @@ type chareRec struct {
 	// wall is the load database entry: the chare's entry wall time in the
 	// current LB interval.
 	wall float64
-	// synced marks a chare that called AtSync and has not resumed. done
-	// marks one that called Done: it no longer takes part in AtSync (it
-	// will never sync again) but remains a migratable object.
+	// synced marks a chare that called AtSync and has not resumed; the
+	// mark names step syncs, the count of its AtSync calls (its k-th call
+	// syncs into step k; an int32 fits beside the bools, keeping the
+	// record at 96 bytes). done marks one that called Done: it no longer
+	// takes part in AtSync (it will never sync again) but remains a
+	// migratable object.
 	synced, done bool
+	syncs        int32
 	// comm is the distributed planner's affinity input: the bytes this
 	// chare sent to each topology neighbor of its host over the interval,
 	// empty until it sends one.
@@ -324,26 +331,16 @@ func NewRTS(cfg Config) *RTS {
 	if cfg.ThreadWeight <= 0 {
 		cfg.ThreadWeight = 1
 	}
-	if cfg.MsgOverheadCPU == 0 {
-		cfg.MsgOverheadCPU = 2e-6
-	}
-	if cfg.PackCPUPerByte == 0 {
-		cfg.PackCPUPerByte = 2e-10
-	}
-	if cfg.StatsBytesPerTask == 0 {
-		cfg.StatsBytesPerTask = 24
-	}
-	if cfg.FaultDetectionDelay == 0 {
-		cfg.FaultDetectionDelay = 0.05
-	}
 	if cfg.Name == "" {
 		cfg.Name = "rts"
 	}
 	r := &RTS{
-		cfg:  cfg,
-		eng:  cfg.Machine.Engine(),
-		sh:   cfg.Machine.Shards(),
-		name: cfg.Name,
+		cfg:         cfg,
+		arity:       reductionArity,
+		detectDelay: faultDetectionDelay,
+		eng:         cfg.Machine.Engine(),
+		sh:          cfg.Machine.Shards(),
+		name:        cfg.Name,
 	}
 	for i, c := range cfg.Cores {
 		r.pes = append(r.pes, newPE(r, i, cfg.Machine.Core(c)))
@@ -407,14 +404,9 @@ func (r *RTS) NewArray(name string, n int, factory func(idx int) Chare) {
 		hashed = hashPlace(n, p)
 	}
 	for i := range a.recs {
-		var peIdx int
-		switch r.cfg.Placement {
-		case PlaceRoundRobin:
-			peIdx = i % p
-		case PlaceHash:
+		peIdx := i * p / n
+		if hashed != nil {
 			peIdx = hashed[i]
-		default:
-			peIdx = i * p / n
 		}
 		rec := &a.recs[i]
 		*rec = chareRec{id: ChareID{Array: name, Index: i}, obj: factory(i), loc: peIdx, host: -1}

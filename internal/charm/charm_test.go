@@ -122,17 +122,6 @@ func TestChareDistributionBlock(t *testing.T) {
 	}
 }
 
-func TestChareDistributionRoundRobin(t *testing.T) {
-	_, m, n := testWorld(1, 4)
-	r := NewRTS(Config{Machine: m, Net: n, Cores: allCores(m), Placement: PlaceRoundRobin})
-	r.NewArray("w", 8, func(int) Chare { return &iterChare{iters: 1, cost: 0} })
-	for i := 0; i < 8; i++ {
-		if got := r.Location(ChareID{Array: "w", Index: i}); got != i%4 {
-			t.Fatalf("rr placement of %d: PE %d, want %d", i, got, i%4)
-		}
-	}
-}
-
 func TestPESerializesEntries(t *testing.T) {
 	// Two chares on one core, each 5 iterations of 0.1: total CPU is 1.0,
 	// so the finish time must be ~1.0 (they cannot run concurrently).

@@ -259,7 +259,7 @@ func (p *pe) diffSendTransfers(transfers []core.Transfer) {
 			}
 			p.uninstall(rec)
 			b := rec.obj.PackSize()
-			packCPU += float64(b) * r.cfg.PackCPUPerByte
+			packCPU += float64(b) * packCPUPerByte
 			p.shipScratch = append(p.shipScratch, shipment{rec: rec, bytes: b, to: ni})
 			rec.loc = ni
 			r.migrations++
@@ -323,7 +323,7 @@ func (p *pe) diffMaybeApply() {
 // diffReceiveMigrant installs one inbound object (unpack burst), exactly
 // like receiveMigrant but counting toward the round, not the flat step.
 func (p *pe) diffReceiveMigrant(rec *chareRec, bytes int) {
-	p.runBurst(float64(bytes)*p.rts.cfg.PackCPUPerByte, func() {
+	p.runBurst(float64(bytes)*packCPUPerByte, func() {
 		p.install(rec)
 		// The migrant synced on its source PE; the uniform resume rule
 		// (Resume goes exactly to synced chares) applies here too.

@@ -21,8 +21,8 @@ import (
 //     the moment the notice arrives, while the core is still serving CPU;
 //     the core goes offline when the warning expires.
 //   - Hard kill (warning 0): the core goes offline immediately. The
-//     failure is only noticed FaultDetectionDelay later (a real RTS sees a
-//     heartbeat time out), and the chares are then evacuated from the
+//     failure is only noticed faultDetectionDelay later (a real RTS sees
+//     a heartbeat time out), and the chares are then evacuated from the
 //     node's memory. In-queue messages survive with the chares.
 //
 // Either way the in-flight entry method is force-completed first (the
@@ -80,8 +80,7 @@ func (r *RTS) RevokePE(peIdx int, warning sim.Duration) {
 		return
 	}
 	r.takeOffline(p)
-	delay := r.cfg.FaultDetectionDelay
-	r.eng.After(sim.Duration(delay), func() {
+	r.eng.After(r.detectDelay, func() {
 		if p.retired {
 			r.evacuatePE(p)
 		}
@@ -285,15 +284,16 @@ func (p *pe) receiveEvacuee(rec *chareRec, bytes int) {
 		})
 		return
 	}
-	p.runBurst(float64(bytes)*r.cfg.PackCPUPerByte, func() {
+	p.runBurst(float64(bytes)*packCPUPerByte, func() {
 		p.install(rec)
 		p.evacIn--
+		p.resumeEnded(rec)
 		if p.evacIn == 0 && r.cfg.Strategy != nil {
 			// The last inbound evacuee has landed: this PE's sync
 			// completes if its chares, the evacuees included, have all
 			// synced or are Done. A synced evacuee's messages stay held
 			// until Resume.
-			p.maybeEnterSync(rec)
+			p.checkSync()
 		}
 	})
 }

@@ -265,14 +265,14 @@ func (c *haloChare) sendGhosts(ctx *Ctx) {
 // haloWorkload installs a 16-chare ring on 4 PEs (block placement puts
 // four on each) under RefineLB, with the given fault detection delay, and
 // returns the runtime.
-func haloWorkload(t *testing.T, detect float64) (*sim.Engine, *RTS) {
+func haloWorkload(t *testing.T, detect sim.Duration) (*sim.Engine, *RTS) {
 	t.Helper()
 	eng, m, n := testWorld(1, 6)
 	r := NewRTS(Config{
 		Machine: m, Net: n, Cores: []int{0, 1, 2, 3},
-		Strategy: &core.RefineLB{}, FaultDetectionDelay: detect,
-		Kernels: testKernels(t),
+		Strategy: &core.RefineLB{}, Kernels: testKernels(t),
 	})
+	r.detectDelay = detect
 	r.NewArray("w", 16, func(i int) Chare {
 		return &haloChare{idx: i, n: 16, iters: 60, syncEvery: 10, cost: 0.01}
 	})

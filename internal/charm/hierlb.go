@@ -163,7 +163,7 @@ func (p *pe) hierMaybeForward() {
 	for _, st := range reports {
 		tasks += len(st.tasks)
 	}
-	bytes := statsMsgBase + p.rts.cfg.StatsBytesPerTask*tasks + 16*len(reports)
+	bytes := statsMsgBase + statsBytesPerTask*tasks + 16*len(reports)
 	pp := p.rts.pes[parent]
 	p.rts.cfg.Net.Send(p.core.ID, pp.core.ID, bytes, func() {
 		pp.enqueueSys(func() { pp.hierOnChildStats(p.index, reports) })

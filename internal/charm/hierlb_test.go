@@ -20,8 +20,8 @@ func hierRun(t *testing.T, nodes, coresPer, chares, arity int, hier bool, hog bo
 		Machine: m, Net: n, Cores: allCores(m),
 		Strategy:       &core.RefineLB{EpsilonFrac: 0.02},
 		HierarchicalLB: hier,
-		ReductionArity: arity,
 	})
+	r.arity = arity
 	r.NewArray("w", chares, func(int) Chare { return &iterChare{iters: 40, cost: 0.005, syncEvery: 10} })
 	r.Start()
 	runToFinish(t, eng, r, 300)
@@ -83,8 +83,8 @@ func TestHierarchicalWithEmptySubtrees(t *testing.T) {
 		Machine: m, Net: n, Cores: allCores(m),
 		Strategy:       &core.RefineLB{EpsilonFrac: 0.02},
 		HierarchicalLB: true,
-		ReductionArity: 2,
 	})
+	r.arity = 2
 	r.NewArray("w", 3, func(int) Chare { return &iterChare{iters: 20, cost: 0.01, syncEvery: 5} })
 	r.Start()
 	runToFinish(t, eng, r, 300)

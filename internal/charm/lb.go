@@ -90,7 +90,8 @@ type shipment struct {
 }
 
 // maybeEnterSync fires when a chare syncs: once every local chare has, the
-// PE measures and reports.
+// PE measures and reports. A chare that syncs into a step that has
+// already ended here resumes at once.
 func (p *pe) maybeEnterSync(self *chareRec) {
 	if p.rts.cfg.Strategy == nil {
 		// noLB short-circuit: resume just this chare immediately. The
@@ -99,7 +100,30 @@ func (p *pe) maybeEnterSync(self *chareRec) {
 		p.enqueueApp(self, Resume{})
 		return
 	}
-	p.checkSync()
+	if !p.resumeEnded(self) {
+		p.checkSync()
+	}
+}
+
+// resumeEnded resumes a chare whose sync mark names a step that has
+// already ended on this PE. Only a revocation leaves such a mark: an
+// evacuee that synced into a step its new PE finished without it, or one
+// that left before its sync point and reached it after the step ended.
+// Nothing else would resume either. The Resume goes ahead of every queued
+// delivery, so nothing queued for the chare runs before it, and the mark
+// goes at once.
+func (p *pe) resumeEnded(rec *chareRec) bool {
+	if !rec.synced || rec.syncs > p.resumed {
+		return false
+	}
+	rec.synced = false
+	if p.appHead == 0 {
+		p.appQ = slices.Insert(p.appQ, 0, appDelivery{})
+		p.appHead = 1
+	}
+	p.appHead--
+	p.appQ[p.appHead] = appDelivery{to: rec, data: Resume{}}
+	return true
 }
 
 // checkSync enters sync once every local chare has synced, under a
@@ -171,7 +195,7 @@ func (p *pe) measureStats() peStats {
 // (flat mode).
 func (p *pe) sendStats() {
 	st := p.measureStats()
-	bytes := statsMsgBase + p.rts.cfg.StatsBytesPerTask*len(st.tasks)
+	bytes := statsMsgBase + statsBytesPerTask*len(st.tasks)
 	master := p.rts.pes[0]
 	p.rts.cfg.Net.Send(p.core.ID, master.core.ID, bytes, func() {
 		master.enqueueSys(func() { p.rts.masterStats(st) })
@@ -290,7 +314,7 @@ func (r *RTS) planMoves(stats *core.Stats) (outs [][]core.Move, ins []int, moves
 	// The centralized gather concentrates O(all tasks) planning state on
 	// the master; record it against the same per-PE high-water series the
 	// distributed protocol feeds, so Figure 7 can compare the two shapes.
-	r.met.peakState(0, statsMsgBase+r.cfg.StatsBytesPerTask*len(stats.Tasks)+32*len(stats.Cores))
+	r.met.peakState(0, statsMsgBase+statsBytesPerTask*len(stats.Tasks)+32*len(stats.Cores))
 
 	// The LB-step span measures the strategy's host wall time — the real
 	// CPU cost of planning, which the anomaly thresholds watch — while the
@@ -374,7 +398,7 @@ func (p *pe) onOrder(order []core.Move, expect int) {
 		}
 		p.uninstall(rec)
 		b := rec.obj.PackSize()
-		packCPU += float64(b) * p.rts.cfg.PackCPUPerByte
+		packCPU += float64(b) * packCPUPerByte
 		p.shipScratch = append(p.shipScratch, shipment{rec: rec, bytes: b, to: m.To})
 	}
 	p.runBurst(packCPU, func() {
@@ -391,7 +415,7 @@ func (p *pe) onOrder(order []core.Move, expect int) {
 
 // receiveMigrant deserializes an inbound object (CPU burst) and installs it.
 func (p *pe) receiveMigrant(rec *chareRec, bytes int) {
-	p.runBurst(float64(bytes)*p.rts.cfg.PackCPUPerByte, func() {
+	p.runBurst(float64(bytes)*packCPUPerByte, func() {
 		p.install(rec)
 		// A migrant synced on its source PE — it would not have moved
 		// otherwise. Marking it here keeps the resume rule uniform:
@@ -480,21 +504,20 @@ func (p *pe) onResume() {
 			Core: p.core.ID, Start: p.syncAt, End: now, Kind: trace.KindLB, Label: "lb-step",
 		})
 	}
-	// Resume goes exactly to the chares that synced into this step (all of
-	// them, in the absence of faults). A chare evacuated here mid-iteration
-	// never reached its sync point and must not be pushed past it; its own
-	// pending messages drive it on. The recipients are collected in roster
-	// order before beginInterval clears the sync marks.
-	p.resumeScratch = p.resumeScratch[:0]
+	// Resume goes exactly to the chares whose sync mark names a step that
+	// has now ended here, in roster order: every chare that synced into
+	// this step (all of them, in the absence of faults) and an evacuee that
+	// synced into it elsewhere. A chare evacuated here mid-iteration never
+	// reached its sync point and must not be pushed past it; its own
+	// pending messages drive it on.
+	p.resumed++
 	for _, rec := range p.roster {
-		if rec.synced {
-			p.resumeScratch = append(p.resumeScratch, rec)
+		if rec.synced && rec.syncs <= p.resumed {
+			rec.synced = false
+			p.enqueueApp(rec, Resume{})
 		}
 	}
 	p.beginInterval()
-	for _, rec := range p.resumeScratch {
-		p.enqueueApp(rec, Resume{})
-	}
 	// The last PE to resume applies any revocation/restore that arrived
 	// mid-step, before application work restarts.
 	p.rts.drainElastic()

@@ -75,7 +75,10 @@ type pe struct {
 
 	// AtSync state. seqHeld marks the unit of sequential demand markInSync
 	// raised and stepDone (or, failing that, exitSync) releases. lbWall
-	// sums this PE's sync-to-resume spans (see RTS.LBWallTime).
+	// sums this PE's sync-to-resume spans (see RTS.LBWallTime). resumed
+	// counts the LB steps this PE has resumed from: a sync mark naming
+	// step resumed or earlier names a step that has ended here.
+	resumed   int32
 	inSync    bool
 	seqHeld   bool
 	syncAt    sim.Time
@@ -87,11 +90,10 @@ type pe struct {
 	doneSent  bool
 
 	// Per-step scratch, reused across LB steps so the steady state
-	// allocates nothing: the measured task records shipped to the master,
-	// the outbound shipment manifest, and the resume recipient list.
-	tasksScratch  []core.Task
-	shipScratch   []shipment
-	resumeScratch []*chareRec
+	// allocates nothing: the measured task records shipped to the master
+	// and the outbound shipment manifest.
+	tasksScratch []core.Task
+	shipScratch  []shipment
 
 	// PE-local reduction accumulators and subtree-size memos (valid
 	// between LB steps; placements only change inside them).
@@ -200,12 +202,13 @@ func (p *pe) exitSync() {
 	}
 }
 
-// beginInterval resets the load database, the resident chares' sync marks
-// and communication rows at the start of an LB interval.
+// beginInterval resets the load database and the resident chares'
+// communication rows at the start of an LB interval. Sync marks stay:
+// onResume has cleared every mark naming a step that has ended here, and
+// a mark naming a later step still holds its chare.
 func (p *pe) beginInterval() {
 	p.resetLoadDB()
 	for _, rec := range p.roster {
-		rec.synced = false
 		rec.comm = rec.comm[:0]
 	}
 	p.exitSync()
@@ -315,7 +318,7 @@ func (p *pe) execute(d appDelivery) {
 	if cost < 0 {
 		panic(fmt.Sprintf("charm: chare %v returned negative cost %v", rec.id, cost))
 	}
-	cost += p.rts.cfg.MsgOverheadCPU
+	cost += msgOverheadCPU
 	p.thread.Run(cost, p.entryDone)
 }
 
@@ -375,6 +378,7 @@ func (p *pe) afterEntry(ctx *Ctx) {
 			panic(fmt.Sprintf("charm: chare %v called AtSync twice in one interval", self.id))
 		}
 		self.synced = true
+		self.syncs++
 		p.maybeEnterSync(self)
 	}
 	p.applying = false

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cloudlb/internal/core"
-	"cloudlb/internal/sim"
 )
 
 // checkChares verifies the chare record table against the PE rosters —
@@ -33,7 +32,7 @@ func checkChares(r *RTS, inFlight bool) error {
 		if active != p.active {
 			return fmt.Errorf("PE %d counts %d active chares, its roster %d", p.index, p.active, active)
 		}
-		undetected := p.wentOffline && r.eng.Now() <= p.offlineAt+sim.Time(r.cfg.FaultDetectionDelay)
+		undetected := p.wentOffline && r.eng.Now() <= p.offlineAt+r.detectDelay
 		if p.retired && len(p.roster) > 0 && !undetected {
 			return fmt.Errorf("revoked PE %d still hosts %d chares", p.index, len(p.roster))
 		}

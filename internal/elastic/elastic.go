@@ -5,15 +5,13 @@
 // targets, where a provider can reclaim capacity mid-run (often with a
 // short warning) and hand back a replacement later.
 //
-// A Schedule is a script of Revocations, either written by hand or drawn
-// from a seeded Poisson process. Apply arms the script on a runtime's
-// engine; the runtime's RevokePE/RestorePE do the heavy lifting.
+// A Schedule is a script of Revocations. Apply arms the script on a
+// runtime's engine; the runtime's RevokePE/RestorePE do the heavy lifting.
 package elastic
 
 import (
 	"cmp"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"cloudlb/internal/charm"
@@ -97,77 +95,4 @@ func sorted(s Schedule) Schedule {
 		return a.PE - b.PE
 	})
 	return out
-}
-
-// PoissonConfig parameterizes a random revocation schedule.
-type PoissonConfig struct {
-	// Seed makes the schedule reproducible.
-	Seed int64
-	// RatePerSecond is the arrival rate of revocation notices across the
-	// whole allocation.
-	RatePerSecond float64
-	// Horizon bounds notice times to [0, Horizon).
-	Horizon float64
-	// PEs is the number of PEs revocations may target.
-	PEs int
-	// Warning is the advance notice of every revocation (0 = hard kills).
-	Warning float64
-	// MeanOutage is the mean of the exponentially distributed outage
-	// length; 0 means revoked cores never come back.
-	MeanOutage float64
-	// ReplacementCores is an optional pool of spare core IDs handed out in
-	// order to restores; when exhausted (or empty) restores reuse the
-	// original core.
-	ReplacementCores []int
-}
-
-// Poisson draws a schedule from a seeded Poisson process: exponential
-// inter-arrival times between notices, a uniformly random target PE, and
-// exponential outage lengths. Arrivals that would revoke an already-down
-// PE, or take the last live PE, are dropped — the provider reclaims
-// capacity, it does not kill the job. The same config always yields the
-// same schedule.
-func Poisson(cfg PoissonConfig) Schedule {
-	if cfg.RatePerSecond <= 0 || cfg.Horizon <= 0 || cfg.PEs <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed*2654435761 + 12345))
-	var out Schedule
-	downUntil := make(map[int]sim.Time) // 0 = forever
-	downAt := func(at sim.Time) int {
-		n := 0
-		for _, until := range downUntil {
-			if until == 0 || at < until {
-				n++
-			}
-		}
-		return n
-	}
-	spare := append([]int(nil), cfg.ReplacementCores...)
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() / cfg.RatePerSecond
-		if t >= cfg.Horizon {
-			return out
-		}
-		notice := sim.Time(t)
-		pe := rng.Intn(cfg.PEs)
-		if until, dead := downUntil[pe]; dead && (until == 0 || notice < until) {
-			continue
-		}
-		if downAt(notice)+1 >= cfg.PEs {
-			continue
-		}
-		at := notice + sim.Time(cfg.Warning)
-		r := Revocation{PE: pe, At: at, Warning: sim.Duration(cfg.Warning), ReplacementCore: -1}
-		if cfg.MeanOutage > 0 {
-			r.Restore = at + sim.Time(cfg.MeanOutage*rng.ExpFloat64())
-			if len(spare) > 0 {
-				r.ReplacementCore = spare[0]
-				spare = spare[1:]
-			}
-		}
-		downUntil[pe] = r.Restore
-		out = append(out, r)
-	}
 }

@@ -1,7 +1,6 @@
 package elastic
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -113,56 +112,4 @@ func TestApplyPanicsOnInvalidSchedule(t *testing.T) {
 		}
 	}()
 	Schedule{{PE: 3, At: 1}}.Apply(r)
-}
-
-func TestPoissonDeterministicAndValid(t *testing.T) {
-	cfg := PoissonConfig{
-		Seed: 7, RatePerSecond: 2, Horizon: 10, PEs: 8,
-		Warning: 0.25, MeanOutage: 1.5,
-		ReplacementCores: []int{32, 33},
-	}
-	a, b := Poisson(cfg), Poisson(cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same config produced different schedules")
-	}
-	if len(a) == 0 {
-		t.Fatal("rate 2/s over 10 s produced no revocations")
-	}
-	if err := a.Validate(8); err != nil {
-		t.Fatalf("generated schedule invalid: %v", err)
-	}
-	cfg.Seed = 8
-	if reflect.DeepEqual(a, Poisson(cfg)) {
-		t.Fatal("different seeds produced identical schedules")
-	}
-}
-
-func TestPoissonNeverKillsLastPE(t *testing.T) {
-	// Permanent outages (MeanOutage 0) on a tiny allocation: the generator
-	// must stop short of revoking every PE.
-	s := Poisson(PoissonConfig{Seed: 3, RatePerSecond: 50, Horizon: 100, PEs: 3})
-	if len(s) > 2 {
-		t.Fatalf("%d permanent revocations on 3 PEs", len(s))
-	}
-	if err := s.Validate(3); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPoissonHardKillWhenNoWarning(t *testing.T) {
-	s := Poisson(PoissonConfig{Seed: 1, RatePerSecond: 1, Horizon: 20, PEs: 4, MeanOutage: 1})
-	if len(s) == 0 {
-		t.Fatal("no revocations generated")
-	}
-	for _, r := range s {
-		if r.Warning != 0 {
-			t.Fatalf("warning %v in a hard-kill schedule", r.Warning)
-		}
-		if r.Restore <= r.At {
-			t.Fatalf("restore %v not after revocation %v", r.Restore, r.At)
-		}
-		if r.ReplacementCore != -1 {
-			t.Fatalf("unexpected replacement core %d without a pool", r.ReplacementCore)
-		}
-	}
 }

@@ -110,7 +110,7 @@ func buildStrategy(k StrategyKind, epsFrac, interNodeBW float64, diffRounds int,
 	case Greedy:
 		return lb.GreedyLB{}
 	case Threshold:
-		return &lb.ThresholdLB{ThresholdFrac: 0.2}
+		return &lb.ThresholdLB{}
 	case CostAware:
 		return &lb.MigrationCostAwareLB{
 			Inner:          &core.RefineLB{EpsilonFrac: epsFrac},

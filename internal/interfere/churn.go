@@ -29,8 +29,6 @@ type ChurnConfig struct {
 	// minimum 1); arrivals beyond the bound are dropped, as a cloud
 	// scheduler would place them elsewhere.
 	MaxConcurrent int
-	// Until stops generating arrivals after this time (0 = forever).
-	Until sim.Time
 	// Seed drives the arrival process.
 	Seed int64
 	// Trace, when non-nil, records tenant activity.
@@ -85,11 +83,7 @@ func (c *Churn) scheduleNext() {
 	// hogs.
 	gap := sim.Time(c.rng.ExpFloat64() / c.cfg.ArrivalsPerSecond)
 	c.mach.Shards().GlobalAfter(gap, func() {
-		now := c.mach.Shards().Now()
-		if c.cfg.Until > 0 && now > c.cfg.Until {
-			return
-		}
-		c.arrive(now)
+		c.arrive(c.mach.Shards().Now())
 		c.scheduleNext()
 	})
 }
@@ -108,13 +102,12 @@ func (c *Churn) arrive(now sim.Time) {
 		dur = 0.05
 	}
 	StartHog(c.mach, HogConfig{
-		Core:     core,
-		Start:    now,
-		Stop:     now + dur,
-		BurstCPU: 0.02,
-		Weight:   c.cfg.Weight,
-		Trace:    c.cfg.Trace,
-		Name:     fmt.Sprintf("tenant-%d@%d", c.nextID, core),
+		Core:   core,
+		Start:  now,
+		Stop:   now + dur,
+		Weight: c.cfg.Weight,
+		Trace:  c.cfg.Trace,
+		Name:   fmt.Sprintf("tenant-%d@%d", c.nextID, core),
 	})
 	c.mach.Shards().GlobalAt(now+dur, func() { c.live-- })
 }

@@ -13,9 +13,8 @@ func TestChurnGeneratesTenants(t *testing.T) {
 		ArrivalsPerSecond: 2,
 		MeanDuration:      1,
 		Seed:              1,
-		Until:             20,
 	})
-	if err := eng.RunUntil(30); err != nil {
+	if err := eng.RunUntil(20); err != nil {
 		t.Fatal(err)
 	}
 	if c.Arrivals() < 10 {
@@ -40,7 +39,6 @@ func TestChurnRespectsConcurrencyBound(t *testing.T) {
 		MeanDuration:      5,
 		MaxConcurrent:     2,
 		Seed:              2,
-		Until:             10,
 	})
 	if err := eng.RunUntil(5); err != nil {
 		t.Fatal(err)
@@ -58,7 +56,7 @@ func TestChurnDeterministic(t *testing.T) {
 		eng, m := testMachine(1, 4)
 		c := StartChurn(m, ChurnConfig{
 			Cores: []int{0, 1, 2, 3}, ArrivalsPerSecond: 3, MeanDuration: 0.5,
-			Seed: 42, Until: 10,
+			Seed: 42,
 		})
 		if err := eng.RunUntil(15); err != nil {
 			t.Fatal(err)
@@ -82,7 +80,7 @@ func TestChurnSeedMatters(t *testing.T) {
 		eng, m := testMachine(1, 2)
 		c := StartChurn(m, ChurnConfig{
 			Cores: []int{0, 1}, ArrivalsPerSecond: 3, MeanDuration: 0.5,
-			Seed: seed, Until: 10,
+			Seed: seed,
 		})
 		if err := eng.RunUntil(12); err != nil {
 			t.Fatal(err)
@@ -94,30 +92,12 @@ func TestChurnSeedMatters(t *testing.T) {
 	}
 }
 
-func TestChurnStopsAtUntil(t *testing.T) {
-	eng, m := testMachine(1, 2)
-	c := StartChurn(m, ChurnConfig{
-		Cores: []int{0, 1}, ArrivalsPerSecond: 5, MeanDuration: 0.2,
-		Seed: 3, Until: 2,
-	})
-	if err := eng.RunUntil(3); err != nil {
-		t.Fatal(err)
-	}
-	n := c.Arrivals()
-	if err := eng.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
-	if c.Arrivals() != n {
-		t.Fatalf("arrivals continued after Until: %d -> %d", n, c.Arrivals())
-	}
-}
-
 func TestChurnTraces(t *testing.T) {
 	eng, m := testMachine(1, 2)
 	rec := trace.NewRecorder()
 	StartChurn(m, ChurnConfig{
 		Cores: []int{0, 1}, ArrivalsPerSecond: 5, MeanDuration: 0.5,
-		Seed: 4, Until: 5, Trace: rec,
+		Seed: 4, Trace: rec,
 	})
 	if err := eng.RunUntil(8); err != nil {
 		t.Fatal(err)

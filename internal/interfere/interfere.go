@@ -20,16 +20,17 @@ import (
 	"cloudlb/internal/xnet"
 )
 
-// HogConfig describes a single-core interfering job.
+// hogBurstCPU is the CPU demand of each of a hog's back-to-back bursts.
+const hogBurstCPU = 0.02
+
+// HogConfig describes a single-core interfering job: fully CPU-bound,
+// in bursts of 20 ms.
 type HogConfig struct {
 	// Core is the global core ID the hog is pinned to.
 	Core int
 	// Start and Stop bound the hog's lifetime; Stop <= Start means run
 	// forever.
 	Start, Stop sim.Time
-	// BurstCPU is the CPU demand of each burst (default 20 ms); Gap is
-	// an optional sleep between bursts (default 0: fully CPU-bound).
-	BurstCPU, Gap float64
 	// Weight is the OS scheduling weight (default 1).
 	Weight float64
 	// Trace, when non-nil, records the hog's bursts as background
@@ -55,14 +56,8 @@ type Hog struct {
 // and winds down at cfg.Stop (an in-flight burst is aborted at Stop so the
 // core frees immediately, like killing the process).
 func StartHog(m *machine.Machine, cfg HogConfig) *Hog {
-	if cfg.BurstCPU <= 0 {
-		cfg.BurstCPU = 0.02
-	}
 	if cfg.Weight <= 0 {
 		cfg.Weight = 1
-	}
-	if cfg.Gap < 0 {
-		panic("interfere: negative gap")
 	}
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("hog@%d", cfg.Core)
@@ -82,9 +77,9 @@ func (h *Hog) loop() {
 	}
 	eng := h.eng
 	start := eng.Now()
-	h.thread.Run(h.cfg.BurstCPU, func() {
+	h.thread.Run(hogBurstCPU, func() {
 		now := eng.Now()
-		h.cpuUsed += h.cfg.BurstCPU
+		h.cpuUsed += hogBurstCPU
 		h.cfg.Trace.Add(trace.Segment{
 			Core: h.cfg.Core, Start: start, End: now,
 			Kind: trace.KindBackground, Label: h.cfg.Name,
@@ -92,11 +87,7 @@ func (h *Hog) loop() {
 		if h.stopped {
 			return
 		}
-		if h.cfg.Gap > 0 {
-			eng.After(sim.Time(h.cfg.Gap), h.loop)
-		} else {
-			h.loop()
-		}
+		h.loop()
 	})
 }
 
@@ -106,7 +97,7 @@ func (h *Hog) stop() {
 	}
 	h.stopped = true
 	if rem := h.thread.Abort(); rem > 0 {
-		h.cpuUsed += h.cfg.BurstCPU - rem
+		h.cpuUsed += hogBurstCPU - rem
 	}
 	h.cfg.Trace.Mark(h.cfg.Core, h.eng.Now(), h.cfg.Name+" stops")
 }
@@ -117,14 +108,19 @@ func (h *Hog) Stopped() bool { return h.stopped }
 // CPUUsed reports the CPU-seconds the hog consumed.
 func (h *Hog) CPUUsed() float64 { return h.cpuUsed }
 
+// The background job's decomposition: bgCharesPerPE chares per PE, each a
+// bgBlockSize x bgBlockSize block of cells.
+const (
+	bgCharesPerPE = 8
+	bgBlockSize   = 16
+)
+
 // Wave2DJobConfig sizes the paper's 2-core background job.
 type Wave2DJobConfig struct {
 	// Cores are the global core IDs (normally two) the job runs on.
 	Cores []int
-	// CharesPerPE, BlockSize, CostPerCell, Iters size the job. Defaults:
-	// 8 chares per PE of 16x16 cells at 4 us/cell... (see withDefaults).
-	CharesPerPE int
-	BlockSize   int
+	// CostPerCell and Iters size the job (defaults 4 us/cell and 400
+	// iterations).
 	CostPerCell float64
 	Iters       int
 	// Weight is the OS scheduling weight of the job's worker threads
@@ -142,12 +138,6 @@ type Wave2DJobConfig struct {
 }
 
 func (c Wave2DJobConfig) withDefaults() Wave2DJobConfig {
-	if c.CharesPerPE <= 0 {
-		c.CharesPerPE = 8
-	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = 16
-	}
 	if c.CostPerCell <= 0 {
 		c.CostPerCell = 4e-6
 	}
@@ -186,14 +176,14 @@ func NewWave2DJob(m *machine.Machine, net *xnet.Network, cfg Wave2DJobConfig) *W
 		Name:              c.Name,
 		Kernels:           c.Kernels,
 	})
-	nChares := c.CharesPerPE * len(c.Cores)
-	grid := gridShape(nChares)
+	grid := gridShape(bgCharesPerPE * len(c.Cores))
+	w, h := grid[0]*bgBlockSize, grid[1]*bgBlockSize
 	app := apps.NewStencilApp(rts, apps.StencilConfig{
 		Array: c.Name + "-wave",
-		GridW: grid[0] * c.BlockSize, GridH: grid[1] * c.BlockSize,
+		GridW: w, GridH: h,
 		CharesX: grid[0], CharesY: grid[1],
 		Iters: c.Iters, CostPerCell: c.CostPerCell,
-		NewKernel: apps.NewWaveKernel(grid[0]*c.BlockSize, grid[1]*c.BlockSize, 0.4),
+		NewKernel: apps.NewWaveKernel(w, h, 0.4),
 	})
 	return &Wave2DJob{RTS: rts, App: app, cfg: c}
 }

@@ -18,7 +18,7 @@ func testMachine(nodes, cores int) (*sim.Engine, *machine.Machine) {
 
 func TestHogOccupiesCoreBetweenStartAndStop(t *testing.T) {
 	eng, m := testMachine(1, 1)
-	h := StartHog(m, HogConfig{Core: 0, Start: 1, Stop: 3, BurstCPU: 0.1})
+	h := StartHog(m, HogConfig{Core: 0, Start: 1, Stop: 3})
 	if err := eng.RunUntil(5); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestHogOccupiesCoreBetweenStartAndStop(t *testing.T) {
 
 func TestHogRunsForeverWithoutStop(t *testing.T) {
 	eng, m := testMachine(1, 1)
-	h := StartHog(m, HogConfig{Core: 0, Start: 0, BurstCPU: 0.5})
+	h := StartHog(m, HogConfig{Core: 0, Start: 0})
 	if err := eng.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
@@ -49,22 +49,9 @@ func TestHogRunsForeverWithoutStop(t *testing.T) {
 	}
 }
 
-func TestHogDutyCycle(t *testing.T) {
-	eng, m := testMachine(1, 1)
-	StartHog(m, HogConfig{Core: 0, Start: 0, BurstCPU: 0.1, Gap: 0.1})
-	if err := eng.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
-	busy, _ := m.Core(0).ProcStat()
-	// 50% duty cycle.
-	if math.Abs(float64(busy)-5) > 0.2 {
-		t.Fatalf("busy=%v over 10s at 50%% duty, want ~5", busy)
-	}
-}
-
 func TestHogSharesCoreFairly(t *testing.T) {
 	eng, m := testMachine(1, 1)
-	StartHog(m, HogConfig{Core: 0, Start: 0, BurstCPU: 0.1})
+	StartHog(m, HogConfig{Core: 0, Start: 0})
 	other := m.NewThread("victim", m.Core(0), 1)
 	var done sim.Time
 	other.Run(2, func() { done = eng.Now() })
@@ -79,7 +66,7 @@ func TestHogSharesCoreFairly(t *testing.T) {
 
 func TestHogWeightPreference(t *testing.T) {
 	eng, m := testMachine(1, 1)
-	StartHog(m, HogConfig{Core: 0, Start: 0, BurstCPU: 0.1, Weight: 4})
+	StartHog(m, HogConfig{Core: 0, Start: 0, Weight: 4})
 	victim := m.NewThread("victim", m.Core(0), 1)
 	var done sim.Time
 	victim.Run(1, func() { done = eng.Now() })
@@ -95,7 +82,7 @@ func TestHogWeightPreference(t *testing.T) {
 func TestHogTracesBackgroundSegments(t *testing.T) {
 	eng, m := testMachine(1, 1)
 	rec := trace.NewRecorder()
-	StartHog(m, HogConfig{Core: 0, Start: 0, Stop: 2, BurstCPU: 0.5, Trace: rec, Name: "bg1"})
+	StartHog(m, HogConfig{Core: 0, Start: 0, Stop: 2, Trace: rec, Name: "bg1"})
 	if err := eng.RunUntil(3); err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +93,9 @@ func TestHogTracesBackgroundSegments(t *testing.T) {
 }
 
 func TestHogStopMidBurstFreesCore(t *testing.T) {
+	// The stop lands 10 ms into the hog's 13th 20 ms burst.
 	eng, m := testMachine(1, 1)
-	StartHog(m, HogConfig{Core: 0, Start: 0, Stop: 0.25, BurstCPU: 10})
+	StartHog(m, HogConfig{Core: 0, Start: 0, Stop: 0.25})
 	if err := eng.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +157,6 @@ func TestGridShape(t *testing.T) {
 			t.Fatalf("gridShape(%d)=%v, want %v", n, got, want)
 		}
 	}
-}
-
-func TestHogInvalidGapPanics(t *testing.T) {
-	_, m := testMachine(1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative gap did not panic")
-		}
-	}()
-	StartHog(m, HogConfig{Core: 0, Gap: -1})
 }
 
 func TestWave2DJobNeedsCores(t *testing.T) {

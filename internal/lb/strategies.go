@@ -139,14 +139,16 @@ func (r *RefineInternalLB) Plan(s core.Stats) []core.Move {
 	return r.Inner.Plan(blind)
 }
 
+// thresholdFrac is how far above T_avg a core's load must be for
+// ThresholdLB to move a task off it.
+const thresholdFrac = 0.2
+
 // ThresholdLB moves the heaviest task off any core whose load exceeds
-// T_avg by ThresholdFrac (default 20%), onto the globally least-loaded
-// core, one task per overloaded core per step. It reacts to interference
-// (background load is included) but without RefineLB's fit checks it can
-// overshoot and oscillate.
-type ThresholdLB struct {
-	ThresholdFrac float64
-}
+// T_avg by 20%, onto the globally least-loaded core, one task per
+// overloaded core per step. It reacts to interference (background load is
+// included) but without RefineLB's fit checks it can overshoot and
+// oscillate.
+type ThresholdLB struct{}
 
 // Name implements core.Strategy.
 func (t *ThresholdLB) Name() string { return "ThresholdLB" }
@@ -155,10 +157,6 @@ func (t *ThresholdLB) Name() string { return "ThresholdLB" }
 func (t *ThresholdLB) Plan(s core.Stats) []core.Move {
 	if len(s.Cores) == 0 || len(s.Tasks) == 0 {
 		return nil
-	}
-	frac := t.ThresholdFrac
-	if frac <= 0 {
-		frac = 0.2
 	}
 	s, forced := core.DrainOffline(s)
 	tavg := core.TAvg(s)
@@ -174,7 +172,7 @@ func (t *ThresholdLB) Plan(s core.Stats) []core.Move {
 		if s.Cores[ci].Offline {
 			continue // already drained; never a donor or destination
 		}
-		if loads[ci] <= tavg*(1+frac) {
+		if loads[ci] <= tavg*(1+thresholdFrac) {
 			continue
 		}
 		tasks := core.SortTasksByLoadDesc(s, tasksOf[ci])

@@ -152,7 +152,7 @@ func TestRefineInternalDoesNotMutateInput(t *testing.T) {
 
 func TestThresholdMovesOffOverloadedCore(t *testing.T) {
 	s := mkStats(map[int][]float64{0: {1, 1, 1, 1}, 1: {1}, 2: {1}}, nil)
-	th := &ThresholdLB{ThresholdFrac: 0.2}
+	th := &ThresholdLB{}
 	moves := th.Plan(s)
 	if len(moves) == 0 {
 		t.Fatal("threshold LB did nothing")
@@ -166,7 +166,7 @@ func TestThresholdMovesOffOverloadedCore(t *testing.T) {
 
 func TestThresholdRespectsThreshold(t *testing.T) {
 	s := mkStats(map[int][]float64{0: {1.1}, 1: {1}}, nil)
-	th := &ThresholdLB{ThresholdFrac: 0.2}
+	th := &ThresholdLB{}
 	if moves := th.Plan(s); len(moves) != 0 {
 		t.Fatalf("moved %v within threshold", moves)
 	}
