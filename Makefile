@@ -105,7 +105,10 @@ fuzz:
 # the applications' serial-reference rows that run their steps on it,
 # and the charm elastic tests with their sends deferred to it
 # (-charm.kernelworker), revocations forcing entries complete mid-tail
-# included; the alloc gates hold 0 with it too. The alloc gates run without
+# included; the alloc gates hold 0 with it too. The registry's LB-step
+# log, which pool workers append to while the telemetry server's HTTP
+# goroutines read it, is scraped through a fleet under the race detector
+# (TestConcurrentScrape). The alloc gates run without
 # -race (instrumentation perturbs allocation counts); -count=1 defeats the
 # test cache so the gates always execute.
 determinism:
@@ -117,6 +120,7 @@ determinism:
 	$(GO) test -race -count=1 -run 'TestAllReduceAfterMigrateSyncAnyShardCount' ./internal/ampi
 	$(GO) test -race -count=1 -run 'TestMergedModeKeepsOneEngineOrder|TestCrossDeliveryKeepsOneEngineOrder' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestPoolShardsLoneLargeScenario|TestPoolKernelWorkerLoneScenario' ./internal/runner
+	$(GO) test -race -count=1 -run 'TestConcurrentScrape' ./internal/telemetry
 	for seed in 1 2 3 4 5 6 7 8 9 10 11 12; do \
 		$(GO) test -count=1 -run 'TestShardCountInvariantOnRandomSpecs' ./internal/experiment -args -shardspec.maxcores=256 -shardspec.seed=$$seed -shardspec.cases=30 || exit 1; \
 	done

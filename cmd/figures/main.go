@@ -246,7 +246,7 @@ func main() {
 	pool := &runner.Pool{Workers: *parallel, Metrics: prof.Registry(), OnProgress: prof.Progress}
 	run := &figureRun{
 		ctx:     ctx,
-		opts:    experiment.Options{Executor: pool.Executor(), Metrics: prof.Registry(), LBTimeline: prof.Timeline()},
+		opts:    experiment.Options{Executor: pool.Executor(), Metrics: prof.Registry()},
 		csvDir:  *csvDir,
 		plotDir: *plotDir,
 	}

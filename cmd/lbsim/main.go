@@ -241,8 +241,7 @@ func main() {
 			return pool.Executor()(ctx, batch)
 		}
 	}
-	out, err := spec.RunMethod(ctx, "scenarios", experiment.Options{
-		Executor: exec, Metrics: prof.Registry(), LBTimeline: prof.Timeline()})
+	out, err := spec.RunMethod(ctx, "scenarios", experiment.Options{Executor: exec, Metrics: prof.Registry()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbsim:", err)
 		os.Exit(1)

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudlb/internal/metrics"
 	"cloudlb/internal/service"
 	"cloudlb/internal/service/store"
 	"cloudlb/internal/telemetry"
@@ -283,6 +284,8 @@ func TestInvalidFlagsExitWithFieldError(t *testing.T) {
 // run: the served state is the pool's final account — both scenarios
 // queued and done, the run finished, the events of lbsim's own summary
 // line — and the pool's wall histogram holds one sample per scenario.
+// /api/v1/lbsteps then serves rows that name their run: each carries
+// rts=app and its scenario's batch index, and both scenarios appear.
 func TestServeReportsPoolAccount(t *testing.T) {
 	cmd := exec.Command(os.Args[0], "-runs", "2", "-scale", "0.05",
 		"-serve", "127.0.0.1:0", "-serve-wait", "3s")
@@ -338,5 +341,35 @@ func TestServeReportsPoolAccount(t *testing.T) {
 	if !st.Finished || st.ScenariosTotal != 2 || st.ScenariosDone != 2 || st.ScenariosInFlight != 0 ||
 		st.Events != events || st.ScenarioWall.Count != 2 {
 		t.Fatalf("/api/v1/run: %+v; want 2 of 2 scenarios done, finished, %d events, 2 wall samples", st, events)
+	}
+
+	resp, err := http.Get(base + "/api/v1/lbsteps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Steps []struct {
+			Labels []metrics.Label `json:"labels"`
+		} `json:"steps"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := map[string]bool{}
+	for i, row := range doc.Steps {
+		labels := map[string]string{}
+		for _, l := range row.Labels {
+			labels[l.Name] = l.Value
+		}
+		scenario, ok := labels["scenario"]
+		if labels["rts"] != "app" || !ok {
+			t.Fatalf("lbsteps row %d labeled %v, want rts=app and a scenario", i, row.Labels)
+		}
+		scenarios[scenario] = true
+	}
+	if !scenarios["0"] || !scenarios["1"] {
+		t.Fatalf("lbsteps rows name scenarios %v, want 0 and 1 (%d rows)", scenarios, len(doc.Steps))
 	}
 }

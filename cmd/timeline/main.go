@@ -113,14 +113,15 @@ func main() {
 	}
 
 	rec := trace.NewRecorder()
-	// The LB-step timeline feeds both the -lbsteps table and the -serve
-	// /api/v1/lbsteps endpoint; either flag enables it.
-	tl := prof.Timeline()
-	if tl == nil && *lbSteps {
-		tl = &metrics.LBTimeline{}
+	// The registry's LB-step log feeds both the -lbsteps table and the
+	// -serve /api/v1/lbsteps endpoint; -lbsteps alone gets a registry of
+	// its own.
+	reg := prof.Registry()
+	if reg == nil && *lbSteps {
+		reg = metrics.NewRegistry()
 	}
 	s := sp.Scenarios()[0]
-	s.Trace, s.Metrics, s.LBTimeline = rec, prof.Registry(), tl
+	s.Trace, s.Metrics = rec, reg
 	s.Hogs = []interfere.HogConfig{
 		{Core: 1, Start: sim.Time(*hog1), Stop: sim.Time(*hog1stop), Name: "vm-a"},
 		{Core: 3, Start: sim.Time(*hog2), Stop: sim.Time(*hog2stop), Name: "vm-b"},
@@ -152,7 +153,8 @@ func main() {
 
 	if *lbSteps {
 		fmt.Println("\nper-LB-step timeline:")
-		if err := tl.WriteTable(os.Stdout); err != nil {
+		steps, _ := reg.LBSteps(0)
+		if err := metrics.WriteLBSteps(os.Stdout, steps); err != nil {
 			fmt.Fprintln(os.Stderr, "timeline:", err)
 			os.Exit(1)
 		}

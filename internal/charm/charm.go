@@ -145,12 +145,11 @@ type Config struct {
 	// Name tags this runtime instance in traces and metric labels.
 	Name string
 	// Metrics, when non-nil, receives this runtime's telemetry series
-	// (messages, AtSync barriers, LB steps, per-PE Eq. 2 measurements),
-	// labeled rts=Name. Nil disables instrumentation at zero cost.
+	// (messages, AtSync barriers, LB steps, per-PE Eq. 2 measurements)
+	// and one step-log row per LB step (moves planned/applied, strategy
+	// wall time, per-PE loads before/after), all labeled rts=Name. Nil
+	// disables instrumentation at zero cost.
 	Metrics *metrics.Registry
-	// LBTimeline, when non-nil, accumulates one row per LB step (moves
-	// planned/applied, strategy wall time, per-PE loads before/after).
-	LBTimeline *metrics.LBTimeline
 	// Obs, when non-nil, is the job trace this runtime records LB-step
 	// spans on (host wall time around Strategy.Plan, row ObsTID). Nil
 	// disables tracing at zero cost.
@@ -371,7 +370,7 @@ func NewRTS(cfg Config) *RTS {
 			r.distNbr[i] = nbr
 		}
 	}
-	r.met = newRTSMetrics(cfg.Metrics, cfg.LBTimeline, cfg.Name, len(r.pes))
+	r.met = newRTSMetrics(cfg.Metrics, cfg.Name, len(r.pes))
 	return r
 }
 

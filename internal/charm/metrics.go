@@ -13,11 +13,10 @@ import (
 // hot paths (send, envelope pooling, stats measurement) update them
 // unconditionally at the cost of one inlined nil check. The cold LB-step
 // path additionally builds a per-step record (see lbStepInstr), but only
-// when a registry or an LB timeline is attached.
+// when a registry is attached.
 type rtsMetrics struct {
 	reg      *metrics.Registry
 	rtsLabel metrics.Label
-	timeline *metrics.LBTimeline
 
 	msgsSent     *metrics.Counter
 	msgsPooled   *metrics.Counter
@@ -42,15 +41,13 @@ type rtsMetrics struct {
 	peakSeen    []float64
 }
 
-// newRTSMetrics registers this runtime's series. Either reg or tl may be
-// nil; with both nil the returned struct is the all-no-op zero value.
-func newRTSMetrics(reg *metrics.Registry, tl *metrics.LBTimeline, name string, numPEs int) rtsMetrics {
-	m := rtsMetrics{timeline: tl}
+// newRTSMetrics registers this runtime's series. A nil reg returns the
+// all-no-op zero value.
+func newRTSMetrics(reg *metrics.Registry, name string, numPEs int) rtsMetrics {
 	if reg == nil {
-		return m
+		return rtsMetrics{}
 	}
-	m.reg = reg
-	m.rtsLabel = metrics.L("rts", name)
+	m := rtsMetrics{reg: reg, rtsLabel: metrics.L("rts", name)}
 	m.msgsSent = reg.Counter("charm_messages_sent_total",
 		"Application messages routed between chares.", m.rtsLabel)
 	m.msgsPooled = reg.Counter("charm_messages_pooled_total",
@@ -117,7 +114,7 @@ func (m *rtsMetrics) measured(pe int, taskSeconds, background float64) {
 // cover, each plan's host time and proposed moves, and each applied
 // move's load; stepDone publishes it. PELoadAfter is the working load
 // vector: it starts as the before vector and every applied move shifts
-// it. A nil *lbStepInstr (no registry and no timeline) ignores every call.
+// it. A nil *lbStepInstr (no registry) ignores every call.
 type lbStepInstr struct {
 	metrics.LBStep
 }
@@ -125,7 +122,7 @@ type lbStepInstr struct {
 // beginStep starts step stepNo's record, or returns nil when
 // instrumentation is disabled.
 func (m *rtsMetrics) beginStep(stepNo, numPEs int) *lbStepInstr {
-	if m.reg == nil && m.timeline == nil {
+	if m.reg == nil {
 		return nil
 	}
 	return &lbStepInstr{metrics.LBStep{
@@ -178,7 +175,8 @@ func (in *lbStepInstr) moved(load float64, from, to int) {
 
 // publishStep publishes a finished step's record: the planned, migrated,
 // strategy-wall and round counters, the per-PE before/after gauges, the
-// per-step series and the timeline row. rounds is the neighbor-exchange
+// per-step series and the registry's step-log row, labeled with the
+// runtime's series labels. rounds is the neighbor-exchange
 // round count, 0 under the gathers (only DiffusionLB runs rounds, and it
 // alone gets a per-step rounds series).
 func (m *rtsMetrics) publishStep(in *lbStepInstr, rounds int) {
@@ -190,20 +188,18 @@ func (m *rtsMetrics) publishStep(in *lbStepInstr, rounds int) {
 	m.migrations.Add(uint64(s.MovesApplied))
 	m.strategyWall.Add(s.StrategyWall)
 	m.lbRounds.Add(uint64(rounds))
-	if m.reg != nil {
-		for pe := range s.PELoadBefore {
-			m.peLoadBefore[pe].Set(s.PELoadBefore[pe])
-			m.peLoadAfter[pe].Set(s.PELoadAfter[pe])
-		}
-		step := metrics.L("step", strconv.Itoa(s.Step))
-		m.reg.Gauge("charm_lb_step_migrations",
-			"Objects migrated at one LB step (one series per step).",
-			m.rtsLabel, step).Set(float64(s.MovesApplied))
-		if rounds > 0 {
-			m.reg.Gauge("charm_lb_step_rounds",
-				"Neighbor-exchange rounds one distributed LB step took.",
-				m.rtsLabel, step).Set(float64(rounds))
-		}
+	for pe := range s.PELoadBefore {
+		m.peLoadBefore[pe].Set(s.PELoadBefore[pe])
+		m.peLoadAfter[pe].Set(s.PELoadAfter[pe])
 	}
-	m.timeline.Append(s)
+	step := metrics.L("step", strconv.Itoa(s.Step))
+	m.reg.Gauge("charm_lb_step_migrations",
+		"Objects migrated at one LB step (one series per step).",
+		m.rtsLabel, step).Set(float64(s.MovesApplied))
+	if rounds > 0 {
+		m.reg.Gauge("charm_lb_step_rounds",
+			"Neighbor-exchange rounds one distributed LB step took.",
+			m.rtsLabel, step).Set(float64(rounds))
+	}
+	m.reg.AppendLBStep(s, m.rtsLabel)
 }

@@ -10,18 +10,16 @@ import (
 )
 
 // metricsWorld runs a small imbalanced workload under the given strategy
-// with telemetry attached and returns the runtime, registry and timeline.
-func metricsWorld(t *testing.T, strategy core.Strategy, hier bool) (*RTS, *metrics.Registry, *metrics.LBTimeline) {
+// with telemetry attached and returns the runtime and registry.
+func metricsWorld(t *testing.T, strategy core.Strategy, hier bool) (*RTS, *metrics.Registry) {
 	t.Helper()
 	eng, m, n := testWorld(1, 4)
 	reg := metrics.NewRegistry()
-	tl := &metrics.LBTimeline{}
 	r := NewRTS(Config{
 		Machine: m, Net: n, Cores: allCores(m),
 		Strategy:       strategy,
 		HierarchicalLB: hier,
 		Metrics:        reg,
-		LBTimeline:     tl,
 	})
 	// Fine-grained over-decomposition (8 chares per PE) with one 5x-heavy
 	// chare: PE 0 exceeds T_avg+eps while a single light chare still fits
@@ -40,7 +38,7 @@ func metricsWorld(t *testing.T, strategy core.Strategy, hier bool) (*RTS, *metri
 	if !r.Finished() {
 		t.Fatal("run did not finish")
 	}
-	return r, reg, tl
+	return r, reg
 }
 
 // counterValue digs one series out of a snapshot by name + label subset.
@@ -73,7 +71,7 @@ func counterValue(t *testing.T, snap metrics.Snapshot, name string, labels ...me
 }
 
 // TestMetricsMatchRunCounters cross-checks the registry against the
-// RTS's own counters and the LB timeline under each AtSync protocol: the
+// RTS's own counters and the step log under each AtSync protocol: the
 // exported series must agree with what the run actually did, and every
 // step's window must be the T_lb its measurements cover.
 func TestMetricsMatchRunCounters(t *testing.T) {
@@ -87,7 +85,7 @@ func TestMetricsMatchRunCounters(t *testing.T) {
 		{"diffusion", &lb.DiffusionLB{}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, reg, tl := metricsWorld(t, tc.strategy, tc.hier)
+			r, reg := metricsWorld(t, tc.strategy, tc.hier)
 			snap := reg.Gather()
 			rts := metrics.L("rts", "rts")
 
@@ -105,16 +103,20 @@ func TestMetricsMatchRunCounters(t *testing.T) {
 				t.Errorf("charm_atsync_total = %v, want steps*PEs = %d", got, r.LBSteps()*r.NumPEs())
 			}
 
-			// The timeline has one row per step; per-step applied moves must
-			// sum to the total migration count, matching the run's trace.
-			if tl.Len() != r.LBSteps() {
-				t.Fatalf("timeline rows = %d, LB steps = %d", tl.Len(), r.LBSteps())
+			// The step log has one row per step, labeled with the
+			// runtime's series labels; per-step applied moves must sum to
+			// the total migration count, matching the run's trace.
+			steps, total := reg.LBSteps(0)
+			if total != r.LBSteps() {
+				t.Fatalf("step-log rows = %d, LB steps = %d", total, r.LBSteps())
 			}
 			applied, rounds := 0, 0.0
-			steps := tl.Steps()
 			for i, step := range steps {
 				if step.Step != i+1 {
-					t.Errorf("timeline row %d has step number %d", i, step.Step)
+					t.Errorf("step-log row %d has step number %d", i, step.Step)
+				}
+				if len(step.Labels) != 1 || step.Labels[0] != rts {
+					t.Errorf("step-log row %d labeled %v, want [%v]", i, step.Labels, rts)
 				}
 				// The window rule: step 1 measured from the run's start;
 				// every later step from its earliest resume, which follows
@@ -134,9 +136,9 @@ func TestMetricsMatchRunCounters(t *testing.T) {
 					t.Errorf("step %d: load vectors sized %d/%d/%d, want %d",
 						step.Step, len(step.PELoadBefore), len(step.PELoadAfter), len(step.PEBackground), r.NumPEs())
 				}
-				// The per-step migration gauge mirrors the timeline row.
+				// The per-step migration gauge mirrors the step-log row.
 				if got := counterValue(t, snap, "charm_lb_step_migrations", rts, metrics.L("step", itoa(step.Step))); got != float64(step.MovesApplied) {
-					t.Errorf("charm_lb_step_migrations{step=%d} = %v, timeline says %d", step.Step, got, step.MovesApplied)
+					t.Errorf("charm_lb_step_migrations{step=%d} = %v, step log says %d", step.Step, got, step.MovesApplied)
 				}
 				// Moves conserve load: total before == total after (same tasks,
 				// same background, just reassigned).
@@ -157,7 +159,7 @@ func TestMetricsMatchRunCounters(t *testing.T) {
 				}
 			}
 			if applied != r.Migrations() {
-				t.Errorf("timeline applied moves sum to %d, RTS reports %d", applied, r.Migrations())
+				t.Errorf("step-log applied moves sum to %d, RTS reports %d", applied, r.Migrations())
 			}
 			if got := counterValue(t, snap, "charm_lb_rounds_total", rts); got != rounds {
 				t.Errorf("charm_lb_rounds_total = %v, per-step rounds sum to %v", got, rounds)

@@ -199,13 +199,10 @@ type Scenario struct {
 	Trace *trace.Recorder
 	// Metrics, when non-nil, receives the run's telemetry: engine event
 	// counts, per-core busy/idle, and the application runtime's series
-	// (labeled rts=app). Scenarios sharing a registry accumulate into the
-	// same series, which is the intended aggregate view; nil disables
-	// instrumentation at zero hot-path cost.
+	// and LB-step rows (labeled rts=app). Scenarios sharing a registry
+	// accumulate into the same series, which is the intended aggregate
+	// view; nil disables instrumentation at zero hot-path cost.
 	Metrics *metrics.Registry
-	// LBTimeline, when non-nil, accumulates one row per application LB
-	// step (see metrics.LBTimeline).
-	LBTimeline *metrics.LBTimeline
 	// Obs, when non-nil, records host-time spans for the run's internal
 	// intervals — the engine drive loop, shard window barrier stalls,
 	// AtSync/LB rounds, retransmit bursts — on the job trace the service
@@ -455,7 +452,6 @@ func Run(s Scenario) Result {
 			Trace:          s.Trace,
 			Name:           "app",
 			Metrics:        s.Metrics,
-			LBTimeline:     s.LBTimeline,
 			Obs:            s.Obs,
 			ObsTID:         s.ObsTID,
 			Kernels:        kern,

@@ -73,8 +73,7 @@ type DiffEval struct {
 // Fig7Spec is the Spec Fig7 runs sp as: the figure's own interfered
 // application, allocation, seed, strategies and run shape, with sp's
 // Scale, Net and Shards. It is the one statement of Figure 7's shape:
-// Fig7Scenarios expands it, and cmd/figures validates it before the
-// figure runs.
+// Fig7 expands it, and cmd/figures validates it before the figure runs.
 func Fig7Spec(sp Spec) Spec {
 	strategies := make([]StrategyKind, len(fig7Rows))
 	for i, row := range fig7Rows {
@@ -92,54 +91,59 @@ func Fig7Spec(sp Spec) Spec {
 	}
 }
 
-// Fig7Scenarios lists the comparison's batch for sp in fig7Rows order:
-// Fig7Spec(sp)'s scenarios at the figure's scale factor, each with its
-// row's gather. Each scenario carries its own metrics registry (regs,
-// parallel to the batch) so the per-strategy round/state series can be
-// read back without cross-contamination; Options.run only attaches its
-// shared registry to scenarios that have none.
-func Fig7Scenarios(sp Spec) (batch []Scenario, regs []*metrics.Registry) {
-	batch = Fig7Spec(sp).Scenarios()
-	for i, row := range fig7Rows {
-		reg := metrics.NewRegistry()
-		regs = append(regs, reg)
-		batch[i].Scale *= fig7Scale
-		batch[i].Hierarchical = row.Hier
-		batch[i].Metrics = reg
-	}
-	return batch, regs
-}
-
 // Fig7 runs the cloud-scale comparison and assembles one row per
 // strategy. The figure fixes its own application, allocation and
-// strategies; it reads only the Spec's Scale, Net and Shards.
+// strategies; it reads only the Spec's Scale, Net and Shards. Each row
+// records into a fig7=<row label> view of opts.Metrics (of a fresh
+// registry when that is nil), so its rounds, peak-state and planning-time
+// series are read back by that label, and land beside the other
+// figures' series in the caller's export.
 func Fig7(ctx context.Context, opts Options, sp Spec) ([]DiffEval, error) {
-	batch, regs := Fig7Scenarios(sp)
+	reg := opts.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	batch := Fig7Spec(sp).Scenarios()
+	for i, row := range fig7Rows {
+		batch[i].Scale *= fig7Scale
+		batch[i].Hierarchical = row.Hier
+		batch[i].Metrics = reg.With(metrics.L("fig7", row.Label))
+	}
 	results, err := sp.run(ctx, opts, batch)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]DiffEval, len(fig7Rows))
+	rowOf := make(map[metrics.Label]*DiffEval, len(fig7Rows))
 	for i, row := range fig7Rows {
 		r := results[i]
-		e := DiffEval{
+		out[i] = DiffEval{
 			Label: row.Label, Strategy: row.Strategy, Hier: row.Hier,
 			Wall: r.AppWall, BGWall: r.BGWall,
 			Migrations: r.Migrations, LBSteps: r.LBSteps,
 		}
-		for _, s := range regs[i].Gather().Series {
-			switch s.Name {
-			case "charm_lb_rounds_total":
-				e.Rounds = int(s.Value)
-			case "charm_lb_peak_state_bytes":
-				if b := int(s.Value); b > e.PeakStateBytes {
-					e.PeakStateBytes = b
-				}
-			case "charm_lb_strategy_wall_seconds_total":
-				e.PlanHostSeconds += s.Value
+		rowOf[metrics.L("fig7", row.Label)] = &out[i]
+	}
+	for _, s := range reg.Gather().Series {
+		var e *DiffEval
+		for _, l := range s.Labels {
+			if e = rowOf[l]; e != nil {
+				break
 			}
 		}
-		out[i] = e
+		if e == nil {
+			continue
+		}
+		switch s.Name {
+		case "charm_lb_rounds_total":
+			e.Rounds = int(s.Value)
+		case "charm_lb_peak_state_bytes":
+			if b := int(s.Value); b > e.PeakStateBytes {
+				e.PeakStateBytes = b
+			}
+		case "charm_lb_strategy_wall_seconds_total":
+			e.PlanHostSeconds += s.Value
+		}
 	}
 	return out, nil
 }

@@ -19,28 +19,22 @@ type Options struct {
 	Executor Executor
 	// Metrics, when non-nil, is attached to every scenario in the batch
 	// (see Scenario.Metrics). In a batch of more than one scenario each
-	// scenario writes through a view labeling its series
+	// scenario writes through a view labeling its series and LB-step rows
 	// scenario=<batch index>: no series has two writers, so the registry's
-	// contents do not depend on how the batch was scheduled. A single
-	// scenario's series stay unlabeled.
+	// contents do not depend on how the batch was scheduled, and each row
+	// names its run. A single scenario's series stay unlabeled.
 	Metrics *metrics.Registry
-	// LBTimeline, when non-nil, is attached to every scenario in the
-	// batch (see Scenario.LBTimeline).
-	LBTimeline *metrics.LBTimeline
 }
 
 // run instruments the batch per the options and dispatches it.
 func (o Options) run(ctx context.Context, batch []Scenario) ([]Result, error) {
-	if o.Metrics != nil || o.LBTimeline != nil {
+	if o.Metrics != nil {
 		for i := range batch {
-			if o.Metrics != nil && batch[i].Metrics == nil {
+			if batch[i].Metrics == nil {
 				batch[i].Metrics = o.Metrics
 				if len(batch) > 1 {
 					batch[i].Metrics = o.Metrics.With(metrics.L("scenario", strconv.Itoa(i)))
 				}
-			}
-			if o.LBTimeline != nil && batch[i].LBTimeline == nil {
-				batch[i].LBTimeline = o.LBTimeline
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -143,43 +144,46 @@ func TestWriteJSONWithHistogram(t *testing.T) {
 	}
 }
 
-func TestLBTimelineNotifyAndStepsSince(t *testing.T) {
-	var tl LBTimeline
+// TestLBStepLog: rows appended through views land in the root's log
+// labeled by the view, the hook sees each append with its index, since
+// reads deltas, and the exports stay free of steps.
+func TestLBStepLog(t *testing.T) {
+	r := NewRegistry()
 	var mu sync.Mutex
 	var got []int
-	tl.SetNotify(func(index int, s LBStep) {
+	r.With(L("scenario", "0")).OnLBStep(func(index int, s LBStep) {
 		mu.Lock()
 		got = append(got, index)
 		mu.Unlock()
 		if s.Step == 0 {
-			t.Error("notify delivered zero step")
+			t.Error("hook delivered zero step")
 		}
 	})
-	tl.Append(LBStep{Step: 1})
-	tl.Append(LBStep{Step: 2})
-	tl.SetNotify(nil)
-	tl.Append(LBStep{Step: 3})
+	r.With(L("scenario", "1")).AppendLBStep(LBStep{Step: 1}, L("rts", "app"))
+	r.AppendLBStep(LBStep{Step: 2})
+	r.OnLBStep(nil)
+	r.With(L("scenario", "0")).AppendLBStep(LBStep{Step: 3})
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("notify indices = %v, want [0 1]", got)
+		t.Fatalf("hook indices = %v, want [0 1]", got)
 	}
-	if s := tl.StepsSince(1); len(s) != 2 || s[0].Step != 2 {
-		t.Fatalf("StepsSince(1) = %v", s)
+	steps, total := r.With(L("x", "y")).LBSteps(-5)
+	if total != 3 || len(steps) != 3 {
+		t.Fatalf("LBSteps(-5) = %d of %d, want 3 of 3", len(steps), total)
 	}
-	if s := tl.StepsSince(-5); len(s) != 3 {
-		t.Fatalf("StepsSince(-5) len = %d, want 3", len(s))
+	for i, want := range [][]Label{{L("rts", "app"), L("scenario", "1")}, nil, {L("scenario", "0")}} {
+		if !reflect.DeepEqual(steps[i].Labels, want) {
+			t.Errorf("row %d labels %v, want %v", i, steps[i].Labels, want)
+		}
 	}
-	if s := tl.StepsSince(99); len(s) != 0 || s == nil {
-		t.Fatalf("StepsSince(99) = %v, want empty non-nil", s)
+	if steps, total := r.LBSteps(1); total != 3 || len(steps) != 2 || steps[0].Step != 2 {
+		t.Fatalf("LBSteps(1) = %v of %d", steps, total)
 	}
-	if tl.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tl.Len())
+	if steps, total := r.LBSteps(99); total != 3 || len(steps) != 0 {
+		t.Fatalf("LBSteps(99) = %v of %d, want none of 3", steps, total)
 	}
-	var nilTL *LBTimeline
-	nilTL.SetNotify(func(int, LBStep) {})
-	nilTL.Append(LBStep{Step: 1})
-	if nilTL.StepsSince(0) != nil || nilTL.Len() != 0 {
-		t.Fatal("nil timeline not inert")
+	if s := r.Gather(); len(s.Series) != 0 {
+		t.Fatalf("steps leaked into Gather: %+v", s.Series)
 	}
 }

@@ -13,12 +13,12 @@
 // Two properties shape the design:
 //
 //   - A disabled registry must cost ~nothing. Every handle type is
-//     nil-safe: methods on a nil *Counter, *Gauge, *Histogram,
-//     *FloatCounter or *LBTimeline are no-ops, and a nil *Registry hands
-//     out nil handles. Instrumented hot paths therefore update their
-//     handles unconditionally — with metrics off the update is a single
-//     inlined nil check, with zero allocations (gated by AllocsPerRun
-//     tests here and in internal/charm).
+//     nil-safe: methods on a nil *Counter, *Gauge, *Histogram or
+//     *FloatCounter are no-ops, and a nil *Registry hands out nil
+//     handles and keeps no LB-step log. Instrumented hot paths therefore
+//     update their handles unconditionally — with metrics off the update
+//     is a single inlined nil check, with zero allocations (gated by
+//     AllocsPerRun tests here and in internal/charm).
 //
 //   - Updates must be safe under the parallel scenario runner. All state
 //     is held in atomics; distinct scenarios sharing one registry
@@ -260,6 +260,11 @@ type Registry struct {
 	byKey      map[string]*metric
 	ordered    []*metric // registration order; sorted at snapshot time
 	collectors []func()
+
+	// steps is the LB-step log (AppendLBStep) and onStep the hook every
+	// append runs (OnLBStep); both live on the root registry.
+	steps  []LBStep
+	onStep func(index int, s LBStep)
 
 	// parent and labels make a labeled view (see With): every series
 	// registered through the view lives on parent, with labels appended.

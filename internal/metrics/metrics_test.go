@@ -104,7 +104,6 @@ func TestNilSafety(t *testing.T) {
 	fc := r.FloatCounter("b", "")
 	g := r.Gauge("c", "")
 	h := r.Histogram("d", "", []float64{1})
-	var tl *LBTimeline
 	c.Inc()
 	c.Add(2)
 	fc.Add(1)
@@ -112,9 +111,10 @@ func TestNilSafety(t *testing.T) {
 	g.Add(1)
 	g.SetMax(1)
 	h.Observe(1)
-	tl.Append(LBStep{})
+	r.AppendLBStep(LBStep{})
+	r.OnLBStep(func(int, LBStep) { t.Error("step hook ran on nil registry") })
 	r.RegisterCollector(func() { t.Error("collector ran on nil registry") })
-	if c.Value() != 0 || fc.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tl.Len() != 0 {
+	if c.Value() != 0 || fc.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Error("nil handles returned nonzero values")
 	}
 	if s := r.Gather(); len(s.Series) != 0 {
@@ -125,6 +125,9 @@ func TestNilSafety(t *testing.T) {
 	}
 	if r.With(L("a", "b")) != nil {
 		t.Error("view of a nil registry is not nil")
+	}
+	if steps, total := r.LBSteps(0); steps != nil || total != 0 {
+		t.Error("nil registry kept LB steps")
 	}
 }
 
@@ -322,20 +325,14 @@ func TestCollectorRunsAtGather(t *testing.T) {
 	}
 }
 
-func TestLBTimeline(t *testing.T) {
-	var tl LBTimeline
-	tl.Append(LBStep{Step: 1, Time: 10, MovesPlanned: 3, MovesApplied: 2,
-		PELoadBefore: []float64{1, 5}, PELoadAfter: []float64{3, 3}, PEBackground: []float64{0, 0.4}})
-	tl.Append(LBStep{Step: 2, Time: 20, MovesPlanned: 0, MovesApplied: 0})
-	if tl.Len() != 2 {
-		t.Fatalf("len = %d, want 2", tl.Len())
-	}
-	steps := tl.Steps()
-	if steps[0].MovesApplied != 2 || steps[1].Step != 2 {
-		t.Errorf("steps = %+v", steps)
+func TestWriteLBSteps(t *testing.T) {
+	steps := []LBStep{
+		{Step: 1, Time: 10, MovesPlanned: 3, MovesApplied: 2,
+			PELoadBefore: []float64{1, 5}, PELoadAfter: []float64{3, 3}, PEBackground: []float64{0, 0.4}},
+		{Step: 2, Time: 20},
 	}
 	var b strings.Builder
-	if err := tl.WriteTable(&b); err != nil {
+	if err := WriteLBSteps(&b, steps); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -35,7 +35,6 @@ func TestNilSafety(t *testing.T) {
 	if tr.ID() != "" {
 		t.Fatal("nil trace has an ID")
 	}
-	tr.SetThresholds(DefaultThresholds())
 	if tr.NextTID() != 0 {
 		t.Fatal("nil trace handed out a TID")
 	}
@@ -164,17 +163,18 @@ func TestTraceSpansAndSummary(t *testing.T) {
 	}
 }
 
-// TestAnomalyWarns checks threshold breaches land as WARN records
-// carrying the trace and span IDs, and that ordinary spans stay quiet.
+// TestAnomalyWarns checks spans at and above the thresholds land as
+// WARN records carrying the trace and span IDs, and that ordinary spans
+// stay quiet.
 func TestAnomalyWarns(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf, slog.LevelWarn, "json")
 	tr := NewTrace("job-9", l)
-	tr.SetThresholds(Thresholds{BarrierWait: 5 * time.Millisecond, LBStepWall: 5 * time.Millisecond, RetransmitBurst: 3})
 	tr.Add(CatBarrier, "window-stall", 1, 0, time.Millisecond) // under
-	tr.Add(CatBarrier, "window-stall", 1, 0, 10*time.Millisecond)
-	tr.Add(CatLB, "lb-step", 1, 0, 20*time.Millisecond)
-	tr.Instant(CatNet, "retransmit-burst", 1, "retransmits", 4)
+	tr.Add(CatBarrier, "window-stall", 1, 0, barrierWaitWarn)
+	tr.Add(CatLB, "lb-step", 1, 0, lbStepWallWarn-time.Millisecond) // under
+	tr.Add(CatLB, "lb-step", 1, 0, 2*lbStepWallWarn)
+	tr.Instant(CatNet, "retransmit-burst", 1, "retransmits", RetransmitBurst)
 	tr.Instant(CatNet, "retransmit-burst", 1, "retransmits", 1) // under
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 3 {

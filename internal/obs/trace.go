@@ -24,30 +24,23 @@ const (
 // plus a counter, never unbounded memory.
 const maxSpans = 8192
 
-// Thresholds configures anomaly annotation: a recorded span breaching
-// its category's threshold emits a WARN log line with the trace and
-// span IDs.
-type Thresholds struct {
-	// BarrierWait flags one shard's wait at one window barrier (CatBarrier
-	// span duration, host time).
-	BarrierWait time.Duration
-	// LBStepWall flags one load-balancing step's host wall (CatLB span
-	// duration — Strategy.Plan plus move application).
-	LBStepWall time.Duration
-	// RetransmitBurst flags a CatNet span whose "retransmits" argument
-	// reaches this count within one logical send.
-	RetransmitBurst int
-}
+// Anomaly thresholds: a recorded span reaching its category's threshold
+// emits a WARN log line with the trace and span IDs. They are
+// deliberately loose: they mark pathologies, not routine scheduling
+// noise.
+const (
+	// barrierWaitWarn flags one shard's wait at one window barrier
+	// (CatBarrier span duration, host time).
+	barrierWaitWarn = 50 * time.Millisecond
+	// lbStepWallWarn flags one load-balancing step's host wall (CatLB
+	// span duration — Strategy.Plan plus move application).
+	lbStepWallWarn = 100 * time.Millisecond
+)
 
-// DefaultThresholds are deliberately loose: they mark pathologies, not
-// routine scheduling noise.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		BarrierWait:     50 * time.Millisecond,
-		LBStepWall:      100 * time.Millisecond,
-		RetransmitBurst: 3,
-	}
-}
+// RetransmitBurst is the retransmit count within one logical send at
+// which xnet records a retransmit-burst instant (CatNet), and at which
+// that instant's "retransmits" argument flags it.
+const RetransmitBurst = 3
 
 // Span is one recorded interval, offsets relative to the trace start.
 type Span struct {
@@ -71,7 +64,6 @@ type Trace struct {
 	tids atomic.Int64
 
 	mu       sync.Mutex
-	th       Thresholds
 	spans    []Span
 	dropped  int
 	tidNames map[int]string
@@ -80,7 +72,7 @@ type Trace struct {
 // NewTrace starts a trace anchored at now. Anomalous spans WARN on log
 // (nil log disables the annotation, never the spans).
 func NewTrace(id string, log *Logger) *Trace {
-	return &Trace{id: id, t0: time.Now(), log: log, th: DefaultThresholds()}
+	return &Trace{id: id, t0: time.Now(), log: log}
 }
 
 // ID returns the trace ID, "" on nil.
@@ -89,26 +81,6 @@ func (t *Trace) ID() string {
 		return ""
 	}
 	return t.id
-}
-
-// SetThresholds replaces the anomaly thresholds.
-func (t *Trace) SetThresholds(th Thresholds) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.th = th
-	t.mu.Unlock()
-}
-
-// Thresholds returns the current anomaly thresholds (zero value on nil).
-func (t *Trace) Thresholds() Thresholds {
-	if t == nil {
-		return Thresholds{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.th
 }
 
 // NextTID hands out a fresh Chrome-trace thread row. Row 0 is the
@@ -193,9 +165,8 @@ func (t *Trace) add(sp Span) {
 	}
 	sp.ID = len(t.spans) + 1
 	t.spans = append(t.spans, sp)
-	th := t.th
 	t.mu.Unlock()
-	if reason := anomaly(sp, th); reason != "" {
+	if reason := anomaly(sp); reason != "" {
 		t.log.Warn("span threshold exceeded",
 			"trace_id", t.id, "span_id", sp.ID, "cat", sp.Cat, "span", sp.Name,
 			"dur_ms", float64(sp.Dur)/float64(time.Millisecond), "reason", reason)
@@ -203,21 +174,19 @@ func (t *Trace) add(sp Span) {
 }
 
 // anomaly names the breached threshold, "" when the span is ordinary.
-func anomaly(sp Span, th Thresholds) string {
+func anomaly(sp Span) string {
 	switch sp.Cat {
 	case CatBarrier:
-		if th.BarrierWait > 0 && sp.Dur >= th.BarrierWait {
+		if sp.Dur >= barrierWaitWarn {
 			return "barrier wait over threshold"
 		}
 	case CatLB:
-		if th.LBStepWall > 0 && sp.Dur >= th.LBStepWall {
+		if sp.Dur >= lbStepWallWarn {
 			return "lb step wall over threshold"
 		}
 	case CatNet:
-		if th.RetransmitBurst > 0 {
-			if n, ok := sp.Args["retransmits"].(int); ok && n >= th.RetransmitBurst {
-				return "retransmit burst over threshold"
-			}
+		if n, ok := sp.Args["retransmits"].(int); ok && n >= RetransmitBurst {
+			return "retransmit burst over threshold"
 		}
 	}
 	return ""

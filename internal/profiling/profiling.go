@@ -58,7 +58,6 @@ type Flags struct {
 	LogFormat string
 
 	reg *metrics.Registry
-	tl  *metrics.LBTimeline
 	srv *telemetry.Server
 	svc *service.Service
 	log *obs.Logger
@@ -111,19 +110,6 @@ func (f *Flags) Registry() *metrics.Registry {
 	return f.reg
 }
 
-// Timeline returns the LB-step timeline behind /api/v1/lbsteps: nil when
-// -serve is unset (a nil timeline is the disabled state throughout the
-// codebase), one shared timeline otherwise.
-func (f *Flags) Timeline() *metrics.LBTimeline {
-	if f.Serve == "" {
-		return nil
-	}
-	if f.tl == nil {
-		f.tl = &metrics.LBTimeline{}
-	}
-	return f.tl
-}
-
 // Progress is the sink for the run's scenario account behind
 // /api/v1/run: the telemetry server keeps each snapshot it is handed
 // once Start has started it (-serve), and without one the call does
@@ -153,7 +139,7 @@ func (f *Flags) Start() (stop func() error, err error) {
 		return nil, err
 	}
 	if f.Serve != "" {
-		f.srv = telemetry.NewServer(f.Registry(), f.Timeline())
+		f.srv = telemetry.NewServer(f.Registry())
 		f.srv.SetLog(log)
 		if f.Store != "" {
 			st, err := store.Open(f.Store)

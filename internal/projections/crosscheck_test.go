@@ -14,8 +14,8 @@ import (
 // These tests cross-check the two independent views of the same run the
 // codebase produces: the Projections-style analysis (paper ref. [14])
 // computed from trace.Recorder segments, and the runtime's own Eq. 1/
-// Eq. 2 measurements recorded in metrics.LBTimeline. Both observe the
-// same simulated execution through different instruments — the recorder
+// Eq. 2 measurements recorded in the registry's LB-step log. Both observe
+// the same simulated execution through different instruments — the recorder
 // sees core occupancy, the load database sees per-task wall time — so
 // their per-window task loads and imbalance metrics must agree. A
 // divergence means one of the instruments is lying about the simulation.
@@ -26,18 +26,18 @@ const ccCores = 8
 func runTraced(t *testing.T, hier bool) (*trace.Recorder, []metrics.LBStep, float64) {
 	t.Helper()
 	rec := trace.NewRecorder()
-	tl := &metrics.LBTimeline{}
+	reg := metrics.NewRegistry()
 	res := experiment.Run(experiment.Scenario{
 		App: experiment.Wave2D, Cores: ccCores, Strategy: experiment.Refine,
 		Seed: 1, Scale: 0.3, Hierarchical: hier,
-		Trace: rec, LBTimeline: tl,
+		Trace: rec, Metrics: reg,
 	})
 	if math.IsNaN(res.AppWall) || res.AppWall <= 0 {
 		t.Fatalf("scenario did not finish: wall %v", res.AppWall)
 	}
-	steps := tl.Steps()
+	steps, _ := reg.LBSteps(0)
 	if len(steps) == 0 {
-		t.Fatal("LB timeline recorded no steps")
+		t.Fatal("LB-step log recorded no steps")
 	}
 	return rec, steps, res.AppWall
 }

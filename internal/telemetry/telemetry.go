@@ -15,7 +15,7 @@
 //	GET /healthz           liveness: 200 while the process serves
 //	GET /readyz            readiness: 200 when every registered probe passes
 //	GET /api/v1/run        JSON fleet progress (RunState)
-//	GET /api/v1/lbsteps    JSON LB-step timeline (?since=N for deltas)
+//	GET /api/v1/lbsteps    JSON LB-step log of the registry (?since=N for deltas)
 //	GET /api/v1/metrics    alias of /metrics under the versioned surface
 //	GET /api/v1/logs       recent structured log records (ndjson ring)
 //	GET /events            SSE: progress, lbstep, job, log, done events
@@ -46,11 +46,9 @@ import (
 )
 
 // Server is the embedded observability server. Construct with NewServer;
-// either data source may be nil (the matching endpoints serve empty
-// documents).
+// the registry may be nil (the matching endpoints serve empty documents).
 type Server struct {
 	reg *metrics.Registry
-	tl  *metrics.LBTimeline
 	hub *hub
 	mux *http.ServeMux
 	srv *http.Server
@@ -77,18 +75,18 @@ type lbStepEvent struct {
 	Step  metrics.LBStep `json:"step"`
 }
 
-// NewServer wires the endpoints over the given registry and timeline,
-// and subscribes to the timeline: every append is pushed to /events
+// NewServer wires the endpoints over the given registry and subscribes
+// to its LB-step log: every appended row is pushed to /events
 // subscribers, as is every account SetProgress is handed.
-func NewServer(reg *metrics.Registry, tl *metrics.LBTimeline) *Server {
-	s := &Server{reg: reg, tl: tl, hub: newHub(), mux: http.NewServeMux(),
+func NewServer(reg *metrics.Registry) *Server {
+	s := &Server{reg: reg, hub: newHub(), mux: http.NewServeMux(),
 		start: time.Now(), wall: runner.ScenarioWall(reg), ready: map[string]func() error{}}
 	// The live registry doubles as the process health surface: runtime
 	// series plus the SSE slow-consumer drop counter.
 	metrics.RegisterRuntimeCollector(reg)
 	s.hub.dropped = reg.Counter("telemetry_sse_dropped_total",
 		"SSE events dropped because a subscriber's send queue was full.")
-	tl.SetNotify(func(index int, step metrics.LBStep) {
+	reg.OnLBStep(func(index int, step metrics.LBStep) {
 		s.hub.broadcast("lbstep", lbStepEvent{Index: index, Step: step})
 	})
 	s.mux.HandleFunc("GET /{$}", s.handleDashboard)
@@ -251,7 +249,7 @@ func (s *Server) handleLBSteps(w http.ResponseWriter, r *http.Request) {
 		}
 		since = n
 	}
-	steps := s.tl.StepsSince(since)
+	steps, total := s.reg.LBSteps(since)
 	if steps == nil {
 		steps = []metrics.LBStep{}
 	}
@@ -259,7 +257,7 @@ func (s *Server) handleLBSteps(w http.ResponseWriter, r *http.Request) {
 		Since int              `json:"since"`
 		Total int              `json:"total"`
 		Steps []metrics.LBStep `json:"steps"`
-	}{Since: since, Total: s.tl.Len(), Steps: steps})
+	}{Since: since, Total: total, Steps: steps})
 }
 
 // handleEvents is the SSE stream: the current run state is delivered

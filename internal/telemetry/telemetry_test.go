@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -21,14 +22,13 @@ import (
 	"cloudlb/internal/telemetry"
 )
 
-func newTestServer(t *testing.T) (*telemetry.Server, *metrics.Registry, *metrics.LBTimeline, *httptest.Server) {
+func newTestServer(t *testing.T) (*telemetry.Server, *metrics.Registry, *httptest.Server) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	tl := &metrics.LBTimeline{}
-	srv := telemetry.NewServer(reg, tl)
+	srv := telemetry.NewServer(reg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return srv, reg, tl, ts
+	return srv, reg, ts
 }
 
 func get(t *testing.T, url string) (int, string, http.Header) {
@@ -46,7 +46,7 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, reg, _, ts := newTestServer(t)
+	_, reg, ts := newTestServer(t)
 	reg.Counter("sim_events_total", "Events executed.").Add(42)
 	code, body, hdr := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
@@ -63,7 +63,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestRunEndpoint: /api/v1/run serves the last account the pool handed
 // the server, with the pool's wall histogram from the served registry.
 func TestRunEndpoint(t *testing.T) {
-	srv, reg, _, ts := newTestServer(t)
+	srv, reg, ts := newTestServer(t)
 	srv.SetProgress(runner.Progress{ScenariosTotal: 3, ScenariosInFlight: 1})
 	runner.ScenarioWall(reg).Observe(0.05)
 	srv.SetProgress(runner.Progress{ScenariosTotal: 3, ScenariosDone: 1, Events: 1000})
@@ -105,9 +105,10 @@ func TestRunEndpoint(t *testing.T) {
 }
 
 func TestLBStepsEndpoint(t *testing.T) {
-	_, _, tl, ts := newTestServer(t)
-	tl.Append(metrics.LBStep{Step: 1, Time: 1.5, MovesApplied: 2, PELoadAfter: []float64{1, 2}})
-	tl.Append(metrics.LBStep{Step: 2, Time: 3.0})
+	_, reg, ts := newTestServer(t)
+	reg.With(metrics.L("scenario", "3")).AppendLBStep(
+		metrics.LBStep{Step: 1, Time: 1.5, MovesApplied: 2, PELoadAfter: []float64{1, 2}}, metrics.L("rts", "app"))
+	reg.AppendLBStep(metrics.LBStep{Step: 2, Time: 3.0})
 	var doc struct {
 		Since int              `json:"since"`
 		Total int              `json:"total"`
@@ -122,6 +123,14 @@ func TestLBStepsEndpoint(t *testing.T) {
 	}
 	if doc.Total != 2 || len(doc.Steps) != 2 || doc.Steps[0].MovesApplied != 2 {
 		t.Fatalf("full read wrong: %+v", doc)
+	}
+	// A row names its run by the labels of the view that appended it, in
+	// the same {"Name","Value"} form as the series of metrics.json.
+	if !strings.Contains(body, `"labels": [`) || !strings.Contains(body, `"Name": "scenario"`) {
+		t.Fatalf("labels not served:\n%s", body)
+	}
+	if want := []metrics.Label{metrics.L("rts", "app"), metrics.L("scenario", "3")}; !reflect.DeepEqual(doc.Steps[0].Labels, want) {
+		t.Fatalf("row 0 labels %v, want %v", doc.Steps[0].Labels, want)
 	}
 	code, body, _ = get(t, ts.URL+"/api/v1/lbsteps?since=1")
 	if code != http.StatusOK {
@@ -139,7 +148,7 @@ func TestLBStepsEndpoint(t *testing.T) {
 }
 
 func TestDashboardAndRouting(t *testing.T) {
-	_, _, _, ts := newTestServer(t)
+	_, _, ts := newTestServer(t)
 	code, body, hdr := get(t, ts.URL+"/")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -164,7 +173,7 @@ func TestDashboardAndRouting(t *testing.T) {
 }
 
 func TestPprofEndpoints(t *testing.T) {
-	_, _, _, ts := newTestServer(t)
+	_, _, ts := newTestServer(t)
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
 		if code, _, _ := get(t, ts.URL+path); code != http.StatusOK {
 			t.Fatalf("%s: status %d", path, code)
@@ -193,7 +202,7 @@ func readSSEEvent(t *testing.T, br *bufio.Reader) (name, data string) {
 }
 
 func TestSSEFirstEventAndBroadcast(t *testing.T) {
-	srv, _, tl, ts := newTestServer(t)
+	srv, reg, ts := newTestServer(t)
 	srv.SetProgress(runner.Progress{ScenariosTotal: 5})
 	resp, err := http.Get(ts.URL + "/events")
 	if err != nil {
@@ -231,8 +240,8 @@ func TestSSEFirstEventAndBroadcast(t *testing.T) {
 		t.Fatalf("progress event state wrong: %+v", st)
 	}
 
-	// A timeline append broadcasts an lbstep event with its index.
-	tl.Append(metrics.LBStep{Step: 1, Time: 2.5})
+	// A step-log append broadcasts an lbstep event with its index.
+	reg.AppendLBStep(metrics.LBStep{Step: 1, Time: 2.5})
 	name, data = readSSEEvent(t, br)
 	if name != "lbstep" {
 		t.Fatalf("event %q, want lbstep", name)
@@ -250,7 +259,7 @@ func TestSSEFirstEventAndBroadcast(t *testing.T) {
 }
 
 func TestSSEClientDisconnectAndDrain(t *testing.T) {
-	srv, _, _, ts := newTestServer(t)
+	srv, _, ts := newTestServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/events", nil)
 	if err != nil {
@@ -279,7 +288,7 @@ func TestSSEClientDisconnectAndDrain(t *testing.T) {
 }
 
 func TestDrainEndsStream(t *testing.T) {
-	srv, _, _, ts := newTestServer(t)
+	srv, _, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -306,11 +315,11 @@ func TestDrainEndsStream(t *testing.T) {
 }
 
 // TestConcurrentScrape is the race gate: endpoints are scraped
-// continuously while a scenario fleet runs with the same registry and
-// timeline attached and its pool announcing to the server. Run with
-// -race.
+// continuously while a scenario fleet runs with the same registry
+// attached, its runtimes appending LB-step rows and its pool announcing
+// to the server. Run with -race (make determinism does).
 func TestConcurrentScrape(t *testing.T) {
-	srv, reg, tl, ts := newTestServer(t)
+	srv, reg, ts := newTestServer(t)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, path := range []string{"/metrics", "/api/v1/run", "/api/v1/lbsteps", "/api/v1/metrics"} {
@@ -333,10 +342,11 @@ func TestConcurrentScrape(t *testing.T) {
 			}
 		}()
 	}
-	spec := experiment.Spec{App: experiment.Jacobi2D, Cores: []int{4}, Seeds: []int64{1, 2}, Scale: 0.1}
+	spec := experiment.Spec{App: experiment.Jacobi2D, Cores: []int{4}, Seeds: []int64{1, 2}, Scale: 0.1,
+		Strategies: []experiment.StrategyKind{experiment.Refine}}
 	_, err := spec.Evaluate(context.Background(), experiment.Options{
 		Executor: (&runner.Pool{Workers: 2, Metrics: reg, OnProgress: srv.SetProgress}).Executor(),
-		Metrics:  reg, LBTimeline: tl,
+		Metrics:  reg,
 	})
 	close(stop)
 	wg.Wait()
@@ -347,13 +357,40 @@ func TestConcurrentScrape(t *testing.T) {
 		st.Events == 0 || st.ScenarioWall.Count != uint64(st.ScenariosDone) {
 		t.Fatalf("server state after the fleet: %+v", st)
 	}
+	// The log holds one row per completed LB step, and every row names
+	// its runtime and its scenario.
+	var doc struct {
+		Total int              `json:"total"`
+		Steps []metrics.LBStep `json:"steps"`
+	}
+	if _, body, _ := get(t, ts.URL+"/api/v1/lbsteps"); json.Unmarshal([]byte(body), &doc) != nil {
+		t.Fatalf("/api/v1/lbsteps: %s", body)
+	}
+	lbSteps := 0.0
+	for _, s := range reg.Gather().Series {
+		if s.Name == "charm_lb_steps_total" {
+			lbSteps += s.Value
+		}
+	}
+	if len(doc.Steps) == 0 || doc.Total != len(doc.Steps) || float64(len(doc.Steps)) != lbSteps {
+		t.Fatalf("/api/v1/lbsteps served %d of %d rows, charm_lb_steps_total sums to %v", len(doc.Steps), doc.Total, lbSteps)
+	}
+	for i, row := range doc.Steps {
+		named := map[string]bool{}
+		for _, l := range row.Labels {
+			named[l.Name] = true
+		}
+		if !named["rts"] || !named["scenario"] {
+			t.Fatalf("row %d labeled %v, want rts and scenario", i, row.Labels)
+		}
+	}
 }
 
 // TestHandleAndBroadcast covers the extension points the scenario
 // service mounts through: extra routes on the shared mux, and named SSE
 // events reaching /events subscribers.
 func TestHandleAndBroadcast(t *testing.T) {
-	srv, _, _, ts := newTestServer(t)
+	srv, _, ts := newTestServer(t)
 	srv.Handle(func(mux *http.ServeMux) {
 		mux.HandleFunc("GET /api/v1/extra", func(w http.ResponseWriter, _ *http.Request) {
 			_, _ = w.Write([]byte("mounted"))
@@ -401,7 +438,7 @@ func TestHandleAndBroadcast(t *testing.T) {
 // is unconditionally 200 while serving; /readyz reflects registered
 // probes, flipping 503 when any fails and naming the failed check.
 func TestHealthAndReadiness(t *testing.T) {
-	srv, _, _, ts := newTestServer(t)
+	srv, _, ts := newTestServer(t)
 	if code, body, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz: %d %q", code, body)
 	}
@@ -441,7 +478,7 @@ func TestHealthAndReadiness(t *testing.T) {
 // ring lands on /api/v1/logs as ndjson and that each record reaches
 // /events subscribers as a "log" event.
 func TestLogsEndpointAndSSE(t *testing.T) {
-	srv, _, _, ts := newTestServer(t)
+	srv, _, ts := newTestServer(t)
 	// Empty until a logger is attached.
 	if code, body, _ := get(t, ts.URL+"/api/v1/logs"); code != http.StatusOK || body != "" {
 		t.Fatalf("/api/v1/logs without logger: %d %q", code, body)
@@ -501,7 +538,7 @@ func TestLogsEndpointAndSSE(t *testing.T) {
 // server registers the Go runtime collector, so a bare /metrics scrape
 // answers with process health series.
 func TestRuntimeSeriesOnScrape(t *testing.T) {
-	_, _, _, ts := newTestServer(t)
+	_, _, ts := newTestServer(t)
 	code, body, _ := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)

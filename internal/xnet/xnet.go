@@ -600,7 +600,7 @@ func (n *Network) Send(srcCore, dstCore, bytes int, deliver func()) sim.Time {
 				n.nicFree[srcNode] = start + xfer
 				n.linkBusy[srcNode] += float64(xfer)
 			}
-			if n.obs != nil && retries >= n.obs.Thresholds().RetransmitBurst {
+			if n.obs != nil && retries >= obs.RetransmitBurst {
 				n.obs.Instant(obs.CatNet, "retransmit-burst", n.obsTID,
 					"retransmits", retries, "src_node", srcNode, "dst_node", dstNode,
 					"virtual_t", float64(now))
