@@ -108,7 +108,13 @@ fuzz:
 # included; the alloc gates hold 0 with it too. The registry's LB-step
 # log, which pool workers append to while the telemetry server's HTTP
 # goroutines read it, is scraped through a fleet under the race detector
-# (TestConcurrentScrape). The alloc gates run without
+# (TestConcurrentScrape). So is a service job's metrics.json, whose
+# LB-step rows two pool workers append to one registry and the export
+# sorts: it must be reproducible, free of host time and the same at one
+# and two workers (TestMetricsArtifact*). The random Specs' one-shard
+# runs also check every LB-step row: load conserved by its moves, applied
+# moves summing to the run's migrations, rounds under DiffusionLB alone.
+# The alloc gates run without
 # -race (instrumentation perturbs allocation counts); -count=1 defeats the
 # test cache so the gates always execute.
 determinism:
@@ -121,6 +127,7 @@ determinism:
 	$(GO) test -race -count=1 -run 'TestMergedModeKeepsOneEngineOrder|TestCrossDeliveryKeepsOneEngineOrder' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestPoolShardsLoneLargeScenario|TestPoolKernelWorkerLoneScenario' ./internal/runner
 	$(GO) test -race -count=1 -run 'TestConcurrentScrape' ./internal/telemetry
+	$(GO) test -race -count=1 -run 'TestMetricsArtifactReproducible|TestMetricsArtifactWorkerInvariant' ./internal/service
 	for seed in 1 2 3 4 5 6 7 8 9 10 11 12; do \
 		$(GO) test -count=1 -run 'TestShardCountInvariantOnRandomSpecs' ./internal/experiment -args -shardspec.maxcores=256 -shardspec.seed=$$seed -shardspec.cases=30 || exit 1; \
 	done

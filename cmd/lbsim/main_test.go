@@ -95,9 +95,10 @@ func TestRunsMetricsOneSeriesPerSeed(t *testing.T) {
 }
 
 // TestFlagsReachMetricsExport checks the flag → Spec → scenario →
-// export wiring: each workload flag set must show up in the Prometheus
-// export as the series its layer records, with the counters the flags
-// switch on above zero.
+// export wiring: each workload flag set must show up in the JSON export
+// as the series its layer records, with the counters the flags switch on
+// above zero, and the export's LB-step rows — one per step — must add up
+// to the step, migration and round totals.
 func TestFlagsReachMetricsExport(t *testing.T) {
 	base := []string{"-app", "wave2d", "-cores", "8", "-bg", "-scale", "0.1"}
 	lossy := []string{"-strategy", "refine", "-droppct", "20", "-netseed", "7"}
@@ -108,7 +109,7 @@ func TestFlagsReachMetricsExport(t *testing.T) {
 		positive []string
 	}{
 		{"refine", []string{"-strategy", "refine"}, []string{
-			"charm_pe_background_seconds_total", "charm_lb_step_migrations", "charm_lb_migrations_total",
+			"charm_lb_steps_total", "charm_lb_migrations_total",
 			"machine_core_busy_seconds", "sim_events_total", "runner_scenarios_total",
 		}, []string{"charm_lb_migrations_total"}},
 		{"lossy-network", append(lossy, "-straggle", "1:4"),
@@ -119,7 +120,7 @@ func TestFlagsReachMetricsExport(t *testing.T) {
 			[]string{"charm_lb_rounds_total"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			totals := exportTotals(t, append(base, tc.flags...)...)
+			totals, steps := exportTotals(t, append(base, tc.flags...)...)
 			for _, name := range tc.series {
 				if _, ok := totals[name]; !ok {
 					t.Errorf("series %s missing from the export", name)
@@ -130,42 +131,52 @@ func TestFlagsReachMetricsExport(t *testing.T) {
 					t.Errorf("%s = %v, want > 0", name, totals[name])
 				}
 			}
+			applied, rounds := 0, 0
+			for _, s := range steps {
+				applied += s.MovesApplied
+				rounds += s.Rounds
+			}
+			if float64(len(steps)) != totals["charm_lb_steps_total"] {
+				t.Errorf("%d LB-step rows, charm_lb_steps_total = %v", len(steps), totals["charm_lb_steps_total"])
+			}
+			if float64(applied) != totals["charm_lb_migrations_total"] {
+				t.Errorf("rows apply %d moves, charm_lb_migrations_total = %v", applied, totals["charm_lb_migrations_total"])
+			}
+			if float64(rounds) != totals["charm_lb_rounds_total"] {
+				t.Errorf("rows run %d rounds, charm_lb_rounds_total = %v", rounds, totals["charm_lb_rounds_total"])
+			}
 		})
 	}
 
 	// The straggler's slowdown must reach the links: without -straggle the
 	// same lossy run keeps its links busy for less time.
-	straggled := exportTotals(t, append(append(base, lossy...), "-straggle", "1:4")...)
-	uniform := exportTotals(t, append(base, lossy...)...)
+	straggled, _ := exportTotals(t, append(append(base, lossy...), "-straggle", "1:4")...)
+	uniform, _ := exportTotals(t, append(base, lossy...)...)
 	if s, u := straggled["xnet_link_busy_seconds"], uniform["xnet_link_busy_seconds"]; !(s > u) {
 		t.Errorf("xnet_link_busy_seconds %v with -straggle 1:4, %v without; want more", s, u)
 	}
 }
 
-// exportTotals runs lbsim with args and a -metrics export, and sums the
-// Prometheus text export's sample values by metric name, across label
-// sets.
-func exportTotals(t *testing.T, args ...string) map[string]float64 {
+// exportTotals runs lbsim with args and a -metrics JSON export, and
+// returns the export's series values summed by metric name across label
+// sets, and its LB-step rows.
+func exportTotals(t *testing.T, args ...string) (map[string]float64, []metrics.LBStep) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "metrics.prom")
+	path := filepath.Join(t.TempDir(), "metrics.json")
 	lbsimOK(t, append(args, "-metrics", path)...)
 	export, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	totals := map[string]float64{}
-	for _, line := range strings.Split(string(export), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name := line[:strings.IndexAny(line, "{ ")]
-		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
-		if err != nil {
-			t.Fatalf("export line %q: %v", line, err)
-		}
-		totals[name] += v
+	var snap metrics.Snapshot
+	if err := json.Unmarshal(export, &snap); err != nil {
+		t.Fatal(err)
 	}
-	return totals
+	totals := map[string]float64{}
+	for _, s := range snap.Series {
+		totals[s.Name] += s.Value
+	}
+	return totals, snap.LBSteps
 }
 
 // TestSubmitPrintsLocalRendering runs the same flags locally and with

@@ -369,8 +369,8 @@ func (p *pe) diffMaybeFinishRound() {
 	}
 	// Root: decide another round, or close the step and start the resume
 	// wave.
-	r.lb.rounds = d.round
 	if r.dist.Converged(sample) || d.round >= r.dist.MaxRounds() {
+		r.lb.instr.ranRounds(d.round)
 		r.stepDone()
 		p.diffCast(d.round, true)
 		return

@@ -53,7 +53,6 @@ type lbState struct {
 	stats     core.Stats // the flat gather's gathered measurements
 	doneCount int
 	moves     []core.Move
-	rounds    int // DiffusionLB's neighbor-exchange rounds
 	instr     *lbStepInstr
 }
 
@@ -187,7 +186,7 @@ func (p *pe) measureStats() peStats {
 	st.bg = bg
 	st.offline = p.retired
 	p.sentStats = true
-	p.rts.met.measured(p.index, sumTasks, bg)
+	p.rts.met.atSync.Inc()
 	return st
 }
 
@@ -481,7 +480,7 @@ func (r *RTS) stepDone() {
 	r.lb.active = false
 	r.lbSteps++
 	r.met.lbSteps.Inc()
-	r.met.publishStep(r.lb.instr, r.lb.rounds)
+	r.met.publishStep(r.lb.instr)
 	r.lb.instr = nil
 	if r.onLBStep != nil {
 		r.onLBStep()

@@ -28,21 +28,18 @@ type rtsMetrics struct {
 	evacuations  *metrics.Counter
 	strategyWall *metrics.FloatCounter
 
-	// Per-PE series, indexed by PE. Empty when disabled.
-	peBackground []*metrics.FloatCounter
-	peTask       []*metrics.FloatCounter
-	peLoadBefore []*metrics.Gauge
-	peLoadAfter  []*metrics.Gauge
-	// pePeakState tracks the high-water bytes of LB planning state each PE
-	// held: gathered stats on the master under a centralized strategy,
-	// planner state everywhere under a distributed one. peakSeen is the
-	// monotone mirror so the gauge only ever rises.
+	// pePeakState holds each PE's high-water bytes of LB planning state:
+	// gathered stats on the master under a centralized strategy, planner
+	// state everywhere under a distributed one. No LB-step row holds a
+	// run-long high-water mark, so it alone is a per-PE series. Empty
+	// when disabled.
 	pePeakState []*metrics.Gauge
-	peakSeen    []float64
 }
 
-// newRTSMetrics registers this runtime's series. A nil reg returns the
-// all-no-op zero value.
+// newRTSMetrics registers this runtime's series: per-runtime totals,
+// plus the per-PE peak planning state. The per-PE and per-step values of
+// each LB step are the registry's step-log rows (see publishStep), not
+// series. A nil reg returns the all-no-op zero value.
 func newRTSMetrics(reg *metrics.Registry, name string, numPEs int) rtsMetrics {
 	if reg == nil {
 		return rtsMetrics{}
@@ -66,45 +63,18 @@ func newRTSMetrics(reg *metrics.Registry, name string, numPEs int) rtsMetrics {
 		"Emergency evacuations of chares off revoked or failed PEs.", m.rtsLabel)
 	m.strategyWall = reg.FloatCounter("charm_lb_strategy_wall_seconds_total",
 		"Real (host) seconds spent inside Strategy.Plan.", m.rtsLabel)
-	m.peBackground = make([]*metrics.FloatCounter, numPEs)
-	m.peTask = make([]*metrics.FloatCounter, numPEs)
-	m.peLoadBefore = make([]*metrics.Gauge, numPEs)
-	m.peLoadAfter = make([]*metrics.Gauge, numPEs)
 	m.pePeakState = make([]*metrics.Gauge, numPEs)
-	m.peakSeen = make([]float64, numPEs)
-	for i := 0; i < numPEs; i++ {
-		pe := metrics.L("pe", strconv.Itoa(i))
-		m.peBackground[i] = reg.FloatCounter("charm_pe_background_seconds_total",
-			"Background load O_p (paper Eq. 2) accumulated over LB intervals.", m.rtsLabel, pe)
-		m.peTask[i] = reg.FloatCounter("charm_pe_task_seconds_total",
-			"Measured task wall seconds accumulated over LB intervals.", m.rtsLabel, pe)
-		m.peLoadBefore[i] = reg.Gauge("charm_pe_load_before_seconds",
-			"Per-PE load (tasks + background) entering the latest LB step.", m.rtsLabel, pe)
-		m.peLoadAfter[i] = reg.Gauge("charm_pe_load_after_seconds",
-			"Per-PE load (tasks + background) after the latest step's moves.", m.rtsLabel, pe)
+	for i := range m.pePeakState {
 		m.pePeakState[i] = reg.Gauge("charm_lb_peak_state_bytes",
-			"High-water bytes of LB planning state held on this PE.", m.rtsLabel, pe)
+			"High-water bytes of LB planning state held on this PE.", m.rtsLabel, metrics.L("pe", strconv.Itoa(i)))
 	}
 	return m
 }
 
 // peakState raises a PE's planning-state high-water mark.
 func (m *rtsMetrics) peakState(pe, bytes int) {
-	if len(m.pePeakState) == 0 {
-		return
-	}
-	if f := float64(bytes); f > m.peakSeen[pe] {
-		m.peakSeen[pe] = f
-		m.pePeakState[pe].Set(f)
-	}
-}
-
-// measured records one PE's interval measurement (Eq. 2 inputs).
-func (m *rtsMetrics) measured(pe int, taskSeconds, background float64) {
-	m.atSync.Inc()
-	if len(m.peBackground) > 0 {
-		m.peBackground[pe].Add(background)
-		m.peTask[pe].Add(taskSeconds)
+	if len(m.pePeakState) > 0 {
+		m.pePeakState[pe].SetMax(float64(bytes))
 	}
 }
 
@@ -163,6 +133,14 @@ func (in *lbStepInstr) planned(wall time.Duration, moves int) {
 	in.MovesPlanned += moves
 }
 
+// ranRounds records the neighbor-exchange rounds a DiffusionLB step took.
+func (in *lbStepInstr) ranRounds(n int) {
+	if in == nil {
+		return
+	}
+	in.Rounds = n
+}
+
 // moved shifts one applied move's load in the working vector.
 func (in *lbStepInstr) moved(load float64, from, to int) {
 	if in == nil {
@@ -173,13 +151,10 @@ func (in *lbStepInstr) moved(load float64, from, to int) {
 	in.PELoadAfter[to] += load
 }
 
-// publishStep publishes a finished step's record: the planned, migrated,
-// strategy-wall and round counters, the per-PE before/after gauges, the
-// per-step series and the registry's step-log row, labeled with the
-// runtime's series labels. rounds is the neighbor-exchange
-// round count, 0 under the gathers (only DiffusionLB runs rounds, and it
-// alone gets a per-step rounds series).
-func (m *rtsMetrics) publishStep(in *lbStepInstr, rounds int) {
+// publishStep publishes a finished step's record: the planned,
+// migrated, strategy-wall and round counters, and the registry's
+// step-log row, labeled with the runtime's series labels.
+func (m *rtsMetrics) publishStep(in *lbStepInstr) {
 	if in == nil {
 		return
 	}
@@ -187,19 +162,6 @@ func (m *rtsMetrics) publishStep(in *lbStepInstr, rounds int) {
 	m.movesPlanned.Add(uint64(s.MovesPlanned))
 	m.migrations.Add(uint64(s.MovesApplied))
 	m.strategyWall.Add(s.StrategyWall)
-	m.lbRounds.Add(uint64(rounds))
-	for pe := range s.PELoadBefore {
-		m.peLoadBefore[pe].Set(s.PELoadBefore[pe])
-		m.peLoadAfter[pe].Set(s.PELoadAfter[pe])
-	}
-	step := metrics.L("step", strconv.Itoa(s.Step))
-	m.reg.Gauge("charm_lb_step_migrations",
-		"Objects migrated at one LB step (one series per step).",
-		m.rtsLabel, step).Set(float64(s.MovesApplied))
-	if rounds > 0 {
-		m.reg.Gauge("charm_lb_step_rounds",
-			"Neighbor-exchange rounds one distributed LB step took.",
-			m.rtsLabel, step).Set(float64(rounds))
-	}
+	m.lbRounds.Add(uint64(s.Rounds))
 	m.reg.AppendLBStep(s, m.rtsLabel)
 }

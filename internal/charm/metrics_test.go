@@ -72,8 +72,10 @@ func counterValue(t *testing.T, snap metrics.Snapshot, name string, labels ...me
 
 // TestMetricsMatchRunCounters cross-checks the registry against the
 // RTS's own counters and the step log under each AtSync protocol: the
-// exported series must agree with what the run actually did, and every
-// step's window must be the T_lb its measurements cover.
+// exported series must agree with what the run actually did, every
+// step's window must be the T_lb its measurements cover, and the
+// per-PE and per-step values live in the rows alone, not restated as
+// series.
 func TestMetricsMatchRunCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -104,13 +106,14 @@ func TestMetricsMatchRunCounters(t *testing.T) {
 			}
 
 			// The step log has one row per step, labeled with the
-			// runtime's series labels; per-step applied moves must sum to
-			// the total migration count, matching the run's trace.
+			// runtime's series labels; per-step applied moves and rounds
+			// must sum to the totals, matching the run's trace.
 			steps, total := reg.LBSteps(0)
 			if total != r.LBSteps() {
 				t.Fatalf("step-log rows = %d, LB steps = %d", total, r.LBSteps())
 			}
-			applied, rounds := 0, 0.0
+			_, distributed := tc.strategy.(core.DistributedStrategy)
+			applied, rounds := 0, 0
 			for i, step := range steps {
 				if step.Step != i+1 {
 					t.Errorf("step-log row %d has step number %d", i, step.Step)
@@ -136,10 +139,6 @@ func TestMetricsMatchRunCounters(t *testing.T) {
 					t.Errorf("step %d: load vectors sized %d/%d/%d, want %d",
 						step.Step, len(step.PELoadBefore), len(step.PELoadAfter), len(step.PEBackground), r.NumPEs())
 				}
-				// The per-step migration gauge mirrors the step-log row.
-				if got := counterValue(t, snap, "charm_lb_step_migrations", rts, metrics.L("step", itoa(step.Step))); got != float64(step.MovesApplied) {
-					t.Errorf("charm_lb_step_migrations{step=%d} = %v, step log says %d", step.Step, got, step.MovesApplied)
-				}
 				// Moves conserve load: total before == total after (same tasks,
 				// same background, just reassigned).
 				var before, after float64
@@ -150,36 +149,35 @@ func TestMetricsMatchRunCounters(t *testing.T) {
 				if d := before - after; d > 1e-9 || d < -1e-9 {
 					t.Errorf("step %d: load not conserved, before %v after %v", step.Step, before, after)
 				}
-				if _, ok := tc.strategy.(core.DistributedStrategy); ok {
-					got := counterValue(t, snap, "charm_lb_step_rounds", rts, metrics.L("step", itoa(step.Step)))
-					if got < 1 {
-						t.Errorf("charm_lb_step_rounds{step=%d} = %v, want >= 1", step.Step, got)
-					}
-					rounds += got
+				// Only DiffusionLB runs neighbor-exchange rounds.
+				if distributed != (step.Rounds >= 1) || step.Rounds < 0 {
+					t.Errorf("step %d: rounds = %d under %s", step.Step, step.Rounds, tc.name)
 				}
+				rounds += step.Rounds
 			}
 			if applied != r.Migrations() {
 				t.Errorf("step-log applied moves sum to %d, RTS reports %d", applied, r.Migrations())
 			}
-			if got := counterValue(t, snap, "charm_lb_rounds_total", rts); got != rounds {
-				t.Errorf("charm_lb_rounds_total = %v, per-step rounds sum to %v", got, rounds)
+			if got := counterValue(t, snap, "charm_lb_rounds_total", rts); got != float64(rounds) {
+				t.Errorf("charm_lb_rounds_total = %v, per-step rounds sum to %d", got, rounds)
 			}
-			// The per-PE gauges hold the last step's vectors.
-			last := steps[len(steps)-1]
-			for pe := 0; pe < r.NumPEs(); pe++ {
-				l := metrics.L("pe", itoa(pe))
-				if got := counterValue(t, snap, "charm_pe_load_before_seconds", rts, l); got != last.PELoadBefore[pe] {
-					t.Errorf("charm_pe_load_before_seconds{pe=%d} = %v, last step says %v", pe, got, last.PELoadBefore[pe])
-				}
-				if got := counterValue(t, snap, "charm_pe_load_after_seconds", rts, l); got != last.PELoadAfter[pe] {
-					t.Errorf("charm_pe_load_after_seconds{pe=%d} = %v, last step says %v", pe, got, last.PELoadAfter[pe])
-				}
+			if len(snap.LBSteps) != total {
+				t.Errorf("Gather carries %d LB-step rows, the log has %d", len(snap.LBSteps), total)
 			}
 
-			// Per-PE background series exist for every PE and message
-			// counters saw traffic.
+			// The rows are the one per-PE and per-step record: no series
+			// restates them. The peak planning state, a run-long
+			// high-water mark no row holds, is the one per-PE series.
+			for _, s := range snap.Series {
+				switch s.Name {
+				case "charm_pe_task_seconds_total", "charm_pe_background_seconds_total",
+					"charm_pe_load_before_seconds", "charm_pe_load_after_seconds",
+					"charm_lb_step_migrations", "charm_lb_step_rounds":
+					t.Errorf("series %s%v restates the LB-step rows", s.Name, s.Labels)
+				}
+			}
 			for pe := 0; pe < r.NumPEs(); pe++ {
-				counterValue(t, snap, "charm_pe_background_seconds_total", rts, metrics.L("pe", itoa(pe)))
+				counterValue(t, snap, "charm_lb_peak_state_bytes", rts, metrics.L("pe", itoa(pe)))
 			}
 			if got := counterValue(t, snap, "charm_messages_sent_total", rts); got <= 0 {
 				t.Errorf("charm_messages_sent_total = %v, want > 0", got)
@@ -194,7 +192,7 @@ func TestMetricsMatchRunCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			out := b.String()
-			for _, want := range []string{"charm_pe_background_seconds_total", "charm_lb_step_migrations", "charm_lb_strategy_wall_seconds_total"} {
+			for _, want := range []string{"charm_lb_peak_state_bytes", "charm_lb_migrations_total", "charm_lb_strategy_wall_seconds_total"} {
 				if !strings.Contains(out, want) {
 					t.Errorf("Prometheus export missing %s", want)
 				}

@@ -19,8 +19,8 @@ import (
 // shard count: 64 iterChares syncing every 10 of 40 iterations, with a
 // hog on core 3, under one protocol. It returns the run's account (finish
 // time, steps, migrations, LBWallTime, every chare's PE, the metrics
-// snapshot less its partition- and host-dependent series, and the trace
-// hash) and, per LB step, whether the coordinator ran parallel windows
+// snapshot less its partition- and host-dependent series and its rows'
+// host-time strategy_wall, and the trace hash) and, per LB step, whether the coordinator ran parallel windows
 // while a PE still waited for that step's resume.
 func shardedLBRun(t *testing.T, shards int, strategy core.Strategy, hier bool) (string, []bool) {
 	t.Helper()
@@ -86,6 +86,9 @@ func shardedLBRun(t *testing.T, shards int, strategy core.Strategy, hier bool) (
 		}
 	}
 	snap.Series = kept
+	for i := range snap.LBSteps {
+		snap.LBSteps[i].StrategyWall = 0
+	}
 	js, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)

@@ -27,122 +27,102 @@ import (
 // ever encoded it, and ParseSpec refuses a document that sets it.
 const SpecSchemaVersion = 1
 
+// enumNames is one enum's name table, indexed by value: the first name
+// of each entry is the value's String and JSON encoding, and parsing
+// accepts any of its names, case-insensitively. noun names the enum in
+// an unknown-name error, field in a JSON type error.
+type enumNames[T ~int] struct {
+	noun, field string
+	names       [][]string
+}
+
+var (
+	appNames = enumNames[AppKind]{"app", "app", [][]string{
+		AppNone: {"none"}, Jacobi2D: {"Jacobi2D"}, Wave2D: {"Wave2D"}, Mol3D: {"Mol3D"},
+	}}
+	// The second name of each balancer is its short command-line name.
+	strategyNames = enumNames[StrategyKind]{"strategy", "strategy", [][]string{
+		NoLB:           {"noLB", "none"},
+		Refine:         {"RefineLB", "refine"},
+		RefineInternal: {"RefineInternalLB", "refineinternal"},
+		RefineSwap:     {"RefineSwapLB", "refineswap"},
+		Greedy:         {"GreedyLB", "greedy"},
+		Threshold:      {"ThresholdLB", "threshold"},
+		CostAware:      {"MigrationCostAwareLB", "costaware"},
+		Diffusion:      {"DiffusionLB", "diffusion"},
+	}}
+	bgNames = enumNames[BGKind]{"background kind", "bg", [][]string{
+		BGNone: {"none", ""}, BGWave2D: {"wave2d", "bg"}, BGCloudChurn: {"churn"},
+	}}
+)
+
+func (e enumNames[T]) name(v T) string {
+	if v < 0 || int(v) >= len(e.names) {
+		return "unknown"
+	}
+	return e.names[v][0]
+}
+
+func (e enumNames[T]) parse(name string) (T, error) {
+	lower := strings.ToLower(name)
+	for v, names := range e.names {
+		for _, n := range names {
+			if strings.ToLower(n) == lower {
+				return T(v), nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("experiment: unknown %s %q", e.noun, name)
+}
+
+func (e enumNames[T]) unmarshal(data []byte, v *T) error {
+	var s string
+	if err := json.Unmarshal(data, &s); err != nil {
+		return fmt.Errorf("experiment: %s must be a string name: %w", e.field, err)
+	}
+	k, err := e.parse(s)
+	if err != nil {
+		return err
+	}
+	*v = k
+	return nil
+}
+
+func (a AppKind) String() string { return appNames.name(a) }
+
 // ParseAppKind maps a command-line or wire name to an application.
-func ParseAppKind(name string) (AppKind, error) {
-	switch strings.ToLower(name) {
-	case "none":
-		return AppNone, nil
-	case "jacobi2d":
-		return Jacobi2D, nil
-	case "wave2d":
-		return Wave2D, nil
-	case "mol3d":
-		return Mol3D, nil
-	}
-	return 0, fmt.Errorf("experiment: unknown app %q", name)
-}
-
-// ParseStrategyKind maps a command-line or wire name to a balancer. Both
-// the short CLI names ("refine") and the String() names ("RefineLB") are
-// accepted, case-insensitively.
-func ParseStrategyKind(name string) (StrategyKind, error) {
-	switch strings.ToLower(name) {
-	case "none", "nolb":
-		return NoLB, nil
-	case "refine", "refinelb":
-		return Refine, nil
-	case "refineinternal", "refineinternallb":
-		return RefineInternal, nil
-	case "refineswap", "refineswaplb":
-		return RefineSwap, nil
-	case "greedy", "greedylb":
-		return Greedy, nil
-	case "threshold", "thresholdlb":
-		return Threshold, nil
-	case "costaware", "migrationcostawarelb":
-		return CostAware, nil
-	case "diffusion", "diffusionlb":
-		return Diffusion, nil
-	}
-	return 0, fmt.Errorf("experiment: unknown strategy %q", name)
-}
-
-func (b BGKind) String() string {
-	switch b {
-	case BGNone:
-		return "none"
-	case BGWave2D:
-		return "wave2d"
-	case BGCloudChurn:
-		return "churn"
-	}
-	return "unknown"
-}
-
-// ParseBGKind maps a wire name to an interference configuration.
-func ParseBGKind(name string) (BGKind, error) {
-	switch strings.ToLower(name) {
-	case "none", "":
-		return BGNone, nil
-	case "wave2d", "bg":
-		return BGWave2D, nil
-	case "churn":
-		return BGCloudChurn, nil
-	}
-	return 0, fmt.Errorf("experiment: unknown background kind %q", name)
-}
+func ParseAppKind(name string) (AppKind, error) { return appNames.parse(name) }
 
 // MarshalJSON encodes the application by name ("Wave2D"), the form the
 // canonical Spec encoding and the service submit API use.
 func (a AppKind) MarshalJSON() ([]byte, error) { return json.Marshal(a.String()) }
 
 // UnmarshalJSON accepts the String() names, case-insensitively.
-func (a *AppKind) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("experiment: app must be a string name: %w", err)
-	}
-	k, err := ParseAppKind(s)
-	if err != nil {
-		return err
-	}
-	*a = k
-	return nil
-}
+func (a *AppKind) UnmarshalJSON(data []byte) error { return appNames.unmarshal(data, a) }
+
+func (s StrategyKind) String() string { return strategyNames.name(s) }
+
+// ParseStrategyKind maps a command-line or wire name to a balancer. Both
+// the short CLI names ("refine") and the String() names ("RefineLB") are
+// accepted, case-insensitively.
+func ParseStrategyKind(name string) (StrategyKind, error) { return strategyNames.parse(name) }
 
 // MarshalJSON encodes the balancer by name ("RefineLB").
 func (s StrategyKind) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
 // UnmarshalJSON accepts both the String() names and the short CLI names.
-func (s *StrategyKind) UnmarshalJSON(data []byte) error {
-	var v string
-	if err := json.Unmarshal(data, &v); err != nil {
-		return fmt.Errorf("experiment: strategy must be a string name: %w", err)
-	}
-	k, err := ParseStrategyKind(v)
-	if err != nil {
-		return err
-	}
-	*s = k
-	return nil
-}
+func (s *StrategyKind) UnmarshalJSON(data []byte) error { return strategyNames.unmarshal(data, s) }
+
+func (b BGKind) String() string { return bgNames.name(b) }
+
+// ParseBGKind maps a wire name to an interference configuration.
+func ParseBGKind(name string) (BGKind, error) { return bgNames.parse(name) }
 
 // MarshalJSON encodes the interference kind by name ("wave2d").
 func (b BGKind) MarshalJSON() ([]byte, error) { return json.Marshal(b.String()) }
 
 // UnmarshalJSON accepts the String() names.
-func (b *BGKind) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("experiment: bg must be a string name: %w", err)
-	}
-	k, err := ParseBGKind(s)
-	if err != nil {
-		return err
-	}
-	*b = k
-	return nil
-}
+func (b *BGKind) UnmarshalJSON(data []byte) error { return bgNames.unmarshal(data, b) }
 
 // ParseSpec decodes a Spec from its JSON wire form (the same shape
 // CanonicalJSON emits), rejecting unknown fields so a typo in a submitted

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -23,11 +24,13 @@ import (
 // sequential sections, the background job the cross-shard traffic.
 
 // outcome is everything of a run the shard count must not change: its
-// Result, a comparable metric snapshot and a hash of the trace timeline.
+// Result, a comparable metric snapshot, its LB-step rows less the
+// host-time strategy_wall, and a hash of the trace timeline.
 type outcome struct {
-	res  Result
-	vals map[string]float64
-	hash uint64
+	res   Result
+	vals  map[string]float64
+	steps []metrics.LBStep
+	hash  uint64
 }
 
 // runOutcome runs s with a fresh trace recorder and metrics registry.
@@ -36,7 +39,12 @@ func runOutcome(s Scenario) outcome {
 	reg := metrics.NewRegistry()
 	s.Trace, s.Metrics = rec, reg
 	res := Run(s)
-	return outcome{res: res, vals: metricValues(reg, ShardSeries, HostTimeSeries), hash: traceHash(rec)}
+	return outcome{res: res, vals: metricValues(reg, ShardSeries, HostTimeSeries), steps: lbRows(reg), hash: traceHash(rec)}
+}
+
+// lbRows is the registry's LB-step log less its host time.
+func lbRows(reg *metrics.Registry) []metrics.LBStep {
+	return WithoutHostTime(reg.Gather()).LBSteps
 }
 
 // diffOutcomes reports every way got differs from want.
@@ -56,6 +64,15 @@ func diffOutcomes(t *testing.T, name string, got, want outcome) {
 	for k := range got.vals {
 		if _, ok := want.vals[k]; !ok {
 			t.Errorf("%s: unexpected extra metric %s", name, k)
+		}
+	}
+	if len(got.steps) != len(want.steps) {
+		t.Errorf("%s: %d LB-step rows, want %d", name, len(got.steps), len(want.steps))
+	}
+	for i := range min(len(got.steps), len(want.steps)) {
+		if !reflect.DeepEqual(got.steps[i], want.steps[i]) {
+			t.Errorf("%s: LB-step row %d diverged:\n got %+v\nwant %+v", name, i, got.steps[i], want.steps[i])
+			break
 		}
 	}
 }

@@ -39,20 +39,6 @@ const (
 	Mol3D
 )
 
-func (a AppKind) String() string {
-	switch a {
-	case AppNone:
-		return "none"
-	case Jacobi2D:
-		return "Jacobi2D"
-	case Wave2D:
-		return "Wave2D"
-	case Mol3D:
-		return "Mol3D"
-	}
-	return "unknown"
-}
-
 // StrategyKind selects the load balancer.
 type StrategyKind int
 
@@ -67,28 +53,6 @@ const (
 	CostAware
 	Diffusion
 )
-
-func (s StrategyKind) String() string {
-	switch s {
-	case NoLB:
-		return "noLB"
-	case Refine:
-		return "RefineLB"
-	case RefineInternal:
-		return "RefineInternalLB"
-	case RefineSwap:
-		return "RefineSwapLB"
-	case Greedy:
-		return "GreedyLB"
-	case Threshold:
-		return "ThresholdLB"
-	case CostAware:
-		return "MigrationCostAwareLB"
-	case Diffusion:
-		return "DiffusionLB"
-	}
-	return "unknown"
-}
 
 // buildStrategy constructs the balancer. interNodeBW is the scenario
 // network's resolved inter-node bandwidth — the migration-cost model must
@@ -375,6 +339,24 @@ var (
 	HostTimeSeries = map[string]bool{"charm_lb_strategy_wall_seconds_total": true}
 	ShardSeries    = map[string]bool{"sim_event_heap_depth_max": true, "charm_messages_pooled_total": true}
 )
+
+// WithoutHostTime returns snap less what was measured in host seconds:
+// the HostTimeSeries, and each LB-step row's strategy_wall, zeroed. The
+// rest is virtual time and event counts, identical from run to run. It
+// reuses snap's slices.
+func WithoutHostTime(snap metrics.Snapshot) metrics.Snapshot {
+	kept := snap.Series[:0]
+	for _, s := range snap.Series {
+		if !HostTimeSeries[s.Name] {
+			kept = append(kept, s)
+		}
+	}
+	snap.Series = kept
+	for i := range snap.LBSteps {
+		snap.LBSteps[i].StrategyWall = 0
+	}
+	return snap
+}
 
 // Run executes one scenario to completion and returns its measurements.
 func Run(s Scenario) Result {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"cloudlb/internal/metrics"
 	"cloudlb/internal/sim"
 	"cloudlb/internal/trace"
 	"cloudlb/internal/xnet"
@@ -340,6 +341,36 @@ func TestStrategyKindsBuild(t *testing.T) {
 	for _, a := range []AppKind{AppNone, Jacobi2D, Wave2D, Mol3D} {
 		if a.String() == "unknown" {
 			t.Fatalf("app %v has no name", a)
+		}
+	}
+}
+
+// TestRegistrySeriesBudget: a run's per-PE and per-step LB facts live in
+// its registry's LB-step rows, one per step, so its series count follows
+// the machine and the per-runtime totals, not the LB steps: the bench's
+// 256-core cloud Spec registers at most 800 series (1,812 when the rows
+// were restated as series), an 8-core interfered RefineLB run at most 90
+// (119 then).
+func TestRegistrySeriesBudget(t *testing.T) {
+	cloud := Spec{App: Wave2D, Cores: []int{256}, Strategies: []StrategyKind{Diffusion}, Seeds: []int64{1},
+		Scale: 0.05, CharesPerCore: 32, StencilBlock: 4, SyncEvery: 5,
+		Net: xnet.Config{DropPct: 2, StragglerNodes: []int{3}, StragglerFactor: 4, Seed: 1}}
+	interfered := Spec{App: Wave2D, Cores: []int{8}, Strategies: []StrategyKind{Refine}, Seeds: []int64{1},
+		Scale: quickScale, BG: BGWave2D}
+	for _, c := range []struct {
+		sp     Spec
+		series int
+	}{{cloud, 800}, {interfered, 90}} {
+		s := c.sp.Scenarios()[0]
+		reg := metrics.NewRegistry()
+		s.Metrics = reg
+		res := Run(s)
+		snap := reg.Gather()
+		if len(snap.Series) > c.series {
+			t.Errorf("%d cores: %d series, want at most %d", s.Cores, len(snap.Series), c.series)
+		}
+		if res.LBSteps == 0 || len(snap.LBSteps) != res.LBSteps {
+			t.Errorf("%d cores: %d LB-step rows for %d LB steps", s.Cores, len(snap.LBSteps), res.LBSteps)
 		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 // TestKernelWorkerInvariantOnRandomSpecs runs the random Specs of
 // TestShardCountInvariantOnRandomSpecs (the same generator and -shardspec
 // flags) on one shard without and with a kernel worker, and requires the
-// same Result, metric snapshot less the host-time series, and trace from
-// both: the worker only moves where the applications' deferred kernels
-// run. The worker run's sim-drive span must show its tails ran through
-// the worker's join path.
+// same Result, metric snapshot and LB-step rows less host time, and
+// trace from both: the worker only moves where the applications'
+// deferred kernels run. The worker run's sim-drive span must show its
+// tails ran through the worker's join path.
 func TestKernelWorkerInvariantOnRandomSpecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(*shardSpecSeed))
 	specs := []Spec{shardSpecRepro}
@@ -33,7 +33,7 @@ func TestKernelWorkerInvariantOnRandomSpecs(t *testing.T) {
 				drive = sp.Args
 			}
 		}
-		return outcome{res: res, vals: metricValues(reg, HostTimeSeries), hash: traceHash(rec)}, drive
+		return outcome{res: res, vals: metricValues(reg, HostTimeSeries), steps: lbRows(reg), hash: traceHash(rec)}, drive
 	}
 	for i, sp := range specs {
 		if err := sp.Validate(); err != nil {

@@ -3,6 +3,7 @@ package experiment
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -100,8 +101,10 @@ var shardSpecRepro = Spec{
 }
 
 // TestShardCountInvariantOnRandomSpecs runs seeded random Specs at one, two
-// and four shards and requires the same Result, metric snapshot and trace
-// from each: sharding is a wall-clock optimization only.
+// and four shards and requires the same Result, metric snapshot, LB-step
+// rows and trace from each: sharding is a wall-clock optimization only.
+// Each Spec's one-shard rows must also hold the step's invariants (see
+// checkLBRows).
 func TestShardCountInvariantOnRandomSpecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(*shardSpecSeed))
 	specs := []Spec{shardSpecRepro}
@@ -116,9 +119,43 @@ func TestShardCountInvariantOnRandomSpecs(t *testing.T) {
 		name := fmt.Sprintf("case %d (%v %dc %v bg=%d hier=%v drop=%.1f%% straggle=%v faults=%v)",
 			i, s.App, s.Cores, s.Strategy, s.BG, s.Hierarchical, s.Net.DropPct, s.Net.StragglerNodes, s.Faults)
 		base := runOutcome(s)
+		checkLBRows(t, name, s.Strategy, base)
 		for _, n := range []int{2, 4} {
 			s.Shards = n
 			diffOutcomes(t, fmt.Sprintf("%s shards=%d", name, n), runOutcome(s), base)
 		}
+	}
+}
+
+// checkLBRows checks a run's LB-step rows against its Result and each
+// other: one row per LB step, the applied moves summing to the run's
+// migrations and never exceeding the planned ones, load conserved by
+// every step's moves (Σ pe_load_before = Σ pe_load_after, to 1e-9
+// relative), and neighbor-exchange rounds under DiffusionLB alone.
+func checkLBRows(t *testing.T, name string, strategy StrategyKind, o outcome) {
+	t.Helper()
+	if len(o.steps) != o.res.LBSteps {
+		t.Errorf("%s: %d LB-step rows, Result has %d LB steps", name, len(o.steps), o.res.LBSteps)
+	}
+	applied := 0
+	for _, s := range o.steps {
+		applied += s.MovesApplied
+		if s.MovesApplied > s.MovesPlanned {
+			t.Errorf("%s: step %d applied %d of %d planned moves", name, s.Step, s.MovesApplied, s.MovesPlanned)
+		}
+		var before, after float64
+		for pe := range s.PELoadBefore {
+			before += s.PELoadBefore[pe]
+			after += s.PELoadAfter[pe]
+		}
+		if math.Abs(before-after) > 1e-9*math.Abs(before) {
+			t.Errorf("%s: step %d moved load from Σ %v to Σ %v", name, s.Step, before, after)
+		}
+		if (strategy == Diffusion) != (s.Rounds >= 1) {
+			t.Errorf("%s: step %d ran %d rounds under %v", name, s.Step, s.Rounds, strategy)
+		}
+	}
+	if applied != o.res.Migrations {
+		t.Errorf("%s: rows apply %d moves, Result has %d migrations", name, applied, o.res.Migrations)
 	}
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -143,23 +144,38 @@ func EstimateQuantile(buckets []Bucket, q float64) float64 {
 	return prevBound
 }
 
-// Snapshot is a point-in-time copy of every series in a registry,
-// sorted by name then label values — stable output for diffing and
-// golden tests.
+// Snapshot is a point-in-time copy of a registry: every series, sorted
+// by name then label values, and the LB-step log's rows, sorted by
+// labels then step number — stable output for diffing and golden tests,
+// whatever order concurrent runs appended the rows in.
 type Snapshot struct {
-	Series []Series `json:"series"`
+	Series  []Series `json:"series"`
+	LBSteps []LBStep `json:"lb_steps,omitempty"`
 }
 
-// Gather runs the registered collectors, then freezes every series into
-// a Snapshot. Safe to call on a nil registry (empty snapshot). Gather
+// Gather runs the registered collectors, then freezes every series and
+// the LB-step log into a Snapshot. Safe to call on a nil registry (empty
+// snapshot).
+func (r *Registry) Gather() Snapshot {
+	steps, _ := r.LBSteps(0)
+	sort.SliceStable(steps, func(i, j int) bool {
+		if c := compareLabels(steps[i].Labels, steps[j].Labels); c != 0 {
+			return c < 0
+		}
+		return steps[i].Step < steps[j].Step
+	})
+	return Snapshot{Series: r.series(), LBSteps: steps}
+}
+
+// series runs the registered collectors, then freezes every series. It
 // holds the registry lock only to copy the series list; reads of the
 // atomics happen outside it.
-func (r *Registry) Gather() Snapshot {
+func (r *Registry) series() []Series {
 	if r == nil {
-		return Snapshot{}
+		return nil
 	}
 	if r.parent != nil {
-		return r.parent.Gather()
+		return r.parent.series()
 	}
 	r.mu.Lock()
 	collectors := append([]func(){}, r.collectors...)
@@ -171,7 +187,7 @@ func (r *Registry) Gather() Snapshot {
 	ms := append([]*metric{}, r.ordered...)
 	r.mu.Unlock()
 
-	snap := Snapshot{Series: make([]Series, 0, len(ms))}
+	out := make([]Series, 0, len(ms))
 	for _, m := range ms {
 		s := Series{
 			Name:   m.name,
@@ -204,41 +220,43 @@ func (r *Registry) Gather() Snapshot {
 			s.P95 = EstimateQuantile(s.Buckets, 0.95)
 			s.P99 = EstimateQuantile(s.Buckets, 0.99)
 		}
-		snap.Series = append(snap.Series, s)
+		out = append(out, s)
 	}
-	sort.SliceStable(snap.Series, func(i, j int) bool {
-		a, b := snap.Series[i], snap.Series[j]
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
 		if a.Name != b.Name {
 			return a.Name < b.Name
 		}
-		return labelsLess(a.Labels, b.Labels)
+		return compareLabels(a.Labels, b.Labels) < 0
 	})
-	return snap
+	return out
 }
 
-func labelsLess(a, b []Label) bool {
+// compareLabels orders two sorted label sets name by name, then value by
+// value. Numeric label values (pe/core/step/scenario indices) compare
+// numerically so pe=10 follows pe=9 in exports.
+func compareLabels(a, b []Label) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i].Name != b[i].Name {
-			return a[i].Name < b[i].Name
+			return strings.Compare(a[i].Name, b[i].Name)
 		}
-		// Numeric label values (pe/core/step indices) sort numerically so
-		// pe=10 follows pe=9 in exports.
 		av, aerr := strconv.Atoi(a[i].Value)
 		bv, berr := strconv.Atoi(b[i].Value)
 		if aerr == nil && berr == nil {
 			if av != bv {
-				return av < bv
+				return cmp.Compare(av, bv)
 			}
 			continue
 		}
 		if a[i].Value != b[i].Value {
-			return a[i].Value < b[i].Value
+			return strings.Compare(a[i].Value, b[i].Value)
 		}
 	}
-	return len(a) < len(b)
+	return cmp.Compare(len(a), len(b))
 }
 
-// WriteJSON gathers and writes the snapshot as indented JSON.
+// WriteJSON gathers and writes the snapshot, series and LB-step rows, as
+// indented JSON.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	snap := r.Gather()
 	enc := json.NewEncoder(w)
@@ -246,13 +264,13 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(snap)
 }
 
-// WritePrometheus gathers and writes the snapshot in the Prometheus text
+// WritePrometheus gathers and writes every series in the Prometheus text
 // exposition format (version 0.0.4): one HELP/TYPE header per metric
-// name, then every series of that name.
+// name, then every series of that name. The format has no place for the
+// LB-step rows, so they are not read.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	snap := r.Gather()
 	var lastName string
-	for _, s := range snap.Series {
+	for _, s := range r.series() {
 		if s.Name != lastName {
 			if s.Help != "" {
 				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", s.Name, escapeHelp(s.Help)); err != nil {

@@ -146,7 +146,7 @@ func TestWriteJSONWithHistogram(t *testing.T) {
 
 // TestLBStepLog: rows appended through views land in the root's log
 // labeled by the view, the hook sees each append with its index, since
-// reads deltas, and the exports stay free of steps.
+// reads deltas, and Gather carries the rows without making them series.
 func TestLBStepLog(t *testing.T) {
 	r := NewRegistry()
 	var mu sync.Mutex
@@ -183,7 +183,7 @@ func TestLBStepLog(t *testing.T) {
 	if steps, total := r.LBSteps(99); total != 3 || len(steps) != 0 {
 		t.Fatalf("LBSteps(99) = %v of %d, want none of 3", steps, total)
 	}
-	if s := r.Gather(); len(s.Series) != 0 {
-		t.Fatalf("steps leaked into Gather: %+v", s.Series)
+	if s := r.Gather(); len(s.Series) != 0 || len(s.LBSteps) != 3 {
+		t.Fatalf("Gather = %d series and %d rows, want 0 and 3", len(s.Series), len(s.LBSteps))
 	}
 }

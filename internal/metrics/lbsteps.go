@@ -7,9 +7,10 @@ import (
 )
 
 // LBStep is one load-balancing step's telemetry: what the strategy saw,
-// what it decided, and what the migration actually changed. PE-indexed
-// slices are in core order and owned by the registry's step log
-// (callers must not retain or mutate them after AppendLBStep).
+// what it decided, and what the migration actually changed — the one
+// per-step and per-PE record of Eq. 1 and Eq. 2. PE-indexed slices are
+// in core order and owned by the registry's step log (callers must not
+// retain or mutate them after AppendLBStep).
 type LBStep struct {
 	// Labels name the run the step belongs to: the labels of the
 	// appending registry view plus those AppendLBStep was given, sorted
@@ -29,6 +30,9 @@ type LBStep struct {
 	// dropping no-op moves.
 	MovesPlanned int `json:"moves_planned"`
 	MovesApplied int `json:"moves_applied"`
+	// Rounds is the neighbor-exchange rounds a DiffusionLB step took;
+	// 0 under the flat and tree gathers.
+	Rounds int `json:"rounds"`
 	// StrategyWall is real (host) seconds spent inside Strategy.Plan.
 	StrategyWall float64 `json:"strategy_wall"`
 	// PEBackground is the per-PE background load O_p (Eq. 2) measured
@@ -42,8 +46,8 @@ type LBStep struct {
 }
 
 // AppendLBStep adds one row to the registry's LB-step log, labeled with
-// the view's labels plus labels. Steps stay out of Gather, so the JSON
-// and Prometheus exports do not carry them. A hook set by OnLBStep runs
+// the view's labels plus labels. Gather, and so the JSON export, carries
+// the rows; the Prometheus text does not. A hook set by OnLBStep runs
 // after the append on the appending goroutine, outside the registry
 // lock. Safe on a nil registry (no-op).
 func (r *Registry) AppendLBStep(s LBStep, labels ...Label) {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -289,18 +290,46 @@ wall_seconds_count 2
 	}
 }
 
+// TestWriteJSON: the JSON export carries the series and the LB-step
+// rows, the rows ordered by labels (numeric values numerically), then by
+// step, whatever order they were appended in; the Prometheus text
+// carries no rows.
 func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "a").Inc()
+	for _, a := range []struct {
+		scenario string
+		step     int
+	}{{"10", 1}, {"9", 2}, {"9", 1}} {
+		r.With(L("scenario", a.scenario)).AppendLBStep(LBStep{Step: a.step, Rounds: 3}, L("rts", "app"))
+	}
 	var b strings.Builder
 	if err := r.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, frag := range []string{`"name": "a_total"`, `"kind": "counter"`, `"value": 1`} {
+	for _, frag := range []string{`"name": "a_total"`, `"kind": "counter"`, `"value": 1`, `"lb_steps": [`, `"rounds": 3`} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("JSON output missing %s:\n%s", frag, out)
 		}
+	}
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(out), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, s := range snap.LBSteps {
+		order = append(order, fmt.Sprintf("%s/%d", s.Labels[1].Value, s.Step))
+	}
+	if got := strings.Join(order, " "); got != "9/1 9/2 10/1" {
+		t.Errorf("rows exported in order %s, want 9/1 9/2 10/1", got)
+	}
+	b.Reset()
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "scenario") {
+		t.Errorf("Prometheus text carries LB-step rows:\n%s", b.String())
 	}
 }
 

@@ -69,7 +69,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this path on exit")
-	fs.StringVar(&f.Metrics, "metrics", "", `collect runtime metrics and write them on exit: "-" = Prometheus text to stderr, *.json = JSON snapshot, other = Prometheus text file`)
+	fs.StringVar(&f.Metrics, "metrics", "", `collect runtime metrics and write them on exit: "-" = Prometheus text to stderr, *.json = JSON snapshot of the series and the LB-step rows, other = Prometheus text file`)
 	fs.StringVar(&f.Serve, "serve", "", `serve live telemetry over HTTP on this address for the duration of the run (e.g. "127.0.0.1:8080", ":0" picks a port)`)
 	fs.DurationVar(&f.ServeWait, "serve-wait", 0, "keep the -serve endpoints up this long after the run completes so a final scrape isn't lost")
 	fs.StringVar(&f.Store, "store", "", `with -serve: artifact-store directory backing the /api/v1/jobs scenario service (created if missing; results are cached by canonical Spec hash)`)

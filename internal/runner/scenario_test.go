@@ -253,15 +253,7 @@ func TestPoolShardsLoneLargeScenario(t *testing.T) {
 			}
 		}
 		if reg != nil {
-			snap := reg.Gather()
-			kept := snap.Series[:0]
-			for _, sr := range snap.Series {
-				if !experiment.HostTimeSeries[sr.Name] {
-					kept = append(kept, sr)
-				}
-			}
-			snap.Series = kept
-			if o.snap, err = json.Marshal(snap); err != nil {
+			if o.snap, err = json.Marshal(experiment.WithoutHostTime(reg.Gather())); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"cloudlb/internal/experiment"
@@ -48,14 +49,33 @@ func sameBytes(t *testing.T, a, b []byte) {
 
 // TestMetricsArtifactReproducible pins the metrics.json determinism the
 // content-addressed store leans on: two executions of the same request
-// must serialize the identical filtered snapshot — host-time series
-// (real seconds inside Strategy.Plan, shard barrier waits) are excluded,
-// everything virtual is bit-reproducible.
+// must serialize the identical filtered snapshot — host time (real
+// seconds inside Strategy.Plan, as a series and as each LB-step row's
+// strategy_wall) is excluded, everything virtual is bit-reproducible.
+// The artifact carries one row per LB step.
 func TestMetricsArtifactReproducible(t *testing.T) {
 	a := metricsArtifact(t, compareRequest(), 1)
 	sameBytes(t, a, metricsArtifact(t, compareRequest(), 1))
 	if bytes.Contains(a, []byte("charm_lb_strategy_wall_seconds_total")) {
 		t.Fatal("host-time series leaked into the metrics artifact")
+	}
+	var snap metrics.Snapshot
+	if err := json.Unmarshal(a, &snap); err != nil {
+		t.Fatal(err)
+	}
+	steps := 0.0
+	for _, s := range snap.Series {
+		if s.Name == "charm_lb_steps_total" {
+			steps += s.Value
+		}
+	}
+	if steps == 0 || float64(len(snap.LBSteps)) != steps {
+		t.Fatalf("metrics artifact carries %d LB-step rows for %v LB steps", len(snap.LBSteps), steps)
+	}
+	for _, s := range snap.LBSteps {
+		if s.StrategyWall != 0 {
+			t.Fatalf("host-time strategy_wall %v leaked into LB-step row %+v", s.StrategyWall, s.Labels)
+		}
 	}
 }
 

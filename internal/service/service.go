@@ -484,23 +484,15 @@ func (s *Service) storeArtifacts(req Request, out *experiment.Output, reg *metri
 }
 
 // deterministicMetricsJSON renders the per-job registry in WriteJSON's
-// shape with experiment.HostTimeSeries removed. Everything else a
-// scenario records is virtual simulated time or event counts —
-// bit-reproducible on one shard — but those vary run to run, so dropping
-// them keeps identical requests producing identical content addresses.
+// shape, series and LB-step rows, less its host time
+// (experiment.WithoutHostTime). Host seconds vary run to run; leaving
+// them out keeps identical requests producing identical content
+// addresses.
 func deterministicMetricsJSON(reg *metrics.Registry) ([]byte, error) {
-	snap := reg.Gather()
-	kept := snap.Series[:0]
-	for _, s := range snap.Series {
-		if !experiment.HostTimeSeries[s.Name] {
-			kept = append(kept, s)
-		}
-	}
-	snap.Series = kept
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
+	if err := enc.Encode(experiment.WithoutHostTime(reg.Gather())); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -40,11 +40,11 @@ const dashboardHTML = `<!DOCTYPE html>
   <div class="card"><div class="v" id="p50">–</div><div class="k">wall p50 / p95 (s)</div></div>
 </div>
 <div id="bar"><div id="fill"></div></div>
-<h2>latest LB step — per-PE load after migration (Eq. 1 view)</h2>
+<h2>latest LB step — per-PE load after migration (Eq. 1 view) <span id="peloadrun"></span></h2>
 <div id="peload">no LB steps yet</div>
 <h2>LB steps</h2>
 <table id="steps"><thead><tr>
-<th>step</th><th>time</th><th>window</th><th>planned</th><th>applied</th><th>strategy&nbsp;s</th><th>max&nbsp;load&nbsp;before</th><th>max&nbsp;load&nbsp;after</th>
+<th>run</th><th>step</th><th>time</th><th>window</th><th>planned</th><th>applied</th><th>strategy&nbsp;s</th><th>max&nbsp;load&nbsp;before</th><th>max&nbsp;load&nbsp;after</th>
 </tr></thead><tbody></tbody></table>
 <h2>log — structured records (enable with -log)</h2>
 <div id="log">no log records yet</div>
@@ -65,7 +65,15 @@ function renderRun(s) {
   document.getElementById("fill").style.width = pct + "%";
   setText("status", s.finished ? "(run finished)" : "");
 }
+// runOf names the run a step belongs to: its labels other than rts
+// (scenario=<batch index>, fig7=<row>), empty for a lone run.
+function runOf(st) {
+  return (st.labels || []).filter(function (l) { return l.Name !== "rts"; })
+    .map(function (l) { return l.Name + "=" + l.Value; }).join(" ");
+}
 function renderStep(st) {
+  var run = runOf(st);
+  setText("peloadrun", "(" + (run ? run + ", " : "") + "step " + st.step + ")");
   var after = st.pe_load_after || [];
   var max = after.reduce(function (a, b) { return Math.max(a, b); }, 0);
   var div = document.getElementById("peload");
@@ -80,7 +88,7 @@ function renderStep(st) {
   var tb = document.querySelector("#steps tbody");
   var tr = document.createElement("tr");
   var b4 = (st.pe_load_before || []).reduce(function (a, b) { return Math.max(a, b); }, 0);
-  [st.step, fmt(st.time, 2), fmt(st.wall_since_lb, 2), st.moves_planned, st.moves_applied,
+  [run, st.step, fmt(st.time, 2), fmt(st.wall_since_lb, 2), st.moves_planned, st.moves_applied,
    fmt(st.strategy_wall, 4), fmt(b4, 3), fmt(max, 3)].forEach(function (v) {
     var td = document.createElement("td"); td.textContent = v; tr.appendChild(td);
   });

@@ -156,7 +156,10 @@ func TestDashboardAndRouting(t *testing.T) {
 	if !strings.Contains(hdr.Get("Content-Type"), "text/html") {
 		t.Fatalf("content type %q", hdr.Get("Content-Type"))
 	}
-	for _, want := range []string{"<!DOCTYPE html>", "/api/v1/run", "/api/v1/lbsteps", "EventSource"} {
+	// The LB-step table and the per-PE bars name each row's run from
+	// its labels, so a batch's interleaved steps tell apart.
+	for _, want := range []string{"<!DOCTYPE html>", "/api/v1/run", "/api/v1/lbsteps", "EventSource",
+		"<th>run</th><th>step</th>", "st.labels", `id="peloadrun"`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("dashboard missing %q", want)
 		}
